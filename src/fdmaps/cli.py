@@ -299,7 +299,8 @@ def main(argv=None) -> int:
                         help="output directory (default: config's 'out' or '.')")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (results are thread-count independent)")
+                        help="accepted for compatibility; has no effect. BLAS threads "
+                             "follow OPENBLAS_NUM_THREADS / OMP_NUM_THREADS")
     parser.add_argument("--schema", action="store_true",
                         help="print the result JSON schema and exit")
     args = parser.parse_args(argv)

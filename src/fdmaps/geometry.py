@@ -66,6 +66,7 @@ class Mesh:
             "boundary": [int(i) for i in self.boundary_nodes],
             "level": int(self.refinement_level),
             "kind": self.kind,
+            "parent_edges": [[int(a), int(b)] for a, b in self.parent_edges],
         }
 
     @staticmethod
@@ -73,7 +74,10 @@ class Mesh:
         nodes = np.array([complex(x, y) for x, y in doc["nodes"]])
         tris = np.array(doc["triangles"], dtype=np.int64)
         bnd = np.array(doc["boundary"], dtype=np.int64)
-        return Mesh(nodes, tris, bnd, int(doc["level"]), doc.get("kind", "disk"))
+        # optional: files written before parent edges were saved lack it
+        parents = np.array(doc.get("parent_edges", []), dtype=np.int64).reshape(-1, 2)
+        return Mesh(nodes, tris, bnd, int(doc["level"]), doc.get("kind", "disk"),
+                    parent_edges=parents)
 
     def save(self, path):
         with open(path, "w") as fh:

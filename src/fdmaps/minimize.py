@@ -1,8 +1,15 @@
-"""Minimising sequences: projected gradient descent over nodal values.
+"""Minimising sequences: Laplacian-preconditioned descent over nodal values.
 
-Boundary values are held fixed, steps are accepted only if the energy
-strictly decreases and every triangle keeps its Jacobian above a floor,
-so iterates stay orientation-preserving all along the sequence.
+Boundary values are held fixed.  The descent direction d solves
+S_II d_I = g_I, with S_II the interior block of the P1 stiffness matrix and
+g the exact energy gradient: the Sobolev (H^1) gradient of Neuberger, or the
+Laplacian quadratic proxy of Kovalsky, Galun & Lipman (2016).  Its
+iteration count does not grow under mesh refinement, whereas plain steepest
+descent needs about four times as many iterations per level.  Steps are
+accepted only if the energy strictly decreases and every triangle keeps its
+Jacobian above a floor, so iterates stay orientation-preserving all along
+the sequence.  The sparse Wirtinger operators and the factorisation of
+S_II are built once per solve.
 """
 
 from __future__ import annotations
@@ -15,8 +22,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, DomainError, InitializationError
-from .fields import MappingField, derivative_coefficients, wirtinger_derivatives
-from .functionals import FunctionalSpec, _base, _base_prime, weight_values
+from .fields import (DerivedField, MappingField, derivative_coefficients,
+                     derived_from_derivatives)
+from .functionals import FunctionalSpec, _base, _base_prime, energy, weight_values
 from .geometry import Mesh
 
 MIN_STEP = 1e-14
@@ -24,6 +32,14 @@ MIN_STEP = 1e-14
 
 @dataclass(frozen=True)
 class MinimizeConfig:
+    """Descent settings.
+
+    `initial_step` is the first trial step along the preconditioned
+    direction S_II^{-1} g (not along g itself); each accepted step doubles
+    the next trial and each rejected one multiplies it by
+    `backtracking_factor`.  `gradient_tolerance` bounds the Euclidean norm
+    of the unpreconditioned gradient.
+    """
     max_iterations: int = 2000
     gradient_tolerance: float = 1e-8
     initial_step: float = 0.1
@@ -143,18 +159,43 @@ def stiffness_matrix(mesh: Mesh) -> sp.csr_matrix:
     return S.tocsr()
 
 
+class _InteriorLaplacian:
+    """The interior block S_II of the stiffness matrix, factorised once with `splu`.
+
+    Solves run the real and imaginary parts of a complex right-hand side
+    against the one factorisation.
+    """
+
+    def __init__(self, mesh: Mesh):
+        S = stiffness_matrix(mesh)
+        self.mesh = mesh
+        self.interior = np.flatnonzero(~mesh.is_boundary())
+        self.coupling = S[self.interior][:, mesh.boundary_nodes]
+        self._lu = (spla.splu(S[self.interior][:, self.interior].tocsc())
+                    if len(self.interior) else None)
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self._lu is None:
+            return np.zeros(0, dtype=complex)
+        return self._lu.solve(rhs.real) + 1j * self._lu.solve(rhs.imag)
+
+    def extend(self, boundary_values: np.ndarray) -> np.ndarray:
+        """Nodal values of the discrete harmonic extension of boundary values."""
+        values = np.zeros(self.mesh.n_nodes, dtype=complex)
+        values[self.mesh.boundary_nodes] = boundary_values
+        values[self.interior] = self._solve(-(self.coupling @ boundary_values))
+        return values
+
+    def precondition(self, grad: np.ndarray) -> np.ndarray:
+        """Descent direction d with S_II d_I = g_I and d = 0 on the boundary."""
+        direction = np.zeros_like(grad)
+        direction[self.interior] = self._solve(grad[self.interior])
+        return direction
+
+
 def harmonic_extension(mesh: Mesh, boundary: BoundaryData) -> MappingField:
     """Discrete harmonic extension of the boundary data (the feasible start)."""
-    S = stiffness_matrix(mesh)
-    bmask = mesh.is_boundary()
-    interior = np.where(~bmask)[0]
-    values = np.zeros(mesh.n_nodes, dtype=complex)
-    values[mesh.boundary_nodes] = boundary.boundary_values(mesh)
-    if len(interior):
-        S_ii = S[interior][:, interior]
-        rhs = -S[interior][:, mesh.boundary_nodes] @ values[mesh.boundary_nodes]
-        lu = spla.splu(S_ii.tocsc())
-        values[interior] = lu.solve(rhs.real) + 1j * lu.solve(rhs.imag)
+    values = _InteriorLaplacian(mesh).extend(boundary.boundary_values(mesh))
     return MappingField(mesh, values)
 
 
@@ -203,41 +244,64 @@ def _phi_derivatives(spec: FunctionalSpec, P: np.ndarray, Q: np.ndarray):
     return phi, dP, dQ
 
 
+class _WirtingerOperators:
+    """Mesh-static operators of one solve: fz = Dz @ w and fzbar = Dzbar @ w.
+
+    Dz and Dzbar are sparse (m, n) with three nonzeros per row, the
+    per-triangle coefficients of `derivative_coefficients`; the gradient
+    applies their conjugate transposes.  Built per solve rather than cached
+    on the mesh, so they live no longer than the descent that uses them.
+    """
+
+    def __init__(self, spec: FunctionalSpec, mesh: Mesh):
+        a, b = derivative_coefficients(mesh)
+        rows = np.repeat(np.arange(mesh.n_triangles), 3)
+        cols = mesh.triangles.ravel()
+        shape = (mesh.n_triangles, mesh.n_nodes)
+        self.spec = spec
+        self.mesh = mesh
+        self.Dz = sp.csr_matrix((a.ravel(), (rows, cols)), shape=shape)
+        self.Dzbar = sp.csr_matrix((b.ravel(), (rows, cols)), shape=shape)
+        self.Dz_H = self.Dz.conj().T.tocsr()
+        self.Dzbar_H = self.Dzbar.conj().T.tocsr()
+        self.eta = weight_values(spec, mesh.centroids())
+        self.eta_areas = self.eta * mesh.areas
+
+    def derived(self, values: np.ndarray) -> DerivedField:
+        return derived_from_derivatives(self.mesh, self.Dz @ values, self.Dzbar @ values)
+
+    def gradient(self, values: np.ndarray, jacobian_floor: float = 0.0) -> np.ndarray:
+        fz = self.Dz @ values
+        fzbar = self.Dzbar @ values
+        P = np.abs(fz) ** 2
+        Q = np.abs(fzbar) ** 2
+        jac = P - Q
+        if np.any(jac <= jacobian_floor):
+            worst = int(np.argmin(jac))
+            raise DomainError(
+                f"gradient undefined: triangle {worst} has J = {jac[worst]:.6e} "
+                f"<= floor {jacobian_floor:.3e}")
+        _, dP, dQ = _phi_derivatives(self.spec, P, Q)
+        # dE/d conj(w) summed over elements; the real gradient is twice that
+        grad = 2.0 * (self.Dz_H @ (self.eta_areas * dP * fz)
+                      + self.Dzbar_H @ (self.eta_areas * dQ * fzbar))
+        grad[self.mesh.boundary_nodes] = 0.0
+        return grad
+
+
 def energy_gradient(spec: FunctionalSpec, mapping: MappingField,
                     jacobian_floor: float = 0.0) -> np.ndarray:
     """Exact gradient of the discrete energy wrt nodal values; zero on the boundary.
 
     Returned as complex numbers: grad_i = dE/du_i + i dE/dv_i for w_i = u_i + i v_i.
     """
-    mesh = mapping.mesh
-    a, b = derivative_coefficients(mesh)
-    w = mapping.values[mesh.triangles]
-    fz = np.sum(a * w, axis=1)
-    fzbar = np.sum(b * w, axis=1)
-    P = np.abs(fz) ** 2
-    Q = np.abs(fzbar) ** 2
-    jac = P - Q
-    if np.any(jac <= jacobian_floor):
-        worst = int(np.argmin(jac))
-        raise DomainError(
-            f"gradient undefined: triangle {worst} has J = {jac[worst]:.6e} "
-            f"<= floor {jacobian_floor:.3e}")
-    eta = weight_values(spec, mesh.centroids())
-    _, dP, dQ = _phi_derivatives(spec, P, Q)
-    scale = (eta * mesh.areas)
-    # dE/d conj(w_i) summed over elements; real gradient is twice that
-    per_node = (scale * dP)[:, None] * fz[:, None] * np.conj(a) \
-        + (scale * dQ)[:, None] * fzbar[:, None] * np.conj(b)
-    grad = np.zeros(mesh.n_nodes, dtype=complex)
-    np.add.at(grad, mesh.triangles.ravel(), 2.0 * per_node.ravel())
-    grad[mesh.boundary_nodes] = 0.0
-    return grad
+    return _WirtingerOperators(spec, mapping.mesh).gradient(mapping.values, jacobian_floor)
 
 
-def _energy_and_minjac(spec: FunctionalSpec, mapping: MappingField):
-    from .functionals import energy
-    derived = wirtinger_derivatives(mapping)
-    return energy(spec, derived), float(np.min(derived.jac))
+def _energy_and_minjac(ops: _WirtingerOperators, values: np.ndarray):
+    # module-level so that perfbench/tracing.py can count energy evaluations
+    derived = ops.derived(values)
+    return energy(ops.spec, derived, eta=ops.eta), float(np.min(derived.jac))
 
 
 @dataclass
@@ -255,34 +319,36 @@ class MinimizeResult:
 def minimize_energy(spec: FunctionalSpec, mesh: Mesh, boundary: BoundaryData,
                     config: MinimizeConfig,
                     initial: Optional[MappingField] = None) -> MinimizeResult:
-    """Projected gradient descent with backtracking; the trace is strictly decreasing."""
+    """Laplacian-preconditioned descent with backtracking; the trace is strictly decreasing."""
+    ops = _WirtingerOperators(spec, mesh)
+    laplacian = _InteriorLaplacian(mesh)
     if initial is None:
-        mapping = harmonic_extension(mesh, boundary)
+        values = laplacian.extend(boundary.boundary_values(mesh))
     else:
         values = initial.values.copy()
         values[mesh.boundary_nodes] = boundary.boundary_values(mesh)
-        mapping = MappingField(mesh, values)
-    energy_val, min_jac = _energy_and_minjac(spec, mapping)
+    energy_val, min_jac = _energy_and_minjac(ops, values)
     if min_jac <= config.jacobian_floor or not np.isfinite(energy_val):
         raise InitializationError(
             f"initial map infeasible: min J = {min_jac:.3e}, energy = {energy_val}")
 
-    result = MinimizeResult(mapping)
+    result = MinimizeResult(MappingField(mesh, values))
     step = config.initial_step
     for it in range(config.max_iterations):
-        grad = energy_gradient(spec, mapping, jacobian_floor=0.0)
+        grad = ops.gradient(values)
         grad_norm = float(np.linalg.norm(grad))
         result.trace.append({"iteration": it, "energy": energy_val,
                              "grad_norm": grad_norm, "min_J": min_jac, "step": step})
         if grad_norm < config.gradient_tolerance:
             result.converged = True
             break
+        direction = laplacian.precondition(grad)
         accepted = False
         while step >= MIN_STEP:
-            trial = MappingField(mesh, mapping.values - step * grad)
-            e_trial, mj_trial = _energy_and_minjac(spec, trial)
+            trial = values - step * direction
+            e_trial, mj_trial = _energy_and_minjac(ops, trial)
             if mj_trial >= config.jacobian_floor and e_trial < energy_val:
-                mapping, energy_val, min_jac = trial, e_trial, mj_trial
+                values, energy_val, min_jac = trial, e_trial, mj_trial
                 accepted = True
                 step *= 2.0
                 break
@@ -291,12 +357,12 @@ def minimize_energy(spec: FunctionalSpec, mesh: Mesh, boundary: BoundaryData,
             result.stalled = True
             break
     if result.trace and result.trace[-1]["energy"] != energy_val:
-        grad_norm = float(np.linalg.norm(energy_gradient(spec, mapping)))
+        grad_norm = float(np.linalg.norm(ops.gradient(values)))
         result.trace.append({"iteration": result.trace[-1]["iteration"] + 1,
                              "energy": energy_val, "grad_norm": grad_norm,
                              "min_J": min_jac, "step": step})
         result.converged = grad_norm < config.gradient_tolerance
-    result.mapping = mapping
+    result.mapping = MappingField(mesh, values)
     return result
 
 

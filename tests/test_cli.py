@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,3 +158,14 @@ def test_seed_override(tmp_path):
                  "--seed", "5"]) == 0
     manifest = _read(out / "manifest.json")
     assert manifest["seed"] == 5
+
+
+def test_readme_example_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    config_path = tmp_path / "config.json"
+    config_path.write_text(blocks[0])
+    out = tmp_path / "out"
+    assert main(["--config", str(config_path), "--out", str(out)]) == 0
+    assert _read(out / "manifest.json")["status"] == "ok"

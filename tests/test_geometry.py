@@ -5,7 +5,9 @@ import pytest
 
 from fdmaps import build_disk_mesh, build_rect_mesh, refine_mesh
 from fdmaps.errors import ConfigurationError
+from fdmaps.fields import sample_analytic
 from fdmaps.geometry import Mesh, boundary_edges, signed_areas
+from fdmaps.minimize import prolong
 
 
 def test_disk_base_mesh_is_hexagon_fan():
@@ -93,9 +95,21 @@ def test_mesh_json_round_trip(tmp_path, disk3):
     assert np.array_equal(loaded.boundary_nodes, disk3.boundary_nodes)
     assert loaded.kind == disk3.kind
     assert loaded.refinement_level == disk3.refinement_level
+    assert np.array_equal(loaded.parent_edges, disk3.parent_edges)
     # file is plain JSON
     with open(path) as fh:
         json.load(fh)
+    # a reloaded refinement still accepts prolongation from its parent
+    fine_path = tmp_path / "fine.json"
+    refine_mesh(disk3).save(fine_path)
+    fine = Mesh.load(fine_path)
+    coarse = sample_analytic(disk3, "affine", 1.0, 0.25)
+    prolonged = prolong(coarse, fine)
+    assert np.allclose(prolonged.values[:disk3.n_nodes], coarse.values)
+    # files written without parent edges still load
+    doc = disk3.to_json()
+    del doc["parent_edges"]
+    assert Mesh.from_json(doc).parent_edges.shape == (0, 2)
 
 
 def test_centroids_inside_hull(disk4):

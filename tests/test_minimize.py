@@ -4,9 +4,9 @@ import pytest
 from fdmaps.errors import ConfigurationError
 from fdmaps.fields import MappingField, sample_analytic, wirtinger_derivatives
 from fdmaps.functionals import FunctionalSpec, energy
-from fdmaps.minimize import (BoundaryData, MinimizeConfig, energy_gradient,
-                             harmonic_extension, minimize_energy, prolong,
-                             stiffness_matrix, truncation_sweep)
+from fdmaps.minimize import (BoundaryData, MinimizeConfig, _WirtingerOperators,
+                             energy_gradient, harmonic_extension, minimize_energy,
+                             prolong, stiffness_matrix, truncation_sweep)
 
 
 def _fd_gradient(spec, mapping, h=1e-6):
@@ -45,6 +45,21 @@ def test_gradient_matches_finite_differences(disk3, rng, spec):
     rel = np.linalg.norm(g_ri[idx] - g_fd[idx]) / max(np.linalg.norm(g_fd[idx]), 1e-30)
     assert rel < 1e-6
     assert np.all(g_ri[~idx] == 0.0)
+
+
+def test_sparse_operators_match_per_triangle_derivatives(disk3, rng):
+    # the descent evaluates energies through sparse Dz / Dzbar; they must
+    # agree with wirtinger_derivatives up to summation-order rounding
+    spec = FunctionalSpec(family="exp_p", p=1.0, weight="hyperbolic")
+    values = disk3.nodes + 0.01 * (rng.standard_normal(disk3.n_nodes)
+                                   + 1j * rng.standard_normal(disk3.n_nodes))
+    ref = wirtinger_derivatives(MappingField(disk3, values, None))
+    ops = _WirtingerOperators(spec, disk3)
+    derived = ops.derived(values)
+    assert np.abs(derived.fz - ref.fz).max() < 1e-13
+    assert np.abs(derived.fzbar - ref.fzbar).max() < 1e-13
+    e_ref = energy(spec, ref)
+    assert abs(energy(spec, derived, eta=ops.eta) - e_ref) < 1e-13 * e_ref
 
 
 def test_stiffness_matrix_annihilates_constants(disk3):
@@ -101,6 +116,23 @@ def test_minimize_keeps_jacobian_floor(disk3):
                           BoundaryData(kind="circle_diffeo", sin_coeffs=(0.0, 0.3)),
                           cfg)
     assert wirtinger_derivatives(res.mapping).jac.min() >= cfg.jacobian_floor
+
+
+def test_descent_is_mesh_independent_on_refinement_ladder(disk3, disk4):
+    # criterion-08 problem at levels 3 and 4, warm-started by prolongation;
+    # plain steepest descent needs 939 and 3218 trace rows here
+    spec = FunctionalSpec(family="trunc_exp", p=1.0, trunc_n=8)
+    boundary = BoundaryData(kind="circle_diffeo", sin_coeffs=(0.0, 0.3))
+    references = (25.809475642848255, 25.776824822226658)
+    prev = None
+    for mesh, cap, ref in zip((disk3, disk4), (20000, 60000), references):
+        init = prolong(prev.mapping, mesh) if prev is not None else None
+        res = minimize_energy(spec, mesh, boundary,
+                              MinimizeConfig(max_iterations=cap, gradient_tolerance=1e-9),
+                              initial=init)
+        assert abs(res.final_energy - ref) <= 1e-6 * ref
+        assert len(res.trace) < 500
+        prev = res
 
 
 def test_prolong_reproduces_nodal_interpolation(disk3):

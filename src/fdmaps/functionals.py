@@ -150,7 +150,8 @@ def phi_eval(spec: FunctionalSpec, x, y):
 
 
 def df_norm(derived: DerivedField, norm: str) -> np.ndarray:
-    """Pointwise norm of Df per triangle: Hilbert-Schmidt or operator."""
+    """Pointwise norm of Df, Hilbert-Schmidt or operator, from the fz and
+    fzbar arrays of a derived field (or of any sample carrying both)."""
     if norm == "hs":
         return np.sqrt(2.0 * (np.abs(derived.fz) ** 2 + np.abs(derived.fzbar) ** 2))
     if norm == "op":

@@ -74,8 +74,35 @@ def test_diagnose_command(tmp_path):
     assert run(config, tmp_path) == 0
     result = _read(tmp_path / "result.json")
     assert result["results"]["verdict"] == "StrongConvergence"
+    assert result["results"]["decided_by"] == "all"
     assert "gap" in result["results"]
     assert (tmp_path / "gaps.csv").exists()
+
+
+@pytest.mark.parametrize("tolerances, verdict, decided_by", [
+    ({}, "EnergyGap", "energy_convergence"),
+    ({"hypothesis_rel": 0.2, "weak_rel": 0.2, "conclusion_rel": 1e-6},
+     "Inconclusive", "conclusion_tails"),
+])
+def test_diagnose_names_deciding_hypothesis(tmp_path, tolerances, verdict, decided_by):
+    config = {
+        "command": "diagnose",
+        "domain": {"kind": "disk", "level": 2},
+        "recipe": {"kind": "affine_drift",
+                   "params": {"a": 1.0, "b": 0.2, "da": 0.4, "db": 0.1},
+                   "j_max": 8},
+        "diagnostic": {"p_RR": 2.0, "tolerances": tolerances},
+    }
+    assert run(config, tmp_path) == 0
+    result = _read(tmp_path / "result.json")
+    assert (result["results"]["verdict"], result["results"]["decided_by"]) == \
+        (verdict, decided_by)
+    if jsonschema is not None:
+        schema = result_schema()
+        jsonschema.validate(result, schema)
+        result["results"]["decided_by"] = "bogus"
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(result, schema)
 
 
 def test_hopf_command(tmp_path):

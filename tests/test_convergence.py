@@ -3,14 +3,16 @@ import json
 import numpy as np
 import pytest
 
+from fdmaps import convergence
 from fdmaps.convergence import (Tolerances, good_set, jacobian_area_identity,
                                 lr_gap, lsc_check, orlicz_gauge, orlicz_norm,
                                 quantity_scale, radon_riesz_diagnose,
                                 sobolev_norm, tail_slice, weak_probe)
-from fdmaps.errors import ConfigurationError
+from fdmaps.errors import ConfigurationError, DomainError
 from fdmaps.fields import (MappingField, sample_analytic,
                            wirtinger_derivatives)
-from fdmaps.functionals import FunctionalSpec
+from fdmaps.functionals import FunctionalSpec, phi_eval
+from fdmaps.quadrature import mesh_quad_points
 from fdmaps.sequences import SequenceRecipe, generate
 
 
@@ -26,6 +28,14 @@ def osc_seq():
     import fdmaps
     mesh = fdmaps.build_rect_mesh(32, 32, 0.0, 1.0 + 1.0j)
     return generate(SequenceRecipe(kind="oscillation", params={}, j_max=16), mesh)
+
+
+@pytest.fixture(scope="module")
+def moll_seq(disk3):
+    # nodal members: the centroid (1-point) path
+    return generate(SequenceRecipe(kind="mollified",
+                                   params={"target": "radial_stretch", "alpha": 2.0},
+                                   j_max=4), disk3)
 
 
 def test_tail_slice_is_second_half():
@@ -162,3 +172,79 @@ def test_gaps_to_csv(tmp_path, drift_seq):
     gaps_to_csv(rep, path)
     rows = path.read_text().strip().splitlines()
     assert len(rows) == len(drift_seq) + 1
+
+
+def test_lsc_hyperbolic_weight_on_disk_matches_direct_sum(drift_seq):
+    # drift members are affine, so Phi is constant and the energy is
+    # Phi * sum(w / (1 - |z|^2)^2) over the quadrature points
+    spec = FunctionalSpec(family="lp_mean", p=2.0, weight="hyperbolic")
+    res = lsc_check(spec, drift_seq)
+    pts, w = mesh_quad_points(drift_seq.mesh, convergence.ANALYTIC_QUAD_N)
+    weighted_area = np.sum(w / (1.0 - np.abs(pts) ** 2) ** 2)
+    for j, energy in enumerate(res.member_energies, start=1):
+        a, b = 1.0 + 0.4 / j, 0.2 + 0.1 / j
+        phi = phi_eval(spec, np.sqrt(2.0 * (a ** 2 + b ** 2)), a ** 2 - b ** 2)
+        assert energy == pytest.approx(phi * weighted_area, rel=1e-13)
+    phi = phi_eval(spec, np.sqrt(2.0 * 1.04), 0.96)
+    assert res.limit_energy == pytest.approx(phi * weighted_area, rel=1e-13)
+
+
+def test_hyperbolic_weight_rejects_points_outside_disk(osc_seq):
+    # the unit square reaches |z| = sqrt(2); the weight is undefined there
+    spec = FunctionalSpec(family="lp_mean", p=2.0, weight="hyperbolic")
+    with pytest.raises(DomainError):
+        lsc_check(spec, osc_seq)
+    with pytest.raises(DomainError):
+        radon_riesz_diagnose(spec, osc_seq, p_RR=2.0)
+
+
+def test_diagnose_samples_each_field_once(monkeypatch, unit_square_16):
+    seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=8), unit_square_16)
+    calls = {"derivatives": 0, "quadrature": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(convergence, "_derivatives_at",
+                        counted("derivatives", convergence._derivatives_at))
+    monkeypatch.setattr(convergence, "mesh_quad_points",
+                        counted("quadrature", convergence.mesh_quad_points))
+    radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0,
+                         r_list={"df": 1.5, "jac": 0.5, "mu": 1.0, "fzbar": 2.0})
+    assert calls == {"derivatives": len(seq) + 1, "quadrature": 1}
+
+
+def _subdomain(kind, mesh):
+    if kind == "mask":
+        return np.arange(mesh.n_triangles) % 2 == 0
+    if kind == "index":
+        return np.arange(0, mesh.n_triangles, 3)
+    return None
+
+
+@pytest.mark.parametrize("sub_kind", [None, "mask", "index"])
+@pytest.mark.parametrize("fixture", ["drift_seq", "osc_seq", "moll_seq"])
+def test_diagnose_matches_standalone_measurements(request, fixture, sub_kind):
+    seq = request.getfixturevalue(fixture)
+    subdomain = _subdomain(sub_kind, seq.mesh)
+    spec = FunctionalSpec(family="lp_mean", p=2.0)
+    r_list = {"df": 1.5, "jac": 0.5, "mu": 1.0, "fz": 2.0, "fzbar": 2.0}
+    rep = radon_riesz_diagnose(spec, seq, p_RR=2.0, r_list=r_list, subdomain=subdomain)
+
+    def close(a, b):
+        assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+
+    # the weak probe always integrates over the whole mesh
+    close(rep.weak_probe_residuals, weak_probe(seq))
+    for qname, r in r_list.items():
+        close(rep.conclusion_gaps[qname]["series"], lr_gap(seq, qname, r, subdomain))
+        scale = max(quantity_scale(seq, qname, r, subdomain), 1e-12)
+        close(rep.conclusion_gaps[qname]["scale"], scale)
+    if subdomain is None:
+        # p_RR equals the family's p, so the energy series is the plain energy
+        lsc = lsc_check(spec, seq)
+        close(rep.energy_series, lsc.member_energies)
+        close(rep.limit_energy, lsc.limit_energy)

@@ -12,6 +12,7 @@ import importlib.resources
 import json
 import sys
 import time
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,8 @@ import numpy as np
 from . import __version__
 from .convergence import Tolerances, gaps_to_csv, radon_riesz_diagnose
 from .errors import ConfigurationError, DomainError, FdmapsError, InitializationError
-from .fields import derived_to_csv, sample_analytic, wirtinger_derivatives
+from .fields import (derived_to_csv, sample_analytic, wirtinger_derivatives,
+                     write_columns)
 from .functionals import (FunctionalSpec, concavity_probe, convexity_probe,
                           monotone_truncation_check, polyconvex_lower_bound)
 from .geometry import build_disk_mesh, build_rect_mesh
@@ -56,22 +58,14 @@ def _run_mesh(config, out: Path):
 
 
 def _write_trace(trace, path: Path):
-    import csv
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "energy", "grad_norm", "min_J", "step"])
-        for row in trace:
-            writer.writerow([row["iteration"], row["energy"], row["grad_norm"],
-                             row["min_J"], row["step"]])
+    header = ["iteration", "energy", "grad_norm", "min_J", "step"]
+    write_columns(path, header, list(zip(*map(itemgetter(*header), trace))))
 
 
 def _write_mapping(mapping, path: Path):
-    import csv
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "re", "im"])
-        for i, v in enumerate(mapping.values):
-            writer.writerow([i, v.real, v.imag])
+    write_columns(path, ["node", "re", "im"],
+                  [np.arange(len(mapping.values)), mapping.values.real,
+                   mapping.values.imag])
 
 
 def _run_minimize(config, out: Path):
@@ -115,7 +109,6 @@ def _run_sweep(config, out: Path):
     weight = sweep_cfg.get("weight", "none")
     entries = truncation_sweep(p, n_list, mesh, boundary, mcfg,
                                jac_exp=jac_exp, weight=weight)
-    import csv
     rows = []
     psi_fields = []
     for e in entries:
@@ -128,11 +121,8 @@ def _run_sweep(config, out: Path):
                      "holomorphy_l1": res.l1_residual})
     gaps = [float(np.nanmax(np.abs(b.values - a.values)))
             for a, b in zip(psi_fields, psi_fields[1:])]
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "energy", "hopf_l1", "holomorphy_l1"])
-        for r in rows:
-            writer.writerow([r["N"], r["energy"], r["hopf_l1"], r["holomorphy_l1"]])
+    header = ["N", "energy", "hopf_l1", "holomorphy_l1"]
+    write_columns(out / "sweep.csv", header, list(zip(*map(itemgetter(*header), rows))))
     return {"entries": rows, "psi_cauchy_sup_gaps": gaps}
 
 

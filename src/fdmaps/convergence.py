@@ -20,7 +20,6 @@ call the same per-sample helpers.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence
@@ -28,7 +27,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .fields import DerivedField, MappingField, wirtinger_derivatives
+from .fields import DerivedField, MappingField, wirtinger_derivatives, write_columns
 from .functionals import (FunctionalSpec, convexity_probe, df_norm,
                           monotone_truncation_check, phi_eval, weight_values)
 from .geometry import Mesh
@@ -436,14 +435,10 @@ class ConvergenceReport:
 def gaps_to_csv(report: ConvergenceReport, path) -> None:
     """Gap-vs-j series for plotting."""
     names = sorted(report.conclusion_gaps)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "energy", "weak_residual"] + [f"gap_{n}" for n in names])
-        for j in range(len(report.energy_series)):
-            row = [j + 1, report.energy_series[j], report.weak_probe_residuals[j]]
-            for n in names:
-                row.append(report.conclusion_gaps[n]["series"][j])
-            writer.writerow(row)
+    write_columns(path, ["j", "energy", "weak_residual"] + [f"gap_{n}" for n in names],
+                  [np.arange(1, len(report.energy_series) + 1), report.energy_series,
+                   report.weak_probe_residuals]
+                  + [report.conclusion_gaps[n]["series"] for n in names])
 
 
 def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,

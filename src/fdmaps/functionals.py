@@ -159,13 +159,18 @@ def df_norm(derived: DerivedField, norm: str) -> np.ndarray:
     raise ConfigurationError(f"unknown norm {norm!r}")
 
 
-def weight_values(spec: FunctionalSpec, points: np.ndarray) -> np.ndarray:
-    if spec.weight == "none":
-        return np.ones(np.shape(points), dtype=float)
+def hyperbolic_density(points) -> np.ndarray:
+    """Poincare metric density 1/(1-|z|^2)^2; every point must satisfy |z| < 1."""
     r2 = np.abs(points) ** 2
     if np.any(r2 >= 1.0):
         raise DomainError("hyperbolic weight requires points inside the unit disk")
     return 1.0 / (1.0 - r2) ** 2
+
+
+def weight_values(spec: FunctionalSpec, points: np.ndarray) -> np.ndarray:
+    if spec.weight == "none":
+        return np.ones(np.shape(points), dtype=float)
+    return hyperbolic_density(points)
 
 
 def energy(spec: FunctionalSpec, derived: DerivedField,

@@ -4,6 +4,12 @@ Meshes are immutable after construction. The disk mesh is a hexagon fan
 refined by quadrisection with new boundary midpoints projected radially
 onto the unit circle; rectangles are structured grids split along a fixed
 diagonal.
+
+All constructions are array operations. Refinement finds the unique edges
+with one `np.unique` over sorted edge pairs and numbers the midpoints in the
+order their edges are first met, triangle by triangle, so node order,
+`parent_edges` and boundary nodes are fixed by the coarse triangle list.
+An edge used by one triangle only is a boundary edge.
 """
 
 from __future__ import annotations
@@ -61,18 +67,19 @@ class Mesh:
 
     def to_json(self) -> dict:
         return {
-            "nodes": [[float(z.real), float(z.imag)] for z in self.nodes],
-            "triangles": [[int(a), int(b), int(c)] for a, b, c in self.triangles],
-            "boundary": [int(i) for i in self.boundary_nodes],
+            "nodes": np.column_stack([self.nodes.real, self.nodes.imag]).tolist(),
+            "triangles": self.triangles.tolist(),
+            "boundary": self.boundary_nodes.tolist(),
             "level": int(self.refinement_level),
             "kind": self.kind,
-            "parent_edges": [[int(a), int(b)] for a, b in self.parent_edges],
+            "parent_edges": self.parent_edges.tolist(),
         }
 
     @staticmethod
     def from_json(doc: dict) -> "Mesh":
-        nodes = np.array([complex(x, y) for x, y in doc["nodes"]])
-        tris = np.array(doc["triangles"], dtype=np.int64)
+        # (n, 2) float rows viewed as complex keep every bit, signed zeros too
+        nodes = np.array(doc["nodes"], dtype=float).reshape(-1, 2).view(complex).ravel()
+        tris = np.array(doc["triangles"], dtype=np.int64).reshape(-1, 3)
         bnd = np.array(doc["boundary"], dtype=np.int64)
         # optional: files written before parent edges were saved lack it
         parents = np.array(doc.get("parent_edges", []), dtype=np.int64).reshape(-1, 2)
@@ -96,52 +103,60 @@ def signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return 0.5 * (np.conj(e1) * e2).imag
 
 
+def _edge_table(triangles: np.ndarray):
+    """Unique undirected edges of a triangle list, in order of first occurrence.
+
+    The 3m directed edges are read triangle by triangle as (a, b), (b, c),
+    (c, a).  Returns the unique edges as sorted pairs, numbered by first
+    occurrence, the number of each of the 3m edges in that numbering, and how
+    many triangles share each unique edge.
+    """
+    tri = np.asarray(triangles, dtype=np.int64)
+    edges = np.stack([tri, np.roll(tri, -1, axis=1)], axis=2).reshape(-1, 2)
+    edges.sort(axis=1)
+    # one integer key per edge sorts like the pair (lo, hi), and much faster
+    base = int(tri.max()) + 1 if tri.size else 1
+    _, first, inverse, counts = np.unique(edges[:, 0] * base + edges[:, 1],
+                                          return_index=True, return_inverse=True,
+                                          return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return edges[first[order]], rank[inverse], counts[order]
+
+
 def boundary_edges(triangles: np.ndarray):
     """Edges that belong to exactly one triangle, as a set of sorted pairs."""
-    count = {}
-    for tri in triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(min(a, b)), int(max(a, b)))
-            count[key] = count.get(key, 0) + 1
-    return {e for e, c in count.items() if c == 1}
+    unique, _, counts = _edge_table(triangles)
+    a, b = unique[counts == 1].T.tolist()
+    return set(zip(a, b))
 
 
 def refine_mesh(mesh: Mesh) -> Mesh:
-    """Quadrisect every triangle; disk boundary midpoints go radially to |z|=1."""
-    nodes = list(mesh.nodes)
-    bset = boundary_edges(mesh.triangles)
-    on_boundary = set(int(i) for i in mesh.boundary_nodes)
-    midpoint = {}
-    parent_edges = []
+    """Quadrisect every triangle; disk boundary midpoints go radially to |z|=1.
 
-    def mid(a: int, b: int) -> int:
-        key = (min(a, b), max(a, b))
-        if key in midpoint:
-            return midpoint[key]
-        z = 0.5 * (nodes[a] + nodes[b])
-        if mesh.kind == "disk" and key in bset:
-            z = z / abs(z)
-        idx = len(nodes)
-        nodes.append(z)
-        midpoint[key] = idx
-        parent_edges.append(key)
-        if key in bset:
-            on_boundary.add(idx)
-        return idx
-
-    tris = []
-    for a, b, c in mesh.triangles:
-        a, b, c = int(a), int(b), int(c)
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        tris.extend([(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)])
-
+    Midpoints are appended after the coarse nodes in the order their edges
+    are first met, triangle by triangle, and `parent_edges` lists those edges.
+    """
+    unique, mid, counts = _edge_table(mesh.triangles)
+    n = mesh.n_nodes
+    on_boundary = counts == 1
+    z = 0.5 * (mesh.nodes[unique[:, 0]] + mesh.nodes[unique[:, 1]])
+    if mesh.kind == "disk":
+        rim = z[on_boundary]
+        # np.hypot rounds as abs() of a complex scalar does; np.abs on a
+        # complex array may differ in the last bit
+        z[on_boundary] = rim / np.hypot(rim.real, rim.imag)
+    a, b, c = mesh.triangles.T
+    mab, mbc, mca = (n + mid).reshape(-1, 3).T
+    tris = np.stack([a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca], axis=1)
     return Mesh(
-        nodes=np.array(nodes),
-        triangles=np.array(tris, dtype=np.int64),
-        boundary_nodes=np.array(sorted(on_boundary), dtype=np.int64),
+        nodes=np.concatenate([mesh.nodes, z]),
+        triangles=tris.reshape(-1, 3),
+        boundary_nodes=np.union1d(mesh.boundary_nodes, n + np.flatnonzero(on_boundary)),
         refinement_level=mesh.refinement_level + 1,
         kind=mesh.kind,
-        parent_edges=np.array(parent_edges, dtype=np.int64).reshape(-1, 2),
+        parent_edges=unique,
     )
 
 
@@ -173,17 +188,10 @@ def build_rect_mesh(nx: int, ny: int, corner_lo: complex, corner_hi: complex) ->
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     nodes = (X + 1j * Y).ravel()
 
-    def nid(i, j):  # column i, row j
-        return j * (nx + 1) + i
-
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            a, b = nid(i, j), nid(i + 1, j)
-            c, d = nid(i + 1, j + 1), nid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    bnd = [nid(i, j) for j in range(ny + 1) for i in range(nx + 1)
-           if i in (0, nx) or j in (0, ny)]
-    return Mesh(nodes, np.array(tris, dtype=np.int64),
-                np.array(sorted(bnd), dtype=np.int64), 0, "rect")
+    # lower-left node of every cell, row by row; each cell splits along a-c
+    a = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    b, c, d = a + 1, a + nx + 2, a + nx + 1
+    tris = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    j, i = np.divmod(np.arange((nx + 1) * (ny + 1)), nx + 1)
+    bnd = np.flatnonzero((i == 0) | (i == nx) | (j == 0) | (j == ny))
+    return Mesh(nodes, tris.astype(np.int64), bnd.astype(np.int64), 0, "rect")

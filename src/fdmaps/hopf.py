@@ -3,19 +3,24 @@
 A critical point of the inverse distortion problems carries a holomorphic
 Hopf differential; the residual of local anti-holomorphic content is the
 numerical certificate that a minimiser has been reached.
+
+The residual fits c0 + c1 w + c2 conj(w) around every interior vertex at
+once: centring each vertex star at the mean of its chart points turns the
+least-squares fit into a closed form in a few star sums, which are
+gathered with `np.bincount` one triangle corner at a time.  The hyperbolic
+weight is `functionals.hyperbolic_density`, the same rule the energies use.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .fields import DerivedField
-from .functionals import truncated_exp
+from .fields import DerivedField, write_columns
+from .functionals import hyperbolic_density, truncated_exp
 from .geometry import Mesh
 
 
@@ -39,11 +44,7 @@ class HopfField:
 
 def hyperbolic_weight(z):
     """Poincare metric density 1/(1-|z|^2)^2 on the unit disk."""
-    z = np.asarray(z, dtype=complex)
-    r2 = np.abs(z) ** 2
-    if np.any(r2 >= 1.0):
-        raise DomainError("hyperbolic weight requires |z| < 1")
-    out = 1.0 / (1.0 - r2) ** 2
+    out = hyperbolic_density(np.asarray(z, dtype=complex))
     return float(out) if out.ndim == 0 else out
 
 
@@ -118,47 +119,66 @@ class HolomorphyResidual:
 def holomorphy_residual(field: HopfField) -> HolomorphyResidual:
     """Anti-holomorphic content by per-vertex affine fitting.
 
-    For each interior vertex, fit c0 + c1 w + c2 conj(w) to the field over
-    the centroids of the vertex star; |c2| is the local residual, and the
-    aggregates are vertex-lumped-area weighted L^1 and L^2 sums.
+    For each interior vertex, fit c0 + c1 w + c2 conj(w) by least squares to
+    the field over the chart points of the vertex star; |c2| is the local
+    residual, and the aggregates are vertex-lumped-area weighted L^1 and L^2
+    sums.  With the star centred at the mean c of its points, d = w - c sums
+    to zero, the constant decouples and the 2x2 normal equations give
+
+        c2 = (S R+ - T R-) / (S^2 - |T|^2),
+
+    S = sum |d|^2, T = sum d^2, R- = sum conj(d) y, R+ = sum d y.  The sums
+    are gathered one triangle corner at a time.  Boundary vertices are not
+    fitted; stars with fewer than 3 triangles, any non-finite value or
+    collinear points (S^2 - |T|^2 <= 0) count as skipped.
     """
     mesh = field.mesh
-    centroids = field.chart_points()
-    boundary = mesh.is_boundary()
-    stars = [[] for _ in range(mesh.n_nodes)]
-    for t, tri in enumerate(mesh.triangles):
-        for v in tri:
-            stars[v].append(t)
-    l1 = 0.0
-    l2 = 0.0
-    skipped = 0
-    interior_area = 0.0
-    for v in range(mesh.n_nodes):
-        if boundary[v]:
-            continue
-        tris = stars[v]
-        if len(tris) < 3:
-            skipped += 1
-            continue
-        w = centroids[tris]
-        vals = field.values[tris]
-        if np.any(~np.isfinite(vals)):
-            skipped += 1
-            continue
-        A = np.column_stack([np.ones_like(w), w, np.conj(w)])
-        coeffs, *_ = np.linalg.lstsq(A, vals, rcond=None)
-        c2 = abs(coeffs[2])
-        lumped = float(np.sum(mesh.areas[tris]) / 3.0)
-        interior_area += lumped
-        l1 += lumped * c2
-        l2 += lumped * c2 ** 2
-    return HolomorphyResidual(l1, float(np.sqrt(l2)), skipped, interior_area)
+    tri = mesh.triangles
+    n = mesh.n_nodes
+    w = field.chart_points()
+    y = field.values
+    finite = np.isfinite(y) & np.isfinite(w)
+    # stars touching a non-finite triangle are skipped; zeros keep the sums quiet
+    w = np.where(finite, w, 0.0)
+    y = np.where(finite, y, 0.0)
+
+    def gather(corner, x):
+        """Sum per-triangle values x into the vertices at one corner."""
+        out = np.bincount(corner, weights=x.real, minlength=n)
+        if np.iscomplexobj(x):
+            out = out + 1j * np.bincount(corner, weights=x.imag, minlength=n)
+        return out
+
+    def star_sum(x):
+        return sum(gather(tri[:, k], x) for k in range(3))
+
+    count = star_sum(np.ones(len(tri)))
+    bad = star_sum((~finite).astype(float)) > 0
+    centre = star_sum(w) / np.maximum(count, 1.0)
+    mean = star_sum(y) / np.maximum(count, 1.0)
+    s, t, r_minus, r_plus = 0.0, 0.0, 0.0, 0.0
+    for k in range(3):
+        corner = tri[:, k]
+        d = w - centre[corner]
+        # centring y too changes no sum in exact arithmetic, and leaves a
+        # constant field exactly zero instead of at roundoff
+        e = y - mean[corner]
+        s = s + gather(corner, d.real ** 2 + d.imag ** 2)
+        t = t + gather(corner, d * d)
+        r_minus = r_minus + gather(corner, np.conj(d) * e)
+        r_plus = r_plus + gather(corner, d * e)
+    det = s * s - (t.real ** 2 + t.imag ** 2)
+    interior = ~mesh.is_boundary()
+    fitted = interior & (count >= 3) & ~bad & (det > 0)
+    c2 = np.abs(s * r_plus - t * r_minus)[fitted] / det[fitted]
+    lumped = star_sum(mesh.areas)[fitted] / 3.0
+    return HolomorphyResidual(float(np.sum(lumped * c2)),
+                              float(np.sqrt(np.sum(lumped * c2 ** 2))),
+                              int(np.count_nonzero(interior & ~fitted)),
+                              float(np.sum(lumped)))
 
 
 def hopf_to_csv(field: HopfField, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tri_id", "re", "im", "area"])
-        for t in range(field.mesh.n_triangles):
-            writer.writerow([t, field.values[t].real, field.values[t].imag,
-                             field.mesh.areas[t]])
+    write_columns(path, ["tri_id", "re", "im", "area"],
+                  [np.arange(field.mesh.n_triangles), field.values.real,
+                   field.values.imag, field.mesh.areas])

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -27,3 +30,27 @@ def unit_square_16():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def csv_reference():
+    """Bytes csv.writer produces for a header and rows: what every CSV artefact must match."""
+    def render(header, rows) -> bytes:
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue().encode()
+    return render
+
+
+@pytest.fixture(scope="session")
+def part_folded(disk3):
+    """Mapping of disk3 that is the identity below Im z = 0.3 and conj(z) above.
+
+    Triangles above the line have J < 0 and triangles across it mix both,
+    so derived and Hopf fields carry inf and nan rows next to finite ones.
+    """
+    from fdmaps.fields import MappingField
+    z = disk3.nodes
+    return MappingField(disk3, np.where(z.imag > 0.3, np.conj(z), z), None)

@@ -1,9 +1,11 @@
 import json
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 try:
@@ -11,6 +13,7 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
+import fdmaps
 from fdmaps.cli import main, result_schema, run
 
 
@@ -108,15 +111,51 @@ def test_diagnose_names_deciding_hypothesis(tmp_path, tolerances, verdict, decid
 def test_hopf_command(tmp_path):
     config = {
         "command": "hopf",
-        "domain": {"kind": "disk", "level": 3},
+        "domain": {"kind": "disk", "level": 5},
         "hopf": {"formula": "affine", "args": [[1.0, 0.0], [0.3, 0.0]],
-                 "p": 1.0, "N": 4},
+                 "p": 1.0, "N": 8, "inverse": True},
     }
     assert run(config, tmp_path) == 0
-    result = _read(tmp_path / "result.json")
-    assert result["results"]["field_l1"] > 0.0
+    result = _read(tmp_path / "result.json")["results"]
+    assert result["field_l1"] > 0.0
+    # the affine map's inverse Ahlfors-Hopf field is constant: the certificate
+    # must fit every interior vertex and find no anti-holomorphic content
+    assert result["skipped_vertices"] == 0
+    assert result["l1_residual"] <= 1e-9 * result["field_l1"]
     assert (tmp_path / "hopf.csv").exists()
     assert (tmp_path / "derived.csv").exists()
+
+
+def test_minimize_artefacts_match_csv_writer(tmp_path, part_folded, csv_reference):
+    from fdmaps.cli import _write_mapping, _write_trace
+    trace = [{"iteration": 0, "energy": 12.5, "grad_norm": 0.1, "min_J": -np.inf,
+              "step": 1.0},
+             {"iteration": 1, "energy": float("nan"), "grad_norm": 1e-17,
+              "min_J": np.float64(0.25), "step": 2.0}]
+    _write_trace(trace, tmp_path / "trace.csv")
+    header = ["iteration", "energy", "grad_norm", "min_J", "step"]
+    assert (tmp_path / "trace.csv").read_bytes() == csv_reference(
+        header, [[row[k] for k in header] for row in trace])
+    _write_mapping(part_folded, tmp_path / "mapping.csv")
+    assert (tmp_path / "mapping.csv").read_bytes() == csv_reference(
+        ["node", "re", "im"], [[i, v.real, v.imag] for i, v in enumerate(part_folded.values)])
+
+
+def test_sweep_csv_matches_csv_writer(tmp_path, csv_reference):
+    config = {
+        "command": "sweep",
+        "domain": {"kind": "disk", "level": 2},
+        "sweep": {"p": 1.0, "N_list": [1, 2, 4]},
+        "boundary": {"kind": "circle_diffeo", "sin_coeffs": [0.0, 0.2]},
+        "minimize": {"max_iterations": 200},
+    }
+    assert run(config, tmp_path) == 0
+    # JSON floats round-trip exactly, so the result's entries are the rows
+    entries = _read(tmp_path / "result.json")["results"]["entries"]
+    header = ["N", "energy", "hopf_l1", "holomorphy_l1"]
+    assert [e["N"] for e in entries] == [1, 2, 4]
+    assert (tmp_path / "sweep.csv").read_bytes() == csv_reference(
+        header, [[e[k] for k in header] for e in entries])
 
 
 def test_oracle_command_small(tmp_path):
@@ -162,10 +201,14 @@ def test_console_entry_point(tmp_path):
     config_path.write_text(json.dumps(
         {"command": "mesh", "domain": {"kind": "disk", "level": 2}}))
     out = tmp_path / "out"
+    # the child imports the fdmaps under test, also from an uninstalled checkout
+    src = str(Path(fdmaps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = subprocess.run(
         [sys.executable, "-m", "fdmaps.cli", "--config", str(config_path),
          "--out", str(out)],
-        capture_output=True).returncode
+        capture_output=True, env=env).returncode
     assert code == 0
     assert (out / "result.json").exists()
 

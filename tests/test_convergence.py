@@ -164,14 +164,20 @@ def test_diagnose_validates_parameters(drift_seq):
                              p_RR=2.0, r_list={"df": -1.0})
 
 
-def test_gaps_to_csv(tmp_path, drift_seq):
+def test_gaps_to_csv(tmp_path, drift_seq, csv_reference):
     from fdmaps.convergence import gaps_to_csv
     rep = radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), drift_seq,
-                               p_RR=2.0)
+                               p_RR=2.0, r_list={"df": 1.5, "jac": 0.5})
     path = tmp_path / "gaps.csv"
     gaps_to_csv(rep, path)
     rows = path.read_text().strip().splitlines()
     assert len(rows) == len(drift_seq) + 1
+    names = sorted(rep.conclusion_gaps)
+    expected = [[j + 1, rep.energy_series[j], rep.weak_probe_residuals[j]]
+                + [rep.conclusion_gaps[n]["series"][j] for n in names]
+                for j in range(len(rep.energy_series))]
+    assert path.read_bytes() == csv_reference(
+        ["j", "energy", "weak_residual"] + [f"gap_{n}" for n in names], expected)
 
 
 def test_lsc_hyperbolic_weight_on_disk_matches_direct_sum(drift_seq):

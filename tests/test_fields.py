@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from fdmaps import fields
 from fdmaps.fields import (analytic_affine, analytic_oscillation,
-                           analytic_radial_stretch, finite_distortion_report,
-                           sample_analytic, wirtinger_derivatives)
+                           analytic_radial_stretch, derived_to_csv,
+                           finite_distortion_report, sample_analytic,
+                           wirtinger_derivatives, write_columns)
 
 
 def test_affine_derivatives_exact(disk3):
@@ -98,10 +100,30 @@ def test_affine_value_and_centroid(disk3):
     assert np.allclose(d.f_centroid, 2.0 * disk3.centroids())
 
 
-def test_derived_to_csv(tmp_path, disk3):
-    from fdmaps.fields import derived_to_csv
-    d = wirtinger_derivatives(sample_analytic(disk3, "identity"))
+def test_derived_to_csv(tmp_path, part_folded, csv_reference):
+    d = wirtinger_derivatives(part_folded)
+    assert np.isinf(d.khs).any() and np.isnan(d.mu).any() and np.isfinite(d.khs).any()
     path = tmp_path / "derived.csv"
     derived_to_csv(d, path)
     rows = path.read_text().strip().splitlines()
-    assert len(rows) == disk3.n_triangles + 1  # header + one row per triangle
+    assert len(rows) == d.mesh.n_triangles + 1  # header + one row per triangle
+    header = ["tri_id", "re_fz", "im_fz", "re_fzbar", "im_fzbar",
+              "J", "K_hs", "K_op", "re_mu", "im_mu", "area"]
+    expected = [[t, d.fz[t].real, d.fz[t].imag, d.fzbar[t].real, d.fzbar[t].imag,
+                 d.jac[t], d.khs[t], d.kop[t], d.mu[t].real, d.mu[t].imag, d.areas[t]]
+                for t in range(d.mesh.n_triangles)]
+    assert path.read_bytes() == csv_reference(header, expected)
+
+
+@pytest.mark.parametrize("block_rows", [fields.CSV_BLOCK_ROWS, 1, 4])
+def test_write_columns_matches_csv_writer(tmp_path, monkeypatch, csv_reference, block_rows):
+    monkeypatch.setattr(fields, "CSV_BLOCK_ROWS", block_rows)
+    ints = np.array([0, -3, 2 ** 40, 7, 11])
+    floats = [0.1, -0.0, float("inf"), float("nan"), 1e-310]
+    extremes = np.array([1e16, -np.inf, 2.5e-5, 123456789.125, np.pi])
+    path = tmp_path / "cols.csv"
+    write_columns(path, ["i", "x", "y"], [ints, floats, extremes])
+    rows = [[int(a), b, float(c)] for a, b, c in zip(ints, floats, extremes)]
+    assert path.read_bytes() == csv_reference(["i", "x", "y"], rows)
+    write_columns(path, ["i", "x"], [np.arange(0), []])
+    assert path.read_bytes() == csv_reference(["i", "x"], [])

@@ -116,3 +116,77 @@ def test_centroids_inside_hull(disk4):
     c = disk4.centroids()
     assert np.all(np.abs(c) < 1.0)
     assert len(c) == disk4.n_triangles
+
+
+def _dict_refine_mesh(mesh):
+    """Reference: quadrisection with a dict of edge midpoints, one triangle at a time."""
+    nodes = list(mesh.nodes)
+    count = {}
+    for tri in mesh.triangles:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (int(min(a, b)), int(max(a, b)))
+            count[key] = count.get(key, 0) + 1
+    bset = {e for e, c in count.items() if c == 1}
+    on_boundary = set(int(i) for i in mesh.boundary_nodes)
+    midpoint, parent_edges, tris = {}, [], []
+
+    def mid(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in midpoint:
+            z = 0.5 * (nodes[a] + nodes[b])
+            if mesh.kind == "disk" and key in bset:
+                z = z / abs(z)
+            midpoint[key] = len(nodes)
+            nodes.append(z)
+            parent_edges.append(key)
+            if key in bset:
+                on_boundary.add(midpoint[key])
+        return midpoint[key]
+
+    for a, b, c in mesh.triangles.tolist():
+        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
+        tris.extend([(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)])
+    return (np.array(nodes), np.array(tris), np.array(sorted(on_boundary)),
+            np.array(parent_edges).reshape(-1, 2), bset)
+
+
+@pytest.mark.parametrize("coarse", [build_disk_mesh(level) for level in range(4)]
+                         + [refine_mesh(build_rect_mesh(3, 2, 0.0, 2.0 + 1.0j))],
+                         ids=["disk0", "disk1", "disk2", "disk3", "rect3x2_refined"])
+def test_refine_mesh_matches_dict_reference(coarse):
+    nodes, tris, bnd, parents, bset = _dict_refine_mesh(coarse)
+    fine = refine_mesh(coarse)
+    assert np.array_equal(fine.triangles, tris)
+    assert np.array_equal(fine.boundary_nodes, bnd)
+    assert np.array_equal(fine.parent_edges, parents)
+    assert np.max(np.abs(fine.nodes - nodes)) <= 1e-15
+    assert boundary_edges(coarse.triangles) == bset
+
+
+def test_rect_mesh_literal_arrays():
+    mesh = build_rect_mesh(3, 2, 0.0, 3.0 + 2.0j)
+    assert np.array_equal(mesh.triangles, [
+        [0, 1, 5], [0, 5, 4], [1, 2, 6], [1, 6, 5], [2, 3, 7], [2, 7, 6],
+        [4, 5, 9], [4, 9, 8], [5, 6, 10], [5, 10, 9], [6, 7, 11], [6, 11, 10]])
+    assert np.array_equal(mesh.boundary_nodes, [0, 1, 2, 3, 4, 7, 8, 9, 10, 11])
+    assert mesh.triangles.dtype == mesh.boundary_nodes.dtype == np.int64
+    assert np.all(mesh.areas == 0.5)
+
+
+@pytest.mark.parametrize("mesh", [build_disk_mesh(3), refine_mesh(build_rect_mesh(3, 2, -1.0, 1.0j))],
+                         ids=["disk3", "rect3x2_refined"])
+def test_mesh_json_bytes_match_element_wise_writer(tmp_path, mesh):
+    reference = {
+        "nodes": [[float(z.real), float(z.imag)] for z in mesh.nodes],
+        "triangles": [[int(a), int(b), int(c)] for a, b, c in mesh.triangles],
+        "boundary": [int(i) for i in mesh.boundary_nodes],
+        "level": int(mesh.refinement_level),
+        "kind": mesh.kind,
+        "parent_edges": [[int(a), int(b)] for a, b in mesh.parent_edges],
+    }
+    path = tmp_path / "mesh.json"
+    mesh.save(path)
+    assert path.read_bytes() == json.dumps(reference).encode()
+    loaded = Mesh.load(path)
+    assert np.array_equal(loaded.nodes, np.array([complex(x, y) for x, y in reference["nodes"]]))
+    assert loaded.triangles.dtype == np.int64

@@ -3,8 +3,9 @@ import pytest
 
 from fdmaps.errors import DomainError
 from fdmaps.fields import sample_analytic, wirtinger_derivatives
+from fdmaps.functionals import FunctionalSpec, weight_values
 from fdmaps.hopf import (HopfField, ahlfors_hopf, holomorphy_residual,
-                         hopf_differential, hyperbolic_weight,
+                         hopf_differential, hopf_to_csv, hyperbolic_weight,
                          inverse_ahlfors_hopf)
 
 
@@ -114,10 +115,92 @@ def test_flagged_triangles_are_nan(disk3):
     assert np.isnan(phi.values.real).all()
 
 
-def test_hopf_to_csv(tmp_path, disk3):
-    from fdmaps.hopf import hopf_to_csv
-    d = wirtinger_derivatives(sample_analytic(disk3, "identity"))
+def test_hopf_to_csv(tmp_path, part_folded, csv_reference):
+    psi = ahlfors_hopf(wirtinger_derivatives(part_folded), 1.0, 4)
+    assert np.isnan(psi.values).any() and np.isfinite(psi.values).any()
     path = tmp_path / "hopf.csv"
-    hopf_to_csv(ahlfors_hopf(d, 1.0, 4), path)
+    hopf_to_csv(psi, path)
     rows = path.read_text().strip().splitlines()
-    assert len(rows) == disk3.n_triangles + 1
+    assert len(rows) == psi.mesh.n_triangles + 1
+    expected = [[t, psi.values[t].real, psi.values[t].imag, psi.mesh.areas[t]]
+                for t in range(psi.mesh.n_triangles)]
+    assert path.read_bytes() == csv_reference(["tri_id", "re", "im", "area"], expected)
+
+
+def test_hyperbolic_weight_is_the_functional_weight():
+    z = np.array([0.0, 0.3 - 0.4j, 0.9j, -0.99 + 0.0j, 0.6 + 0.6j])
+    spec = FunctionalSpec(family="lp_mean", p=2.0, weight="hyperbolic")
+    assert np.array_equal(hyperbolic_weight(z), weight_values(spec, z))
+    assert isinstance(hyperbolic_weight(0.5), float)
+    for edge in (1.0, -1j, 0.9 + 0.9j):
+        with pytest.raises(DomainError):
+            hyperbolic_weight(edge)
+        with pytest.raises(DomainError):
+            weight_values(spec, np.array([0.0, edge]))
+
+
+def _lstsq_residual(field):
+    """Reference: one least-squares fit of c0 + c1 w + c2 conj(w) per vertex star."""
+    mesh = field.mesh
+    chart = field.chart_points()
+    boundary = mesh.is_boundary()
+    stars = [[] for _ in range(mesh.n_nodes)]
+    for t, tri in enumerate(mesh.triangles):
+        for v in tri:
+            stars[v].append(t)
+    l1 = l2 = area = 0.0
+    skipped = 0
+    for v in range(mesh.n_nodes):
+        if boundary[v]:
+            continue
+        tris = stars[v]
+        if len(tris) < 3 or not np.isfinite(field.values[tris]).all():
+            skipped += 1
+            continue
+        w = chart[tris]
+        A = np.column_stack([np.ones_like(w), w, np.conj(w)])
+        coeffs, *_ = np.linalg.lstsq(A, field.values[tris], rcond=None)
+        lumped = np.sum(mesh.areas[tris]) / 3.0
+        area += lumped
+        l1 += lumped * abs(coeffs[2])
+        l2 += lumped * abs(coeffs[2]) ** 2
+    return l1, np.sqrt(l2), skipped, area
+
+
+@pytest.mark.parametrize("mesh_name", ["disk4", "unit_square_16"])
+@pytest.mark.parametrize("kind", ["random", "smooth", "image_chart"])
+def test_holomorphy_residual_matches_per_vertex_lstsq(request, rng, mesh_name, kind):
+    mesh = request.getfixturevalue(mesh_name)
+    m = mesh.n_triangles
+    c = mesh.centroids()
+    flags = np.zeros(m, bool)
+    chart = None
+    if kind == "random":
+        values = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        flags = rng.random(m) < 0.05
+        values[flags] = np.nan
+    elif kind == "smooth":
+        values = c ** 2 + np.conj(c) * np.abs(c)
+    else:
+        values = np.exp(c) + 0.5 * np.conj(c) ** 2
+        chart = 1.3 * c + 0.2j * np.conj(c) + 0.1
+    field = HopfField(mesh, values, flags, chart=chart)
+    l1, l2, skipped, area = _lstsq_residual(field)
+    res = holomorphy_residual(field)
+    assert type(res.l1_residual) is float and type(res.l2_residual) is float
+    assert res.l1_residual == pytest.approx(l1, rel=1e-12)
+    assert res.l2_residual == pytest.approx(l2, rel=1e-12)
+    assert res.skipped_vertices == skipped
+    assert res.interior_area == pytest.approx(area, rel=1e-12)
+    if kind == "random":
+        assert 0 < skipped < mesh.n_nodes - len(mesh.boundary_nodes)
+
+
+def test_holomorphy_residual_skips_collinear_stars(disk4, rng):
+    c = disk4.centroids()
+    values = rng.standard_normal(disk4.n_triangles) + 0j
+    field = HopfField(disk4, values, np.zeros(disk4.n_triangles, bool),
+                      chart=c.real + 0j)
+    res = holomorphy_residual(field)
+    assert res.skipped_vertices == disk4.n_nodes - len(disk4.boundary_nodes)
+    assert res.l1_residual == 0.0 and res.interior_area == 0.0

@@ -113,8 +113,7 @@ def _run_sweep(config, out: Path):
     psi_fields = []
     for e in entries:
         derived = wirtinger_derivatives(e.mapping)
-        psi = inverse_ahlfors_hopf(derived, p, e.trunc_n,
-                                   weight if weight != "none" else "none")
+        psi = inverse_ahlfors_hopf(derived, p, e.trunc_n, weight)
         res = holomorphy_residual(psi)
         psi_fields.append(psi)
         rows.append({"N": e.trunc_n, "energy": e.energy, "hopf_l1": psi.l1_norm,

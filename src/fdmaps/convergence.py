@@ -27,9 +27,10 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .fields import DerivedField, MappingField, wirtinger_derivatives, write_columns
-from .functionals import (FunctionalSpec, convexity_probe, df_norm,
-                          monotone_truncation_check, phi_eval, weight_values)
+from .fields import (DerivedField, MappingField, squared_moduli, wirtinger_derivatives,
+                     write_columns)
+from .functionals import (FunctionalSpec, convexity_probe, df_norm, integrand,
+                          monotone_truncation_check, quadrature_sum, weight_values)
 from .geometry import Mesh
 from .quadrature import mesh_quad_points
 
@@ -82,7 +83,7 @@ def _derivatives_at(seq: SequenceHandle, index: int, pts: np.ndarray):
     """(fz, fzbar) arrays of shape pts.shape for member/limit."""
     if seq.all_analytic:
         m = seq.limit if index == -1 else seq.members[index]
-        return m.analytic.fz(pts), m.analytic.fzbar(pts)
+        return m.analytic.derivatives(pts)
     d = seq.derived(index)
     return d.fz[:, None], d.fzbar[:, None]
 
@@ -243,7 +244,7 @@ def weak_probe(seq: SequenceHandle, dictionary_degree: int = 6) -> List[float]:
 
 
 def _phi(spec: FunctionalSpec, s: _Sample) -> np.ndarray:
-    return phi_eval(spec, df_norm(s, spec.norm), s.jac)
+    return integrand(spec, *squared_moduli(s.fz, s.fzbar))
 
 
 def _member_energy(vals: np.ndarray, weights: np.ndarray, power: float = 1.0,
@@ -255,10 +256,7 @@ def _member_energy(vals: np.ndarray, weights: np.ndarray, power: float = 1.0,
             vals = vals ** power
     if eta is not None:
         vals = vals * eta[:, None]
-    contrib = vals * weights
-    if np.any(np.isinf(contrib)):
-        return np.inf
-    return float(np.sum(contrib))
+    return quadrature_sum(vals, weights)
 
 
 def _eta(seq: SequenceHandle, index: int, sub=slice(None)) -> Optional[np.ndarray]:

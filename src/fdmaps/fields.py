@@ -9,7 +9,7 @@ exact per element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -19,11 +19,17 @@ from .geometry import Mesh
 
 @dataclass(frozen=True)
 class AnalyticMap:
-    """Closed-form map with exact Wirtinger derivatives, for oracle use."""
+    """Closed-form map with exact Wirtinger derivatives, for oracle use;
+    `derivatives(z)` returns (f_z, f_zbar) from one shared evaluation."""
     tag: str
     value: Callable[[np.ndarray], np.ndarray]
-    fz: Callable[[np.ndarray], np.ndarray]
-    fzbar: Callable[[np.ndarray], np.ndarray]
+    derivatives: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+
+    def fz(self, z) -> np.ndarray:
+        return self.derivatives(z)[0]
+
+    def fzbar(self, z) -> np.ndarray:
+        return self.derivatives(z)[1]
 
 
 @dataclass(frozen=True)
@@ -73,14 +79,39 @@ def derivative_coefficients(mesh: Mesh):
     return a, b
 
 
+def squared_moduli(fz: np.ndarray, fzbar: np.ndarray):
+    """(P, Q) = (|f_z|^2, |f_zbar|^2), the arguments of the integrand kernel."""
+    return np.abs(fz) ** 2, np.abs(fzbar) ** 2
+
+
+def norm_squared(norm: str, P, Q, derivatives: bool = False):
+    """x^2 for x = |Df| at (P, Q), or (x^2, dx^2/dP, dx^2/dQ): the one norm rule.
+
+    "hs" is sqrt(2(P + Q)), "op" is sqrt(P) + sqrt(Q); its partials
+    1 + sqrt(Q/P) and 1 + sqrt(P/Q) take a ratio with a zero denominator as
+    0 (the gradient multiplies dx^2/dQ by f_zbar, which is then 0).
+    """
+    if norm == "hs":
+        x2 = 2.0 * (P + Q)
+        return (x2, 2.0, 2.0) if derivatives else x2
+    if norm != "op":
+        raise ConfigurationError(f"unknown norm {norm!r}")
+    sP, sQ = np.sqrt(P), np.sqrt(Q)
+    x2 = (sP + sQ) ** 2
+    if not derivatives:
+        return x2
+    return (x2, 1.0 + np.divide(sQ, sP, out=np.zeros_like(sP), where=sP > 0),
+            1.0 + np.divide(sP, sQ, out=np.zeros_like(sQ), where=sQ > 0))
+
+
 def derived_from_derivatives(mesh: Mesh, fz: np.ndarray, fzbar: np.ndarray,
                              f_centroid: np.ndarray | None = None) -> DerivedField:
-    P = np.abs(fz) ** 2
-    Q = np.abs(fzbar) ** 2
+    P, Q = squared_moduli(fz, fzbar)
     jac = P - Q
     pos = jac > 0
-    khs = np.where(pos, 2.0 * (P + Q) / np.where(pos, jac, 1.0), np.inf)
-    kop = np.where(pos, (np.abs(fz) + np.abs(fzbar)) ** 2 / np.where(pos, jac, 1.0), np.inf)
+    safe_jac = np.where(pos, jac, 1.0)
+    khs, kop = (np.where(pos, norm_squared(norm, P, Q) / safe_jac, np.inf)
+                for norm in ("hs", "op"))
     defined = fz != 0
     mu = np.where(defined, fzbar / np.where(defined, fz, 1.0), np.nan + 1j * np.nan)
     if f_centroid is None:
@@ -131,8 +162,8 @@ def analytic_affine(a: complex, b: complex) -> AnalyticMap:
     return AnalyticMap(
         tag=f"affine({a},{b})",
         value=lambda z: a * z + b * np.conj(z),
-        fz=lambda z: np.full_like(np.asarray(z, dtype=complex), a),
-        fzbar=lambda z: np.full_like(np.asarray(z, dtype=complex), b),
+        derivatives=lambda z: (np.full_like(np.asarray(z, dtype=complex), a),
+                               np.full_like(np.asarray(z, dtype=complex), b)),
     )
 
 
@@ -145,19 +176,16 @@ def analytic_radial_stretch(alpha: float) -> AnalyticMap:
         r = np.abs(z)
         return z * np.where(r > 0, r ** (alpha - 1.0), 0.0)
 
-    def fz(z):
+    def derivatives(z):
         z = np.asarray(z, dtype=complex)
         r = np.abs(z)
-        return ((alpha + 1.0) / 2.0) * np.where(r > 0, r ** (alpha - 1.0), 0.0) + 0j
-
-    def fzbar(z):
-        z = np.asarray(z, dtype=complex)
-        r = np.abs(z)
+        stretch = np.where(r > 0, r ** (alpha - 1.0), 0.0)
         with np.errstate(invalid="ignore", divide="ignore"):
             phase = np.where(r > 0, z / np.where(r > 0, np.conj(z), 1.0), 0.0)
-        return ((alpha - 1.0) / 2.0) * np.where(r > 0, r ** (alpha - 1.0), 0.0) * phase
+        return (((alpha + 1.0) / 2.0) * stretch + 0j,
+                ((alpha - 1.0) / 2.0) * stretch * phase)
 
-    return AnalyticMap(tag=f"radial_stretch({alpha})", value=value, fz=fz, fzbar=fzbar)
+    return AnalyticMap(tag=f"radial_stretch({alpha})", value=value, derivatives=derivatives)
 
 
 def analytic_oscillation(j: int) -> AnalyticMap:
@@ -169,15 +197,11 @@ def analytic_oscillation(j: int) -> AnalyticMap:
         z = np.asarray(z, dtype=complex)
         return z + np.sin(w * z.real) / w
 
-    def fz(z):
-        z = np.asarray(z, dtype=complex)
-        return 1.0 + 0.5 * np.cos(w * z.real) + 0j
+    def derivatives(z):
+        half_cos = 0.5 * np.cos(w * np.asarray(z, dtype=complex).real)
+        return 1.0 + half_cos + 0j, half_cos + 0j
 
-    def fzbar(z):
-        z = np.asarray(z, dtype=complex)
-        return 0.5 * np.cos(w * z.real) + 0j
-
-    return AnalyticMap(tag=f"oscillation({j})", value=value, fz=fz, fzbar=fzbar)
+    return AnalyticMap(tag=f"oscillation({j})", value=value, derivatives=derivatives)
 
 
 _FORMULAS = {

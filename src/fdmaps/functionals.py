@@ -1,14 +1,17 @@
-"""Distortion energy families and numeric oracles for their convexity structure.
+"""Distortion energy families, one integrand kernel, and numeric oracles.
 
 Families, with k = x^2/y (x a norm of Df, y the Jacobian):
-  lp_mean   -> k^p
-  exp_p     -> exp(p k)
-  trunc_exp -> sum_{n<=N} (p k)^n / n!
-  dirichlet -> x^2 (ignores y)
-The result is multiplied by y^jac_exp, which covers the inverse-problem
-integrands carrying Jacobian factors.  y <= 0 yields an inf sentinel
-(Dirichlet excepted) rather than an error: minimising sequences may
-legitimately approach J = 0 and comparisons must stay total.
+  lp_mean -> k^p,  exp_p -> exp(p k),  trunc_exp -> sum_{n<=N} (p k)^n / n!,
+  dirichlet -> k with one more power of y, i.e. x^2;
+times y^jac_exp, which covers the inverse-problem integrands.
+
+`integrand(spec, P, Q)`, with P = |f_z|^2, Q = |f_zbar|^2 and J = P - Q, is
+the one kernel: energies, the descent, the convergence diagnostics and the
+Ahlfors-Hopf factors call it for Phi or (Phi, dPhi/dP, dPhi/dQ); `phi_eval`
+is its (x, y) entry for the convexity probes.  One rule holds for J <= 0:
+Phi = inf (Dirichlet with jac_exp = 0, which ignores J, excepted), a
+sentinel rather than an error, since minimising sequences may approach
+J = 0 and comparisons must stay total.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .fields import DerivedField
+from .fields import DerivedField, norm_squared, squared_moduli
 
 FAMILIES = ("lp_mean", "exp_p", "trunc_exp", "dirichlet")
 
@@ -89,9 +92,10 @@ class FunctionalSpec:
 
 
 def truncated_exp(pk: np.ndarray, n_max: int) -> np.ndarray:
-    """Partial sum of exp evaluated term-wise (monotone in n_max for pk >= 0)."""
+    """Partial sum of exp evaluated term-wise (monotone in n_max for pk >= 0);
+    the empty sum n_max = -1 is 0."""
     pk = np.asarray(pk, dtype=float)
-    total = np.ones_like(pk)
+    total = np.ones_like(pk) if n_max >= 0 else np.zeros_like(pk)
     term = np.ones_like(pk)
     for n in range(1, n_max + 1):
         term = term * pk / n
@@ -99,64 +103,71 @@ def truncated_exp(pk: np.ndarray, n_max: int) -> np.ndarray:
     return total
 
 
-def _base(spec: FunctionalSpec, k: np.ndarray) -> np.ndarray:
+def _family(spec: FunctionalSpec, k: np.ndarray, derivative: bool = False):
+    """The family formula F(k), and F'(k) when asked (else None)."""
+    p = spec.p
     if spec.family == "lp_mean":
-        return k ** spec.p
+        return k ** p, (p * k ** (p - 1.0) if derivative else None)
     if spec.family == "exp_p":
-        return np.exp(spec.p * k)
-    if spec.family == "trunc_exp":
-        return truncated_exp(spec.p * k, spec.trunc_n)
-    raise ConfigurationError(spec.family)
+        F = np.exp(p * k)
+        return F, (p * F if derivative else None)
+    if spec.family == "trunc_exp":  # S_N' = S_{N-1}, and S_{-1} = 0
+        return (truncated_exp(p * k, spec.trunc_n),
+                p * truncated_exp(p * k, spec.trunc_n - 1) if derivative else None)
+    return k, (np.ones_like(k) if derivative else None)  # dirichlet
 
 
-def _base_prime(spec: FunctionalSpec, k: np.ndarray) -> np.ndarray:
-    """d/dk of the family base."""
-    if spec.family == "lp_mean":
-        return spec.p * k ** (spec.p - 1.0)
-    if spec.family == "exp_p":
-        return spec.p * np.exp(spec.p * k)
-    if spec.family == "trunc_exp":
-        if spec.trunc_n == 0:
-            return np.zeros_like(np.asarray(k, dtype=float))
-        return spec.p * truncated_exp(spec.p * k, spec.trunc_n - 1)
-    raise ConfigurationError(spec.family)
+def _phi(spec: FunctionalSpec, x2, y, derivatives: bool = False):
+    """Phi = F(x^2/y) y^t, or (Phi, dPhi/dx^2, dPhi/dy), with t = jac_exp (+1
+    for Dirichlet): the one J <= 0 rule.
+
+    Where y <= 0, Phi is inf and its partials nan, except for Dirichlet with
+    jac_exp = 0, which is x^2 everywhere.  No masking when every y > 0.
+    """
+    if spec.family == "dirichlet" and spec.jac_exp == 0.0:
+        return (x2, np.ones_like(x2), np.zeros_like(x2)) if derivatives else x2
+    bad = y <= 0
+    any_bad = bool(np.any(bad))
+    if any_bad:  # evaluate at a harmless (1, 1), overwritten below
+        x2, y = np.where(bad, 1.0, x2), np.where(bad, 1.0, y)
+    t = spec.jac_exp + (spec.family == "dirichlet")
+    k = x2 / y
+    with np.errstate(over="ignore"):
+        F, Fk = _family(spec, k, derivatives)
+        out = [F * y ** t if t != 0.0 else F]
+        if derivatives:
+            y_t1 = y ** (t - 1.0)
+            out += [Fk * y_t1, (t * F - k * Fk) * y_t1]
+    if any_bad:
+        out = [np.where(bad, fill, a) for fill, a in zip((np.inf, np.nan, np.nan), out)]
+    return tuple(out) if derivatives else out[0]
+
+
+def integrand(spec: FunctionalSpec, P, Q, derivatives: bool = False):
+    """Phi at P = |f_z|^2, Q = |f_zbar|^2 (J = P - Q), or (Phi, dPhi/dP, dPhi/dQ).
+
+    Derivatives are computed only when asked: the energies need Phi alone,
+    the gradient all three.
+    """
+    y = P - Q
+    if not derivatives:
+        return _phi(spec, norm_squared(spec.norm, P, Q), y)
+    x2, x2_P, x2_Q = norm_squared(spec.norm, P, Q, derivatives=True)
+    phi, phi_x2, phi_y = _phi(spec, x2, y, derivatives=True)
+    return phi, phi_x2 * x2_P + phi_y, phi_x2 * x2_Q - phi_y
 
 
 def phi_eval(spec: FunctionalSpec, x, y):
     """Evaluate the family at (x, y); scalar or array, inf where y <= 0."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    scalar = x.ndim == 0 and y.ndim == 0
-    x, y = np.atleast_1d(x), np.atleast_1d(y)
-    x, y = np.broadcast_arrays(x, y)
-    out = np.empty(x.shape, dtype=float)
-    if spec.family == "dirichlet":
-        out[:] = x ** 2
-        if spec.jac_exp != 0.0:
-            pos = y > 0
-            out[pos] = out[pos] * y[pos] ** spec.jac_exp
-            out[~pos] = np.inf
-    else:
-        pos = y > 0
-        out[~pos] = np.inf
-        yp = y[pos]
-        k = x[pos] ** 2 / yp
-        with np.errstate(over="ignore"):
-            val = _base(spec, k)
-            if spec.jac_exp != 0.0:
-                val = val * yp ** spec.jac_exp
-        out[pos] = val
-    return float(out[()].item()) if scalar else out
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    out = _phi(spec, np.atleast_1d(x) ** 2, np.atleast_1d(y))
+    return float(out[0]) if x.ndim == 0 else out
 
 
 def df_norm(derived: DerivedField, norm: str) -> np.ndarray:
     """Pointwise norm of Df, Hilbert-Schmidt or operator, from the fz and
     fzbar arrays of a derived field (or of any sample carrying both)."""
-    if norm == "hs":
-        return np.sqrt(2.0 * (np.abs(derived.fz) ** 2 + np.abs(derived.fzbar) ** 2))
-    if norm == "op":
-        return np.abs(derived.fz) + np.abs(derived.fzbar)
-    raise ConfigurationError(f"unknown norm {norm!r}")
+    return np.sqrt(norm_squared(norm, *squared_moduli(derived.fz, derived.fzbar)))
 
 
 def hyperbolic_density(points) -> np.ndarray:
@@ -173,51 +184,43 @@ def weight_values(spec: FunctionalSpec, points: np.ndarray) -> np.ndarray:
     return hyperbolic_density(points)
 
 
+def quadrature_sum(values: np.ndarray, weights: np.ndarray) -> float:
+    """Sum of values * weights; inf as soon as one term is inf."""
+    contrib = values * weights
+    return np.inf if np.any(np.isinf(contrib)) else float(np.sum(contrib))
+
+
 def energy(spec: FunctionalSpec, derived: DerivedField,
            eta: Optional[np.ndarray] = None) -> float:
     """Centroid-quadrature energy sum; exact for the per-element-constant integrands."""
-    x = df_norm(derived, spec.norm)
-    vals = phi_eval(spec, x, derived.jac)
     if eta is None:
         eta = weight_values(spec, derived.mesh.centroids())
-    contrib = vals * eta * derived.areas
-    if np.any(np.isinf(contrib)):
-        return np.inf
-    return float(np.sum(contrib))
+    vals = integrand(spec, *squared_moduli(derived.fz, derived.fzbar))
+    return quadrature_sum(vals, eta * derived.areas)
 
 
 def inverse_energy(spec: FunctionalSpec, derived: DerivedField,
                    eta: Optional[np.ndarray] = None) -> float:
     """Inverse-problem energy computed by pull-back, without inverting.
 
-    Uses K(w,h) = K(z,f) and J(w,h) = 1/J(z,f) at w = f(z): the integrand is
-    phi_eval at the inverse map's arguments, times the forward Jacobian
-    (the change-of-variables factor), summed with forward areas.  With
-    jac_exp = 1 this reproduces the forward jac_exp = 0 energy exactly for
-    affine maps (the change-of-variables identity).
+    The inverse h at w = f(z) has |h_w| = |f_z|/J and |h_wbar| = |f_zbar|/J,
+    so its integrand is the kernel at (P/J^2, Q/J^2), with Jacobian 1/J; it
+    is weighed by the forward Jacobian (the change-of-variables factor) and
+    summed with forward areas.  With jac_exp = 1 this reproduces the
+    forward jac_exp = 0 energy exactly for affine maps (the
+    change-of-variables identity).
     """
-    if np.any(derived.jac <= 0):
-        worst = int(np.argmin(derived.jac))
-        raise DomainError(
-            f"inverse undefined: triangle {worst} has J = {derived.jac[worst]:.3e} <= 0")
     jac = derived.jac
-    hw = np.abs(derived.fz) / jac
-    hwbar = np.abs(derived.fzbar) / jac
-    if spec.norm == "hs":
-        x_inv = np.sqrt(2.0 * (hw ** 2 + hwbar ** 2))
-    else:
-        x_inv = hw + hwbar
-    vals = phi_eval(spec, x_inv, 1.0 / jac)
+    if np.any(jac <= 0):
+        worst = int(np.argmin(jac))
+        raise DomainError(
+            f"inverse undefined: triangle {worst} has J = {jac[worst]:.3e} <= 0")
+    P, Q = squared_moduli(derived.fz, derived.fzbar)
+    vals = integrand(spec, P / jac ** 2, Q / jac ** 2)
     if eta is None:
-        if spec.weight == "none":
-            eta = np.ones_like(jac)
-        else:
-            # weight lives on the inverse problem's domain = the image
-            eta = weight_values(spec, derived.f_centroid)
-    contrib = vals * eta * jac * derived.areas
-    if np.any(np.isinf(contrib)):
-        return np.inf
-    return float(np.sum(contrib))
+        # weight lives on the inverse problem's domain = the image
+        eta = weight_values(spec, derived.f_centroid)
+    return quadrature_sum(vals, eta * jac * derived.areas)
 
 
 def polyconvex_lower_bound(x: float, y: float, x0: float, y0: float):

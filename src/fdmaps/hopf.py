@@ -7,8 +7,9 @@ numerical certificate that a minimiser has been reached.
 The residual fits c0 + c1 w + c2 conj(w) around every interior vertex at
 once: centring each vertex star at the mean of its chart points turns the
 least-squares fit into a closed form in a few star sums, which are
-gathered with `np.bincount` one triangle corner at a time.  The hyperbolic
-weight is `functionals.hyperbolic_density`, the same rule the energies use.
+gathered with `np.bincount` one triangle corner at a time.  The factor
+S_N(p K) of the Ahlfors-Hopf fields is the `trunc_exp` integrand kernel and
+their weight is `functionals.weight_values`, the same rules the energies use.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
-from .fields import DerivedField, write_columns
-from .functionals import hyperbolic_density, truncated_exp
+from .fields import DerivedField, squared_moduli, write_columns
+from .functionals import FunctionalSpec, hyperbolic_density, integrand, weight_values
 from .geometry import Mesh
 
 
@@ -57,6 +57,23 @@ def hopf_differential(derived: DerivedField, p: float) -> HopfField:
     return HopfField(derived.mesh, values, flagged)
 
 
+def _ahlfors_hopf_factor(derived: DerivedField, p: float, n_trunc: Optional[int],
+                         weight: str, inverse: bool):
+    """The J <= 0 flags and S_N(p K) eta, the `trunc_exp` integrand (`exp_p`
+    for n_trunc = None) times the weight; nan where flagged, so the
+    differential is nan there too.  The weight is taken on the field's
+    domain: the image of the centroids, or for the inverse map the source
+    centroids."""
+    spec = FunctionalSpec(family="exp_p" if n_trunc is None else "trunc_exp", p=p,
+                          trunc_n=0 if n_trunc is None else int(n_trunc), weight=weight)
+    flagged = derived.jac <= 0
+    factor = np.where(flagged, np.nan, integrand(spec, *squared_moduli(derived.fz, derived.fzbar)))
+    if spec.weight == "none":
+        return flagged, factor
+    points = derived.mesh.centroids() if inverse else derived.f_centroid
+    return flagged, factor * weight_values(spec, points)
+
+
 def ahlfors_hopf(derived: DerivedField, p: float, n_trunc: Optional[int],
                  weight: str = "none") -> HopfField:
     """Truncated-exponential Hopf differential S_N(p K) h_w conj(h_wbar) eta(h).
@@ -65,19 +82,8 @@ def ahlfors_hopf(derived: DerivedField, p: float, n_trunc: Optional[int],
     weight is evaluated at the image of the element centroid and requires
     the image to stay inside the open unit disk.
     """
-    flagged = derived.jac <= 0
-    k = np.where(flagged, 0.0, derived.khs)
-    if n_trunc is None:
-        factor = np.exp(p * k)
-    else:
-        factor = truncated_exp(p * k, int(n_trunc))
-    values = factor * derived.fz * np.conj(derived.fzbar)
-    if weight == "hyperbolic":
-        values = values * hyperbolic_weight(derived.f_centroid)
-    elif weight != "none":
-        raise DomainError(f"unknown weight {weight!r}")
-    values = np.where(flagged, np.nan + 1j * np.nan, values)
-    return HopfField(derived.mesh, values, flagged)
+    flagged, factor = _ahlfors_hopf_factor(derived, p, n_trunc, weight, inverse=False)
+    return HopfField(derived.mesh, factor * derived.fz * np.conj(derived.fzbar), flagged)
 
 
 def inverse_ahlfors_hopf(derived: DerivedField, p: float, n_trunc: Optional[int],
@@ -91,20 +97,8 @@ def inverse_ahlfors_hopf(derived: DerivedField, p: float, n_trunc: Optional[int]
     triangles, the coefficient becomes -S_N(pK) conj(f_z f_zbar)/J^2,
     located at the image of each centroid.
     """
-    flagged = derived.jac <= 0
-    k = np.where(flagged, 0.0, derived.khs)
-    if n_trunc is None:
-        factor = np.exp(p * k)
-    else:
-        factor = truncated_exp(p * k, int(n_trunc))
-    jac = np.where(flagged, 1.0, derived.jac)
-    values = -factor * np.conj(derived.fz * derived.fzbar) / jac ** 2
-    if weight == "hyperbolic":
-        # the inverse map sends the image chart back to the source mesh
-        values = values * hyperbolic_weight(derived.mesh.centroids())
-    elif weight != "none":
-        raise DomainError(f"unknown weight {weight!r}")
-    values = np.where(flagged, np.nan + 1j * np.nan, values)
+    flagged, factor = _ahlfors_hopf_factor(derived, p, n_trunc, weight, inverse=True)
+    values = -factor / derived.jac ** 2 * np.conj(derived.fz * derived.fzbar)
     return HopfField(derived.mesh, values, flagged, chart=derived.f_centroid)
 
 

@@ -22,9 +22,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, DomainError, InitializationError
-from .fields import (DerivedField, MappingField, derivative_coefficients,
-                     derived_from_derivatives)
-from .functionals import FunctionalSpec, _base, _base_prime, energy, weight_values
+from .fields import MappingField, derivative_coefficients, squared_moduli
+from .functionals import FunctionalSpec, integrand, quadrature_sum, weight_values
 from .geometry import Mesh
 
 MIN_STEP = 1e-14
@@ -199,51 +198,6 @@ def harmonic_extension(mesh: Mesh, boundary: BoundaryData) -> MappingField:
     return MappingField(mesh, values)
 
 
-def _phi_derivatives(spec: FunctionalSpec, P: np.ndarray, Q: np.ndarray):
-    """(phi, d phi/dP, d phi/dQ) per triangle, all Jacobians assumed positive."""
-    y = P - Q
-    if spec.family == "dirichlet":
-        if spec.norm == "hs":
-            phi = 2.0 * (P + Q)
-            dP = np.full_like(P, 2.0)
-            dQ = np.full_like(P, 2.0)
-        else:
-            x = np.sqrt(P) + np.sqrt(Q)
-            phi = x ** 2
-            dP = 1.0 + np.sqrt(np.where(P > 0, Q / np.where(P > 0, P, 1.0), 0.0))
-            dQ = 1.0 + np.sqrt(np.where(Q > 0, P / np.where(Q > 0, Q, 1.0), 0.0))
-        if spec.jac_exp != 0.0:
-            t = spec.jac_exp
-            dP = dP * y ** t + phi * t * y ** (t - 1.0)
-            dQ = dQ * y ** t - phi * t * y ** (t - 1.0)
-            phi = phi * y ** t
-        return phi, dP, dQ
-    if spec.norm == "hs":
-        x2 = 2.0 * (P + Q)
-        dx2_dP = np.full_like(P, 2.0)
-        dx2_dQ = np.full_like(P, 2.0)
-    else:
-        sP, sQ = np.sqrt(P), np.sqrt(Q)
-        x2 = (sP + sQ) ** 2
-        ratio_QP = np.where(P > 0, sQ / np.where(P > 0, sP, 1.0), 0.0)
-        ratio_PQ = np.where(Q > 0, sP / np.where(Q > 0, sQ, 1.0), 0.0)
-        dx2_dP = 1.0 + ratio_QP
-        dx2_dQ = 1.0 + ratio_PQ
-    k = x2 / y
-    k_P = dx2_dP / y - x2 / y ** 2
-    k_Q = dx2_dQ / y + x2 / y ** 2
-    F = _base(spec, k)
-    Fp = _base_prime(spec, k)
-    t = spec.jac_exp
-    if t == 0.0:
-        return F, Fp * k_P, Fp * k_Q
-    yt = y ** t
-    phi = F * yt
-    dP = Fp * k_P * yt + F * t * y ** (t - 1.0)
-    dQ = Fp * k_Q * yt - F * t * y ** (t - 1.0)
-    return phi, dP, dQ
-
-
 class _WirtingerOperators:
     """Mesh-static operators of one solve: fz = Dz @ w and fzbar = Dzbar @ w.
 
@@ -264,24 +218,19 @@ class _WirtingerOperators:
         self.Dzbar = sp.csr_matrix((b.ravel(), (rows, cols)), shape=shape)
         self.Dz_H = self.Dz.conj().T.tocsr()
         self.Dzbar_H = self.Dzbar.conj().T.tocsr()
-        self.eta = weight_values(spec, mesh.centroids())
-        self.eta_areas = self.eta * mesh.areas
-
-    def derived(self, values: np.ndarray) -> DerivedField:
-        return derived_from_derivatives(self.mesh, self.Dz @ values, self.Dzbar @ values)
+        self.eta_areas = weight_values(spec, mesh.centroids()) * mesh.areas
 
     def gradient(self, values: np.ndarray, jacobian_floor: float = 0.0) -> np.ndarray:
         fz = self.Dz @ values
         fzbar = self.Dzbar @ values
-        P = np.abs(fz) ** 2
-        Q = np.abs(fzbar) ** 2
+        P, Q = squared_moduli(fz, fzbar)
         jac = P - Q
         if np.any(jac <= jacobian_floor):
             worst = int(np.argmin(jac))
             raise DomainError(
                 f"gradient undefined: triangle {worst} has J = {jac[worst]:.6e} "
                 f"<= floor {jacobian_floor:.3e}")
-        _, dP, dQ = _phi_derivatives(self.spec, P, Q)
+        _, dP, dQ = integrand(self.spec, P, Q, derivatives=True)
         # dE/d conj(w) summed over elements; the real gradient is twice that
         grad = 2.0 * (self.Dz_H @ (self.eta_areas * dP * fz)
                       + self.Dzbar_H @ (self.eta_areas * dQ * fzbar))
@@ -300,8 +249,8 @@ def energy_gradient(spec: FunctionalSpec, mapping: MappingField,
 
 def _energy_and_minjac(ops: _WirtingerOperators, values: np.ndarray):
     # module-level so that perfbench/tracing.py can count energy evaluations
-    derived = ops.derived(values)
-    return energy(ops.spec, derived, eta=ops.eta), float(np.min(derived.jac))
+    P, Q = squared_moduli(ops.Dz @ values, ops.Dzbar @ values)
+    return quadrature_sum(integrand(ops.spec, P, Q), ops.eta_areas), float(np.min(P - Q))
 
 
 @dataclass

@@ -126,6 +126,19 @@ def test_hopf_command(tmp_path):
     assert (tmp_path / "derived.csv").exists()
 
 
+@pytest.mark.parametrize("inverse", [False, True])
+def test_unknown_hopf_weight_exits_2(tmp_path, inverse):
+    config = {
+        "command": "hopf",
+        "domain": {"kind": "disk", "level": 2},
+        "hopf": {"formula": "identity", "p": 1.0, "N": 4, "inverse": inverse,
+                 "weight": "bogus"},
+    }
+    assert run(config, tmp_path) == 2
+    manifest = _read(tmp_path / "manifest.json")
+    assert manifest["status"] == "validation_error"
+
+
 def test_minimize_artefacts_match_csv_writer(tmp_path, part_folded, csv_reference):
     from fdmaps.cli import _write_mapping, _write_trace
     trace = [{"iteration": 0, "energy": 12.5, "grad_norm": 0.1, "min_J": -np.inf,

@@ -9,9 +9,10 @@ from fdmaps.errors import ConfigurationError, DomainError
 from fdmaps.fields import sample_analytic, wirtinger_derivatives
 from fdmaps.functionals import (FunctionalSpec, concavity_probe,
                                 convexity_probe, default_s, energy,
-                                inverse_energy, monotone_truncation_check,
-                                phi_eval, polyconvex_lower_bound,
-                                truncated_exp)
+                                integrand, inverse_energy,
+                                monotone_truncation_check, phi_eval,
+                                polyconvex_lower_bound, truncated_exp)
+from fdmaps.minimize import energy_gradient
 
 
 def test_spec_validation():
@@ -67,6 +68,36 @@ def test_phi_eval_degenerate_jacobian_is_infinite():
     assert phi_eval(FunctionalSpec(family="dirichlet"), 3.0, -1.0) == pytest.approx(9.0)
 
 
+@pytest.mark.parametrize("spec", [
+    FunctionalSpec(family="lp_mean", p=2.0),
+    FunctionalSpec(family="exp_p", p=1.0, norm="op"),
+    FunctionalSpec(family="trunc_exp", p=1.0, trunc_n=8),
+    FunctionalSpec(family="dirichlet", jac_exp=0.5),
+    FunctionalSpec(family="dirichlet"),
+])
+def test_nonpositive_jacobian_rule(spec, part_folded):
+    # one rule everywhere: Phi = inf where J <= 0, except Dirichlet with
+    # jac_exp = 0, which ignores J; the gradient is undefined there
+    jac_free = spec.family == "dirichlet" and spec.jac_exp == 0.0
+    P = np.array([1.0, 1.0, 1.0])
+    Q = np.array([0.25, 1.0, 4.0])  # J > 0, J = 0, J < 0
+    values = integrand(spec, P, Q)
+    phi, dP, dQ = integrand(spec, P, Q, derivatives=True)
+    assert np.array_equal(values, phi)
+    assert np.isfinite(phi[0]) and np.isfinite(dP[0]) and np.isfinite(dQ[0])
+    assert np.all(np.isfinite(phi[1:])) == jac_free
+    assert np.all(np.isinf(phi[1:])) != jac_free
+    y = P - Q
+    x = np.sqrt(2.0 * (P + Q)) if spec.norm == "hs" else np.sqrt(P) + np.sqrt(Q)
+    assert np.array_equal(np.isinf(phi_eval(spec, x, y)), np.isinf(phi))
+    assert (phi_eval(spec, 1.0, -1.0) == np.inf) != jac_free
+    d = wirtinger_derivatives(part_folded)
+    assert np.any(d.jac <= 0)
+    assert np.isfinite(energy(spec, d)) == jac_free
+    with pytest.raises(DomainError):
+        energy_gradient(spec, part_folded)
+
+
 def test_identity_energies(disk5):
     d = wirtinger_derivatives(sample_analytic(disk5, "identity"))
     area = disk5.total_area
@@ -77,10 +108,41 @@ def test_identity_energies(disk5):
 
 
 def test_forward_inverse_energy_affine(disk4):
+    # the change-of-variables identity for every family with a rate, under
+    # both norms; one test (not a parametrisation) so that its name is kept
     d = wirtinger_derivatives(sample_analytic(disk4, "affine", 1.0, 1.0 / 3.0))
-    spec = FunctionalSpec(family="exp_p", p=1.0)
-    ispec = spec.with_(jac_exp=1.0)
-    assert inverse_energy(ispec, d) == pytest.approx(energy(spec, d), rel=1e-12)
+    for family in ("lp_mean", "exp_p", "trunc_exp"):
+        for norm in ("hs", "op"):
+            spec = FunctionalSpec(family=family, p=1.0, trunc_n=8, norm=norm)
+            ispec = spec.with_(jac_exp=1.0)
+            assert inverse_energy(ispec, d) == pytest.approx(energy(spec, d), rel=1e-12), \
+                (family, norm)
+
+
+KERNEL_FAMILIES = [("lp_mean", 0), ("exp_p", 0), ("trunc_exp", 0), ("trunc_exp", 8),
+                   ("dirichlet", 0)]
+
+
+@pytest.mark.parametrize("jac_exp", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("norm", ["hs", "op"])
+@pytest.mark.parametrize("family,trunc_n", KERNEL_FAMILIES)
+def test_integrand_partials_match_central_differences(family, trunc_n, norm, jac_exp):
+    spec = FunctionalSpec(family=family, p=1.3, trunc_n=trunc_n, norm=norm,
+                          jac_exp=jac_exp)
+    # J = P - Q > 0 throughout; the last column has Q = 0, where the
+    # operator norm's dx^2/dQ is infinite from the right, so only dPhi/dP
+    # is differenced there
+    P = np.array([2.0, 1.5, 3.0, 0.7, 1.2])
+    Q = np.array([0.5, 0.2, 2.5, 0.1, 0.0])
+    phi, dP, dQ = integrand(spec, P, Q, derivatives=True)
+    assert np.array_equal(phi, integrand(spec, P, Q))
+    h = 1e-6
+    fd_P = (integrand(spec, P + h, Q) - integrand(spec, P - h, Q)) / (2 * h)
+    fd_Q = (integrand(spec, P[:-1], Q[:-1] + h)
+            - integrand(spec, P[:-1], Q[:-1] - h)) / (2 * h)
+    np.testing.assert_allclose(dP, fd_P, rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(dQ[:-1], fd_Q, rtol=1e-6, atol=1e-8)
+    assert np.all(np.isfinite(dQ))
 
 
 def test_inverse_energy_requires_positive_jacobian(disk3):

@@ -11,17 +11,23 @@ for those use a high-order per-element quadrature so that oscillatory
 members are resolved well below the mesh scale.  Plain nodal members fall
 back to the exact per-element-constant (centroid) path.
 
-`radon_riesz_diagnose` builds the quadrature once and makes one pass over
-the members: each member's (f_z, f_zbar, J) is sampled once and feeds every
-measurement (weak probe, energy series, Phi-gap, L^r gaps, pointwise proxy).
-The standalone `weak_probe`, `lr_gap`, `quantity_scale` and `lsc_check`
-call the same per-sample helpers.
+`radon_riesz_diagnose` builds the quadrature once and sweeps it in blocks
+of whole triangles, about BLOCK_POINTS quadrature points each.  In each
+block the limit and then every member is sampled once, as (f_z, f_zbar,
+P, Q, J), and the sample feeds every measurement, which adds the block's
+part to its sums: the weak probe (one matrix product pairs the
+differences of PROBE_GROUP members with the test dictionary), the energy
+series, the Phi-gap, the L^r gaps, the scales and the pointwise proxy.
+No full-length per-member array is formed.  The standalone `weak_probe`, `lr_gap`,
+`quantity_scale` and `lsc_check` run the same sweep with the measurement
+they report.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -35,6 +41,11 @@ from .geometry import Mesh
 from .quadrature import mesh_quad_points
 
 ANALYTIC_QUAD_N = 8  # 64 points per triangle
+BLOCK_POINTS = 8192  # quadrature points per block of a sweep; blocks hold whole triangles
+# members per weak-probe matrix product: the row buffer is 5 * PROBE_GROUP *
+# BLOCK_POINTS floats (5.2 MB); 8 members (40 rows) ran at a quarter of the
+# GEMM rate of 16-64 members on a 2-core Xeon, and 64 raised peak memory
+PROBE_GROUP = 16
 
 VERDICTS = ("StrongConvergence", "EnergyGap", "WeakProbeFail",
             "JacobianDegenerate", "Inconclusive")
@@ -62,7 +73,7 @@ class SequenceHandle:
     def __len__(self) -> int:
         return len(self.members)
 
-    @property
+    @cached_property  # asked once per field and block by the sweep
     def all_analytic(self) -> bool:
         return (self.limit.analytic is not None
                 and all(m.analytic is not None for m in self.members))
@@ -79,29 +90,48 @@ def _quad(seq: SequenceHandle):
     return mesh_quad_points(seq.mesh, ANALYTIC_QUAD_N if seq.all_analytic else 1)
 
 
-def _derivatives_at(seq: SequenceHandle, index: int, pts: np.ndarray):
-    """(fz, fzbar) arrays of shape pts.shape for member/limit."""
+def _derivatives_at(seq: SequenceHandle, index: int, pts: np.ndarray,
+                    tris: slice = slice(None)):
+    """(fz, fzbar) of member/limit on the triangles `tris` of the (m, K)
+    quadrature points, broadcastable to pts[tris].shape."""
     if seq.all_analytic:
         m = seq.limit if index == -1 else seq.members[index]
-        return m.analytic.derivatives(pts)
+        return m.analytic.derivatives(pts[tris])
     d = seq.derived(index)
-    return d.fz[:, None], d.fzbar[:, None]
+    return d.fz[tris, None], d.fzbar[tris, None]
 
 
 class _Sample(NamedTuple):
-    """f_z, f_zbar and J of one field, broadcast to the quadrature points."""
+    """f_z, f_zbar, P = |f_z|^2, Q = |f_zbar|^2 and J = P - Q of one field on
+    a block of quadrature points, and its Phi values by spec."""
     fz: np.ndarray
     fzbar: np.ndarray
+    P: np.ndarray
+    Q: np.ndarray
     jac: np.ndarray
+    phis: Dict[FunctionalSpec, np.ndarray]
+
+    @staticmethod
+    def of(fz: np.ndarray, fzbar: np.ndarray) -> "_Sample":
+        P, Q = squared_moduli(fz, fzbar)
+        return _Sample(fz, fzbar, P, Q, P - Q, {})
 
     def restrict(self, sub) -> "_Sample":
-        return _Sample(self.fz[sub], self.fzbar[sub], self.jac[sub])
+        if isinstance(sub, slice):  # the whole block
+            return self
+        return _Sample(*(a[sub] for a in self[:5]), {})
+
+    def phi(self, spec: FunctionalSpec) -> np.ndarray:
+        if spec not in self.phis:
+            self.phis[spec] = integrand(spec, self.P, self.Q)
+        return self.phis[spec]
 
 
-def _sample(seq: SequenceHandle, index: int, pts: np.ndarray) -> _Sample:
-    """The one derivative evaluation of member `index` (-1: the limit)."""
-    fz, fzbar = (np.broadcast_to(a, pts.shape) for a in _derivatives_at(seq, index, pts))
-    return _Sample(fz, fzbar, np.abs(fz) ** 2 - np.abs(fzbar) ** 2)
+def _sample(seq: SequenceHandle, index: int, pts: np.ndarray, tris: slice) -> _Sample:
+    """The derivative evaluation of member `index` (-1: the limit) on a block."""
+    shape = pts[tris].shape
+    return _Sample.of(*(np.broadcast_to(a, shape)
+                        for a in _derivatives_at(seq, index, pts, tris)))
 
 
 def _subdomain_index(mesh: Mesh, subdomain):
@@ -117,6 +147,57 @@ def _subdomain_index(mesh: Mesh, subdomain):
     if not np.any(mask):
         raise DomainError("empty subdomain")
     return mask
+
+
+class _Block(NamedTuple):
+    """A run of whole triangles: their quadrature points and weights, the
+    subdomain's index into them, and the subdomain's weights."""
+    tris: slice
+    pts: np.ndarray
+    w: np.ndarray
+    sub: object
+    w_sub: np.ndarray
+
+
+class _Field(NamedTuple):
+    """One field's sample on a block, and its restriction to the subdomain."""
+    whole: _Sample
+    part: _Sample
+
+
+class _Measurement:
+    """A quantity summed block by block over a sweep.  In every block the
+    sweep passes the limit first, then each member in order."""
+
+    def limit(self, block: _Block, lim: _Field) -> None:
+        pass
+
+    def member(self, block: _Block, j: int, f: _Field, lim: _Field) -> None:
+        pass
+
+
+def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
+           subdomain=None, members: bool = True) -> None:
+    """Feed the measurements one block of whole triangles (about BLOCK_POINTS
+    quadrature points) at a time.  Each field is sampled once per block and
+    the sample is shared by every measurement; with members=False only the
+    limit is sampled."""
+    sub = _subdomain_index(seq.mesh, subdomain)
+    pts, w = _quad(seq)
+    step = max(1, BLOCK_POINTS // pts.shape[1])
+    for start in range(0, len(pts), step):
+        tris = slice(start, start + step)
+        block_sub = sub if isinstance(sub, slice) else sub[tris]
+        block = _Block(tris, pts[tris], w[tris], block_sub, w[tris][block_sub])
+        whole = _sample(seq, -1, pts, tris)
+        lim = _Field(whole, whole.restrict(block_sub))
+        for m in measurements:
+            m.limit(block, lim)
+        for j in range(len(seq) if members else 0):
+            whole = _sample(seq, j, pts, tris)
+            f = _Field(whole, whole.restrict(block_sub))
+            for m in measurements:
+                m.member(block, j, f, lim)
 
 
 QUANTITIES = ("df", "fz", "fzbar", "jac", "mu")
@@ -141,20 +222,48 @@ def _quantity_diff(quantity: str, a: _Sample, b: _Sample):
     raise ConfigurationError(f"unknown quantity {quantity!r}")
 
 
-def _lr_norm(d: np.ndarray, ok, w: np.ndarray, r: float) -> float:
-    return float(np.sum(np.where(ok, d, 0.0) ** r * w) ** (1.0 / r))
+def _lr_sum(d: np.ndarray, ok, w: np.ndarray, r: float) -> float:
+    """One block's part of int |d|^r; the L^r norm is the r-th root of the total."""
+    return np.sum(np.where(ok, d, 0.0) ** r * w)
 
 
-def _quantity_scale(quantity: str, r: float, limit: _Sample, w: np.ndarray) -> float:
-    if quantity == "mu":
-        # size of mu itself; comparing against a zero field would empty the
-        # fz != 0 mask and floor the scale at nothing
-        ok = limit.fz != 0
-        d = np.zeros(ok.shape)
-        np.divide(np.abs(limit.fzbar), np.abs(limit.fz), out=d, where=ok)
-        return _lr_norm(d, ok, w, r)
-    zero = _Sample(*(np.zeros_like(a) for a in limit))
-    return _lr_norm(*_quantity_diff(quantity, limit, zero), w, r)
+class _LrGap(_Measurement):
+    """L^r distance of a derived quantity to the limit's, per member."""
+
+    def __init__(self, quantity: str, r: float, n_members: int):
+        self.quantity, self.r = quantity, r
+        self.sums = np.zeros(n_members)
+
+    def member(self, block, j, f, lim):
+        self.sums[j] += _lr_sum(*_quantity_diff(self.quantity, f.part, lim.part),
+                                block.w_sub, self.r)
+
+    def values(self) -> List[float]:
+        return [float(s ** (1.0 / self.r)) for s in self.sums]
+
+
+class _Scale(_Measurement):
+    """L^r size of the limit quantity, used to normalize gap tolerances."""
+
+    def __init__(self, quantity: str, r: float):
+        self.quantity, self.r = quantity, r
+        self.sum = 0.0
+
+    def limit(self, block, lim):
+        part = lim.part
+        if self.quantity == "mu":
+            # size of mu itself; comparing against a zero field would empty
+            # the fz != 0 mask and floor the scale at nothing
+            ok = part.fz != 0
+            d = np.zeros(ok.shape)
+            np.divide(np.abs(part.fzbar), np.abs(part.fz), out=d, where=ok)
+        else:
+            zero = _Sample.of(np.zeros_like(part.fz), np.zeros_like(part.fzbar))
+            d, ok = _quantity_diff(self.quantity, part, zero)
+        self.sum += _lr_sum(d, ok, block.w_sub, self.r)
+
+    def value(self) -> float:
+        return float(self.sum ** (1.0 / self.r))
 
 
 def lr_gap(seq: SequenceHandle, quantity: str, r: float,
@@ -166,66 +275,72 @@ def lr_gap(seq: SequenceHandle, quantity: str, r: float,
         raise ConfigurationError("r must be positive")
     if quantity == "jac" and r >= 1.0:
         warnings.warn("Jacobian convergence is only guaranteed for r < 1", stacklevel=2)
-    sub = _subdomain_index(seq.mesh, subdomain)
-    pts, w = _quad(seq)
-    limit = _sample(seq, -1, pts).restrict(sub)
-    return [_lr_norm(*_quantity_diff(quantity, _sample(seq, j, pts).restrict(sub), limit),
-                     w[sub], r)
-            for j in range(len(seq))]
+    gap = _LrGap(quantity, r, len(seq))
+    _sweep(seq, [gap], subdomain)
+    return gap.values()
 
 
 def quantity_scale(seq: SequenceHandle, quantity: str, r: float,
                    subdomain=None) -> float:
     """L^r size of the limit quantity, used to normalize gap tolerances."""
-    sub = _subdomain_index(seq.mesh, subdomain)
-    pts, w = _quad(seq)
-    return _quantity_scale(quantity, r, _sample(seq, -1, pts).restrict(sub), w[sub])
+    scale = _Scale(quantity, r)
+    _sweep(seq, [scale], subdomain, members=False)
+    return scale.value()
 
 
-class _WeakProbe:
+class _WeakProbe(_Measurement):
     """Tensor Legendre test fields times a boundary cutoff, on the whole mesh.
 
-    Pairings are summed CHUNK points at a time, one batched matrix product per
-    chunk against the (degree+1) x N Vandermondes; the N x (degree+1)^2
-    Khatri-Rao dictionary (~205 MB at N = 524,288) is never formed."""
+    Per block, the (degree+1)^2 test fields times w * cutoff form a
+    C x (degree+1)^2 Khatri-Rao dictionary.  The members' five difference
+    rows each (Re/Im f_z, Re/Im f_zbar and J against the limit) fill a
+    (5 PROBE_GROUP) x C buffer, and one matrix product per PROBE_GROUP
+    members adds the block to their pairings."""
 
-    CHUNK = 4096  # keeps the (k, 7, CHUNK) block in cache; fastest of 2k-16k measured
+    def __init__(self, mesh: Mesh, degree: int, n_members: int):
+        self.box = (mesh.nodes.real.min(), mesh.nodes.real.max(),
+                    mesh.nodes.imag.min(), mesh.nodes.imag.max())
+        self.disk = mesh.kind == "disk"
+        self.degree, self.n = degree, n_members
+        self.pairings = np.zeros((5 * n_members, (degree + 1) ** 2))
+        self.norms = np.zeros((degree + 1) ** 2)
+        self.rows = np.empty(0)
 
-    def __init__(self, mesh: Mesh, pts: np.ndarray, w: np.ndarray, degree: int):
-        flat = pts.ravel()
+    def limit(self, block, lim):
+        flat = block.pts.ravel()
         x, y = flat.real, flat.imag
-        x0, x1 = mesh.nodes.real.min(), mesh.nodes.real.max()
-        y0, y1 = mesh.nodes.imag.min(), mesh.nodes.imag.max()
-        if mesh.kind == "disk":
+        x0, x1, y0, y1 = self.box
+        if self.disk:
             cut = np.maximum(0.0, 1.0 - np.abs(flat) ** 2)
         else:
             cut = np.maximum(0.0, (x - x0) * (x1 - x) * (y - y0) * (y1 - y))
-        self.wc = w.ravel() * cut
-        xi = 2.0 * (x - x0) / (x1 - x0) - 1.0
-        psi = 2.0 * (y - y0) / (y1 - y0) - 1.0
-        # legvander fills a (degree+1, N) array and returns its transpose
-        self.VxT = np.polynomial.legendre.legvander(xi, degree).T
-        self.VyT = np.polynomial.legendre.legvander(psi, degree).T
-        self.chunks = [slice(i, i + self.CHUNK) for i in range(0, flat.size, self.CHUNK)]
-        # int |phi| per field; w and the cutoff are nonnegative
-        norms = sum(np.abs(self.VxT[:, c]) @ (self.wc[c] * np.abs(self.VyT[:, c])).T
-                    for c in self.chunks)
-        self.norms = np.maximum(norms, 1e-300)
+        vx = np.polynomial.legendre.legvander(2.0 * (x - x0) / (x1 - x0) - 1.0, self.degree)
+        vy = np.polynomial.legendre.legvander(2.0 * (y - y0) / (y1 - y0) - 1.0, self.degree)
+        self.kr = (vx[:, :, None] * vy[:, None, :]).reshape(flat.size, -1)
+        self.kr *= (block.w.ravel() * cut)[:, None]
+        self.norms += np.abs(self.kr).sum(axis=0)  # int |phi|: w and the cutoff are >= 0
+        if self.rows.shape[1:] != block.pts.shape:
+            self.rows = np.empty((5 * min(self.n, PROBE_GROUP),) + block.pts.shape)
 
-    def residual(self, member: _Sample, limit: _Sample) -> float:
-        """Largest normalized |integral (q_member - q_limit) phi| over the
-        dictionary, q in {Re f_z, Im f_z, Re f_zbar, Im f_zbar, J}."""
-        diffs = (member.fz - limit.fz, member.fzbar - limit.fzbar)
-        parts = [p for dv in diffs for p in (dv.real, dv.imag)] + [member.jac - limit.jac]
-        # a difference that is exactly zero pairs to exactly zero
-        parts = [p for p in parts if np.any(p)]
-        if not parts:
-            return 0.0
-        block = np.stack(parts).reshape(len(parts), -1)
-        block *= self.wc
-        pairings = sum((block[:, None, c] * self.VxT[:, c]) @ self.VyT[:, c].T
-                       for c in self.chunks)
-        return max([0.0] + [float(np.max(q)) for q in np.abs(pairings) / self.norms])
+    def member(self, block, j, f, lim):
+        a, b = f.whole, lim.whole
+        k = j % PROBE_GROUP  # the member's slot in the row buffer
+        rows = self.rows[5 * k:5 * k + 5]
+        np.subtract(a.fz.real, b.fz.real, out=rows[0])
+        np.subtract(a.fz.imag, b.fz.imag, out=rows[1])
+        np.subtract(a.fzbar.real, b.fzbar.real, out=rows[2])
+        np.subtract(a.fzbar.imag, b.fzbar.imag, out=rows[3])
+        np.subtract(a.jac, b.jac, out=rows[4])
+        if k == PROBE_GROUP - 1 or j == self.n - 1:
+            filled = self.rows[:5 * (k + 1)].reshape(5 * (k + 1), -1)
+            self.pairings[5 * (j - k):5 * (j + 1)] += filled @ self.kr
+
+    def residuals(self) -> List[float]:
+        """Per member, the largest normalized |integral (q_member - q_limit) phi|
+        over the dictionary, q in {Re f_z, Im f_z, Re f_zbar, Im f_zbar, J}."""
+        ratios = np.abs(self.pairings) / np.maximum(self.norms, 1e-300)
+        row_max = np.max(ratios, axis=1).reshape(self.n, 5)
+        return [max([0.0] + row) for row in row_max.tolist()]
 
 
 def weak_probe(seq: SequenceHandle, dictionary_degree: int = 6) -> List[float]:
@@ -237,32 +352,82 @@ def weak_probe(seq: SequenceHandle, dictionary_degree: int = 6) -> List[float]:
     the given degree times a boundary cutoff.  The probe always integrates
     over the whole mesh, also under a `radon_riesz_diagnose` subdomain.
     """
-    pts, w = _quad(seq)
-    probe = _WeakProbe(seq.mesh, pts, w, dictionary_degree)
-    limit = _sample(seq, -1, pts)
-    return [probe.residual(_sample(seq, j, pts), limit) for j in range(len(seq))]
+    probe = _WeakProbe(seq.mesh, dictionary_degree, len(seq))
+    _sweep(seq, [probe])
+    return probe.residuals()
 
 
-def _phi(spec: FunctionalSpec, s: _Sample) -> np.ndarray:
-    return integrand(spec, *squared_moduli(s.fz, s.fzbar))
+class _Energy(_Measurement):
+    """Energy of Phi^power (times the per-triangle eta, if any) on the
+    subdomain, for the limit and each member.  Block energies are summed by
+    `quadrature_sum` too, so one inf term anywhere makes the energy inf."""
+
+    def __init__(self, seq: SequenceHandle, spec: FunctionalSpec, power: float = 1.0):
+        self.spec, self.power = spec, power
+        self.etas = [seq.eta_limit] + (list(seq.eta_members) if seq.eta_members is not None
+                                       else [None] * len(seq))  # index j + 1
+        self.blocks: List[List[float]] = [[] for _ in self.etas]
+
+    def _add(self, block, j, part):
+        vals = part.phi(self.spec)
+        if self.power != 1.0:
+            with np.errstate(over="ignore"):
+                vals = vals ** self.power
+        eta = self.etas[j + 1]
+        if eta is not None:
+            vals = vals * np.asarray(eta)[block.tris][block.sub][:, None]
+        self.blocks[j + 1].append(quadrature_sum(vals, self.weights))
+
+    def limit(self, block, lim):
+        self.weights = block.w_sub * weight_values(self.spec, block.pts[block.sub])
+        self._add(block, -1, lim.part)
+
+    def member(self, block, j, f, lim):
+        self._add(block, j, f.part)
+
+    def values(self) -> List[float]:
+        """The limit's energy, then each member's."""
+        return [quadrature_sum(np.array(parts), 1.0) for parts in self.blocks]
 
 
-def _member_energy(vals: np.ndarray, weights: np.ndarray, power: float = 1.0,
-                   eta: Optional[np.ndarray] = None) -> float:
-    """Energy from Phi-values at the quadrature points; `weights` include
-    `weight_values`, `eta` is an optional per-triangle weight."""
-    if power != 1.0:
-        with np.errstate(over="ignore"):
-            vals = vals ** power
-    if eta is not None:
-        vals = vals * eta[:, None]
-    return quadrature_sum(vals, weights)
+class _PhiGap(_Measurement):
+    """L^p distance of each member's Phi to the limit's; inf once a
+    difference is not finite."""
+
+    def __init__(self, spec: FunctionalSpec, p: float, n_members: int):
+        self.spec, self.p = spec, p
+        self.sums = np.zeros(n_members)
+
+    def member(self, block, j, f, lim):
+        diff = np.abs(f.part.phi(self.spec) - lim.part.phi(self.spec))
+        self.sums[j] += (_lr_sum(diff, True, block.w_sub, self.p)
+                         if np.all(np.isfinite(diff)) else np.inf)
+
+    def values(self) -> List[float]:
+        return [float(s ** (1.0 / self.p)) for s in self.sums]
 
 
-def _eta(seq: SequenceHandle, index: int, sub=slice(None)) -> Optional[np.ndarray]:
-    eta = seq.eta_limit if index == -1 else (
-        None if seq.eta_members is None else seq.eta_members[index])
-    return None if eta is None else np.asarray(eta)[sub]
+class _Pointwise(_Measurement):
+    """Median and 95th percentile of |q(last member) - q(limit)| over the
+    whole mesh, for q in df, jac and mu."""
+
+    def __init__(self, n_members: int):
+        self.last = n_members - 1
+        self.pieces: Dict[str, List[np.ndarray]] = {q: [] for q in ("df", "jac", "mu")}
+
+    def member(self, block, j, f, lim):
+        if j == self.last:
+            for qname, pieces in self.pieces.items():
+                d, ok = _quantity_diff(qname, f.whole, lim.whole)
+                pieces.append(d[ok])
+
+    def values(self) -> Dict[str, dict]:
+        out = {}
+        for qname, pieces in self.pieces.items():
+            d = np.concatenate(pieces)
+            out[qname] = {"median": float(np.median(d)),
+                          "p95": float(np.percentile(d, 95.0))}
+        return out
 
 
 @dataclass(frozen=True)
@@ -283,11 +448,9 @@ def lsc_check(spec: FunctionalSpec, seq: SequenceHandle) -> LscResult:
     """Lower-semicontinuity measurement: limit energy vs tail-liminf of members."""
     d_lim = seq.derived(-1)
     bad_area = float(np.sum(seq.mesh.areas[d_lim.jac <= 0]))
-    pts, w = _quad(seq)
-    weights = w * weight_values(spec, pts)
-    limit_energy, *energies = [  # index -1 is the limit
-        _member_energy(_phi(spec, _sample(seq, j, pts)), weights, eta=_eta(seq, j))
-        for j in range(-1, len(seq))]
+    energy = _Energy(seq, spec)
+    _sweep(seq, [energy])
+    limit_energy, *energies = energy.values()
     tail = energies[tail_slice(len(energies))]
     liminf = float(np.min(tail)) if tail else np.inf
     scale = max(1.0, abs(limit_energy)) if np.isfinite(limit_energy) else 1.0
@@ -449,9 +612,10 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
     """Hypothesis verification and conclusion measurement for the strong-
     convergence theorem, on one sequence with one functional family.
 
-    The quadrature is built once and every member is sampled once; the
-    weak probe and the pointwise proxy use the whole mesh, every other
-    measurement the subdomain.
+    The quadrature is built once and swept block by block, so every
+    quadrature point of every member is sampled once; the weak probe and
+    the pointwise proxy use the whole mesh, every other measurement the
+    subdomain.
     """
     if p_RR <= 1.0:
         raise ConfigurationError("p_RR must exceed 1")
@@ -490,55 +654,37 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
     else:
         rr_spec, rr_power = spec.with_(p=p_RR), 1.0
 
-    sub = _subdomain_index(seq.mesh, subdomain)
-    pts, w = _quad(seq)
-    w_sub = w[sub]
-    weights = w_sub * weight_values(spec, pts[sub])
-    probe = _WeakProbe(seq.mesh, pts, w, dictionary_degree)
-    limit = _sample(seq, -1, pts)
-    limit_sub = limit.restrict(sub)
-    phi_lim = _phi(spec, limit_sub)
-    rr_lim = phi_lim if rr_spec == spec else _phi(rr_spec, limit_sub)
-
-    # one pass: each member's sample feeds every accumulator
+    # one sweep: each field's sample on a block feeds every measurement
+    n = len(seq)
+    probe = _WeakProbe(seq.mesh, dictionary_degree, n)
+    series = _Energy(seq, rr_spec, rr_power)
+    phi_energies = series if (rr_spec, rr_power) == (spec, 1.0) else _Energy(seq, spec)
     exponents = {"phi": p_RR, **r_list}
-    residuals, series = [], []
-    gap_series: Dict[str, List[float]] = {q: [] for q in exponents}
-    for j in range(len(seq)):
-        member = _sample(seq, j, pts)
-        member_sub = member.restrict(sub)
-        residuals.append(probe.residual(member, limit))
-        phi = _phi(spec, member_sub)
-        rr = phi if rr_spec == spec else _phi(rr_spec, member_sub)
-        series.append(_member_energy(rr, weights, rr_power, _eta(seq, j, sub)))
-        diff = np.abs(phi - phi_lim)
-        gap_series["phi"].append(_lr_norm(diff, True, w_sub, p_RR)
-                                 if np.all(np.isfinite(diff)) else np.inf)
-        for qname, r in r_list.items():
-            gap_series[qname].append(
-                _lr_norm(*_quantity_diff(qname, member_sub, limit_sub), w_sub, r))
-    phi_series_last = _member_energy(phi, weights, 1.0, _eta(seq, len(seq) - 1, sub))
-    pointwise = {}
-    for qname in ("df", "jac", "mu"):  # the last member, on the whole mesh
-        d, ok = _quantity_diff(qname, member, limit)
-        pointwise[qname] = {"median": float(np.median(d[ok])),
-                            "p95": float(np.percentile(d[ok], 95.0))}
+    gaps = {"phi": _PhiGap(spec, p_RR, n),
+            **{q: _LrGap(q, r, n) for q, r in r_list.items()}}
+    scales = {q: _Scale(q, r) for q, r in r_list.items()}
+    weak_scale = _Scale("df", 1.0)
+    pointwise = _Pointwise(n)
+    measurements = [probe, series, pointwise, weak_scale, *gaps.values(), *scales.values()]
+    if phi_energies is not series:
+        measurements.append(phi_energies)
+    _sweep(seq, measurements, subdomain)
 
     # (b) weak-limit hypothesis
-    weak_scale = max(_quantity_scale("df", 1.0, limit_sub, w_sub), 1e-12)
-    weak_ok = bool(residuals[-1] <= tolerances.weak_rel * weak_scale
+    residuals = probe.residuals()
+    weak_ok = bool(residuals[-1] <= tolerances.weak_rel * max(weak_scale.value(), 1e-12)
                    and residuals[-1] <= 0.5 * max(residuals))
 
     # (c) energy convergence
-    limit_energy = _member_energy(rr_lim, weights, rr_power, _eta(seq, -1, sub))
+    limit_energy, *energy_series = series.values()
     e_scale = max(1.0, abs(limit_energy)) if np.isfinite(limit_energy) else 1.0
-    energy_gap = float(abs(series[-1] - limit_energy)) \
-        if np.isfinite(limit_energy) and np.isfinite(series[-1]) else np.inf
+    energy_gap = float(abs(energy_series[-1] - limit_energy)) \
+        if np.isfinite(limit_energy) and np.isfinite(energy_series[-1]) else np.inf
     energy_ok = bool(energy_gap <= tolerances.hypothesis_rel * e_scale)
 
-    phi_limit = _member_energy(phi_lim, weights, 1.0, _eta(seq, -1, sub))
-    phi_energy_gap = float(abs(phi_series_last - phi_limit)) \
-        if np.isfinite(phi_limit) and np.isfinite(phi_series_last) else np.inf
+    phi_limit, *phi_series = phi_energies.values()
+    phi_energy_gap = float(abs(phi_series[-1] - phi_limit)) \
+        if np.isfinite(phi_limit) and np.isfinite(phi_series[-1]) else np.inf
 
     # (d) limit Jacobian positivity
     d_lim = seq.derived(-1)
@@ -546,11 +692,11 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
     jac_ok = bad_fraction == 0.0
 
     # (e) conclusion measurements
-    scales = {"phi": max(abs(limit_energy) ** (1.0 / p_RR), 1e-12)
-              if np.isfinite(limit_energy) else 1e-12}
-    scales.update({q: max(_quantity_scale(q, r, limit_sub, w_sub), 1e-12)
-                   for q, r in r_list.items()})
-    conclusion_gaps = {q: _gap_record(gap_series[q], r, scales[q], tolerances.conclusion_rel)
+    scale_values = {"phi": max(abs(limit_energy) ** (1.0 / p_RR), 1e-12)
+                    if np.isfinite(limit_energy) else 1e-12}
+    scale_values.update({q: max(scale.value(), 1e-12) for q, scale in scales.items()})
+    conclusion_gaps = {q: _gap_record(gaps[q].values(), r, scale_values[q],
+                                      tolerances.conclusion_rel)
                        for q, r in exponents.items()}
     tails_ok = all(gap["ok"] for gap in conclusion_gaps.values())
 
@@ -571,7 +717,7 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
         energy_convergence=energy_ok,
         energy_gap=energy_gap,
         phi_energy_gap=phi_energy_gap,
-        energy_series=series,
+        energy_series=energy_series,
         limit_energy=limit_energy,
         weak_probe_ok=weak_ok,
         weak_probe_residuals=residuals,
@@ -580,10 +726,10 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
         convexity_ok=conv.ok,
         monotonicity_ok=monotonicity_ok,
         conclusion_gaps=conclusion_gaps,
-        pointwise_proxy=pointwise,
+        pointwise_proxy=pointwise.values(),
         config={"spec": spec.to_json(), "p_RR": p_RR, "s": s,
                 "r_list": dict(r_list), "dictionary_degree": dictionary_degree,
-                "tolerances": tolerances.to_json(), "n_members": len(seq)},
+                "tolerances": tolerances.to_json(), "n_members": n},
     )
 
 

@@ -80,6 +80,11 @@ class FunctionalSpec:
 
     @staticmethod
     def from_json(doc: dict) -> "FunctionalSpec":
+        keys = FunctionalSpec().to_json().keys()  # the keys to_json writes
+        unknown = sorted(set(doc) - keys)
+        if unknown:
+            raise ConfigurationError(f"unknown functional key {unknown[0]!r}; "
+                                     f"expected one of {sorted(keys)}")
         return FunctionalSpec(
             family=doc.get("family", "lp_mean"),
             p=float(doc.get("p", 1.0)),

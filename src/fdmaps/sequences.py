@@ -72,7 +72,10 @@ def radial_stretch_facts(alpha: float) -> RadialStretchFacts:
 
 
 def _bump_quadrature(delta: float, n: int = 16):
-    """Tensor Gauss rule for the normalized polynomial bump on |u| < delta."""
+    """Tensor Gauss rule for the normalized polynomial bump on |u| < delta.
+
+    Only the points inside the bump's support are returned (144 of 256 at
+    n = 16); the others carry weight 0."""
     x, w = np.polynomial.legendre.leggauss(n)
     u = delta * x
     wu = delta * w
@@ -81,8 +84,9 @@ def _bump_quadrature(delta: float, n: int = 16):
     r2 = np.abs(U) ** 2 / delta ** 2
     rho = np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** 8, 0.0)
     weights = (W * rho).ravel()
-    weights = weights / np.sum(weights)  # exact on constants, symmetric on affine
-    return U.ravel(), weights
+    keep = weights > 0
+    weights = weights[keep] / np.sum(weights[keep])  # exact on constants, symmetric on affine
+    return U.ravel()[keep], weights
 
 
 def mollify_values(amap: AnalyticMap, points: np.ndarray, delta: float) -> np.ndarray:

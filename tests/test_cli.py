@@ -139,6 +139,24 @@ def test_unknown_hopf_weight_exits_2(tmp_path, inverse):
     assert manifest["status"] == "validation_error"
 
 
+@pytest.mark.parametrize("command", ["minimize", "diagnose"])
+def test_unknown_functional_key_exits_2(tmp_path, command):
+    # the config key for the truncation order is "N"; "trunc_n" used to be
+    # dropped, running the problem with N = 0
+    config = {
+        "command": command,
+        "domain": {"kind": "disk", "level": 2},
+        "functional": {"family": "trunc_exp", "p": 1, "trunc_n": 8},
+        "boundary": {"kind": "identity"},
+        "minimize": {"max_iterations": 5},
+        "recipe": {"kind": "constant", "params": {}, "j_max": 2},
+    }
+    assert run(config, tmp_path) == 2
+    manifest = _read(tmp_path / "manifest.json")
+    assert manifest["status"] == "validation_error"
+    assert "'trunc_n'" in manifest["failure_reason"]
+
+
 def test_minimize_artefacts_match_csv_writer(tmp_path, part_folded, csv_reference):
     from fdmaps.cli import _write_mapping, _write_trace
     trace = [{"iteration": 0, "energy": 12.5, "grad_norm": 0.1, "min_J": -np.inf,

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from fdmaps import convergence
-from fdmaps.convergence import (Tolerances, good_set, jacobian_area_identity,
-                                lr_gap, lsc_check, orlicz_gauge, orlicz_norm,
-                                quantity_scale, radon_riesz_diagnose,
-                                sobolev_norm, tail_slice, weak_probe)
+from fdmaps.convergence import (SequenceHandle, Tolerances, good_set,
+                                jacobian_area_identity, lr_gap, lsc_check,
+                                orlicz_gauge, orlicz_norm, quantity_scale,
+                                radon_riesz_diagnose, sobolev_norm, tail_slice,
+                                weak_probe)
 from fdmaps.errors import ConfigurationError, DomainError
-from fdmaps.fields import (MappingField, sample_analytic,
-                           wirtinger_derivatives)
+from fdmaps.fields import (AnalyticMap, MappingField, analytic_affine,
+                           sample_analytic, wirtinger_derivatives)
 from fdmaps.functionals import FunctionalSpec, phi_eval
 from fdmaps.quadrature import mesh_quad_points
 from fdmaps.sequences import SequenceRecipe, generate
@@ -205,22 +206,31 @@ def test_hyperbolic_weight_rejects_points_outside_disk(osc_seq):
 
 
 def test_diagnose_samples_each_field_once(monkeypatch, unit_square_16):
+    # fields are sampled block by block; together the blocks cover every
+    # quadrature point of every field exactly once, from one quadrature
     seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=8), unit_square_16)
-    calls = {"derivatives": 0, "quadrature": 0}
+    k = convergence.ANALYTIC_QUAD_N ** 2
+    covered = np.zeros((len(seq) + 1, unit_square_16.n_triangles, k), dtype=int)
+    calls = {"blocks": 0, "quadrature": 0}
+    derivatives_at, quad_points = convergence._derivatives_at, convergence.mesh_quad_points
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def recorded(seq_, index, pts, tris=slice(None)):
+        covered[index + 1][tris] += 1  # row 0 is the limit
+        calls["blocks"] += 1
+        return derivatives_at(seq_, index, pts, tris)
 
-    monkeypatch.setattr(convergence, "_derivatives_at",
-                        counted("derivatives", convergence._derivatives_at))
-    monkeypatch.setattr(convergence, "mesh_quad_points",
-                        counted("quadrature", convergence.mesh_quad_points))
+    def counted(*args, **kwargs):
+        calls["quadrature"] += 1
+        return quad_points(*args, **kwargs)
+
+    monkeypatch.setattr(convergence, "_derivatives_at", recorded)
+    monkeypatch.setattr(convergence, "mesh_quad_points", counted)
     radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0,
                          r_list={"df": 1.5, "jac": 0.5, "mu": 1.0, "fzbar": 2.0})
-    assert calls == {"derivatives": len(seq) + 1, "quadrature": 1}
+    assert calls["quadrature"] == 1
+    assert np.all(covered == 1)
+    blocks = -(-unit_square_16.n_triangles * k // convergence.BLOCK_POINTS)
+    assert calls["blocks"] == (len(seq) + 1) * blocks
 
 
 def _subdomain(kind, mesh):
@@ -254,3 +264,177 @@ def test_diagnose_matches_standalone_measurements(request, fixture, sub_kind):
         lsc = lsc_check(spec, seq)
         close(rep.energy_series, lsc.member_energies)
         close(rep.limit_energy, lsc.limit_energy)
+
+
+def _assert_numbers_close(a, b, rtol, path="report"):
+    """Walk two JSON documents: equal structure, numbers within rtol."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for key in a:
+            _assert_numbers_close(a[key], b[key], rtol, f"{path}/{key}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_numbers_close(x, y, rtol, f"{path}[{i}]")
+    elif isinstance(a, float) and np.isfinite(a):
+        assert b == pytest.approx(a, rel=rtol, abs=0.0), path
+    else:
+        assert a == b, path
+
+
+@pytest.fixture(scope="module")
+def osc16(unit_square_16):
+    return generate(SequenceRecipe(kind="oscillation", params={}, j_max=4), unit_square_16)
+
+
+@pytest.mark.parametrize("tris_per_block", [1, 7, None])
+@pytest.mark.parametrize("fixture", ["osc16", "moll_seq"])
+def test_diagnose_is_block_size_invariant(monkeypatch, request, fixture, tris_per_block):
+    # one triangle per block, blocks of 7 (which divides neither mesh), and
+    # the whole mesh as one block all give the default sweep's report
+    seq = request.getfixturevalue(fixture)
+    spec = FunctionalSpec(family="lp_mean", p=2.0)
+    r_list = {"df": 1.5, "jac": 0.5, "mu": 1.0, "fz": 2.0, "fzbar": 2.0}
+    subdomain = _subdomain("mask", seq.mesh)
+
+    def report():
+        # p_RR != p, so the energy series and the plain-Phi energies differ
+        return radon_riesz_diagnose(spec, seq, p_RR=3.0, r_list=r_list,
+                                    subdomain=subdomain).to_json()
+
+    default = report()
+    k = convergence.ANALYTIC_QUAD_N ** 2 if seq.all_analytic else 1
+    m = seq.mesh.n_triangles
+    assert m % 7 != 0
+    monkeypatch.setattr(convergence, "BLOCK_POINTS", k * (tris_per_block or m))
+    _assert_numbers_close(default, report(), rtol=1e-12)
+
+
+def _reference_weak_residuals(seq, degree=6):
+    """The per-member weak-probe formula before the block sweep: full-length
+    Legendre Vandermondes and one (5, degree+1, N) @ (N, degree+1) product
+    per member."""
+    mesh = seq.mesh
+    pts, w = mesh_quad_points(mesh, convergence.ANALYTIC_QUAD_N if seq.all_analytic else 1)
+    flat = pts.ravel()
+    x, y = flat.real, flat.imag
+    x0, x1 = mesh.nodes.real.min(), mesh.nodes.real.max()
+    y0, y1 = mesh.nodes.imag.min(), mesh.nodes.imag.max()
+    if mesh.kind == "disk":
+        cut = np.maximum(0.0, 1.0 - np.abs(flat) ** 2)
+    else:
+        cut = np.maximum(0.0, (x - x0) * (x1 - x) * (y - y0) * (y1 - y))
+    wc = w.ravel() * cut
+    VxT = np.polynomial.legendre.legvander(2.0 * (x - x0) / (x1 - x0) - 1.0, degree).T
+    VyT = np.polynomial.legendre.legvander(2.0 * (y - y0) / (y1 - y0) - 1.0, degree).T
+    norms = np.maximum(np.abs(VxT) @ (wc * np.abs(VyT)).T, 1e-300)
+
+    def sample(field):
+        if seq.all_analytic:
+            fz, fzbar = field.analytic.derivatives(pts)
+        else:
+            d = wirtinger_derivatives(field)
+            fz, fzbar = d.fz[:, None], d.fzbar[:, None]
+        fz, fzbar = np.broadcast_to(fz, pts.shape), np.broadcast_to(fzbar, pts.shape)
+        return fz, fzbar, np.abs(fz) ** 2 - np.abs(fzbar) ** 2
+
+    lim = sample(seq.limit)
+    residuals = []
+    for member in seq.members:
+        fz, fzbar, jac = sample(member)
+        dfz, dfzbar = fz - lim[0], fzbar - lim[1]
+        block = np.stack([dfz.real, dfz.imag, dfzbar.real, dfzbar.imag, jac - lim[2]])
+        block = block.reshape(5, -1) * wc
+        pairings = (block[:, None, :] * VxT) @ VyT.T
+        residuals.append(max([0.0] + [float(np.max(q)) for q in np.abs(pairings) / norms]))
+    return residuals
+
+
+@pytest.fixture(scope="module")
+def weak_reference():
+    """Reference residuals per sequence fixture, computed once."""
+    return {}
+
+
+@pytest.mark.parametrize("sub_kind", [None, "mask", "index"])
+@pytest.mark.parametrize("fixture", ["drift_seq", "osc_seq", "moll_seq"])
+def test_weak_probe_matches_per_member_reference(request, weak_reference, fixture, sub_kind):
+    seq = request.getfixturevalue(fixture)
+    rep = radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0,
+                               subdomain=_subdomain(sub_kind, seq.mesh))
+    # the probe pairs over the whole mesh whatever the subdomain
+    if fixture not in weak_reference:
+        weak_reference[fixture] = _reference_weak_residuals(seq)
+    assert np.allclose(rep.weak_probe_residuals, weak_reference[fixture],
+                       rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("group", [1, 5, 100])
+def test_weak_probe_is_member_group_invariant(monkeypatch, weak_reference, osc_seq, group):
+    # 16 members: one per product, groups of 5 (the last one partial), all in one
+    monkeypatch.setattr(convergence, "PROBE_GROUP", group)
+    if "osc_seq" not in weak_reference:
+        weak_reference["osc_seq"] = _reference_weak_residuals(osc_seq)
+    assert np.allclose(weak_probe(osc_seq), weak_reference["osc_seq"], rtol=1e-12, atol=0.0)
+
+
+def test_nonpositive_jacobian_in_one_block_gives_inf(unit_square_16):
+    # member 1 folds (J = -3) below Im z = 0.05: the first row of cells,
+    # inside the first block only; its other blocks are finite
+    mesh = unit_square_16
+
+    def folded(z):
+        bad = np.asarray(z).imag < 0.05
+        return np.ones(np.shape(z), dtype=complex), np.where(bad, 2.0, 0.0) + 0j
+
+    members = [MappingField(mesh, mesh.nodes.copy(), analytic=analytic_affine(1.1, 0.0)),
+               MappingField(mesh, mesh.nodes.copy(),
+                            analytic=AnalyticMap("folded", lambda z: z, folded)),
+               MappingField(mesh, mesh.nodes.copy(), analytic=analytic_affine(1.05, 0.0))]
+    limit = MappingField(mesh, mesh.nodes.copy(), analytic=analytic_affine(1.0, 0.0))
+    seq = SequenceHandle(mesh, members, limit)
+
+    pts, _ = mesh_quad_points(mesh, convergence.ANALYTIC_QUAD_N)
+    step = convergence.BLOCK_POINTS // pts.shape[1]
+    folded_tris = np.flatnonzero(np.any(pts.imag < 0.05, axis=1))
+    assert folded_tris.max() // step == folded_tris.min() // step < (mesh.n_triangles - 1) // step
+
+    spec = FunctionalSpec(family="lp_mean", p=2.0)
+    rep = radon_riesz_diagnose(spec, seq, p_RR=2.0, r_list={"df": 1.5})
+    for series in (rep.energy_series, rep.conclusion_gaps["phi"]["series"]):
+        assert np.isfinite(series[0]) and np.isfinite(series[2])
+        assert series[1] == np.inf
+    assert lsc_check(spec, seq).member_energies[1] == np.inf
+
+
+def test_pointwise_proxy_drift_closed_form(drift_seq):
+    # the last member differs from the limit by constant derivatives
+    rep = radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), drift_seq, p_RR=2.0)
+    n = len(drift_seq)
+    a, b = 1.0 + 0.4 / n, 0.2 + 0.1 / n
+    expected = {"df": np.hypot(0.4 / n, 0.1 / n),
+                "jac": abs((a ** 2 - b ** 2) - (1.0 - 0.2 ** 2)),
+                "mu": abs(b / a - 0.2)}
+    for qname, value in expected.items():
+        assert rep.pointwise_proxy[qname]["median"] == pytest.approx(value, rel=1e-12)
+        assert rep.pointwise_proxy[qname]["p95"] == pytest.approx(value, rel=1e-12)
+
+
+def test_eta_weights_energies_per_triangle(drift_seq):
+    # affine members have constant Phi, so a per-triangle eta weighs the
+    # energy by sum(eta * area) over the subdomain
+    mesh = drift_seq.mesh
+    eta = 1.0 + np.arange(mesh.n_triangles) / mesh.n_triangles
+    seq = SequenceHandle(mesh, drift_seq.members, drift_seq.limit,
+                         eta_members=[j * eta for j in range(1, len(drift_seq) + 1)],
+                         eta_limit=eta)
+    spec = FunctionalSpec(family="lp_mean", p=2.0)
+    sub = _subdomain("mask", mesh)
+    rep = radon_riesz_diagnose(spec, seq, p_RR=2.0, subdomain=sub)
+    weighted_area = np.sum((eta * mesh.areas)[sub])
+    for j, energy in enumerate(rep.energy_series, start=1):
+        a, b = 1.0 + 0.4 / j, 0.2 + 0.1 / j
+        phi = phi_eval(spec, np.sqrt(2.0 * (a ** 2 + b ** 2)), a ** 2 - b ** 2)
+        assert energy == pytest.approx(j * phi * weighted_area, rel=1e-12)
+    phi = phi_eval(spec, np.sqrt(2.0 * 1.04), 0.96)
+    assert rep.limit_energy == pytest.approx(phi * weighted_area, rel=1e-12)

@@ -3,8 +3,8 @@ import pytest
 
 from fdmaps.errors import ConfigurationError
 from fdmaps.fields import analytic_affine, analytic_radial_stretch
-from fdmaps.sequences import (SequenceRecipe, generate, mollify_values,
-                              radial_stretch_facts)
+from fdmaps.sequences import (SequenceRecipe, _bump_quadrature, generate,
+                              mollify_values, radial_stretch_facts)
 
 
 def test_recipe_validation():
@@ -73,6 +73,30 @@ def test_mollification_converges_to_target(rng):
     assert errs[0] > errs[1] > errs[2]
     # second-order accuracy away from the origin
     assert errs[2] < 0.3 * errs[1]
+
+
+def _full_bump_mollify(amap, pts, delta, n=16):
+    """The 256-point tensor rule, zero-weight points included."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    u = delta * x
+    U = (u[:, None] + 1j * u[None, :]).ravel()
+    r2 = np.abs(U) ** 2 / delta ** 2
+    rho = np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** 8, 0.0)
+    weights = np.outer(delta * w, delta * w).ravel() * rho
+    weights = weights / np.sum(weights)
+    return amap.value(pts.reshape(-1, 1) - U[None, :]) @ weights
+
+
+@pytest.mark.parametrize("delta", [1.0, 1.0 / 7.0, 1.0 / 64.0])
+def test_bump_quadrature_keeps_support_points_only(disk5, delta):
+    offsets, weights = _bump_quadrature(delta)
+    assert len(offsets) == len(weights) == 144
+    assert np.all(weights > 0)
+    assert np.sum(weights) == pytest.approx(1.0, abs=1e-15)
+    amap = analytic_radial_stretch(2.0)
+    got = mollify_values(amap, disk5.nodes, delta)
+    ref = _full_bump_mollify(amap, disk5.nodes, delta)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_mollified_sequence_limit_is_target(disk3):

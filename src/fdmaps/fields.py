@@ -161,7 +161,10 @@ def analytic_affine(a: complex, b: complex) -> AnalyticMap:
     a, b = complex(a), complex(b)
     return AnalyticMap(
         tag=f"affine({a},{b})",
-        value=lambda z: a * z + b * np.conj(z),
+        # conj(z) * b, not b * conj(z): numpy evaluates the latter in place as
+        # conj(z) * b for large arrays only, and the two operand orders differ
+        # in the last bit, so the values would depend on the array size
+        value=lambda z: a * z + np.conj(z) * b,
         derivatives=lambda z: (np.full_like(np.asarray(z, dtype=complex), a),
                                np.full_like(np.asarray(z, dtype=complex), b)),
     )

@@ -12,7 +12,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .convergence import SequenceHandle
+from .convergence import BLOCK_POINTS, SequenceHandle
 from .errors import ConfigurationError
 from .fields import (AnalyticMap, MappingField, analytic_affine,
                      analytic_oscillation, analytic_radial_stretch)
@@ -92,9 +92,12 @@ def _bump_quadrature(delta: float, n: int = 16):
 def mollify_values(amap: AnalyticMap, points: np.ndarray, delta: float) -> np.ndarray:
     """Convolution of the closed form with a polynomial bump of radius delta."""
     offsets, weights = _bump_quadrature(delta)
-    pts = np.asarray(points, dtype=complex)
-    vals = amap.value(pts.reshape(-1, 1) - offsets[None, :])
-    return (vals @ weights).reshape(pts.shape)
+    pts = np.asarray(points, dtype=complex).reshape(-1)
+    out = np.empty_like(pts)
+    step = BLOCK_POINTS // len(offsets)  # rows of a cache-sized (rows x offsets) temporary
+    for i in range(0, len(pts), step):
+        out[i:i + step] = amap.value(pts[i:i + step, None] - offsets) @ weights
+    return out.reshape(np.shape(points))
 
 
 def _target_map(params: Dict) -> AnalyticMap:

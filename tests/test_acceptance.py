@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fdmaps
-from fdmaps.convergence import lsc_check, radon_riesz_diagnose
+from fdmaps.convergence import lsc_checks, radon_riesz_diagnose
 from fdmaps.fields import (MappingField, sample_analytic,
                            wirtinger_derivatives)
 from fdmaps.functionals import (FunctionalSpec, concavity_probe,
@@ -120,9 +120,11 @@ def test_criterion_04_lower_semicontinuity(disk3):
             j_max=8), disk3),
     }
     ok = True
+    results = {}
     for name, seq in sequences.items():
-        for spec in FAMILIES:
-            res = lsc_check(spec, seq)
+        # one sweep per sequence measures every family
+        results[name] = lsc_checks(FAMILIES, seq)
+        for res in results[name]:
             if not np.isfinite(res.limit_energy):
                 continue
             if name == "mollified":
@@ -134,7 +136,7 @@ def test_criterion_04_lower_semicontinuity(disk3):
                 ok &= res.holds or (deficit < 2e-2 * scale and deficit < first)
             else:
                 ok &= res.holds
-    osc = lsc_check(FunctionalSpec(family="dirichlet"), sequences["oscillation"])
+    osc = results["oscillation"][FAMILIES.index(FunctionalSpec(family="dirichlet"))]
     gap = osc.liminf_energy - osc.limit_energy
     ok &= abs(gap - 0.5) < 0.05 * 0.5  # strict Dirichlet gap = area/2
     elapsed = time.monotonic() - t0

@@ -5,7 +5,7 @@ import pytest
 
 from fdmaps import convergence
 from fdmaps.convergence import (SequenceHandle, Tolerances, good_set,
-                                jacobian_area_identity, lr_gap, lsc_check,
+                                jacobian_area_identity, lr_gap, lsc_check, lsc_checks,
                                 orlicz_gauge, orlicz_norm, quantity_scale,
                                 radon_riesz_diagnose, sobolev_norm, tail_slice,
                                 weak_probe)
@@ -99,6 +99,15 @@ def test_lsc_on_drift(drift_seq):
     res = lsc_check(FunctionalSpec(family="lp_mean", p=2.0), drift_seq)
     assert res.holds
     assert res.limit_bad_area == 0.0
+
+
+def test_lsc_checks_match_one_spec_checks(moll_seq, osc_seq):
+    # several families in one sweep give each family's own check exactly
+    specs = [FunctionalSpec(family="lp_mean", p=2.0), FunctionalSpec(family="exp_p", p=1.0),
+             FunctionalSpec(family="trunc_exp", p=1.0, trunc_n=8),
+             FunctionalSpec(family="dirichlet")]
+    for seq in (moll_seq, osc_seq):
+        assert lsc_checks(specs, seq) == [lsc_check(spec, seq) for spec in specs]
 
 
 def test_good_set_radial_stretch(disk5):
@@ -438,3 +447,68 @@ def test_eta_weights_energies_per_triangle(drift_seq):
         assert energy == pytest.approx(j * phi * weighted_area, rel=1e-12)
     phi = phi_eval(spec, np.sqrt(2.0 * 1.04), 0.96)
     assert rep.limit_energy == pytest.approx(phi * weighted_area, rel=1e-12)
+
+
+def test_nodal_derivatives_match_wirtinger_derivatives(moll_seq):
+    # a triangle range of a nodal member samples the same sums as the
+    # member's P1 derived field
+    pts, _ = mesh_quad_points(moll_seq.mesh, 1)
+    tris = slice(5, 5 + moll_seq.mesh.n_triangles // 3)
+    for index, field in ((-1, moll_seq.limit), (2, moll_seq.members[2])):
+        fz, fzbar = convergence._derivatives_at(moll_seq, index, pts, tris)
+        d = wirtinger_derivatives(field)
+        assert fz.shape == fzbar.shape == pts[tris].shape
+        assert np.array_equal(fz[:, 0], d.fz[tris])
+        assert np.array_equal(fzbar[:, 0], d.fzbar[tris])
+
+
+def test_nodal_diagnose_builds_derivatives_once(monkeypatch, moll_seq):
+    # the mesh's Wirtinger coefficients serve every member; only the
+    # limit's Jacobian sign takes a derived field
+    from fdmaps import fields
+    calls = {"wirtinger": 0, "coefficients": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    coefficients = counting("coefficients", fields.derivative_coefficients)
+    monkeypatch.setattr(fields, "derivative_coefficients", coefficients)
+    monkeypatch.setattr(convergence, "derivative_coefficients", coefficients)
+    monkeypatch.setattr(convergence, "wirtinger_derivatives",
+                        counting("wirtinger", fields.wirtinger_derivatives))
+    seq = SequenceHandle(moll_seq.mesh, moll_seq.members, moll_seq.limit)
+    radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0)
+    assert calls["wirtinger"] == 1
+    assert 1 <= calls["coefficients"] <= 2
+
+
+def test_nodal_diagnose_memory_is_bounded():
+    # tracemalloc sees numpy's buffers: the chunked mollifier, the sweep's
+    # temporaries and what the handle keeps after a diagnose stay small on a
+    # level-5 mollified sequence of 64 members
+    import tracemalloc
+
+    import fdmaps
+    mib = 2.0 ** 20
+    mesh = fdmaps.build_disk_mesh(5)
+    recipe = SequenceRecipe(kind="mollified",
+                            params={"target": "radial_stretch", "alpha": 2.0}, j_max=64)
+    spec = FunctionalSpec(family="lp_mean", p=2.0)
+    tracemalloc.start()
+    try:
+        seq = generate(recipe, mesh)
+        _, generate_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        report = radon_riesz_diagnose(spec, seq, p_RR=2.0,
+                                      r_list={"df": 1.5, "jac": 0.5, "mu": 1.0})
+        after, diagnose_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == "StrongConvergence"
+    assert generate_peak < 8 * mib
+    assert diagnose_peak - before < 16 * mib
+    assert after - before < 4 * mib

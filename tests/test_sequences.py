@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fdmaps.convergence import BLOCK_POINTS
 from fdmaps.errors import ConfigurationError
 from fdmaps.fields import analytic_affine, analytic_radial_stretch
 from fdmaps.sequences import (SequenceRecipe, _bump_quadrature, generate,
@@ -97,6 +98,30 @@ def test_bump_quadrature_keeps_support_points_only(disk5, delta):
     got = mollify_values(amap, disk5.nodes, delta)
     ref = _full_bump_mollify(amap, disk5.nodes, delta)
     assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def _one_shot_mollify(amap, points, delta):
+    """The mollifier before chunking: every point against every bump point
+    in one (points x bump points) evaluation."""
+    offsets, weights = _bump_quadrature(delta)
+    pts = np.asarray(points, dtype=complex)
+    vals = amap.value(pts.reshape(-1, 1) - offsets[None, :])
+    return (vals @ weights).reshape(pts.shape)
+
+
+@pytest.mark.parametrize("target", ["radial_stretch", "affine"])
+@pytest.mark.parametrize("delta", [1.0, 1.0 / 7.0, 1.0 / 64.0])
+def test_chunked_mollifier_is_bit_identical(disk5, target, delta):
+    amap = (analytic_radial_stretch(2.0) if target == "radial_stretch"
+            else analytic_affine(1.3, 0.4 - 0.2j))
+    step = BLOCK_POINTS // len(_bump_quadrature(delta)[0])
+    nodes = disk5.nodes
+    assert len(nodes) % step != 0
+    # all nodes; a count the chunk does not divide; a 2-D array keeps its shape
+    for pts in (nodes, nodes[:3 * step + 5], nodes[:2 * step].reshape(2 * step // 4, 4)):
+        got = mollify_values(amap, pts, delta)
+        assert got.shape == pts.shape
+        assert np.array_equal(got, _one_shot_mollify(amap, pts, delta))
 
 
 def test_mollified_sequence_limit_is_target(disk3):

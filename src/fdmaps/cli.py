@@ -153,8 +153,12 @@ def _run_diagnose(config, out: Path):
 
 
 def _run_hopf(config, out: Path):
-    mesh = _build_mesh(config.get("domain", {}))
     hopf_cfg = config.get("hopf", {})
+    keys = {"formula", "args", "p", "N", "inverse", "weight"}
+    unknown = sorted(set(hopf_cfg) - keys)
+    if unknown:
+        raise ConfigurationError(f"unknown hopf key {unknown[0]!r}; expected one of {sorted(keys)}")
+    mesh = _build_mesh(config.get("domain", {}))
     formula = hopf_cfg.get("formula", "identity")
     args = []
     for a in hopf_cfg.get("args", []):

@@ -203,7 +203,8 @@ QUANTITIES = ("df", "fz", "fzbar", "jac", "mu")
 
 
 def _quantity_diff(quantity: str, a: _Sample, b: _Sample):
-    """Pointwise |q(a) - q(b)| and a validity mask (None: valid everywhere)."""
+    """Pointwise |q(a) - q(b)|, 0 where q is undefined, and a validity mask
+    (None: valid everywhere)."""
     if quantity == "df":
         return np.sqrt(np.abs(a.fz - b.fz) ** 2 + np.abs(a.fzbar - b.fzbar) ** 2), None
     if quantity == "fz":
@@ -220,10 +221,9 @@ def _quantity_diff(quantity: str, a: _Sample, b: _Sample):
     raise ConfigurationError(f"unknown quantity {quantity!r}")
 
 
-def _lr_sum(d: np.ndarray, ok, w: np.ndarray, r: float) -> float:
-    """One block's part of int |d|^r over the mask `ok` (None: everywhere);
-    the L^r norm is the r-th root of the total."""
-    return np.sum((d if ok is None else np.where(ok, d, 0.0)) ** r * w)
+def _lr_sum(d: np.ndarray, w: np.ndarray, r: float) -> float:
+    """One block's part of int |d|^r; the L^r norm is the r-th root of the total."""
+    return np.sum(d ** r * w)
 
 
 class _LrGap(_Measurement):
@@ -234,8 +234,8 @@ class _LrGap(_Measurement):
         self.sums = np.zeros(n_members)
 
     def member(self, block, j, f, lim):
-        self.sums[j] += _lr_sum(*_quantity_diff(self.quantity, f.part, lim.part),
-                                block.w_sub, self.r)
+        d, _ = _quantity_diff(self.quantity, f.part, lim.part)
+        self.sums[j] += _lr_sum(d, block.w_sub, self.r)
 
     def values(self) -> List[float]:
         return [float(s ** (1.0 / self.r)) for s in self.sums]
@@ -258,8 +258,8 @@ class _Scale(_Measurement):
             np.divide(np.abs(part.fzbar), np.abs(part.fz), out=d, where=ok)
         else:
             zero = _Sample.of(np.zeros_like(part.fz), np.zeros_like(part.fzbar))
-            d, ok = _quantity_diff(self.quantity, part, zero)
-        self.sum += _lr_sum(d, ok, block.w_sub, self.r)
+            d, _ = _quantity_diff(self.quantity, part, zero)
+        self.sum += _lr_sum(d, block.w_sub, self.r)
 
     def value(self) -> float:
         return float(self.sum ** (1.0 / self.r))
@@ -399,7 +399,7 @@ class _PhiGap(_Measurement):
 
     def member(self, block, j, f, lim):
         diff = np.abs(f.part.phi(self.spec) - lim.part.phi(self.spec))
-        self.sums[j] += (_lr_sum(diff, None, block.w_sub, self.p)
+        self.sums[j] += (_lr_sum(diff, block.w_sub, self.p)
                          if np.all(np.isfinite(diff)) else np.inf)
 
     def values(self) -> List[float]:

@@ -226,25 +226,34 @@ def sample_analytic(mesh: Mesh, formula: str, *params) -> MappingField:
 CSV_BLOCK_ROWS = 8192
 
 
+def _cells(c: np.ndarray) -> list:
+    """One block of a column as csv.writer prints it: str of each integer,
+    repr of each distinct float bit pattern once (0.0 and -0.0 stay apart)."""
+    if c.dtype.kind in "iu":
+        return list(map(str, c.tolist()))
+    c = np.ascontiguousarray(c, dtype=float)
+    bits = np.sort(c.view(np.uint64))
+    if np.all(bits[1:] != bits[:-1]):  # all distinct: a gather would only permute
+        return list(map(repr, c.tolist()))
+    bits, inverse = np.unique(c.view(np.uint64), return_inverse=True)
+    return np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[inverse].tolist()
+
+
 def write_columns(path, header, columns) -> None:
     """Write equal-length columns as CSV, byte for byte as csv.writer would.
 
-    Integer columns print with %d, all others as Python floats with %r
-    (the repr csv.writer uses, with inf and nan); lines end in CRLF.  Rows
-    go out in blocks of CSV_BLOCK_ROWS, each formatted by one % operation.
+    Integer columns print as str (= %d), all others as the repr of a Python
+    float (with inf and nan); lines end in CRLF.  Rows go out in blocks of
+    CSV_BLOCK_ROWS, and in each block every distinct float bit pattern of a
+    column is formatted once, so repeated values cost one repr per block.
     """
     columns = [np.asarray(c) for c in columns]
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%r" for c in columns) + "\r\n"
-    columns = [c if c.dtype.kind in "iu" else c.astype(float) for c in columns]
     n_rows = len(columns[0]) if columns else 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns]
-            cells = [None] * (len(block) * len(block[0]))
-            for j, col in enumerate(block):
-                cells[j::len(block)] = col
-            fh.write(row * len(block[0]) % tuple(cells))
+            cells = [_cells(c[start:start + CSV_BLOCK_ROWS]) for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def derived_to_csv(derived: DerivedField, path) -> None:

@@ -139,6 +139,22 @@ def test_unknown_hopf_weight_exits_2(tmp_path, inverse):
     assert manifest["status"] == "validation_error"
 
 
+@pytest.mark.parametrize("key, value", [("inverted", True), ("n", 8)])
+def test_unknown_hopf_key_exits_2(tmp_path, key, value):
+    # a misspelt key used to be dropped: "inverted" certified the forward
+    # field and "n" ran with N = None, both exiting 0
+    config = {
+        "command": "hopf",
+        "domain": {"kind": "disk", "level": 2},
+        "hopf": {"formula": "identity", "p": 1.0, "N": 4, key: value},
+    }
+    assert run(config, tmp_path) == 2
+    manifest = _read(tmp_path / "manifest.json")
+    assert manifest["status"] == "validation_error"
+    assert f"'{key}'" in manifest["failure_reason"]
+    assert not (tmp_path / "hopf.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["minimize", "diagnose"])
 def test_unknown_functional_key_exits_2(tmp_path, command):
     # the config key for the truncation order is "N"; "trunc_n" used to be

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fdmaps import fields
 from fdmaps.fields import (analytic_affine, analytic_oscillation,
@@ -127,3 +131,70 @@ def test_write_columns_matches_csv_writer(tmp_path, monkeypatch, csv_reference, 
     assert path.read_bytes() == csv_reference(["i", "x", "y"], rows)
     write_columns(path, ["i", "x"], [np.arange(0), []])
     assert path.read_bytes() == csv_reference(["i", "x"], [])
+
+
+def _from_bits(*patterns):
+    return np.array(patterns, dtype=np.uint64).view(float)
+
+
+# NaNs csv.writer prints as nan whatever their sign or payload, the two
+# infinities, signed zeros and the smallest subnormal
+SPECIALS = np.concatenate([
+    _from_bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123,
+               0xFFF0000000000001),
+    [np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324]])
+
+
+@pytest.mark.parametrize("block_rows", [fields.CSV_BLOCK_ROWS, 1, 4])
+def test_write_columns_repeats_and_specials(tmp_path, monkeypatch, csv_reference, block_rows):
+    monkeypatch.setattr(fields, "CSV_BLOCK_ROWS", block_rows)
+    n = 2 * block_rows + 5
+    # runs of three: the run holding rows block_rows - 1 and block_rows is
+    # split by the first block boundary
+    pool = np.array([0.1, 1.0 / 3.0, -2.5e300, 7.0])
+    repeated = pool[np.arange(n) // 3 % len(pool)]
+    assert repeated[block_rows - 1] == repeated[block_rows]
+    zeros = np.where(np.arange(n) % 2, -0.0, 0.0)
+    specials = SPECIALS[np.arange(n) % len(SPECIALS)]
+    nans = _from_bits(0xFFF8000000000000, 0x7FF8000000000123, 0x7FF8000000000000)[np.arange(n) % 3]
+    columns = [np.arange(n) // 2, repeated, zeros, specials, nans]
+    header = ["k", "repeated", "zeros", "specials", "nans"]
+    path = tmp_path / "cols.csv"
+    write_columns(path, header, columns)
+    rows = [[int(k), *map(float, vals)] for k, *vals in zip(*columns)]
+    assert path.read_bytes() == csv_reference(header, rows)
+    assert b",-0.0," in path.read_bytes() and b",0.0," in path.read_bytes()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(st.one_of(st.floats(), st.sampled_from(SPECIALS.tolist())),
+                       max_size=20),
+       block_rows=st.sampled_from([1, 3, fields.CSV_BLOCK_ROWS]))
+def test_write_columns_property(tmp_path, csv_reference, values, block_rows):
+    # every value appears at least twice, in one block or across blocks;
+    # each float must still print as csv.writer prints it
+    column = values + values[::-1]
+    shifted = column[1:] + column[:1]
+    path = tmp_path / "prop.csv"
+    with mock.patch.object(fields, "CSV_BLOCK_ROWS", block_rows):
+        write_columns(path, ["i", "x", "y"], [np.arange(len(column)), column, shifted])
+    rows = list(zip(range(len(column)), column, shifted))
+    assert path.read_bytes() == csv_reference(["i", "x", "y"], rows)
+
+
+def test_write_columns_memory_is_bounded(tmp_path):
+    # tracemalloc sees numpy's buffers and the per-block strings; a string
+    # table per whole column would hold ~140 MB here
+    import tracemalloc
+    n, mib = 200_000, 2.0 ** 20
+    rng = np.random.default_rng(7)
+    columns = [np.arange(n)] + [rng.standard_normal(n) for _ in range(10)]
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        write_columns(tmp_path / "big.csv", [f"c{i}" for i in range(11)], columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 24 * mib

@@ -34,6 +34,23 @@ def test_radial_stretch_facts():
     assert f3.abs_mu == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0])
+def test_radial_stretch_facts_pointwise(alpha):
+    # z = r e^{i theta} -> r^alpha e^{i theta}: |f_z| = (alpha+1)/2 r^(alpha-1),
+    # |f_zbar| = |alpha-1|/2 r^(alpha-1), J = alpha r^(2 alpha - 2)
+    facts = radial_stretch_facts(alpha)
+    r = np.array([0.05, 0.3, 0.7, 1.0, 1.6])
+    z = r * np.exp(1j * np.array([0.4, 2.0, -1.1, 3.0, -2.7]))
+    fz_abs, fzbar_abs, jac = facts.fz_abs(z), facts.fzbar_abs(z), facts.jac(z)
+    np.testing.assert_allclose(fz_abs, (alpha + 1.0) / 2.0 * r ** (alpha - 1.0), rtol=1e-12)
+    np.testing.assert_allclose(fzbar_abs, abs(alpha - 1.0) / 2.0 * r ** (alpha - 1.0),
+                               rtol=1e-12)
+    np.testing.assert_allclose(jac, alpha * r ** (2.0 * alpha - 2.0), rtol=1e-12)
+    np.testing.assert_allclose(jac, fz_abs ** 2 - fzbar_abs ** 2, rtol=1e-12)
+    np.testing.assert_allclose(2.0 * (fz_abs ** 2 + fzbar_abs ** 2) / jac, facts.khs,
+                               rtol=1e-12)
+
+
 def test_constant_sequence(disk3):
     seq = generate(SequenceRecipe(kind="constant", params={}, j_max=4), disk3)
     assert len(seq) == 4

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .config import complex_number, integer, optional, read
 from .convergence import Tolerances, gaps_to_csv, radon_riesz_diagnose
 from .errors import ConfigurationError, DomainError, FdmapsError, InitializationError
 from .fields import (derived_to_csv, sample_analytic, wirtinger_derivatives,
@@ -31,22 +32,39 @@ from .minimize import (BoundaryData, MinimizeConfig, minimize_energy,
                        truncation_sweep)
 from .sequences import SequenceRecipe, generate
 
-COMMANDS = ("mesh", "minimize", "sweep", "diagnose", "hopf", "oracle")
+# Top-level keys: any command may carry any section, and reads the ones it needs.
+_CONFIG = {"command": (str, None), "seed": (integer, 0), "out": (str, "."),
+           **dict.fromkeys(("domain", "functional", "boundary", "minimize", "sweep", "recipe",
+                            "diagnostic", "hopf", "oracle"), (dict, {}))}
+_DOMAIN = {"kind": (str, None), "level": (integer, 4, ("disk",)),
+           "nx": (integer, 16, ("rect",)), "ny": (integer, 16, ("rect",)),
+           "lo": (complex_number, 0j, ("rect",)), "hi": (complex_number, 1 + 1j, ("rect",))}
+_SWEEP = {"p": (float, 1.0), "N_list": (lambda ns: [integer(n) for n in ns], (1, 2, 4, 8)),
+          "jac_exp": (float, 0.0), "weight": (str, "none")}
+# keyed by the arguments of radon_riesz_diagnose
+_DIAGNOSTIC = {"p_RR": (float, 2.0), "s": (optional(float), None),
+               "r_list": (optional(dict), None),
+               "tolerances": (Tolerances.from_json, Tolerances()),
+               "dictionary_degree": (integer, 6), "probe_samples": (integer, 20000)}
+_HOPF = {"formula": (str, "identity"),
+         "args": (lambda args: [complex(*a) if isinstance(a, (list, tuple)) else a
+                                for a in args], ()),
+         "p": (float, 1.0), "N": (optional(integer), None), "inverse": (bool, False),
+         "weight": (str, "none")}
+_ORACLE = {"n_samples": (integer, 100000)}
 
 
-def _build_mesh(domain: dict):
-    kind = domain.get("kind")
-    if kind == "disk":
-        return build_disk_mesh(int(domain.get("level", 4)))
-    if kind == "rect":
-        lo = complex(*domain.get("lo", (0.0, 0.0)))
-        hi = complex(*domain.get("hi", (1.0, 1.0)))
-        return build_rect_mesh(int(domain.get("nx", 16)), int(domain.get("ny", 16)), lo, hi)
-    raise ConfigurationError(f"unknown domain kind {kind!r}")
+def _build_mesh(doc):
+    domain = read("domain", doc, _DOMAIN)
+    if domain["kind"] == "disk":
+        return build_disk_mesh(domain["level"])
+    if domain["kind"] == "rect":
+        return build_rect_mesh(domain["nx"], domain["ny"], domain["lo"], domain["hi"])
+    raise ConfigurationError(f"unknown domain kind {domain['kind']!r}")
 
 
 def _run_mesh(config, out: Path):
-    mesh = _build_mesh(config.get("domain", {}))
+    mesh = _build_mesh(config["domain"])
     mesh.save(out / "mesh.json")
     return {
         "nodes": mesh.n_nodes,
@@ -69,10 +87,10 @@ def _write_mapping(mapping, path: Path):
 
 
 def _run_minimize(config, out: Path):
-    mesh = _build_mesh(config.get("domain", {}))
-    spec = FunctionalSpec.from_json(config.get("functional", {}))
-    boundary = BoundaryData.from_json(config.get("boundary", {}))
-    mcfg = MinimizeConfig.from_json(config.get("minimize", {}))
+    mesh = _build_mesh(config["domain"])
+    spec = FunctionalSpec.from_json(config["functional"])
+    boundary = BoundaryData.from_json(config["boundary"])
+    mcfg = MinimizeConfig.from_json(config["minimize"])
     result = minimize_energy(spec, mesh, boundary, mcfg)
     _write_trace(result.trace, out / "trace.csv")
     _write_mapping(result.mapping, out / "mapping.csv")
@@ -99,21 +117,17 @@ class _Stalled(Exception):
 
 
 def _run_sweep(config, out: Path):
-    mesh = _build_mesh(config.get("domain", {}))
-    sweep_cfg = config.get("sweep", {})
-    p = float(sweep_cfg.get("p", 1.0))
-    n_list = [int(n) for n in sweep_cfg.get("N_list", [1, 2, 4, 8])]
-    boundary = BoundaryData.from_json(config.get("boundary", {}))
-    mcfg = MinimizeConfig.from_json(config.get("minimize", {}))
-    jac_exp = float(sweep_cfg.get("jac_exp", 0.0))
-    weight = sweep_cfg.get("weight", "none")
-    entries = truncation_sweep(p, n_list, mesh, boundary, mcfg,
-                               jac_exp=jac_exp, weight=weight)
+    mesh = _build_mesh(config["domain"])
+    sweep = read("sweep", config["sweep"], _SWEEP)
+    boundary = BoundaryData.from_json(config["boundary"])
+    mcfg = MinimizeConfig.from_json(config["minimize"])
+    entries = truncation_sweep(sweep["p"], sweep["N_list"], mesh, boundary, mcfg,
+                               jac_exp=sweep["jac_exp"], weight=sweep["weight"])
     rows = []
     psi_fields = []
     for e in entries:
         derived = wirtinger_derivatives(e.mapping)
-        psi = inverse_ahlfors_hopf(derived, p, e.trunc_n, weight)
+        psi = inverse_ahlfors_hopf(derived, sweep["p"], e.trunc_n, sweep["weight"])
         res = holomorphy_residual(psi)
         psi_fields.append(psi)
         rows.append({"N": e.trunc_n, "energy": e.energy, "hopf_l1": psi.l1_norm,
@@ -126,26 +140,12 @@ def _run_sweep(config, out: Path):
 
 
 def _run_diagnose(config, out: Path):
-    mesh = _build_mesh(config.get("domain", {}))
-    recipe = SequenceRecipe.from_json(config.get("recipe", {}))
+    mesh = _build_mesh(config["domain"])
+    recipe = SequenceRecipe.from_json(config["recipe"])
     seq = generate(recipe, mesh)
-    spec = FunctionalSpec.from_json(config.get("functional", {}))
-    diag = config.get("diagnostic", {})
-    tol_doc = diag.get("tolerances", {})
-    tol = Tolerances(
-        hypothesis_rel=float(tol_doc.get("hypothesis_rel", Tolerances().hypothesis_rel)),
-        conclusion_rel=float(tol_doc.get("conclusion_rel", Tolerances().conclusion_rel)),
-        weak_rel=float(tol_doc.get("weak_rel", Tolerances().weak_rel)),
-    )
-    report = radon_riesz_diagnose(
-        spec, seq,
-        p_RR=float(diag.get("p_RR", 2.0)),
-        s=None if diag.get("s") is None else float(diag["s"]),
-        r_list=diag.get("r_list"),
-        tolerances=tol,
-        dictionary_degree=int(diag.get("dictionary_degree", 6)),
-        probe_samples=int(diag.get("probe_samples", 20000)),
-    )
+    spec = FunctionalSpec.from_json(config["functional"])
+    report = radon_riesz_diagnose(spec, seq,
+                                  **read("diagnostic", config["diagnostic"], _DIAGNOSTIC))
     gaps_to_csv(report, out / "gaps.csv")
     doc = report.to_json()
     doc["gap"] = report.phi_energy_gap
@@ -153,21 +153,11 @@ def _run_diagnose(config, out: Path):
 
 
 def _run_hopf(config, out: Path):
-    hopf_cfg = config.get("hopf", {})
-    keys = {"formula", "args", "p", "N", "inverse", "weight"}
-    unknown = sorted(set(hopf_cfg) - keys)
-    if unknown:
-        raise ConfigurationError(f"unknown hopf key {unknown[0]!r}; expected one of {sorted(keys)}")
-    mesh = _build_mesh(config.get("domain", {}))
-    formula = hopf_cfg.get("formula", "identity")
-    args = []
-    for a in hopf_cfg.get("args", []):
-        args.append(complex(*a) if isinstance(a, (list, tuple)) else a)
-    mapping = sample_analytic(mesh, formula, *args)
+    hopf = read("hopf", config["hopf"], _HOPF)
+    mapping = sample_analytic(_build_mesh(config["domain"]), hopf["formula"], *hopf["args"])
     derived = wirtinger_derivatives(mapping)
-    builder = inverse_ahlfors_hopf if hopf_cfg.get("inverse") else ahlfors_hopf
-    psi = builder(derived, float(hopf_cfg.get("p", 1.0)),
-                  hopf_cfg.get("N"), hopf_cfg.get("weight", "none"))
+    builder = inverse_ahlfors_hopf if hopf["inverse"] else ahlfors_hopf
+    psi = builder(derived, hopf["p"], hopf["N"], hopf["weight"])
     res = holomorphy_residual(psi)
     hopf_to_csv(psi, out / "hopf.csv")
     derived_to_csv(derived, out / "derived.csv")
@@ -176,9 +166,8 @@ def _run_hopf(config, out: Path):
 
 
 def _run_oracle(config, out: Path):
-    oracle_cfg = config.get("oracle", {})
-    n = int(oracle_cfg.get("n_samples", 100000))
-    seed = int(config.get("seed", 0))
+    n = read("oracle", config["oracle"], _ORACLE)["n_samples"]
+    seed = config["seed"]
     rng = np.random.default_rng(seed)
     probes = {}
 
@@ -245,17 +234,18 @@ def run(config: dict, out_dir) -> int:
     manifest = {
         "config": config,
         "version": __version__,
-        "seed": int(config.get("seed", 0)),
+        "seed": None,
         "status": "ok",
         "failure_reason": None,
     }
     status = 0
     results = None
     try:
-        command = config.get("command")
-        if command not in COMMANDS:
-            raise ConfigurationError(f"unknown command {command!r}")
-        results = _RUNNERS[command](config, out)
+        top = read("config", config, _CONFIG)
+        manifest["seed"] = top["seed"]
+        if top["command"] not in _RUNNERS:
+            raise ConfigurationError(f"unknown command {top['command']!r}")
+        results = _RUNNERS[top["command"]](top, out)
     except _Stalled as exc:
         results = exc.results
         manifest["status"] = "numerical_failure"
@@ -270,9 +260,8 @@ def run(config: dict, out_dir) -> int:
         manifest["failure_reason"] = f"{type(exc).__name__}: {exc}"
         status = 3
     if results is not None:
-        _dump({"command": config.get("command"),
-               "seed": int(config.get("seed", 0)),
-               "results": results}, out / "result.json")
+        _dump({"command": top["command"], "seed": top["seed"], "results": results},
+              out / "result.json")
     manifest["wall_time_s"] = time.monotonic() - t0
     _dump(manifest, out / "manifest.json")
     return status
@@ -305,12 +294,13 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        # without --out the output directory, where errors are reported, is the config's
+        out_dir = args.out or read("config", config, _CONFIG)["out"]
+    except (OSError, json.JSONDecodeError, ConfigurationError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
+    if args.seed is not None and isinstance(config, dict):  # run() reports a non-object
         config["seed"] = args.seed
-    out_dir = args.out or config.get("out", ".")
     return run(config, out_dir)
 
 

@@ -33,6 +33,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .config import Section, setting
 from .errors import ConfigurationError, DomainError
 from .fields import (DerivedField, MappingField, derivative_coefficients, squared_moduli,
                      wirtinger_derivatives, write_columns)
@@ -545,15 +546,10 @@ def jacobian_area_identity(derived: DerivedField):
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    hypothesis_rel: float = 1e-3   # energy-convergence gap, relative to scale
-    conclusion_rel: float = 1e-2   # strong-convergence tails, relative to scale
-    weak_rel: float = 2e-2         # weak-probe last residual, relative to scale
-
-    def to_json(self) -> dict:
-        return {"hypothesis_rel": self.hypothesis_rel,
-                "conclusion_rel": self.conclusion_rel,
-                "weak_rel": self.weak_rel}
+class Tolerances(Section, section="tolerances"):
+    hypothesis_rel: float = setting(float, 1e-3)  # energy-convergence gap, relative to scale
+    conclusion_rel: float = setting(float, 1e-2)  # strong-convergence tails, relative to scale
+    weak_rel: float = setting(float, 2e-2)        # weak-probe last residual, relative to scale
 
 
 @dataclass

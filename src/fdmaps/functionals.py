@@ -21,6 +21,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .config import Section, integer, optional, setting
 from .errors import ConfigurationError, DomainError
 from .fields import DerivedField, norm_squared, squared_moduli
 
@@ -35,14 +36,14 @@ def default_s(p: float) -> float:
 
 
 @dataclass(frozen=True)
-class FunctionalSpec:
-    family: str = "lp_mean"
-    p: float = 1.0
-    trunc_n: int = 0                 # truncation order for trunc_exp
-    norm: str = "hs"                 # "hs" | "op"
-    jac_exp: float = 0.0             # integrand multiplied by y^jac_exp
-    weight: str = "none"             # "none" | "hyperbolic"
-    s: Optional[float] = None        # condition-4 probe exponent
+class FunctionalSpec(Section, section="functional"):
+    family: str = setting(str, "lp_mean")
+    p: float = setting(float, 1.0)
+    trunc_n: int = setting(integer, 0, key="N")   # truncation order for trunc_exp
+    norm: str = setting(str, "hs")                # "hs" | "op"
+    jac_exp: float = setting(float, 0.0)          # integrand multiplied by y^jac_exp
+    weight: str = setting(str, "none")            # "none" | "hyperbolic"
+    s: Optional[float] = setting(optional(float), None)  # condition-4 probe exponent
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -72,28 +73,6 @@ class FunctionalSpec:
 
     def with_(self, **kw) -> "FunctionalSpec":
         return replace(self, **kw)
-
-    def to_json(self) -> dict:
-        return {"family": self.family, "p": self.p, "N": self.trunc_n,
-                "norm": self.norm, "jac_exp": self.jac_exp,
-                "weight": self.weight, "s": self.s}
-
-    @staticmethod
-    def from_json(doc: dict) -> "FunctionalSpec":
-        keys = FunctionalSpec().to_json().keys()  # the keys to_json writes
-        unknown = sorted(set(doc) - keys)
-        if unknown:
-            raise ConfigurationError(f"unknown functional key {unknown[0]!r}; "
-                                     f"expected one of {sorted(keys)}")
-        return FunctionalSpec(
-            family=doc.get("family", "lp_mean"),
-            p=float(doc.get("p", 1.0)),
-            trunc_n=int(doc.get("N", 0)),
-            norm=doc.get("norm", "hs"),
-            jac_exp=float(doc.get("jac_exp", 0.0)),
-            weight=doc.get("weight", "none"),
-            s=None if doc.get("s") is None else float(doc["s"]),
-        )
 
 
 def truncated_exp(pk: np.ndarray, n_max: int) -> np.ndarray:

@@ -21,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .config import Section, floats, integer, setting
 from .errors import ConfigurationError, DomainError, InitializationError
 from .fields import MappingField, derivative_coefficients, squared_moduli
 from .functionals import FunctionalSpec, integrand, quadrature_sum, weight_values
@@ -30,7 +31,7 @@ MIN_STEP = 1e-14
 
 
 @dataclass(frozen=True)
-class MinimizeConfig:
+class MinimizeConfig(Section, section="minimize"):
     """Descent settings.
 
     `initial_step` is the first trial step along the preconditioned
@@ -39,12 +40,11 @@ class MinimizeConfig:
     `backtracking_factor`.  `gradient_tolerance` bounds the Euclidean norm
     of the unpreconditioned gradient.
     """
-    max_iterations: int = 2000
-    gradient_tolerance: float = 1e-8
-    initial_step: float = 0.1
-    backtracking_factor: float = 0.5
-    jacobian_floor: float = 1e-8
-    seed: int = 0
+    max_iterations: int = setting(integer, 2000)
+    gradient_tolerance: float = setting(float, 1e-8)
+    initial_step: float = setting(float, 0.1)
+    backtracking_factor: float = setting(float, 0.5)
+    jacobian_floor: float = setting(float, 1e-8)
 
     def __post_init__(self):
         if self.max_iterations <= 0 or self.gradient_tolerance <= 0 \
@@ -53,33 +53,16 @@ class MinimizeConfig:
         if not (0.0 < self.backtracking_factor < 1.0):
             raise ConfigurationError("backtracking_factor must lie in (0, 1)")
 
-    def to_json(self) -> dict:
-        return {"max_iterations": self.max_iterations,
-                "gradient_tolerance": self.gradient_tolerance,
-                "initial_step": self.initial_step,
-                "backtracking_factor": self.backtracking_factor,
-                "jacobian_floor": self.jacobian_floor,
-                "seed": self.seed}
-
-    @staticmethod
-    def from_json(doc: dict) -> "MinimizeConfig":
-        base = MinimizeConfig()
-        return MinimizeConfig(
-            max_iterations=int(doc.get("max_iterations", base.max_iterations)),
-            gradient_tolerance=float(doc.get("gradient_tolerance", base.gradient_tolerance)),
-            initial_step=float(doc.get("initial_step", base.initial_step)),
-            backtracking_factor=float(doc.get("backtracking_factor", base.backtracking_factor)),
-            jacobian_floor=float(doc.get("jacobian_floor", base.jacobian_floor)),
-            seed=int(doc.get("seed", base.seed)),
-        )
-
 
 @dataclass(frozen=True)
-class BoundaryData:
-    kind: str = "identity"                     # "identity" | "circle_diffeo" | "explicit"
-    sin_coeffs: Sequence[float] = ()           # a_n for theta + sum a_n sin(n theta) + b_n cos
-    cos_coeffs: Sequence[float] = ()
-    explicit_values: Optional[np.ndarray] = None
+class BoundaryData(Section, section="boundary"):
+    kind: str = setting(str, "identity")  # "identity" | "circle_diffeo" | "explicit"
+    # a_n, b_n of theta + sum a_n sin(n theta) + b_n cos(n theta)
+    sin_coeffs: Sequence[float] = setting(floats, (), kinds=("circle_diffeo",))
+    cos_coeffs: Sequence[float] = setting(floats, (), kinds=("circle_diffeo",))
+    explicit_values: Optional[np.ndarray] = setting(  # [re, im] per boundary node
+        lambda pairs: np.array([complex(x, y) for x, y in pairs]), None, key="values",
+        kinds=("explicit",), dump=lambda values: [[v.real, v.imag] for v in values])
 
     def __post_init__(self):
         if self.kind not in ("identity", "circle_diffeo", "explicit"):
@@ -113,25 +96,6 @@ class BoundaryData:
         if len(values) != len(zb):
             raise ConfigurationError("explicit boundary values length mismatch")
         return values
-
-    def to_json(self) -> dict:
-        doc = {"kind": self.kind}
-        if self.kind == "circle_diffeo":
-            doc["sin_coeffs"] = list(self.sin_coeffs)
-            doc["cos_coeffs"] = list(self.cos_coeffs)
-        if self.kind == "explicit":
-            doc["values"] = [[v.real, v.imag] for v in np.asarray(self.explicit_values)]
-        return doc
-
-    @staticmethod
-    def from_json(doc: dict) -> "BoundaryData":
-        kind = doc.get("kind", "identity")
-        if kind == "explicit":
-            vals = np.array([complex(x, y) for x, y in doc["values"]])
-            return BoundaryData(kind="explicit", explicit_values=vals)
-        return BoundaryData(kind=kind,
-                            sin_coeffs=tuple(doc.get("sin_coeffs", ())),
-                            cos_coeffs=tuple(doc.get("cos_coeffs", ())))
 
 
 def stiffness_matrix(mesh: Mesh) -> sp.csr_matrix:

@@ -7,39 +7,42 @@ drifting families that converge in C^1, and constant sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 
 from .convergence import BLOCK_POINTS, SequenceHandle
+from .config import Section, complex_number, integer, read, setting
 from .errors import ConfigurationError
 from .fields import (AnalyticMap, MappingField, analytic_affine,
                      analytic_oscillation, analytic_radial_stretch)
 from .geometry import Mesh
 
-KINDS = ("constant", "oscillation", "mollified", "affine_drift", "radial_stretch_family")
+# The params table of each sequence kind; a key its kind never reads is refused.
+PARAMS = {
+    "constant": {"formula": (str, "identity"), "args": (tuple, ())},
+    "oscillation": {},
+    "mollified": {"target": (str, "radial_stretch"), "alpha": (float, 2.0),
+                  "a": (complex_number, 1 + 0j), "b": (complex_number, 0j),
+                  "radius_scale": (float, 1.0)},
+    "affine_drift": {"a": (complex_number, 1 + 0j), "b": (complex_number, 0j),
+                     "da": (complex_number, 0.5 + 0j), "db": (complex_number, 0j)},
+    "radial_stretch_family": {"alpha": (float, 2.0), "dalpha": (float, 1.0)},
+}
 
 
 @dataclass(frozen=True)
-class SequenceRecipe:
-    kind: str
-    params: Dict = field(default_factory=dict)
-    j_max: int = 16
+class SequenceRecipe(Section, section="recipe"):
+    kind: str = setting(str)
+    params: Dict = setting(dict, factory=dict, dump=dict)
+    j_max: int = setting(integer, 16)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in PARAMS:
             raise ConfigurationError(f"unknown sequence kind {self.kind!r}")
         if self.j_max < 2:
             raise ConfigurationError("j_max must be >= 2")
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params), "j_max": self.j_max}
-
-    @staticmethod
-    def from_json(doc: dict) -> "SequenceRecipe":
-        return SequenceRecipe(kind=doc["kind"], params=dict(doc.get("params", {})),
-                              j_max=int(doc.get("j_max", 16)))
 
 
 @dataclass(frozen=True)
@@ -100,33 +103,15 @@ def mollify_values(amap: AnalyticMap, points: np.ndarray, delta: float) -> np.nd
     return out.reshape(np.shape(points))
 
 
-def _target_map(params: Dict) -> AnalyticMap:
-    tag = params.get("target", "radial_stretch")
-    if tag == "radial_stretch":
-        return analytic_radial_stretch(float(params.get("alpha", 2.0)))
-    if tag == "affine":
-        return analytic_affine(complex(*params.get("a", (1.0, 0.0))),
-                               complex(*params.get("b", (0.0, 0.0))))
-    raise ConfigurationError(f"unknown mollification target {tag!r}")
-
-
-def _as_complex(v) -> complex:
-    if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
-    return complex(v)
-
-
 def generate(recipe: SequenceRecipe, mesh: Mesh) -> SequenceHandle:
     """Sample every member and the analytic limit on the mesh."""
     js = range(1, recipe.j_max + 1)
-    p = recipe.params
+    p = read("recipe params", recipe.params, PARAMS[recipe.kind])
     metadata: Dict = {"recipe": recipe.to_json()}
 
     if recipe.kind == "constant":
         from .fields import sample_analytic
-        tag = p.get("formula", "identity")
-        args = tuple(p.get("args", ()))
-        member = sample_analytic(mesh, tag, *args)
+        member = sample_analytic(mesh, p["formula"], *p["args"])
         members = [member for _ in js]
         limit = member
     elif recipe.kind == "oscillation":
@@ -148,37 +133,33 @@ def generate(recipe: SequenceRecipe, mesh: Mesh) -> SequenceHandle:
             "dirichlet_energy_limit": 2.0 * area,
         })
     elif recipe.kind == "mollified":
-        if mesh.kind != "disk" and p.get("target", "radial_stretch") == "radial_stretch":
-            raise ConfigurationError("mollified radial stretches are defined on the disk")
-        amap = _target_map(p)
-        radius_scale = float(p.get("radius_scale", 1.0))
-        members = [MappingField(mesh, mollify_values(amap, mesh.nodes, radius_scale / j))
+        if p["target"] == "radial_stretch":
+            if mesh.kind != "disk":
+                raise ConfigurationError("mollified radial stretches are defined on the disk")
+            amap = analytic_radial_stretch(p["alpha"])
+        elif p["target"] == "affine":
+            amap = analytic_affine(p["a"], p["b"])
+        else:
+            raise ConfigurationError(f"unknown mollification target {p['target']!r}")
+        members = [MappingField(mesh, mollify_values(amap, mesh.nodes, p["radius_scale"] / j))
                    for j in js]
         limit = MappingField(mesh, amap.value(mesh.nodes), analytic=None)
         metadata["convergence"] = "C1 on compact subsets away from the origin"
     elif recipe.kind == "affine_drift":
-        a = _as_complex(p.get("a", 1.0))
-        b = _as_complex(p.get("b", 0.0))
-        da = _as_complex(p.get("da", 0.5))
-        db = _as_complex(p.get("db", 0.0))
         members = []
         for j in js:
-            amap = analytic_affine(a + da / j, b + db / j)
+            amap = analytic_affine(p["a"] + p["da"] / j, p["b"] + p["db"] / j)
             members.append(MappingField(mesh, amap.value(mesh.nodes), analytic=amap))
-        lim_map = analytic_affine(a, b)
+        lim_map = analytic_affine(p["a"], p["b"])
         limit = MappingField(mesh, lim_map.value(mesh.nodes), analytic=lim_map)
     elif recipe.kind == "radial_stretch_family":
         if mesh.kind != "disk":
             raise ConfigurationError("radial stretch families are defined on the disk")
-        alpha = float(p.get("alpha", 2.0))
-        dalpha = float(p.get("dalpha", 1.0))
         members = []
         for j in js:
-            amap = analytic_radial_stretch(alpha + dalpha / j)
+            amap = analytic_radial_stretch(p["alpha"] + p["dalpha"] / j)
             members.append(MappingField(mesh, amap.value(mesh.nodes), analytic=amap))
-        lim_map = analytic_radial_stretch(alpha)
+        lim_map = analytic_radial_stretch(p["alpha"])
         limit = MappingField(mesh, lim_map.value(mesh.nodes), analytic=lim_map)
-    else:  # pragma: no cover
-        raise ConfigurationError(recipe.kind)
 
     return SequenceHandle(mesh=mesh, members=members, limit=limit, metadata=metadata)

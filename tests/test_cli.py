@@ -139,38 +139,53 @@ def test_unknown_hopf_weight_exits_2(tmp_path, inverse):
     assert manifest["status"] == "validation_error"
 
 
-@pytest.mark.parametrize("key, value", [("inverted", True), ("n", 8)])
-def test_unknown_hopf_key_exits_2(tmp_path, key, value):
-    # a misspelt key used to be dropped: "inverted" certified the forward
-    # field and "n" ran with N = None, both exiting 0
-    config = {
-        "command": "hopf",
-        "domain": {"kind": "disk", "level": 2},
-        "hopf": {"formula": "identity", "p": 1.0, "N": 4, key: value},
-    }
+# every section of a valid config, so each command finds what it reads
+_SECTIONS = {
+    "domain": {"kind": "disk", "level": 2},
+    "functional": {"family": "trunc_exp", "p": 1, "N": 8},
+    "boundary": {"kind": "identity"},
+    "minimize": {"max_iterations": 5},
+    "sweep": {"N_list": [1]},
+    "recipe": {"kind": "constant", "params": {}, "j_max": 2},
+    "hopf": {"formula": "identity", "p": 1.0, "N": 4},
+    "oracle": {"n_samples": 10},
+}
+
+
+_MISSPELT = [
+    ("minimize", {"minimize": {"max_iter": 3}}, "max_iter"),
+    ("minimize", {"minimize": {"seed": 3}}, "seed"),
+    ("minimize", {"boundary": {"kind": "identity", "sin_coef": [0.0, 0.3]}}, "sin_coef"),
+    ("mesh", {"domain": {"kind": "disk", "levle": 2}}, "levle"),
+    ("mesh", {"domain": {"kind": "disk", "level": "four"}}, "level"),
+    ("diagnose", {"recipe": {"kind": "radial_stretch_family", "params": {"alfa": 3.0},
+                             "j_max": 2}}, "alfa"),
+    ("diagnose", {"diagnostic": {"p_rr": 3.0}}, "p_rr"),
+    ("diagnose", {"diagnostic": {"tolerances": {"weak_tol": 0.5}}}, "weak_tol"),
+    ("diagnose", {"diagnostics": {"p_RR": 3.0}}, "diagnostics"),
+    ("sweep", {"sweep": {"n_list": [1]}}, "n_list"),
+    ("oracle", {"oracle": {"samples": 50}}, "samples"),
+    # the truncation order used to run as int(8.7) = 8
+    ("minimize", {"functional": {"family": "trunc_exp", "p": 1, "N": 8.7}}, "N"),
+    # the config key for the truncation order is "N"; "trunc_n" used to run N = 0
+    ("minimize", {"functional": {"family": "trunc_exp", "p": 1, "trunc_n": 8}}, "trunc_n"),
+    ("diagnose", {"functional": {"family": "trunc_exp", "p": 1, "trunc_n": 8}}, "trunc_n"),
+    # "inverted" used to certify the forward field, "n" to run with N = None
+    ("hopf", {"hopf": {"formula": "identity", "p": 1.0, "N": 4, "inverted": True}}, "inverted"),
+    ("hopf", {"hopf": {"formula": "identity", "p": 1.0, "n": 8}}, "n"),
+]
+
+
+@pytest.mark.parametrize("command, sections, key", _MISSPELT,
+                         ids=[f"{command}-{key}" for command, _, key in _MISSPELT])
+def test_misspelt_config_key_exits_2(tmp_path, command, sections, key):
+    # a misspelt key or a value that does not convert used to run the defaults
+    config = {"command": command, **_SECTIONS, **sections}
     assert run(config, tmp_path) == 2
     manifest = _read(tmp_path / "manifest.json")
     assert manifest["status"] == "validation_error"
     assert f"'{key}'" in manifest["failure_reason"]
-    assert not (tmp_path / "hopf.csv").exists()
-
-
-@pytest.mark.parametrize("command", ["minimize", "diagnose"])
-def test_unknown_functional_key_exits_2(tmp_path, command):
-    # the config key for the truncation order is "N"; "trunc_n" used to be
-    # dropped, running the problem with N = 0
-    config = {
-        "command": command,
-        "domain": {"kind": "disk", "level": 2},
-        "functional": {"family": "trunc_exp", "p": 1, "trunc_n": 8},
-        "boundary": {"kind": "identity"},
-        "minimize": {"max_iterations": 5},
-        "recipe": {"kind": "constant", "params": {}, "j_max": 2},
-    }
-    assert run(config, tmp_path) == 2
-    manifest = _read(tmp_path / "manifest.json")
-    assert manifest["status"] == "validation_error"
-    assert "'trunc_n'" in manifest["failure_reason"]
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
 def test_minimize_artefacts_match_csv_writer(tmp_path, part_folded, csv_reference):
@@ -275,6 +290,15 @@ def test_seed_override(tmp_path):
                  "--seed", "5"]) == 0
     manifest = _read(out / "manifest.json")
     assert manifest["seed"] == 5
+
+
+def test_non_object_config_exits_2(tmp_path):
+    # the seed override used to index the list and raise TypeError
+    config_path = tmp_path / "config.json"
+    config_path.write_text("[1, 2]")
+    out = tmp_path / "out"
+    assert main(["--config", str(config_path), "--out", str(out), "--seed", "5"]) == 2
+    assert _read(out / "manifest.json")["status"] == "validation_error"
 
 
 def test_readme_example_config_runs(tmp_path):

@@ -26,13 +26,6 @@ def test_spec_validation():
         FunctionalSpec(family="lp_mean", p=2.0, norm="bogus")
 
 
-def test_spec_json_round_trip():
-    spec = FunctionalSpec(family="trunc_exp", p=1.5, trunc_n=4, norm="op",
-                          jac_exp=0.5, weight="hyperbolic", s=0.02)
-    doc = spec.to_json()
-    assert FunctionalSpec.from_json(doc) == spec
-
-
 def test_default_s_in_open_interval():
     for p in (1.1, 2.0, 5.0, 50.0):
         s = default_s(p)

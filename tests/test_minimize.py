@@ -152,10 +152,3 @@ def test_truncation_sweep_energies_monotone(disk3):
                                MinimizeConfig(max_iterations=100))
     assert [e.trunc_n for e in entries] == [1, 2, 4]
     assert entries[0].energy < entries[1].energy < entries[2].energy
-
-
-def test_config_json_round_trip():
-    cfg = MinimizeConfig(max_iterations=7, gradient_tolerance=1e-5,
-                         initial_step=0.3, backtracking_factor=0.25,
-                         jacobian_floor=1e-6, seed=9)
-    assert MinimizeConfig.from_json(cfg.to_json()) == cfg

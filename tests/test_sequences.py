@@ -15,13 +15,6 @@ def test_recipe_validation():
         SequenceRecipe(kind="constant", params={}, j_max=1)
 
 
-def test_recipe_json_round_trip():
-    r = SequenceRecipe(kind="mollified",
-                       params={"target": "radial_stretch", "alpha": 2.0},
-                       j_max=8)
-    assert SequenceRecipe.from_json(r.to_json()) == r
-
-
 def test_radial_stretch_facts():
     f1 = radial_stretch_facts(1.0)
     assert f1.khs == pytest.approx(2.0)

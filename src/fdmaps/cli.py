@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import complex_number, integer, optional, read
+from .config import boolean, complex_number, integer, map_args, optional, read
 from .convergence import Tolerances, gaps_to_csv, radon_riesz_diagnose
 from .errors import ConfigurationError, DomainError, FdmapsError, InitializationError
 from .fields import (derived_to_csv, sample_analytic, wirtinger_derivatives,
@@ -46,10 +46,8 @@ _DIAGNOSTIC = {"p_RR": (float, 2.0), "s": (optional(float), None),
                "r_list": (optional(dict), None),
                "tolerances": (Tolerances.from_json, Tolerances()),
                "dictionary_degree": (integer, 6), "probe_samples": (integer, 20000)}
-_HOPF = {"formula": (str, "identity"),
-         "args": (lambda args: [complex(*a) if isinstance(a, (list, tuple)) else a
-                                for a in args], ()),
-         "p": (float, 1.0), "N": (optional(integer), None), "inverse": (bool, False),
+_HOPF = {"formula": (str, "identity"), "args": (map_args, ()),
+         "p": (float, 1.0), "N": (optional(integer), None), "inverse": (boolean, False),
          "weight": (str, "none")}
 _ORACLE = {"n_samples": (integer, 100000)}
 

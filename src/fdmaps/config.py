@@ -16,10 +16,18 @@ from .errors import ConfigurationError
 
 
 def integer(value) -> int:
-    """int(value), refusing a number with a fractional part rather than truncating it."""
-    if int(value) != value:
+    """int(value), refusing a number with a fractional part rather than truncating
+    it, and refusing a JSON boolean."""
+    if isinstance(value, bool) or int(value) != value:
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def boolean(value) -> bool:
+    """A JSON boolean; a string such as "false" or a number is refused."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a boolean")
+    return value
 
 
 def optional(convert):
@@ -33,6 +41,12 @@ def floats(values) -> tuple:
 def complex_number(value) -> complex:
     """A complex from [re, im] or from a real number."""
     return complex(*value) if isinstance(value, (list, tuple)) else complex(value)
+
+
+def map_args(values) -> list:
+    """Arguments of a closed-form map: each [re, im] pair becomes a complex
+    number, any other value is passed as it is."""
+    return [complex_number(v) if isinstance(v, (list, tuple)) else v for v in values]
 
 
 def read(section: str, doc, table: dict) -> dict:

@@ -13,7 +13,7 @@ from typing import Dict
 import numpy as np
 
 from .convergence import BLOCK_POINTS, SequenceHandle
-from .config import Section, complex_number, integer, read, setting
+from .config import Section, complex_number, integer, map_args, read, setting
 from .errors import ConfigurationError
 from .fields import (AnalyticMap, MappingField, analytic_affine,
                      analytic_oscillation, analytic_radial_stretch)
@@ -21,7 +21,7 @@ from .geometry import Mesh
 
 # The params table of each sequence kind; a key its kind never reads is refused.
 PARAMS = {
-    "constant": {"formula": (str, "identity"), "args": (tuple, ())},
+    "constant": {"formula": (str, "identity"), "args": (map_args, ())},
     "oscillation": {},
     "mollified": {"target": (str, "radial_stretch"), "alpha": (float, 2.0),
                   "a": (complex_number, 1 + 0j), "b": (complex_number, 0j),

@@ -126,6 +126,22 @@ def test_hopf_command(tmp_path):
     assert (tmp_path / "derived.csv").exists()
 
 
+def test_constant_recipe_reads_complex_args(tmp_path):
+    # the [re, im] pairs of "args" are read as under "hopf"; they used to
+    # reach sample_analytic as lists and exit 2 with a TypeError
+    config = {
+        "command": "diagnose",
+        "domain": {"kind": "disk", "level": 2},
+        "functional": {"family": "lp_mean", "p": 2.0},
+        "recipe": {"kind": "constant", "j_max": 3,
+                   "params": {"formula": "affine", "args": [[1.0, 0.0], [0.3, 0.0]]}},
+    }
+    assert run(config, tmp_path) == 0
+    result = _read(tmp_path / "result.json")["results"]
+    assert result["gap"] == 0.0
+    assert all(c["series"] == [0.0] * 3 for c in result["conclusions"].values())
+
+
 @pytest.mark.parametrize("inverse", [False, True])
 def test_unknown_hopf_weight_exits_2(tmp_path, inverse):
     config = {
@@ -158,6 +174,8 @@ _MISSPELT = [
     ("minimize", {"boundary": {"kind": "identity", "sin_coef": [0.0, 0.3]}}, "sin_coef"),
     ("mesh", {"domain": {"kind": "disk", "levle": 2}}, "levle"),
     ("mesh", {"domain": {"kind": "disk", "level": "four"}}, "level"),
+    # a JSON boolean used to build a level-1 mesh
+    ("minimize", {"domain": {"kind": "disk", "level": True}}, "level"),
     ("diagnose", {"recipe": {"kind": "radial_stretch_family", "params": {"alfa": 3.0},
                              "j_max": 2}}, "alfa"),
     ("diagnose", {"diagnostic": {"p_rr": 3.0}}, "p_rr"),
@@ -173,6 +191,9 @@ _MISSPELT = [
     # "inverted" used to certify the forward field, "n" to run with N = None
     ("hopf", {"hopf": {"formula": "identity", "p": 1.0, "N": 4, "inverted": True}}, "inverted"),
     ("hopf", {"hopf": {"formula": "identity", "p": 1.0, "n": 8}}, "n"),
+    # the string "false" used to certify the inverse field
+    ("hopf", {"hopf": {"formula": "identity", "p": 1.0, "N": 4, "inverse": "false"}},
+     "inverse"),
 ]
 
 

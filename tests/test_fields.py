@@ -185,9 +185,9 @@ def test_write_columns_property(tmp_path, csv_reference, values, block_rows):
 
 def test_write_columns_memory_is_bounded(tmp_path):
     # tracemalloc sees numpy's buffers and the per-block strings; a string
-    # table per whole column would hold ~140 MB here
+    # table per whole column would hold ~46 MB here (8 blocks)
     import tracemalloc
-    n, mib = 200_000, 2.0 ** 20
+    n, mib = 65_536, 2.0 ** 20
     rng = np.random.default_rng(7)
     columns = [np.arange(n)] + [rng.standard_normal(n) for _ in range(10)]
     tracemalloc.start()

@@ -4,7 +4,8 @@ import pytest
 from fdmaps.errors import ConfigurationError
 from fdmaps.fields import MappingField, sample_analytic, wirtinger_derivatives
 from fdmaps.functionals import FunctionalSpec, energy
-from fdmaps.minimize import (BoundaryData, MinimizeConfig, _energy_and_minjac,
+from fdmaps.minimize import (MEMORY, BoundaryData, MinimizeConfig, _dot,
+                             _energy_and_minjac, _InteriorLaplacian, _lbfgs_direction,
                              _WirtingerOperators, energy_gradient, harmonic_extension,
                              minimize_energy, prolong, stiffness_matrix, truncation_sweep)
 
@@ -117,21 +118,75 @@ def test_minimize_keeps_jacobian_floor(disk3):
     assert wirtinger_derivatives(res.mapping).jac.min() >= cfg.jacobian_floor
 
 
-def test_descent_is_mesh_independent_on_refinement_ladder(disk3, disk4):
-    # criterion-08 problem at levels 3 and 4, warm-started by prolongation;
-    # plain steepest descent needs 939 and 3218 trace rows here
+def test_descent_is_mesh_independent_on_refinement_ladder(disk3, disk4, disk5):
+    # criterion-08 problem at levels 3 to 5, warm-started by prolongation;
+    # plain steepest descent needs 939 and 3218 trace rows at levels 3 and 4,
+    # the Laplacian-preconditioned descent 68 / 107 / 159 and the L-BFGS one
+    # 28 / 35 / 37
     spec = FunctionalSpec(family="trunc_exp", p=1.0, trunc_n=8)
     boundary = BoundaryData(kind="circle_diffeo", sin_coeffs=(0.0, 0.3))
-    references = (25.809475642848255, 25.776824822226658)
+    references = (25.809475642848255, 25.776824822226658, 25.768182447014084)
     prev = None
-    for mesh, cap, ref in zip((disk3, disk4), (20000, 60000), references):
+    for mesh, cap, ref in zip((disk3, disk4, disk5), (20000, 60000, 200000), references):
         init = prolong(prev.mapping, mesh) if prev is not None else None
         res = minimize_energy(spec, mesh, boundary,
                               MinimizeConfig(max_iterations=cap, gradient_tolerance=1e-9),
                               initial=init)
-        assert abs(res.final_energy - ref) <= 1e-6 * ref
-        assert len(res.trace) < 500
+        assert abs(res.final_energy - ref) <= 1e-10 * ref
+        assert len(res.trace) <= 60
         prev = res
+
+
+def test_dirichlet_minimiser_is_the_harmonic_extension(disk4):
+    # the Dirichlet Hessian is a multiple of the stiffness matrix, so one
+    # Laplacian-scaled quasi-Newton step after the first lands on the
+    # discrete harmonic extension
+    boundary = BoundaryData(kind="circle_diffeo", sin_coeffs=(0.0, 0.3))
+    harmonic = harmonic_extension(disk4, boundary).values
+    z = disk4.nodes
+    start = harmonic + 0.1 * (1.0 - np.abs(z) ** 2) * (1.0 + 1j * z)
+    res = minimize_energy(FunctionalSpec(family="dirichlet"), disk4, boundary,
+                          MinimizeConfig(), initial=MappingField(disk4, start, None))
+    assert res.converged and not res.stalled
+    assert len(res.trace) <= 3
+    assert np.abs(res.mapping.values - harmonic).max() < 1e-12
+
+
+def test_lbfgs_direction_matches_dense_bfgs_updates(disk3, rng):
+    # reference: the inverse-Hessian model built densely over the real and
+    # imaginary parts, H_0 = gamma_newest * S_II^{-1} and then one BFGS
+    # update per pair, oldest first
+    laplacian = _InteriorLaplacian(disk3)
+    interior = laplacian.interior
+
+    def nodal():
+        v = np.zeros(disk3.n_nodes, dtype=complex)
+        v[interior] = rng.standard_normal(len(interior)) + 1j * rng.standard_normal(len(interior))
+        return v
+
+    def real(v):
+        return np.concatenate([v[interior].real, v[interior].imag])
+
+    grad = nodal()
+    assert np.array_equal(_lbfgs_direction(grad, [], laplacian), laplacian.precondition(grad))
+    memory = []
+    for k in range(MEMORY):
+        s = nodal()
+        y = (1.0 + k) * s + 0.3 * nodal()  # s^T y > 0, and gamma differs per pair
+        sy = _dot(s, y)
+        memory.append((s, y, 1.0 / sy, sy / _dot(y, laplacian.precondition(y))))
+    S_II = stiffness_matrix(disk3)[interior][:, interior].toarray()
+    H = memory[-1][3] * np.kron(np.eye(2), np.linalg.inv(S_II))
+    for s, y, rho, _ in memory:
+        V = np.eye(len(H)) - rho * np.outer(real(y), real(s))
+        H = V.T @ H @ V + rho * np.outer(real(s), real(s))
+    direction = _lbfgs_direction(grad, memory, laplacian)
+    assert np.all(direction[disk3.boundary_nodes] == 0.0)
+    expected = H @ real(grad)
+    assert np.abs(real(direction) - expected).max() < 1e-10 * np.abs(expected).max()
+    # the model maps the newest y onto the newest s
+    s, y = memory[-1][:2]
+    assert np.abs(_lbfgs_direction(y, memory, laplacian) - s).max() < 1e-10 * np.abs(s).max()
 
 
 def test_prolong_reproduces_nodal_interpolation(disk3):

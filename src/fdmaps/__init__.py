@@ -2,9 +2,8 @@
 planar mappings of finite distortion."""
 
 from .convergence import (ConvergenceReport, SequenceHandle, Tolerances,
-                          good_set, jacobian_area_identity, lr_gap, lsc_check,
-                          lsc_checks, orlicz_norm, radon_riesz_diagnose,
-                          sobolev_norm, weak_probe)
+                          lr_gap, lsc_check, lsc_checks, orlicz_norm,
+                          radon_riesz_diagnose, sobolev_norm, weak_probe)
 from .errors import (ConfigurationError, DomainError, FdmapsError,
                      InitializationError, InternalError)
 from .fields import (AnalyticMap, DerivedField, MappingField,

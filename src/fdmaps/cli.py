@@ -93,25 +93,13 @@ def _run_minimize(config, out: Path):
     _write_trace(result.trace, out / "trace.csv")
     _write_mapping(result.mapping, out / "mapping.csv")
     last = result.trace[-1]
-    doc = {
+    return {
         "final_energy": last["energy"],
         "iterations": last["iteration"],
         "grad_norm": last["grad_norm"],
         "min_J": last["min_J"],
-        "converged": result.converged,
-        "stalled": result.stalled,
+        "stop_reason": result.stop_reason,
     }
-    if result.stalled:
-        raise _Stalled(doc)
-    return doc
-
-
-class _Stalled(Exception):
-    """Line search hit the minimum step; carries partial results."""
-
-    def __init__(self, results):
-        super().__init__("line search stalled")
-        self.results = results
 
 
 def _run_sweep(config, out: Path):
@@ -129,10 +117,10 @@ def _run_sweep(config, out: Path):
         res = holomorphy_residual(psi)
         psi_fields.append(psi)
         rows.append({"N": e.trunc_n, "energy": e.energy, "hopf_l1": psi.l1_norm,
-                     "holomorphy_l1": res.l1_residual})
+                     "holomorphy_l1": res.l1_residual, "stop_reason": e.stop_reason})
     gaps = [float(np.nanmax(np.abs(b.values - a.values)))
             for a, b in zip(psi_fields, psi_fields[1:])]
-    header = ["N", "energy", "hopf_l1", "holomorphy_l1"]
+    header = ["N", "energy", "hopf_l1", "holomorphy_l1", "stop_reason"]
     write_columns(out / "sweep.csv", header, list(zip(*map(itemgetter(*header), rows))))
     return {"entries": rows, "psi_cauchy_sup_gaps": gaps}
 
@@ -244,11 +232,12 @@ def run(config: dict, out_dir) -> int:
         if top["command"] not in _RUNNERS:
             raise ConfigurationError(f"unknown command {top['command']!r}")
         results = _RUNNERS[top["command"]](top, out)
-    except _Stalled as exc:
-        results = exc.results
-        manifest["status"] = "numerical_failure"
-        manifest["failure_reason"] = str(exc)
-        status = 3
+        # a failed descent, in minimize or in any sweep entry, fails the run
+        if any(r.get("stop_reason") == "line_search_failure"
+               for r in (results, *results.get("entries", ()))):
+            manifest["status"] = "numerical_failure"
+            manifest["failure_reason"] = "line_search_failure"
+            status = 3
     except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
         manifest["status"] = "validation_error"
         manifest["failure_reason"] = f"{type(exc).__name__}: {exc}"
@@ -278,9 +267,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=None,
                         help="output directory (default: config's 'out' or '.')")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect. BLAS threads "
-                             "follow OPENBLAS_NUM_THREADS / OMP_NUM_THREADS")
     parser.add_argument("--schema", action="store_true",
                         help="print the result JSON schema and exit")
     args = parser.parse_args(argv)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import Section, setting
 from .errors import ConfigurationError, DomainError
-from .fields import (DerivedField, MappingField, derivative_coefficients, squared_moduli,
+from .fields import (MappingField, derivative_coefficients, squared_moduli,
                      wirtinger_derivatives, write_columns)
 from .functionals import (FunctionalSpec, convexity_probe, df_norm, integrand,
                           monotone_truncation_check, quadrature_sum, weight_values)
@@ -468,22 +468,6 @@ def lsc_check(spec: FunctionalSpec, seq: SequenceHandle) -> LscResult:
     return lsc_checks([spec], seq)[0]
 
 
-@dataclass(frozen=True)
-class GoodSet:
-    indices: np.ndarray
-    complement_area: float
-
-
-def good_set(derived_limit: DerivedField, phi_limit: np.ndarray, eps: float) -> GoodSet:
-    """Triangles where eps < J < 1/eps and the integrand stays below 1/eps."""
-    if not (0.0 < eps < 1.0):
-        raise ConfigurationError("eps must lie in (0, 1)")
-    phi_limit = np.asarray(phi_limit, dtype=float)
-    ok = (derived_limit.jac > eps) & (derived_limit.jac < 1.0 / eps) & (phi_limit < 1.0 / eps)
-    comp = float(np.sum(derived_limit.areas[~ok]))
-    return GoodSet(np.where(ok)[0], comp)
-
-
 def sobolev_norm(mapping: MappingField, q: float = 2.0, subdomain=None) -> float:
     """Discrete W^{1,q} norm: node-lumped value part plus per-element |Df| part."""
     if q < 1:
@@ -536,13 +520,6 @@ def orlicz_norm(mapping: MappingField, subdomain=None) -> float:
         if (hi - lo) <= 1e-10 * hi:
             break
     return 0.5 * (lo + hi)
-
-
-def jacobian_area_identity(derived: DerivedField):
-    """Integral of J over the disk against the target area pi."""
-    if derived.mesh.kind != "disk":
-        raise ConfigurationError("the area identity is asserted on the disk")
-    return float(np.sum(derived.jac * derived.areas)), float(np.pi)
 
 
 @dataclass(frozen=True)

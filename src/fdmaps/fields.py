@@ -227,9 +227,9 @@ CSV_BLOCK_ROWS = 8192
 
 
 def _cells(c: np.ndarray) -> list:
-    """One block of a column as csv.writer prints it: str of each integer,
-    repr of each distinct float bit pattern once (0.0 and -0.0 stay apart)."""
-    if c.dtype.kind in "iu":
+    """One block of a column as csv.writer prints it: str of each integer or
+    string, repr of each distinct float bit pattern once (0.0 and -0.0 stay apart)."""
+    if c.dtype.kind in "iuU":
         return list(map(str, c.tolist()))
     c = np.ascontiguousarray(c, dtype=float)
     bits = np.sort(c.view(np.uint64))
@@ -242,8 +242,8 @@ def _cells(c: np.ndarray) -> list:
 def write_columns(path, header, columns) -> None:
     """Write equal-length columns as CSV, byte for byte as csv.writer would.
 
-    Integer columns print as str (= %d), all others as the repr of a Python
-    float (with inf and nan); lines end in CRLF.  Rows go out in blocks of
+    Integer and string columns print as str, all others as the repr of a
+    Python float (with inf and nan); lines end in CRLF.  Rows go out in blocks of
     CSV_BLOCK_ROWS, and in each block every distinct float bit pattern of a
     column is formatted once, so repeated values cost one repr per block.
     """

@@ -12,12 +12,18 @@ refinement.  Steps are accepted only if the energy strictly decreases and
 every triangle keeps its Jacobian above a floor, so iterates stay
 orientation-preserving all along the sequence.  The sparse Wirtinger
 operators and the factorisation of S_II are built once per solve.
+
+A descent ends with one `stop_reason`: `gradient_tolerance` (|g| below the
+tolerance), `precision_floor` (the L-BFGS decrement g^T d / 2, an estimate
+of E - E* as in Boyd & Vandenberghe 2004, 9.5.1, is at most
+PRECISION_FLOOR * |E|, the rounding of E), `max_iterations`, or
+`line_search_failure` (no admissible step down to MIN_STEP above the floor).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -31,6 +37,7 @@ from .functionals import FunctionalSpec, integrand, quadrature_sum, weight_value
 from .geometry import Mesh
 
 MIN_STEP = 1e-14
+PRECISION_FLOOR = 1e-14  # stop once the decrement is below this fraction of |E|
 MEMORY = 8  # (s, y) pairs kept by the L-BFGS descent
 
 
@@ -224,9 +231,12 @@ def _energy_and_minjac(ops: _WirtingerOperators, values: np.ndarray):
 @dataclass
 class MinimizeResult:
     mapping: MappingField
-    trace: List[dict] = field(default_factory=list)
-    converged: bool = False
-    stalled: bool = False
+    trace: List[dict]
+    stop_reason: str  # gradient_tolerance | precision_floor | max_iterations | line_search_failure
+
+    @property
+    def stalled(self) -> bool:  # read by the perfbench ladder workload and tracer
+        return self.stop_reason == "line_search_failure"
 
     @property
     def final_energy(self) -> float:
@@ -271,41 +281,50 @@ def minimize_energy(spec: FunctionalSpec, mesh: Mesh, boundary: BoundaryData,
         raise InitializationError(
             f"initial map infeasible: min J = {min_jac:.3e}, energy = {energy_val}")
 
-    result = MinimizeResult(MappingField(mesh, values))
+    trace = []
     memory = deque(maxlen=MEMORY)
     grad = ops.gradient(values)
     for it in range(config.max_iterations + 1):
         grad_norm = float(np.linalg.norm(grad))
-        converged = grad_norm < config.gradient_tolerance
-        done = converged or it == config.max_iterations
-        if not done:
+        direction = _lbfgs_direction(grad, memory, laplacian)
+        if _dot(grad, direction) <= 0.0:  # not a descent direction: restart
+            memory.clear()
             direction = _lbfgs_direction(grad, memory, laplacian)
-            if _dot(grad, direction) <= 0.0:  # not a descent direction: restart
-                memory.clear()
-                direction = _lbfgs_direction(grad, memory, laplacian)
         step = 1.0 if memory else config.initial_step
-        result.trace.append({"iteration": it, "energy": energy_val,
-                             "grad_norm": grad_norm, "min_J": min_jac, "step": step})
-        if done:
-            result.converged = converged
-            break
-        while step >= MIN_STEP:
-            trial = values - step * direction
-            e_trial, mj_trial = _energy_and_minjac(ops, trial)
-            if mj_trial >= config.jacobian_floor and e_trial < energy_val:
-                break
-            step *= config.backtracking_factor
+        trace.append({"iteration": it, "energy": energy_val,
+                      "grad_norm": grad_norm, "min_J": min_jac, "step": step})
+        if grad_norm < config.gradient_tolerance:
+            stop_reason = "gradient_tolerance"
+        elif 0.5 * _dot(grad, direction) <= PRECISION_FLOOR * abs(energy_val):
+            stop_reason = "precision_floor"
+        elif it == config.max_iterations:
+            stop_reason = "max_iterations"
+        elif (accepted := _line_search(ops, values, direction, energy_val, step,
+                                       config)) is None:
+            stop_reason = "line_search_failure"
         else:
-            result.stalled = True
-            break
-        new_grad = ops.gradient(trial)
-        s, y = trial - values, new_grad - grad
-        sy = _dot(s, y)
-        if sy > 0.0:  # curvature pair; otherwise the memory keeps its old pairs
-            memory.append((s, y, 1.0 / sy, sy / _dot(y, laplacian.precondition(y))))
-        values, energy_val, min_jac, grad = trial, e_trial, mj_trial, new_grad
-    result.mapping = MappingField(mesh, values)
-    return result
+            trial, energy_trial, min_jac = accepted
+            new_grad = ops.gradient(trial)
+            s, y = trial - values, new_grad - grad
+            sy = _dot(s, y)
+            if sy > 0.0:  # curvature pair; otherwise the memory keeps its old pairs
+                memory.append((s, y, 1.0 / sy, sy / _dot(y, laplacian.precondition(y))))
+            values, energy_val, grad = trial, energy_trial, new_grad
+            continue
+        break
+    return MinimizeResult(MappingField(mesh, values), trace, stop_reason)
+
+
+def _line_search(ops, values, direction, energy_val, step, config: MinimizeConfig):
+    """Backtrack from `step` to the first trial that lowers the energy and keeps
+    J above the floor: (trial, energy, min J), or None below MIN_STEP."""
+    while step >= MIN_STEP:
+        trial = values - step * direction
+        energy_trial, min_jac = _energy_and_minjac(ops, trial)
+        if min_jac >= config.jacobian_floor and energy_trial < energy_val:
+            return trial, energy_trial, min_jac
+        step *= config.backtracking_factor
+    return None
 
 
 def prolong(mapping: MappingField, fine_mesh: Mesh) -> MappingField:
@@ -325,8 +344,7 @@ class SweepEntry:
     trunc_n: int
     mapping: MappingField
     energy: float
-    converged: bool
-    stalled: bool
+    stop_reason: str
 
 
 def truncation_sweep(p: float, n_list: Sequence[int], mesh: Mesh,
@@ -341,7 +359,6 @@ def truncation_sweep(p: float, n_list: Sequence[int], mesh: Mesh,
         spec = FunctionalSpec(family="trunc_exp", p=p, trunc_n=int(n),
                               jac_exp=jac_exp, weight=weight)
         res = minimize_energy(spec, mesh, boundary, config, initial=warm)
-        entries.append(SweepEntry(int(n), res.mapping, res.final_energy,
-                                  res.converged, res.stalled))
+        entries.append(SweepEntry(int(n), res.mapping, res.final_energy, res.stop_reason))
         warm = res.mapping
     return entries

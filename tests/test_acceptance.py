@@ -294,8 +294,7 @@ def test_criterion_12_reproducibility(tmp_path):
     assert run(dict(config), out2) == 0
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
-    assert main(["--config", str(config_path), "--out", str(out3),
-                 "--threads", "4"]) == 0
+    assert main(["--config", str(config_path), "--out", str(out3)]) == 0
     b1 = (out1 / "result.json").read_bytes()
     ok = (b1 == (out2 / "result.json").read_bytes()
           and b1 == (out3 / "result.json").read_bytes())

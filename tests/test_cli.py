@@ -43,7 +43,7 @@ def test_minimize_command(tmp_path):
     }
     assert run(config, tmp_path) == 0
     result = _read(tmp_path / "result.json")
-    assert result["results"]["converged"]
+    assert result["results"]["stop_reason"] == "gradient_tolerance"
     assert (tmp_path / "trace.csv").exists()
     assert (tmp_path / "mapping.csv").exists()
 
@@ -235,7 +235,7 @@ def test_sweep_csv_matches_csv_writer(tmp_path, csv_reference):
     assert run(config, tmp_path) == 0
     # JSON floats round-trip exactly, so the result's entries are the rows
     entries = _read(tmp_path / "result.json")["results"]["entries"]
-    header = ["N", "energy", "hopf_l1", "holomorphy_l1"]
+    header = ["N", "energy", "hopf_l1", "holomorphy_l1", "stop_reason"]
     assert [e["N"] for e in entries] == [1, 2, 4]
     assert (tmp_path / "sweep.csv").read_bytes() == csv_reference(
         header, [[e[k] for k in header] for e in entries])
@@ -272,6 +272,12 @@ def test_results_validate_against_schema(tmp_path):
     configs = [
         {"command": "mesh", "domain": {"kind": "disk", "level": 2}},
         {"command": "oracle", "oracle": {"n_samples": 200}},
+        {"command": "minimize", "domain": {"kind": "disk", "level": 2},
+         "functional": {"family": "trunc_exp", "p": 1.0, "N": 8},
+         "boundary": {"kind": "circle_diffeo", "sin_coeffs": [0.0, 0.3]}},
+        {"command": "sweep", "domain": {"kind": "disk", "level": 2},
+         "boundary": {"kind": "circle_diffeo", "sin_coeffs": [0.0, 0.3]},
+         "sweep": {"N_list": [1, 2]}},
     ]
     for i, config in enumerate(configs):
         out = tmp_path / str(i)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from fdmaps import convergence
-from fdmaps.convergence import (SequenceHandle, Tolerances, good_set,
-                                jacobian_area_identity, lr_gap, lsc_check, lsc_checks,
+from fdmaps.convergence import (SequenceHandle, Tolerances, lr_gap, lsc_check, lsc_checks,
                                 orlicz_gauge, orlicz_norm, quantity_scale,
                                 radon_riesz_diagnose, sobolev_norm, tail_slice,
                                 weak_probe)
@@ -110,13 +109,6 @@ def test_lsc_checks_match_one_spec_checks(moll_seq, osc_seq):
         assert lsc_checks(specs, seq) == [lsc_check(spec, seq) for spec in specs]
 
 
-def test_good_set_radial_stretch(disk5):
-    d = wirtinger_derivatives(sample_analytic(disk5, "radial_stretch", 2.0))
-    gs = good_set(d, np.zeros(disk5.n_triangles), 0.01)
-    # J = 2|z|^2 < 0.01 on |z|^2 < 0.005, an area of pi * 0.005
-    assert gs.complement_area == pytest.approx(np.pi * 0.005, abs=2e-3)
-
-
 def test_sobolev_norm_scales(disk4):
     m = sample_analytic(disk4, "identity")
     double = MappingField(disk4, 2.0 * m.values, None)
@@ -139,13 +131,6 @@ def test_orlicz_norm_homogeneous_and_monotone(disk4):
     assert orlicz_norm(double) == pytest.approx(2.0 * orlicz_norm(m), rel=1e-6)
     bigger = MappingField(disk4, m.values + 0.3 * np.conj(m.values), None)
     assert orlicz_norm(bigger) > orlicz_norm(m)
-
-
-def test_jacobian_area_identity(disk5):
-    d = wirtinger_derivatives(sample_analytic(disk5, "identity"))
-    total, target = jacobian_area_identity(d)
-    assert target == pytest.approx(np.pi)
-    assert total == pytest.approx(np.pi, rel=1e-3)
 
 
 def test_diagnose_verdict_on_drift(drift_seq):

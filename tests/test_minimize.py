@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from fdmaps.cli import run
 from fdmaps.errors import ConfigurationError
 from fdmaps.fields import MappingField, sample_analytic, wirtinger_derivatives
 from fdmaps.functionals import FunctionalSpec, energy
@@ -8,6 +11,15 @@ from fdmaps.minimize import (MEMORY, BoundaryData, MinimizeConfig, _dot,
                              _energy_and_minjac, _InteriorLaplacian, _lbfgs_direction,
                              _WirtingerOperators, energy_gradient, harmonic_extension,
                              minimize_energy, prolong, stiffness_matrix, truncation_sweep)
+
+
+# criterion 08: trunc_exp p=1 N=8 under a circle diffeomorphism, and its
+# minimal energies on disk levels 3, 4 and 5
+CRITERION_08 = {
+    "functional": {"family": "trunc_exp", "p": 1.0, "N": 8},
+    "boundary": {"kind": "circle_diffeo", "sin_coeffs": [0.0, 0.3]},
+}
+CRITERION_08_ENERGIES = (25.809475642848255, 25.776824822226658, 25.768182447014084)
 
 
 def _fd_gradient(spec, mapping, h=1e-6):
@@ -122,19 +134,52 @@ def test_descent_is_mesh_independent_on_refinement_ladder(disk3, disk4, disk5):
     # criterion-08 problem at levels 3 to 5, warm-started by prolongation;
     # plain steepest descent needs 939 and 3218 trace rows at levels 3 and 4,
     # the Laplacian-preconditioned descent 68 / 107 / 159 and the L-BFGS one
-    # 28 / 35 / 37
-    spec = FunctionalSpec(family="trunc_exp", p=1.0, trunc_n=8)
-    boundary = BoundaryData(kind="circle_diffeo", sin_coeffs=(0.0, 0.3))
-    references = (25.809475642848255, 25.776824822226658, 25.768182447014084)
+    # 25 / 29 / 33 with the precision-floor stop (28 / 35 / 37 without it)
+    spec = FunctionalSpec.from_json(CRITERION_08["functional"])
+    boundary = BoundaryData.from_json(CRITERION_08["boundary"])
     prev = None
-    for mesh, cap, ref in zip((disk3, disk4, disk5), (20000, 60000, 200000), references):
+    for mesh, cap, ref in zip((disk3, disk4, disk5), (20000, 60000, 200000),
+                              CRITERION_08_ENERGIES):
         init = prolong(prev.mapping, mesh) if prev is not None else None
         res = minimize_energy(spec, mesh, boundary,
                               MinimizeConfig(max_iterations=cap, gradient_tolerance=1e-9),
                               initial=init)
         assert abs(res.final_energy - ref) <= 1e-10 * ref
         assert len(res.trace) <= 60
+        assert res.stop_reason == "precision_floor"
         prev = res
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_cli_minimize_converges_at_the_precision_floor(tmp_path, level):
+    # the descent ends where no step lowers E by more than its rounding;
+    # that is a converged solve, which used to exit 3 as a stalled line search
+    config = {"command": "minimize", "domain": {"kind": "disk", "level": level},
+              "minimize": {"gradient_tolerance": 1e-9}, **CRITERION_08}
+    assert run(config, tmp_path) == 0
+    results = json.loads((tmp_path / "result.json").read_text())["results"]
+    assert results["stop_reason"] == "precision_floor"
+    ref = CRITERION_08_ENERGIES[level - 3]
+    assert abs(results["final_energy"] - ref) <= 1e-10 * ref
+
+
+@pytest.mark.parametrize("command", ["minimize", "sweep"])
+def test_line_search_failure_exits_3(disk3, tmp_path, command):
+    # a Jacobian floor just under the harmonic start's min J rejects every
+    # step that lowers min J, long before the decrement reaches the floor
+    boundary = BoundaryData.from_json(CRITERION_08["boundary"])
+    min_jac = wirtinger_derivatives(harmonic_extension(disk3, boundary)).jac.min()
+    config = {"command": command, "domain": {"kind": "disk", "level": 3},
+              "minimize": {"gradient_tolerance": 1e-9,
+                           "jacobian_floor": float(min_jac) * (1.0 - 1e-13)},
+              "sweep": {"N_list": [1]}, **CRITERION_08}
+    assert run(config, tmp_path) == 3
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert (manifest["status"], manifest["failure_reason"]) == \
+        ("numerical_failure", "line_search_failure")
+    results = json.loads((tmp_path / "result.json").read_text())["results"]
+    outcome = results["entries"][0] if command == "sweep" else results
+    assert outcome["stop_reason"] == "line_search_failure"
 
 
 def test_dirichlet_minimiser_is_the_harmonic_extension(disk4):
@@ -147,7 +192,7 @@ def test_dirichlet_minimiser_is_the_harmonic_extension(disk4):
     start = harmonic + 0.1 * (1.0 - np.abs(z) ** 2) * (1.0 + 1j * z)
     res = minimize_energy(FunctionalSpec(family="dirichlet"), disk4, boundary,
                           MinimizeConfig(), initial=MappingField(disk4, start, None))
-    assert res.converged and not res.stalled
+    assert res.stop_reason == "gradient_tolerance"
     assert len(res.trace) <= 3
     assert np.abs(res.mapping.values - harmonic).max() < 1e-12
 

@@ -14,7 +14,7 @@ from .functionals import (FunctionalSpec, concavity_probe, convexity_probe,
                           phi_eval, polyconvex_lower_bound)
 from .geometry import Mesh, build_disk_mesh, build_rect_mesh, refine_mesh
 from .hopf import (HopfField, ahlfors_hopf, holomorphy_residual,
-                   hopf_differential, hyperbolic_weight, inverse_ahlfors_hopf)
+                   hopf_differential, inverse_ahlfors_hopf)
 from .minimize import (BoundaryData, MinimizeConfig, energy_gradient,
                        harmonic_extension, minimize_energy, prolong,
                        truncation_sweep)

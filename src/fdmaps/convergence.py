@@ -37,7 +37,7 @@ from .config import Section, setting
 from .errors import ConfigurationError, DomainError
 from .fields import (MappingField, derivative_coefficients, squared_moduli,
                      wirtinger_derivatives, write_columns)
-from .functionals import (FunctionalSpec, convexity_probe, df_norm, integrand,
+from .functionals import (FunctionalSpec, convexity_probe, default_s, df_norm, integrand,
                           monotone_truncation_check, quadrature_sum, weight_values)
 from .geometry import Mesh
 from .quadrature import mesh_quad_points
@@ -602,7 +602,7 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
     if p_RR <= 1.0:
         raise ConfigurationError("p_RR must exceed 1")
     if s is None:
-        s = min(0.01, 0.5 * (1.0 - 1.0 / p_RR))
+        s = default_s(p_RR)
     if not (0.0 < s < 1.0 - 1.0 / p_RR):
         raise ConfigurationError(f"s must lie in (0, 1 - 1/p_RR), got {s}")
     if r_list is None:

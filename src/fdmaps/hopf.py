@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import DerivedField, squared_moduli, write_columns
-from .functionals import FunctionalSpec, hyperbolic_density, integrand, weight_values
+from .functionals import FunctionalSpec, integrand, weight_values
 from .geometry import Mesh
 
 
@@ -40,12 +40,6 @@ class HopfField:
 
     def chart_points(self) -> np.ndarray:
         return self.mesh.centroids() if self.chart is None else self.chart
-
-
-def hyperbolic_weight(z):
-    """Poincare metric density 1/(1-|z|^2)^2 on the unit disk."""
-    out = hyperbolic_density(np.asarray(z, dtype=complex))
-    return float(out) if out.ndim == 0 else out
 
 
 def hopf_differential(derived: DerivedField, p: float) -> HopfField:

@@ -10,8 +10,11 @@ from the newest pair, as in the blended quasi-Newton method of Zhu, Bridson
 Sobolev gradient.  The iteration count does not grow under mesh
 refinement.  Steps are accepted only if the energy strictly decreases and
 every triangle keeps its Jacobian above a floor, so iterates stay
-orientation-preserving all along the sequence.  The sparse Wirtinger
-operators and the factorisation of S_II are built once per solve.
+orientation-preserving all along the sequence.  The operators that depend
+only on the mesh -- the sparse Wirtinger matrices Dz and Dzbar, the
+stiffness matrix S = 4 Re(Dz^H diag(areas) Dz) and the factorisation of
+S_II -- are built once per mesh of a solve or of a truncation sweep; the
+functional enters only the energy and gradient evaluations.
 
 A descent ends with one `stop_reason`: `gradient_tolerance` (|g| below the
 tolerance), `precision_floor` (the L-BFGS decrement g^T d / 2, an estimate
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -109,55 +113,50 @@ class BoundaryData(Section, section="boundary"):
         return values
 
 
-def stiffness_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """P1 Laplace stiffness: S_ij = integral grad phi_i . grad phi_j."""
-    tri = mesh.triangles
-    z = mesh.nodes[tri]
-    areas = mesh.areas
-    # grad of barycentric function i is perp of the opposite edge / (2A),
-    # represented as a complex number
-    g = np.stack([
-        1j * (z[:, 2] - z[:, 1]),
-        1j * (z[:, 0] - z[:, 2]),
-        1j * (z[:, 1] - z[:, 0]),
-    ], axis=1) / (2.0 * areas[:, None])
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(tri[:, i])
-            cols.append(tri[:, j])
-            vals.append((g[:, i] * np.conj(g[:, j])).real * areas)
-    S = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.n_nodes, mesh.n_nodes))
-    return S.tocsr()
+class _MeshOperators:
+    """The functional-free operators of one mesh: fz = Dz @ w, fzbar = Dzbar @ w,
+    the stiffness matrix S and the `splu` factor of its interior block S_II.
 
-
-class _InteriorLaplacian:
-    """The interior block S_II of the stiffness matrix, factorised once with `splu`.
-
-    Solves run the real and imaginary parts of a complex right-hand side
-    against the one factorisation.
+    Dz and Dzbar are sparse (m, n) with three nonzeros per row, the
+    per-triangle coefficients of `derivative_coefficients`; the gradient
+    applies their conjugate transposes.  For real u, |grad u|^2 = 4 |u_z|^2,
+    so S = 4 Re(Dz^H diag(areas) Dz).  S and the factor are built on first
+    use.  Built per solve or sweep rather than cached on the mesh, so they
+    live no longer than the descents that use them.
     """
 
     def __init__(self, mesh: Mesh):
-        S = stiffness_matrix(mesh)
+        a, b = derivative_coefficients(mesh)
+        rows = np.repeat(np.arange(mesh.n_triangles), 3)
+        cols = mesh.triangles.ravel()
+        shape = (mesh.n_triangles, mesh.n_nodes)
         self.mesh = mesh
         self.interior = np.flatnonzero(~mesh.is_boundary())
-        self.coupling = S[self.interior][:, mesh.boundary_nodes]
-        self._lu = (spla.splu(S[self.interior][:, self.interior].tocsc())
-                    if len(self.interior) else None)
+        self.Dz = sp.csr_matrix((a.ravel(), (rows, cols)), shape=shape)
+        self.Dzbar = sp.csr_matrix((b.ravel(), (rows, cols)), shape=shape)
+        self.Dz_H = self.Dz.conj().T.tocsr()
+        self.Dzbar_H = self.Dzbar.conj().T.tocsr()
+
+    @cached_property
+    def stiffness(self) -> sp.csr_matrix:
+        return 4.0 * (self.Dz_H @ sp.diags(self.mesh.areas) @ self.Dz).real
+
+    @cached_property
+    def _lu(self):
+        return spla.splu(self.stiffness[self.interior][:, self.interior].tocsc())
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._lu is None:
+        """S_II^{-1} rhs for a complex interior vector, as one two-column solve."""
+        if not len(self.interior):
             return np.zeros(0, dtype=complex)
-        return self._lu.solve(rhs.real) + 1j * self._lu.solve(rhs.imag)
+        x = self._lu.solve(np.column_stack([rhs.real, rhs.imag]))
+        return x[:, 0] + 1j * x[:, 1]
 
     def extend(self, boundary_values: np.ndarray) -> np.ndarray:
-        """Nodal values of the discrete harmonic extension of boundary values."""
+        """Nodal values of the discrete harmonic extension, w_B - S_II^{-1} (S w_B)_I."""
         values = np.zeros(self.mesh.n_nodes, dtype=complex)
         values[self.mesh.boundary_nodes] = boundary_values
-        values[self.interior] = self._solve(-(self.coupling @ boundary_values))
+        values[self.interior] = -self._solve((self.stiffness @ values)[self.interior])
         return values
 
     def precondition(self, grad: np.ndarray) -> np.ndarray:
@@ -167,50 +166,37 @@ class _InteriorLaplacian:
         return direction
 
 
+def stiffness_matrix(mesh: Mesh) -> sp.csr_matrix:
+    """P1 Laplace stiffness: S_ij = integral grad phi_i . grad phi_j."""
+    return _MeshOperators(mesh).stiffness
+
+
 def harmonic_extension(mesh: Mesh, boundary: BoundaryData) -> MappingField:
     """Discrete harmonic extension of the boundary data (the feasible start)."""
-    values = _InteriorLaplacian(mesh).extend(boundary.boundary_values(mesh))
-    return MappingField(mesh, values)
+    return MappingField(mesh, _MeshOperators(mesh).extend(boundary.boundary_values(mesh)))
 
 
-class _WirtingerOperators:
-    """Mesh-static operators of one solve: fz = Dz @ w and fzbar = Dzbar @ w.
+def _eta_areas(spec: FunctionalSpec, mesh: Mesh) -> np.ndarray:
+    """Quadrature weights of the energy: the weight at each centroid times the area."""
+    return weight_values(spec, mesh.centroids()) * mesh.areas
 
-    Dz and Dzbar are sparse (m, n) with three nonzeros per row, the
-    per-triangle coefficients of `derivative_coefficients`; the gradient
-    applies their conjugate transposes.  Built per solve rather than cached
-    on the mesh, so they live no longer than the descent that uses them.
-    """
 
-    def __init__(self, spec: FunctionalSpec, mesh: Mesh):
-        a, b = derivative_coefficients(mesh)
-        rows = np.repeat(np.arange(mesh.n_triangles), 3)
-        cols = mesh.triangles.ravel()
-        shape = (mesh.n_triangles, mesh.n_nodes)
-        self.spec = spec
-        self.mesh = mesh
-        self.Dz = sp.csr_matrix((a.ravel(), (rows, cols)), shape=shape)
-        self.Dzbar = sp.csr_matrix((b.ravel(), (rows, cols)), shape=shape)
-        self.Dz_H = self.Dz.conj().T.tocsr()
-        self.Dzbar_H = self.Dzbar.conj().T.tocsr()
-        self.eta_areas = weight_values(spec, mesh.centroids()) * mesh.areas
-
-    def gradient(self, values: np.ndarray, jacobian_floor: float = 0.0) -> np.ndarray:
-        fz = self.Dz @ values
-        fzbar = self.Dzbar @ values
-        P, Q = squared_moduli(fz, fzbar)
-        jac = P - Q
-        if np.any(jac <= jacobian_floor):
-            worst = int(np.argmin(jac))
-            raise DomainError(
-                f"gradient undefined: triangle {worst} has J = {jac[worst]:.6e} "
-                f"<= floor {jacobian_floor:.3e}")
-        _, dP, dQ = integrand(self.spec, P, Q, derivatives=True)
-        # dE/d conj(w) summed over elements; the real gradient is twice that
-        grad = 2.0 * (self.Dz_H @ (self.eta_areas * dP * fz)
-                      + self.Dzbar_H @ (self.eta_areas * dQ * fzbar))
-        grad[self.mesh.boundary_nodes] = 0.0
-        return grad
+def _gradient(ops: _MeshOperators, spec: FunctionalSpec, eta_areas: np.ndarray,
+              values: np.ndarray, jacobian_floor: float = 0.0) -> np.ndarray:
+    fz = ops.Dz @ values
+    fzbar = ops.Dzbar @ values
+    P, Q = squared_moduli(fz, fzbar)
+    jac = P - Q
+    if np.any(jac <= jacobian_floor):
+        worst = int(np.argmin(jac))
+        raise DomainError(
+            f"gradient undefined: triangle {worst} has J = {jac[worst]:.6e} "
+            f"<= floor {jacobian_floor:.3e}")
+    _, dP, dQ = integrand(spec, P, Q, derivatives=True)
+    # dE/d conj(w) summed over elements; the real gradient is twice that
+    grad = 2.0 * (ops.Dz_H @ (eta_areas * dP * fz) + ops.Dzbar_H @ (eta_areas * dQ * fzbar))
+    grad[ops.mesh.boundary_nodes] = 0.0
+    return grad
 
 
 def energy_gradient(spec: FunctionalSpec, mapping: MappingField,
@@ -219,13 +205,16 @@ def energy_gradient(spec: FunctionalSpec, mapping: MappingField,
 
     Returned as complex numbers: grad_i = dE/du_i + i dE/dv_i for w_i = u_i + i v_i.
     """
-    return _WirtingerOperators(spec, mapping.mesh).gradient(mapping.values, jacobian_floor)
+    mesh = mapping.mesh
+    return _gradient(_MeshOperators(mesh), spec, _eta_areas(spec, mesh),
+                     mapping.values, jacobian_floor)
 
 
-def _energy_and_minjac(ops: _WirtingerOperators, values: np.ndarray):
+def _energy_and_minjac(ops: _MeshOperators, spec: FunctionalSpec, eta_areas: np.ndarray,
+                       values: np.ndarray):
     # module-level so that perfbench/tracing.py can count energy evaluations
     P, Q = squared_moduli(ops.Dz @ values, ops.Dzbar @ values)
-    return quadrature_sum(integrand(ops.spec, P, Q), ops.eta_areas), float(np.min(P - Q))
+    return quadrature_sum(integrand(spec, P, Q), eta_areas), float(np.min(P - Q))
 
 
 @dataclass
@@ -248,7 +237,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b).real)
 
 
-def _lbfgs_direction(grad: np.ndarray, memory, laplacian: _InteriorLaplacian) -> np.ndarray:
+def _lbfgs_direction(grad: np.ndarray, memory, ops: _MeshOperators) -> np.ndarray:
     """Two-loop recursion over pairs (s, y, 1/s^T y, gamma), oldest first;
     the initial inverse Hessian is gamma * S_II^{-1} with the newest gamma,
     so an empty memory gives S_II^{-1} g."""
@@ -257,7 +246,7 @@ def _lbfgs_direction(grad: np.ndarray, memory, laplacian: _InteriorLaplacian) ->
     for s, y, rho, _ in reversed(memory):
         alphas.append(rho * _dot(s, q))
         q -= alphas[-1] * y
-    direction = laplacian.precondition(q)
+    direction = ops.precondition(q)
     if memory:
         direction *= memory[-1][3]  # gamma of the newest pair
     for (s, y, rho, _), alpha in zip(memory, reversed(alphas)):
@@ -269,27 +258,33 @@ def minimize_energy(spec: FunctionalSpec, mesh: Mesh, boundary: BoundaryData,
                     config: MinimizeConfig,
                     initial: Optional[MappingField] = None) -> MinimizeResult:
     """Laplacian-seeded L-BFGS with backtracking; the trace is strictly decreasing."""
-    ops = _WirtingerOperators(spec, mesh)
-    laplacian = _InteriorLaplacian(mesh)
+    return _minimize(_MeshOperators(mesh), spec, boundary, config, initial)
+
+
+def _minimize(ops: _MeshOperators, spec: FunctionalSpec, boundary: BoundaryData,
+              config: MinimizeConfig, initial: Optional[MappingField]) -> MinimizeResult:
+    """`minimize_energy` on the operators of its mesh, which may be shared."""
+    mesh = ops.mesh
+    eta_areas = _eta_areas(spec, mesh)
     if initial is None:
-        values = laplacian.extend(boundary.boundary_values(mesh))
+        values = ops.extend(boundary.boundary_values(mesh))
     else:
         values = initial.values.copy()
         values[mesh.boundary_nodes] = boundary.boundary_values(mesh)
-    energy_val, min_jac = _energy_and_minjac(ops, values)
+    energy_val, min_jac = _energy_and_minjac(ops, spec, eta_areas, values)
     if min_jac <= config.jacobian_floor or not np.isfinite(energy_val):
         raise InitializationError(
             f"initial map infeasible: min J = {min_jac:.3e}, energy = {energy_val}")
 
     trace = []
     memory = deque(maxlen=MEMORY)
-    grad = ops.gradient(values)
+    grad = _gradient(ops, spec, eta_areas, values)
     for it in range(config.max_iterations + 1):
         grad_norm = float(np.linalg.norm(grad))
-        direction = _lbfgs_direction(grad, memory, laplacian)
+        direction = _lbfgs_direction(grad, memory, ops)
         if _dot(grad, direction) <= 0.0:  # not a descent direction: restart
             memory.clear()
-            direction = _lbfgs_direction(grad, memory, laplacian)
+            direction = _lbfgs_direction(grad, memory, ops)
         step = 1.0 if memory else config.initial_step
         trace.append({"iteration": it, "energy": energy_val,
                       "grad_norm": grad_norm, "min_J": min_jac, "step": step})
@@ -299,28 +294,29 @@ def minimize_energy(spec: FunctionalSpec, mesh: Mesh, boundary: BoundaryData,
             stop_reason = "precision_floor"
         elif it == config.max_iterations:
             stop_reason = "max_iterations"
-        elif (accepted := _line_search(ops, values, direction, energy_val, step,
-                                       config)) is None:
+        elif (accepted := _line_search(ops, spec, eta_areas, values, direction,
+                                       energy_val, step, config)) is None:
             stop_reason = "line_search_failure"
         else:
             trial, energy_trial, min_jac = accepted
-            new_grad = ops.gradient(trial)
+            new_grad = _gradient(ops, spec, eta_areas, trial)
             s, y = trial - values, new_grad - grad
             sy = _dot(s, y)
             if sy > 0.0:  # curvature pair; otherwise the memory keeps its old pairs
-                memory.append((s, y, 1.0 / sy, sy / _dot(y, laplacian.precondition(y))))
+                memory.append((s, y, 1.0 / sy, sy / _dot(y, ops.precondition(y))))
             values, energy_val, grad = trial, energy_trial, new_grad
             continue
         break
     return MinimizeResult(MappingField(mesh, values), trace, stop_reason)
 
 
-def _line_search(ops, values, direction, energy_val, step, config: MinimizeConfig):
+def _line_search(ops, spec, eta_areas, values, direction, energy_val, step,
+                 config: MinimizeConfig):
     """Backtrack from `step` to the first trial that lowers the energy and keeps
     J above the floor: (trial, energy, min J), or None below MIN_STEP."""
     while step >= MIN_STEP:
         trial = values - step * direction
-        energy_trial, min_jac = _energy_and_minjac(ops, trial)
+        energy_trial, min_jac = _energy_and_minjac(ops, spec, eta_areas, trial)
         if min_jac >= config.jacobian_floor and energy_trial < energy_val:
             return trial, energy_trial, min_jac
         step *= config.backtracking_factor
@@ -350,15 +346,17 @@ class SweepEntry:
 def truncation_sweep(p: float, n_list: Sequence[int], mesh: Mesh,
                      boundary: BoundaryData, config: MinimizeConfig,
                      jac_exp: float = 0.0, weight: str = "none") -> List[SweepEntry]:
-    """Minimize the truncated-exponential family for each N, warm-starting in N."""
+    """Minimize the truncated-exponential family for each N, warm-starting in N;
+    every N shares the operators of the mesh and one factorisation of S_II."""
     if list(n_list) != sorted(set(int(n) for n in n_list)):
         raise ConfigurationError("N_list must be strictly increasing")
+    ops = _MeshOperators(mesh)
     entries: List[SweepEntry] = []
     warm: Optional[MappingField] = None
     for n in n_list:
         spec = FunctionalSpec(family="trunc_exp", p=p, trunc_n=int(n),
                               jac_exp=jac_exp, weight=weight)
-        res = minimize_energy(spec, mesh, boundary, config, initial=warm)
+        res = _minimize(ops, spec, boundary, config, warm)
         entries.append(SweepEntry(int(n), res.mapping, res.final_energy, res.stop_reason))
         warm = res.mapping
     return entries

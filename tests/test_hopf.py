@@ -3,18 +3,17 @@ import pytest
 
 from fdmaps.errors import DomainError
 from fdmaps.fields import sample_analytic, wirtinger_derivatives
-from fdmaps.functionals import FunctionalSpec, weight_values
+from fdmaps.functionals import FunctionalSpec, hyperbolic_density, weight_values
 from fdmaps.hopf import (HopfField, ahlfors_hopf, holomorphy_residual,
-                         hopf_differential, hopf_to_csv, hyperbolic_weight,
-                         inverse_ahlfors_hopf)
+                         hopf_differential, hopf_to_csv, inverse_ahlfors_hopf)
 
 
 def test_hyperbolic_weight_values():
-    assert hyperbolic_weight(0.0) == pytest.approx(1.0)
-    assert hyperbolic_weight(1.0 / np.sqrt(2.0)) == pytest.approx(4.0)
-    assert hyperbolic_weight(0.9) == pytest.approx(1.0 / 0.19 ** 2)
+    assert hyperbolic_density(0.0) == pytest.approx(1.0)
+    assert hyperbolic_density(1.0 / np.sqrt(2.0)) == pytest.approx(4.0)
+    assert hyperbolic_density(0.9) == pytest.approx(1.0 / 0.19 ** 2)
     with pytest.raises(DomainError):
-        hyperbolic_weight(1.0)
+        hyperbolic_density(1.0)
 
 
 def test_hopf_differential_vanishes_for_conformal(disk3):
@@ -130,11 +129,8 @@ def test_hopf_to_csv(tmp_path, part_folded, csv_reference):
 def test_hyperbolic_weight_is_the_functional_weight():
     z = np.array([0.0, 0.3 - 0.4j, 0.9j, -0.99 + 0.0j, 0.6 + 0.6j])
     spec = FunctionalSpec(family="lp_mean", p=2.0, weight="hyperbolic")
-    assert np.array_equal(hyperbolic_weight(z), weight_values(spec, z))
-    assert isinstance(hyperbolic_weight(0.5), float)
+    assert np.array_equal(hyperbolic_density(z), weight_values(spec, z))
     for edge in (1.0, -1j, 0.9 + 0.9j):
-        with pytest.raises(DomainError):
-            hyperbolic_weight(edge)
         with pytest.raises(DomainError):
             weight_values(spec, np.array([0.0, edge]))
 

@@ -2,15 +2,18 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from fdmaps.cli import run
 from fdmaps.errors import ConfigurationError
 from fdmaps.fields import MappingField, sample_analytic, wirtinger_derivatives
 from fdmaps.functionals import FunctionalSpec, energy
-from fdmaps.minimize import (MEMORY, BoundaryData, MinimizeConfig, _dot,
-                             _energy_and_minjac, _InteriorLaplacian, _lbfgs_direction,
-                             _WirtingerOperators, energy_gradient, harmonic_extension,
-                             minimize_energy, prolong, stiffness_matrix, truncation_sweep)
+from fdmaps.geometry import build_rect_mesh
+from fdmaps.minimize import (MEMORY, BoundaryData, MinimizeConfig, _dot, _eta_areas,
+                             _energy_and_minjac, _lbfgs_direction, _MeshOperators,
+                             energy_gradient, harmonic_extension, minimize_energy,
+                             prolong, stiffness_matrix, truncation_sweep)
 
 
 # criterion 08: trunc_exp p=1 N=8 under a circle diffeomorphism, and its
@@ -67,11 +70,46 @@ def test_sparse_operators_match_per_triangle_derivatives(disk3, rng):
     values = disk3.nodes + 0.01 * (rng.standard_normal(disk3.n_nodes)
                                    + 1j * rng.standard_normal(disk3.n_nodes))
     ref = wirtinger_derivatives(MappingField(disk3, values, None))
-    ops = _WirtingerOperators(spec, disk3)
+    ops = _MeshOperators(disk3)
     assert np.abs(ops.Dz @ values - ref.fz).max() < 1e-13
     assert np.abs(ops.Dzbar @ values - ref.fzbar).max() < 1e-13
     e_ref = energy(spec, ref)
-    assert abs(_energy_and_minjac(ops, values)[0] - e_ref) < 1e-13 * e_ref
+    e_ops = _energy_and_minjac(ops, spec, _eta_areas(spec, disk3), values)[0]
+    assert abs(e_ops - e_ref) < 1e-13 * e_ref
+
+
+def _barycentric_stiffness(mesh):
+    # reference assembly: grad of barycentric function i is perp of the
+    # opposite edge / (2A), represented as a complex number
+    tri = mesh.triangles
+    z = mesh.nodes[tri]
+    areas = mesh.areas
+    g = np.stack([
+        1j * (z[:, 2] - z[:, 1]),
+        1j * (z[:, 0] - z[:, 2]),
+        1j * (z[:, 1] - z[:, 0]),
+    ], axis=1) / (2.0 * areas[:, None])
+    rows, cols, vals = [], [], []
+    for i in range(3):
+        for j in range(3):
+            rows.append(tri[:, i])
+            cols.append(tri[:, j])
+            vals.append((g[:, i] * np.conj(g[:, j])).real * areas)
+    S = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(mesh.n_nodes, mesh.n_nodes))
+    return S.tocsr()
+
+
+@pytest.mark.parametrize("mesh", ["disk3", "disk5", "rect"])
+def test_stiffness_matrix_matches_barycentric_assembly(request, mesh):
+    # S = 4 Re(Dz^H diag(areas) Dz) is the barycentric-gradient assembly;
+    # compared on the pattern of nonzero values, as the reference also
+    # stores the exact zeros of right-angled triangles
+    mesh = build_rect_mesh(8, 5, 0, 2 + 1j) if mesh == "rect" else request.getfixturevalue(mesh)
+    S, ref = stiffness_matrix(mesh), _barycentric_stiffness(mesh)
+    assert ((S != 0) != (ref != 0)).nnz == 0
+    assert abs(S - ref).max() <= 1e-14 * abs(ref).max()
 
 
 def test_stiffness_matrix_annihilates_constants(disk3):
@@ -94,6 +132,16 @@ def test_harmonic_extension_maximum_principle(disk4):
     m = harmonic_extension(disk4, BoundaryData(kind="circle_diffeo",
                                                sin_coeffs=(0.0, 0.3)))
     assert np.abs(m.values).max() <= 1.0 + 1e-12
+
+
+def test_mesh_without_interior_nodes_needs_no_solve():
+    # a 1x1 rectangle has four boundary nodes and nothing to solve for
+    mesh = build_rect_mesh(1, 1, 0, 1 + 1j)
+    boundary = BoundaryData(kind="explicit", explicit_values=1.5 * mesh.nodes[mesh.boundary_nodes])
+    assert np.array_equal(harmonic_extension(mesh, boundary).values, 1.5 * mesh.nodes)
+    res = minimize_energy(FunctionalSpec(family="lp_mean", p=2.0), mesh, boundary,
+                          MinimizeConfig())
+    assert (res.stop_reason, len(res.trace)) == ("gradient_tolerance", 1)
 
 
 def test_boundary_data_validation():
@@ -201,8 +249,8 @@ def test_lbfgs_direction_matches_dense_bfgs_updates(disk3, rng):
     # reference: the inverse-Hessian model built densely over the real and
     # imaginary parts, H_0 = gamma_newest * S_II^{-1} and then one BFGS
     # update per pair, oldest first
-    laplacian = _InteriorLaplacian(disk3)
-    interior = laplacian.interior
+    ops = _MeshOperators(disk3)
+    interior = ops.interior
 
     def nodal():
         v = np.zeros(disk3.n_nodes, dtype=complex)
@@ -213,25 +261,25 @@ def test_lbfgs_direction_matches_dense_bfgs_updates(disk3, rng):
         return np.concatenate([v[interior].real, v[interior].imag])
 
     grad = nodal()
-    assert np.array_equal(_lbfgs_direction(grad, [], laplacian), laplacian.precondition(grad))
+    assert np.array_equal(_lbfgs_direction(grad, [], ops), ops.precondition(grad))
     memory = []
     for k in range(MEMORY):
         s = nodal()
         y = (1.0 + k) * s + 0.3 * nodal()  # s^T y > 0, and gamma differs per pair
         sy = _dot(s, y)
-        memory.append((s, y, 1.0 / sy, sy / _dot(y, laplacian.precondition(y))))
+        memory.append((s, y, 1.0 / sy, sy / _dot(y, ops.precondition(y))))
     S_II = stiffness_matrix(disk3)[interior][:, interior].toarray()
     H = memory[-1][3] * np.kron(np.eye(2), np.linalg.inv(S_II))
     for s, y, rho, _ in memory:
         V = np.eye(len(H)) - rho * np.outer(real(y), real(s))
         H = V.T @ H @ V + rho * np.outer(real(s), real(s))
-    direction = _lbfgs_direction(grad, memory, laplacian)
+    direction = _lbfgs_direction(grad, memory, ops)
     assert np.all(direction[disk3.boundary_nodes] == 0.0)
     expected = H @ real(grad)
     assert np.abs(real(direction) - expected).max() < 1e-10 * np.abs(expected).max()
     # the model maps the newest y onto the newest s
     s, y = memory[-1][:2]
-    assert np.abs(_lbfgs_direction(y, memory, laplacian) - s).max() < 1e-10 * np.abs(s).max()
+    assert np.abs(_lbfgs_direction(y, memory, ops) - s).max() < 1e-10 * np.abs(s).max()
 
 
 def test_prolong_reproduces_nodal_interpolation(disk3):
@@ -245,6 +293,25 @@ def test_prolong_reproduces_nodal_interpolation(disk3):
     interior[fine.boundary_nodes] = False
     assert np.allclose(p.values[:disk3.n_nodes], m.values)
     assert np.allclose(p.values[interior], expected[interior])
+
+
+def test_sweep_factorises_the_mesh_once(disk4, monkeypatch):
+    # every N of a sweep shares one splu factor of S_II; the gradient and
+    # the stiffness matrix need none
+    splu, calls = spla.splu, []
+    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: calls.append(1) or splu(*args, **kwargs))
+    boundary = BoundaryData(kind="circle_diffeo", sin_coeffs=(0.0, 0.3))
+    entries = truncation_sweep(1.0, [1, 2, 4, 8], disk4, boundary,
+                               MinimizeConfig(gradient_tolerance=1e-9))
+    assert len(calls) == 1
+    assert [e.stop_reason for e in entries] == ["precision_floor"] * 4
+    # N = 8 is the criterion-08 problem at level 4
+    for entry, ref in zip(entries, (9.748915545760502, 16.70814939622371,
+                                    24.16697104650499, CRITERION_08_ENERGIES[1])):
+        assert abs(entry.energy - ref) <= 1e-12 * ref
+    energy_gradient(FunctionalSpec(family="exp_p", p=1.0), entries[0].mapping)
+    stiffness_matrix(disk4)
+    assert len(calls) == 1
 
 
 def test_truncation_sweep_energies_monotone(disk3):

@@ -10,7 +10,8 @@ Closed-form sequence members carry exact derivative callables; integrals
 for those use a high-order per-element quadrature so that oscillatory
 members are resolved well below the mesh scale.  Plain nodal members fall
 back to the exact per-element-constant (centroid) path, sampled per block
-from the mesh's Wirtinger coefficients, which are built once per sequence.
+with the rows of the mesh's sparse Wirtinger pair (Dz, Dzbar) from
+`fields.derivative_coefficients`, built once per sequence.
 
 `radon_riesz_diagnose` builds the quadrature once and sweeps it in blocks
 of whole triangles, about BLOCK_POINTS quadrature points each.  In each
@@ -35,8 +36,8 @@ import numpy as np
 
 from .config import Section, setting
 from .errors import ConfigurationError, DomainError
-from .fields import (MappingField, derivative_coefficients, squared_moduli,
-                     wirtinger_derivatives, write_columns)
+from .fields import (MappingField, derivative_coefficients, finite_distortion_report,
+                     squared_moduli, wirtinger_derivatives, write_columns)
 from .functionals import (FunctionalSpec, convexity_probe, default_s, df_norm, integrand,
                           monotone_truncation_check, quadrature_sum, weight_values)
 from .geometry import Mesh
@@ -66,7 +67,9 @@ class SequenceHandle:
         if not self.members:
             raise ConfigurationError("sequence must be nonempty")
         for m in self.members + [self.limit]:
-            if m.mesh is not self.mesh and m.mesh.n_nodes != self.mesh.n_nodes:
+            if m.mesh is not self.mesh and not (
+                    np.array_equal(m.mesh.nodes, self.mesh.nodes)
+                    and np.array_equal(m.mesh.triangles, self.mesh.triangles)):
                 raise ConfigurationError("all members must share the mesh")
         if self.eta_members is not None and len(self.eta_members) != len(self.members):
             raise ConfigurationError("eta_members length mismatch")
@@ -81,7 +84,7 @@ class SequenceHandle:
 
     @cached_property  # mesh-only, so built once for every nodal field
     def coefficients(self):
-        """The mesh's `derivative_coefficients` (a, b)."""
+        """The mesh's sparse Wirtinger pair (Dz, Dzbar) of `derivative_coefficients`."""
         return derivative_coefficients(self.mesh)
 
 
@@ -96,9 +99,7 @@ def _derivatives_at(seq: SequenceHandle, index: int, pts: np.ndarray,
     m = seq.limit if index == -1 else seq.members[index]
     if seq.all_analytic:
         return m.analytic.derivatives(pts[tris])
-    a, b = seq.coefficients
-    w = m.values[seq.mesh.triangles[tris]]
-    return np.sum(a[tris] * w, axis=1)[:, None], np.sum(b[tris] * w, axis=1)[:, None]
+    return tuple((D[tris] @ m.values)[:, None] for D in seq.coefficients)
 
 
 class _Sample(NamedTuple):
@@ -449,7 +450,7 @@ def tail_slice(n: int) -> slice:
 def lsc_checks(specs: Sequence[FunctionalSpec], seq: SequenceHandle) -> List[LscResult]:
     """Lower-semicontinuity measurement per spec: limit energy vs tail-liminf
     of members.  One sweep samples each field once for all the specs."""
-    bad_area = float(np.sum(seq.mesh.areas[wirtinger_derivatives(seq.limit).jac <= 0]))
+    bad_area = finite_distortion_report(wirtinger_derivatives(seq.limit)).bad_area
     energies = [_Energy(seq, spec) for spec in specs]
     _sweep(seq, energies)
     results = []
@@ -669,8 +670,8 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
         if np.isfinite(phi_limit) and np.isfinite(phi_series[-1]) else np.inf
 
     # (d) limit Jacobian positivity
-    bad_area = np.sum(seq.mesh.areas[wirtinger_derivatives(seq.limit).jac <= 0])
-    bad_fraction = float(bad_area / seq.mesh.total_area)
+    bad_area = finite_distortion_report(wirtinger_derivatives(seq.limit)).bad_area
+    bad_fraction = bad_area / seq.mesh.total_area
     jac_ok = bad_fraction == 0.0
 
     # (e) conclusion measurements

@@ -1,4 +1,4 @@
-"""Discrete Hopf and Ahlfors-Hopf differentials and their holomorphy residual.
+"""Discrete Ahlfors-Hopf differentials and their holomorphy residual.
 
 A critical point of the inverse distortion problems carries a holomorphic
 Hopf differential; the residual of local anti-holomorphic content is the
@@ -40,15 +40,6 @@ class HopfField:
 
     def chart_points(self) -> np.ndarray:
         return self.mesh.centroids() if self.chart is None else self.chart
-
-
-def hopf_differential(derived: DerivedField, p: float) -> HopfField:
-    """K^(p-1) h_w conj(h_wbar) per triangle."""
-    flagged = derived.jac <= 0
-    k = np.where(flagged, 1.0, derived.khs)
-    values = k ** (p - 1.0) * derived.fz * np.conj(derived.fzbar)
-    values = np.where(flagged, np.nan + 1j * np.nan, values)
-    return HopfField(derived.mesh, values, flagged)
 
 
 def _ahlfors_hopf_factor(derived: DerivedField, p: float, n_trunc: Optional[int],

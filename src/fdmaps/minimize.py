@@ -11,10 +11,12 @@ Sobolev gradient.  The iteration count does not grow under mesh
 refinement.  Steps are accepted only if the energy strictly decreases and
 every triangle keeps its Jacobian above a floor, so iterates stay
 orientation-preserving all along the sequence.  The operators that depend
-only on the mesh -- the sparse Wirtinger matrices Dz and Dzbar, the
-stiffness matrix S = 4 Re(Dz^H diag(areas) Dz) and the factorisation of
-S_II -- are built once per mesh of a solve or of a truncation sweep; the
-functional enters only the energy and gradient evaluations.
+only on the mesh -- the sparse Wirtinger matrices Dz and Dzbar of
+`fields.derivative_coefficients` (the pair behind every nodal f_z and
+f_zbar in the package), the stiffness matrix S = 4 Re(Dz^H diag(areas) Dz)
+and the factorisation of S_II -- are built once per mesh of a solve or of
+a truncation sweep; the functional enters only the energy and gradient
+evaluations.
 
 A descent ends with one `stop_reason`: `gradient_tolerance` (|g| below the
 tolerance), `precision_floor` (the L-BFGS decrement g^T d / 2, an estimate
@@ -117,23 +119,18 @@ class _MeshOperators:
     """The functional-free operators of one mesh: fz = Dz @ w, fzbar = Dzbar @ w,
     the stiffness matrix S and the `splu` factor of its interior block S_II.
 
-    Dz and Dzbar are sparse (m, n) with three nonzeros per row, the
-    per-triangle coefficients of `derivative_coefficients`; the gradient
-    applies their conjugate transposes.  For real u, |grad u|^2 = 4 |u_z|^2,
+    Dz and Dzbar are the sparse pair of `fields.derivative_coefficients`,
+    the same operators behind `wirtinger_derivatives`; the gradient applies
+    their conjugate transposes.  For real u, |grad u|^2 = 4 |u_z|^2,
     so S = 4 Re(Dz^H diag(areas) Dz).  S and the factor are built on first
     use.  Built per solve or sweep rather than cached on the mesh, so they
     live no longer than the descents that use them.
     """
 
     def __init__(self, mesh: Mesh):
-        a, b = derivative_coefficients(mesh)
-        rows = np.repeat(np.arange(mesh.n_triangles), 3)
-        cols = mesh.triangles.ravel()
-        shape = (mesh.n_triangles, mesh.n_nodes)
         self.mesh = mesh
         self.interior = np.flatnonzero(~mesh.is_boundary())
-        self.Dz = sp.csr_matrix((a.ravel(), (rows, cols)), shape=shape)
-        self.Dzbar = sp.csr_matrix((b.ravel(), (rows, cols)), shape=shape)
+        self.Dz, self.Dzbar = derivative_coefficients(mesh)
         self.Dz_H = self.Dz.conj().T.tocsr()
         self.Dzbar_H = self.Dzbar.conj().T.tocsr()
 

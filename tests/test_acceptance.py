@@ -43,13 +43,11 @@ def _fd_gradient(spec, mapping, free, h=3e-7):
     # each of the 4 x 20 x 169 x 4 evaluations is built once; the energies
     # are the same bits
     mesh = mapping.mesh
-    a, b = derivative_coefficients(mesh)
+    Dz, Dzbar = derivative_coefficients(mesh)
     eta = weight_values(spec, mesh.centroids())
 
     def field_energy(values):
-        w = values[mesh.triangles]
-        derived = derived_from_derivatives(mesh, np.sum(a * w, axis=1),
-                                           np.sum(b * w, axis=1), w.mean(axis=1))
+        derived = derived_from_derivatives(mesh, Dz @ values, Dzbar @ values)
         return energy(spec, derived, eta)
 
     base = mapping.values

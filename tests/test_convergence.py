@@ -100,6 +100,34 @@ def test_lsc_on_drift(drift_seq):
     assert res.limit_bad_area == 0.0
 
 
+def test_mesh_mismatch_is_rejected_even_with_equal_node_counts():
+    # the nodal path applies the handle mesh's operators to every member's values
+    import fdmaps
+    small = fdmaps.build_rect_mesh(4, 4, 0.0, 1.0 + 1.0j)
+    large = fdmaps.build_rect_mesh(4, 4, 0.0, 3.0 + 3.0j)
+    members = [MappingField(large, large.nodes.copy()) for _ in range(2)]
+    with pytest.raises(ConfigurationError):
+        SequenceHandle(small, members, MappingField(small, small.nodes.copy()))
+    # an equal mesh under another object is the same mesh
+    twin = fdmaps.build_rect_mesh(4, 4, 0.0, 1.0 + 1.0j)
+    SequenceHandle(small, [MappingField(twin, twin.nodes.copy())],
+                   MappingField(small, small.nodes.copy()))
+
+
+def test_folded_limit_area_rule(disk3, part_folded):
+    # the limit's J <= 0 area, from one oracle built on the signed image areas
+    from fdmaps.geometry import signed_areas
+    bad = signed_areas(part_folded.values, disk3.triangles) <= 0
+    oracle = float(np.sum(disk3.areas[bad]))
+    assert 0 < oracle < disk3.total_area
+    seq = SequenceHandle(disk3, [part_folded] * 4, part_folded)
+    spec = FunctionalSpec(family="dirichlet")
+    rep = radon_riesz_diagnose(spec, seq, p_RR=2.0)
+    assert rep.verdict == "JacobianDegenerate" and rep.decided_by == "jacobian"
+    assert rep.jacobian_bad_fraction == oracle / disk3.total_area
+    assert lsc_check(spec, seq).limit_bad_area == oracle
+
+
 def test_lsc_checks_match_one_spec_checks(moll_seq, osc_seq):
     # several families in one sweep give each family's own check exactly
     specs = [FunctionalSpec(family="lp_mean", p=2.0), FunctionalSpec(family="exp_p", p=1.0),

@@ -198,3 +198,22 @@ def test_write_columns_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak - before < 24 * mib
+
+
+def test_wirtinger_derivatives_memory_is_bounded():
+    # the sparse pair is built straight as CSR; a COO pass on a level-7
+    # disk (98,304 triangles) raises the peak above the bound
+    import tracemalloc
+
+    from fdmaps import build_disk_mesh
+    mesh = build_disk_mesh(7)
+    mapping = sample_analytic(mesh, "affine", 1.0, 0.3)
+    mib = 2.0 ** 20
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        wirtinger_derivatives(mapping)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 30 * mib

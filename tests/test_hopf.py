@@ -5,7 +5,7 @@ from fdmaps.errors import DomainError
 from fdmaps.fields import sample_analytic, wirtinger_derivatives
 from fdmaps.functionals import FunctionalSpec, hyperbolic_density, weight_values
 from fdmaps.hopf import (HopfField, ahlfors_hopf, holomorphy_residual,
-                         hopf_differential, hopf_to_csv, inverse_ahlfors_hopf)
+                         hopf_to_csv, inverse_ahlfors_hopf)
 
 
 def test_hyperbolic_weight_values():
@@ -18,14 +18,11 @@ def test_hyperbolic_weight_values():
 
 def test_hopf_differential_vanishes_for_conformal(disk3):
     d = wirtinger_derivatives(sample_analytic(disk3, "identity"))
-    assert np.allclose(hopf_differential(d, 2.0).values, 0.0)
     assert np.allclose(ahlfors_hopf(d, 1.0, 8).values, 0.0)
 
 
 def test_hopf_differential_affine_oracle(disk3):
     d = wirtinger_derivatives(sample_analytic(disk3, "affine", 1.0, 1.0 / 3.0))
-    phi = hopf_differential(d, 2.0)
-    assert np.allclose(phi.values, 2.5 * (1.0 / 3.0))
     psi = ahlfors_hopf(d, 1.0, 2)
     # S_2(2.5) = 6.625
     assert np.allclose(psi.values, 6.625 / 3.0)
@@ -109,9 +106,9 @@ def test_flagged_triangles_are_nan(disk3):
     m = sample_analytic(disk3, "identity")
     folded = type(m)(disk3, np.conj(m.values), None)
     d = wirtinger_derivatives(folded)
-    phi = hopf_differential(d, 2.0)
-    assert phi.flagged.all()
-    assert np.isnan(phi.values.real).all()
+    for phi in (ahlfors_hopf(d, 1.0, 8), inverse_ahlfors_hopf(d, 1.0, 8)):
+        assert phi.flagged.all()
+        assert np.isnan(phi.values.real).all()
 
 
 def test_hopf_to_csv(tmp_path, part_folded, csv_reference):

@@ -2,8 +2,8 @@
 planar mappings of finite distortion."""
 
 from .convergence import (ConvergenceReport, SequenceHandle, Tolerances,
-                          lr_gap, lsc_check, lsc_checks, orlicz_norm,
-                          radon_riesz_diagnose, sobolev_norm, weak_probe)
+                          lr_gap, lsc_checks, orlicz_norm, radon_riesz_diagnose,
+                          sobolev_norm, weak_probe)
 from .errors import (ConfigurationError, DomainError, FdmapsError,
                      InitializationError, InternalError)
 from .fields import (AnalyticMap, DerivedField, MappingField,

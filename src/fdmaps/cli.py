@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import boolean, complex_number, integer, map_args, optional, read
+from .config import (boolean, complex_number, integer, map_args, optional,
+                     positive_integer, read)
 from .convergence import Tolerances, gaps_to_csv, radon_riesz_diagnose
 from .errors import ConfigurationError, DomainError, FdmapsError, InitializationError
 from .fields import (derived_to_csv, sample_analytic, wirtinger_derivatives,
@@ -44,12 +45,11 @@ _SWEEP = {"p": (float, 1.0), "N_list": (lambda ns: [integer(n) for n in ns], (1,
 # keyed by the arguments of radon_riesz_diagnose
 _DIAGNOSTIC = {"p_RR": (float, 2.0), "s": (optional(float), None),
                "r_list": (optional(dict), None),
-               "tolerances": (Tolerances.from_json, Tolerances()),
-               "dictionary_degree": (integer, 6), "probe_samples": (integer, 20000)}
+               "tolerances": (Tolerances.from_json, Tolerances())}
 _HOPF = {"formula": (str, "identity"), "args": (map_args, ()),
          "p": (float, 1.0), "N": (optional(integer), None), "inverse": (boolean, False),
          "weight": (str, "none")}
-_ORACLE = {"n_samples": (integer, 100000)}
+_ORACLE = {"n_samples": (positive_integer, 100000)}
 
 
 def _build_mesh(doc):
@@ -157,15 +157,9 @@ def _run_oracle(config, out: Path):
     rng = np.random.default_rng(seed)
     probes = {}
 
-    x = rng.uniform(0.0, 10.0, n)
-    y = rng.uniform(0.1, 10.0, n)
-    x0 = rng.uniform(0.0, 10.0, n)
-    y0 = rng.uniform(0.1, 10.0, n)
-    bad = 0
-    for i in range(n):
-        _, _, holds = polyconvex_lower_bound(x[i], y[i], x0[i], y0[i])
-        bad += not holds
-    probes["polyconvex_lower_bound"] = {"n_samples": n, "violations": bad}
+    x, y, x0, y0 = (rng.uniform(lo, 10.0, n) for lo in (0.0, 0.1, 0.0, 0.1))
+    _, _, holds = polyconvex_lower_bound(x, y, x0, y0)
+    probes["polyconvex_lower_bound"] = {"n_samples": n, "violations": int(np.sum(~holds))}
 
     # the s-weighted convexity holds for the inverse-problem forms, which
     # carry the Jacobian factor; probe those
@@ -184,7 +178,7 @@ def _run_oracle(config, out: Path):
                                      "violations": mono.violations}
     conc = concavity_probe(0.25, 2.0, n, seed=seed)
     probes["concavity"] = {"n_samples": conc.n_samples, "violations": conc.violations}
-    control = convexity_probe(lambda xx, yy: -np.asarray(xx) ** 2, 0.0, 10000, seed=seed)
+    control = convexity_probe(lambda xx, yy: -np.asarray(xx) ** 2, 0.0, n, seed=seed)
     probes["nonconvex_control"] = {"n_samples": control.n_samples,
                                    "violations": control.violations}
     all_ok = (probes["polyconvex_lower_bound"]["violations"] == 0

@@ -23,6 +23,13 @@ def integer(value) -> int:
     return int(value)
 
 
+def positive_integer(value) -> int:
+    """An `integer` of at least 1."""
+    if integer(value) < 1:
+        raise ValueError(f"{value!r} is not positive")
+    return int(value)
+
+
 def boolean(value) -> bool:
     """A JSON boolean; a string such as "false" or a number is refused."""
     if not isinstance(value, bool):
@@ -49,12 +56,16 @@ def map_args(values) -> list:
     return [complex_number(v) if isinstance(v, (list, tuple)) else v for v in values]
 
 
+def rows(table: dict, kind) -> dict:
+    """The rows {key: (convert, default)} of `table` that `kind` reads."""
+    return {key: row[:2] for key, row in table.items()
+            if len(row) == 2 or row[2] is None or kind in row[2]}
+
+
 def read(section: str, doc, table: dict) -> dict:
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{section} must be a JSON object, not {doc!r}")
-    kind = doc.get("kind")
-    table = {key: row[:2] for key, row in table.items()
-             if len(row) == 2 or row[2] is None or kind in row[2]}
+    table = rows(table, doc.get("kind"))
     values = {key: default for key, (_, default) in table.items() if default is not MISSING}
     for key, value in doc.items():
         if key not in table:
@@ -88,14 +99,17 @@ class Section:
         return [(f.metadata["key"] or f.name, f) for f in fields(cls)]
 
     @classmethod
+    def table(cls) -> dict:
+        """The class's table {key: (convert, default, kinds)}."""
+        return {key: (f.metadata["convert"],
+                      f.default if f.default_factory is MISSING else f.default_factory(),
+                      f.metadata["kinds"])
+                for key, f in cls._rows()}
+
+    @classmethod
     def from_json(cls, doc: dict):
-        rows = cls._rows()
-        values = read(cls.section, doc, {
-            key: (f.metadata["convert"],
-                  f.default if f.default_factory is MISSING else f.default_factory(),
-                  f.metadata["kinds"])
-            for key, f in rows})
-        return cls(**{f.name: values[key] for key, f in rows if key in values})
+        values = read(cls.section, doc, cls.table())
+        return cls(**{f.name: values[key] for key, f in cls._rows() if key in values})
 
     def to_json(self) -> dict:
         return {key: (f.metadata["dump"] or (lambda v: v))(getattr(self, f.name))

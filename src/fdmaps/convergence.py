@@ -21,7 +21,7 @@ part to its sums: the weak probe (one matrix product pairs the
 differences of PROBE_GROUP members with the test dictionary), the energy
 series, the Phi-gap, the L^r gaps, the scales and the pointwise proxy.
 No full-length per-member array is formed.  The standalone `weak_probe`, `lr_gap`,
-`quantity_scale` and `lsc_check` run the same sweep with the measurement
+`quantity_scale` and `lsc_checks` run the same sweep with the measurement
 they report.
 """
 
@@ -49,6 +49,8 @@ BLOCK_POINTS = 8192  # quadrature points per block of a sweep; blocks hold whole
 # BLOCK_POINTS floats (5.2 MB); 8 members (40 rows) ran at a quarter of the
 # GEMM rate of 16-64 members on a 2-core Xeon, and 64 raised peak memory
 PROBE_GROUP = 16
+DICTIONARY_DEGREE = 6  # weak-probe test fields: tensor Legendre polynomials up to this degree
+PROBE_SAMPLES = 20000  # random points of each convexity and monotonicity probe
 
 VERDICTS = ("StrongConvergence", "EnergyGap", "WeakProbeFail",
             "JacobianDegenerate", "Inconclusive")
@@ -56,11 +58,12 @@ VERDICTS = ("StrongConvergence", "EnergyGap", "WeakProbeFail",
 
 @dataclass
 class SequenceHandle:
+    """Members and their limit, all on one mesh (equal node and triangle
+    arrays).  Energies along the sequence are weighted by the functional's
+    `weight` alone."""
     mesh: Mesh
     members: List[MappingField]
     limit: MappingField
-    eta_members: Optional[List[np.ndarray]] = None  # per-triangle weights
-    eta_limit: Optional[np.ndarray] = None
     metadata: Dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -71,8 +74,6 @@ class SequenceHandle:
                     np.array_equal(m.mesh.nodes, self.mesh.nodes)
                     and np.array_equal(m.mesh.triangles, self.mesh.triangles)):
                 raise ConfigurationError("all members must share the mesh")
-        if self.eta_members is not None and len(self.eta_members) != len(self.members):
-            raise ConfigurationError("eta_members length mismatch")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -292,19 +293,19 @@ def quantity_scale(seq: SequenceHandle, quantity: str, r: float,
 class _WeakProbe(_Measurement):
     """Tensor Legendre test fields times a boundary cutoff, on the whole mesh.
 
-    Per block, the (degree+1)^2 test fields times w * cutoff form a
-    C x (degree+1)^2 Khatri-Rao dictionary.  The members' five difference
-    rows each (Re/Im f_z, Re/Im f_zbar and J against the limit) fill a
-    (5 PROBE_GROUP) x C buffer, and one matrix product per PROBE_GROUP
-    members adds the block to their pairings."""
+    Per block, the (d+1)^2 test fields (d = DICTIONARY_DEGREE) times
+    w * cutoff form a C x (d+1)^2 Khatri-Rao dictionary.  The members' five
+    difference rows each (Re/Im f_z, Re/Im f_zbar and J against the limit)
+    fill a (5 PROBE_GROUP) x C buffer, and one matrix product per
+    PROBE_GROUP members adds the block to their pairings."""
 
-    def __init__(self, mesh: Mesh, degree: int, n_members: int):
+    def __init__(self, mesh: Mesh, n_members: int):
         self.box = (mesh.nodes.real.min(), mesh.nodes.real.max(),
                     mesh.nodes.imag.min(), mesh.nodes.imag.max())
         self.disk = mesh.kind == "disk"
-        self.degree, self.n = degree, n_members
-        self.pairings = np.zeros((5 * n_members, (degree + 1) ** 2))
-        self.norms = np.zeros((degree + 1) ** 2)
+        self.n = n_members
+        self.pairings = np.zeros((5 * n_members, (DICTIONARY_DEGREE + 1) ** 2))
+        self.norms = np.zeros((DICTIONARY_DEGREE + 1) ** 2)
         self.rows = np.empty(0)
 
     def limit(self, block, lim):
@@ -315,8 +316,10 @@ class _WeakProbe(_Measurement):
             cut = np.maximum(0.0, 1.0 - np.abs(flat) ** 2)
         else:
             cut = np.maximum(0.0, (x - x0) * (x1 - x) * (y - y0) * (y1 - y))
-        vx = np.polynomial.legendre.legvander(2.0 * (x - x0) / (x1 - x0) - 1.0, self.degree)
-        vy = np.polynomial.legendre.legvander(2.0 * (y - y0) / (y1 - y0) - 1.0, self.degree)
+        vx = np.polynomial.legendre.legvander(2.0 * (x - x0) / (x1 - x0) - 1.0,
+                                              DICTIONARY_DEGREE)
+        vy = np.polynomial.legendre.legvander(2.0 * (y - y0) / (y1 - y0) - 1.0,
+                                              DICTIONARY_DEGREE)
         self.kr = (vx[:, :, None] * vy[:, None, :]).reshape(flat.size, -1)
         self.kr *= (block.w.ravel() * cut)[:, None]
         self.norms += np.abs(self.kr).sum(axis=0)  # int |phi|: w and the cutoff are >= 0
@@ -344,47 +347,43 @@ class _WeakProbe(_Measurement):
         return [max([0.0] + row) for row in row_max.tolist()]
 
 
-def weak_probe(seq: SequenceHandle, dictionary_degree: int = 6) -> List[float]:
+def weak_probe(seq: SequenceHandle) -> List[float]:
     """Weak-convergence proxy against smooth polynomial test fields.
 
     For each member, the residual is the largest normalized pairing
     |integral (q_j - q_limit) phi| over the dictionary, for q in
     {f_z, f_zbar, J}.  Test fields are tensor Legendre polynomials up to
-    the given degree times a boundary cutoff.  The probe always integrates
-    over the whole mesh, also under a `radon_riesz_diagnose` subdomain.
+    degree DICTIONARY_DEGREE times a boundary cutoff.  The probe always
+    integrates over the whole mesh, also under a `radon_riesz_diagnose`
+    subdomain.
     """
-    probe = _WeakProbe(seq.mesh, dictionary_degree, len(seq))
+    probe = _WeakProbe(seq.mesh, len(seq))
     _sweep(seq, [probe])
     return probe.residuals()
 
 
 class _Energy(_Measurement):
-    """Energy of Phi^power (times the per-triangle eta, if any) on the
-    subdomain, for the limit and each member.  Block energies are summed by
-    `quadrature_sum` too, so one inf term anywhere makes the energy inf."""
+    """Energy of Phi^power on the subdomain, for the limit and each member.
+    Block energies are summed by `quadrature_sum` too, so one inf term
+    anywhere makes the energy inf."""
 
-    def __init__(self, seq: SequenceHandle, spec: FunctionalSpec, power: float = 1.0):
+    def __init__(self, spec: FunctionalSpec, n_members: int, power: float = 1.0):
         self.spec, self.power = spec, power
-        self.etas = [seq.eta_limit] + (list(seq.eta_members) if seq.eta_members is not None
-                                       else [None] * len(seq))  # index j + 1
-        self.blocks: List[List[float]] = [[] for _ in self.etas]
+        self.blocks: List[List[float]] = [[] for _ in range(n_members + 1)]  # index j + 1
 
-    def _add(self, block, j, part):
+    def _add(self, j, part):
         vals = part.phi(self.spec)
         if self.power != 1.0:
             with np.errstate(over="ignore"):
                 vals = vals ** self.power
-        eta = self.etas[j + 1]
-        if eta is not None:
-            vals = vals * np.asarray(eta)[block.tris][block.sub][:, None]
         self.blocks[j + 1].append(quadrature_sum(vals, self.weights))
 
     def limit(self, block, lim):
         self.weights = block.w_sub * weight_values(self.spec, block.pts[block.sub])
-        self._add(block, -1, lim.part)
+        self._add(-1, lim.part)
 
     def member(self, block, j, f, lim):
-        self._add(block, j, f.part)
+        self._add(j, f.part)
 
     def values(self) -> List[float]:
         """The limit's energy, then each member's."""
@@ -451,7 +450,7 @@ def lsc_checks(specs: Sequence[FunctionalSpec], seq: SequenceHandle) -> List[Lsc
     """Lower-semicontinuity measurement per spec: limit energy vs tail-liminf
     of members.  One sweep samples each field once for all the specs."""
     bad_area = finite_distortion_report(wirtinger_derivatives(seq.limit)).bad_area
-    energies = [_Energy(seq, spec) for spec in specs]
+    energies = [_Energy(spec, len(seq)) for spec in specs]
     _sweep(seq, energies)
     results = []
     for energy in energies:
@@ -462,11 +461,6 @@ def lsc_checks(specs: Sequence[FunctionalSpec], seq: SequenceHandle) -> List[Lsc
         holds = bool(limit_energy <= liminf + 1e-8 * scale)
         results.append(LscResult(liminf, limit_energy, holds, members, bad_area))
     return results
-
-
-def lsc_check(spec: FunctionalSpec, seq: SequenceHandle) -> LscResult:
-    """Lower-semicontinuity measurement: limit energy vs tail-liminf of members."""
-    return lsc_checks([spec], seq)[0]
 
 
 def sobolev_norm(mapping: MappingField, q: float = 2.0, subdomain=None) -> float:
@@ -589,16 +583,16 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
                          p_RR: float, s: Optional[float] = None,
                          r_list: Optional[Dict[str, float]] = None,
                          tolerances: Tolerances = Tolerances(),
-                         dictionary_degree: int = 6,
-                         probe_samples: int = 20000,
                          subdomain=None) -> ConvergenceReport:
     """Hypothesis verification and conclusion measurement for the strong-
     convergence theorem, on one sequence with one functional family.
 
-    The quadrature is built once and swept block by block, so every
-    quadrature point of every member is sampled once; the weak probe and
-    the pointwise proxy use the whole mesh, every other measurement the
-    subdomain.
+    The structural hypotheses on Phi are probed at PROBE_SAMPLES random
+    points each, the weak limit against the tensor Legendre dictionary of
+    degree DICTIONARY_DEGREE.  The quadrature is built once and swept block
+    by block, so every quadrature point of every member is sampled once;
+    the weak probe and the pointwise proxy use the whole mesh, every other
+    measurement the subdomain.
     """
     if p_RR <= 1.0:
         raise ConfigurationError("p_RR must exceed 1")
@@ -618,20 +612,19 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
 
     # (a) structural conditions on the family: convexity of Phi and Phi*y^s,
     # monotone approach of the truncations to the exponential
-    conv = convexity_probe(spec, s, probe_samples, seed=0)
+    conv = convexity_probe(spec, s, PROBE_SAMPLES, seed=0)
     if spec.family == "trunc_exp":
-        mono = monotone_truncation_check(spec.p, max(spec.trunc_n, 1), probe_samples, seed=0)
+        mono = monotone_truncation_check(spec.p, max(spec.trunc_n, 1), PROBE_SAMPLES, seed=0)
         monotonicity_ok = mono.ok
     elif spec.family == "exp_p":
-        mono = monotone_truncation_check(spec.p, 20, probe_samples, seed=0)
+        mono = monotone_truncation_check(spec.p, 20, PROBE_SAMPLES, seed=0)
         monotonicity_ok = mono.ok
     else:
         monotonicity_ok = True  # constant family sequence is trivially monotone
 
-    # Energy convergence is measured for Phi^{p_RR} (weighted when eta fields
-    # are present); p enters every family as the rate, so the exponent
-    # substitutes directly, except for the rate-free quadratic family where
-    # it acts as an outer power
+    # Energy convergence is measured for Phi^{p_RR}; p enters every family
+    # as the rate, so the exponent substitutes directly, except for the
+    # rate-free quadratic family where it acts as an outer power
     if spec.family == "dirichlet":
         rr_spec, rr_power = spec, p_RR
     else:
@@ -639,9 +632,9 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
 
     # one sweep: each field's sample on a block feeds every measurement
     n = len(seq)
-    probe = _WeakProbe(seq.mesh, dictionary_degree, n)
-    series = _Energy(seq, rr_spec, rr_power)
-    phi_energies = series if (rr_spec, rr_power) == (spec, 1.0) else _Energy(seq, spec)
+    probe = _WeakProbe(seq.mesh, n)
+    series = _Energy(rr_spec, n, rr_power)
+    phi_energies = series if (rr_spec, rr_power) == (spec, 1.0) else _Energy(spec, n)
     exponents = {"phi": p_RR, **r_list}
     gaps = {"phi": _PhiGap(spec, p_RR, n),
             **{q: _LrGap(q, r, n) for q, r in r_list.items()}}
@@ -711,8 +704,8 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
         conclusion_gaps=conclusion_gaps,
         pointwise_proxy=pointwise.values(),
         config={"spec": spec.to_json(), "p_RR": p_RR, "s": s,
-                "r_list": dict(r_list), "dictionary_degree": dictionary_degree,
-                "tolerances": tolerances.to_json(), "n_members": n},
+                "r_list": dict(r_list), "tolerances": tolerances.to_json(),
+                "n_members": n},
     )
 
 

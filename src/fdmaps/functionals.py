@@ -21,7 +21,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .config import Section, integer, optional, setting
+from .config import Section, integer, setting
 from .errors import ConfigurationError, DomainError
 from .fields import DerivedField, norm_squared, squared_moduli
 
@@ -43,7 +43,6 @@ class FunctionalSpec(Section, section="functional"):
     norm: str = setting(str, "hs")                # "hs" | "op"
     jac_exp: float = setting(float, 0.0)          # integrand multiplied by y^jac_exp
     weight: str = setting(str, "none")            # "none" | "hyperbolic"
-    s: Optional[float] = setting(optional(float), None)  # condition-4 probe exponent
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -58,13 +57,11 @@ class FunctionalSpec(Section, section="functional"):
             raise ConfigurationError("jac_exp must be >= 0")
         if self.weight not in ("none", "hyperbolic"):
             raise ConfigurationError(f"unknown weight {self.weight!r}")
-        if self.s is not None and not (0.0 < self.s < 1.0):
-            raise ConfigurationError("s must lie in (0, 1)")
 
     @property
     def s_value(self) -> float:
-        if self.s is not None:
-            return self.s
+        """The family's condition-4 exponent s of the Phi * y^s convexity probe:
+        default_s(p), or 0 for Dirichlet."""
         if self.family == "dirichlet":
             # the admissible range (0, 1 - 1/p) is empty at the quadratic
             # family's effective p = 1, so its weighted probe degenerates
@@ -207,13 +204,15 @@ def inverse_energy(spec: FunctionalSpec, derived: DerivedField,
     return quadrature_sum(vals, eta * jac * derived.areas)
 
 
-def polyconvex_lower_bound(x: float, y: float, x0: float, y0: float):
-    """Supporting-plane inequality of the polyconvex kernel x^2/y at (x0, y0)."""
-    if y <= 0 or y0 <= 0:
+def polyconvex_lower_bound(x, y, x0, y0):
+    """Supporting-plane inequality of the polyconvex kernel x^2/y at (x0, y0):
+    (lhs, rhs, lhs >= rhs), elementwise for arrays."""
+    x, y, x0, y0 = (np.asarray(a, dtype=float) for a in (x, y, x0, y0))
+    if np.any(y <= 0) or np.any(y0 <= 0):
         raise DomainError("y and y0 must be positive")
     lhs = x ** 2 / y - x0 ** 2 / y0
     rhs = (2.0 * x0 / y0) * (x - x0) - (x0 ** 2 / y0 ** 2) * (y - y0)
-    return lhs, rhs, bool(lhs >= rhs - 1e-12)
+    return lhs, rhs, lhs >= rhs - 1e-12
 
 
 @dataclass(frozen=True)

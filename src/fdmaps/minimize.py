@@ -42,6 +42,8 @@ from .fields import MappingField, derivative_coefficients, squared_moduli
 from .functionals import FunctionalSpec, integrand, quadrature_sum, weight_values
 from .geometry import Mesh
 
+INITIAL_STEP = 0.1  # first trial step while the memory is empty
+BACKTRACKING = 0.5  # step factor per rejected trial
 MIN_STEP = 1e-14
 PRECISION_FLOOR = 1e-14  # stop once the decrement is below this fraction of |E|
 MEMORY = 8  # (s, y) pairs kept by the L-BFGS descent
@@ -51,24 +53,21 @@ MEMORY = 8  # (s, y) pairs kept by the L-BFGS descent
 class MinimizeConfig(Section, section="minimize"):
     """Descent settings.
 
-    `initial_step` is the first trial step while the L-BFGS memory is empty,
-    along the preconditioned direction S_II^{-1} g (not along g itself);
-    with pairs in memory each iteration tries step 1.  Each rejected trial
-    multiplies the step by `backtracking_factor`.  `gradient_tolerance`
-    bounds the Euclidean norm of the unpreconditioned gradient.
+    The step schedule is fixed: the first trial step is INITIAL_STEP while
+    the L-BFGS memory is empty, along the preconditioned direction
+    S_II^{-1} g (not along g itself), and 1 with pairs in memory; each
+    rejected trial multiplies the step by BACKTRACKING.
+    `gradient_tolerance` bounds the Euclidean norm of the unpreconditioned
+    gradient.
     """
     max_iterations: int = setting(integer, 2000)
     gradient_tolerance: float = setting(float, 1e-8)
-    initial_step: float = setting(float, 0.1)
-    backtracking_factor: float = setting(float, 0.5)
     jacobian_floor: float = setting(float, 1e-8)
 
     def __post_init__(self):
         if self.max_iterations <= 0 or self.gradient_tolerance <= 0 \
-                or self.initial_step <= 0 or self.jacobian_floor <= 0:
+                or self.jacobian_floor <= 0:
             raise ConfigurationError("minimize config fields must be positive")
-        if not (0.0 < self.backtracking_factor < 1.0):
-            raise ConfigurationError("backtracking_factor must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -179,16 +178,14 @@ def _eta_areas(spec: FunctionalSpec, mesh: Mesh) -> np.ndarray:
 
 
 def _gradient(ops: _MeshOperators, spec: FunctionalSpec, eta_areas: np.ndarray,
-              values: np.ndarray, jacobian_floor: float = 0.0) -> np.ndarray:
+              values: np.ndarray) -> np.ndarray:
     fz = ops.Dz @ values
     fzbar = ops.Dzbar @ values
     P, Q = squared_moduli(fz, fzbar)
     jac = P - Q
-    if np.any(jac <= jacobian_floor):
+    if np.any(jac <= 0.0):
         worst = int(np.argmin(jac))
-        raise DomainError(
-            f"gradient undefined: triangle {worst} has J = {jac[worst]:.6e} "
-            f"<= floor {jacobian_floor:.3e}")
+        raise DomainError(f"gradient undefined: triangle {worst} has J = {jac[worst]:.6e} <= 0")
     _, dP, dQ = integrand(spec, P, Q, derivatives=True)
     # dE/d conj(w) summed over elements; the real gradient is twice that
     grad = 2.0 * (ops.Dz_H @ (eta_areas * dP * fz) + ops.Dzbar_H @ (eta_areas * dQ * fzbar))
@@ -196,15 +193,14 @@ def _gradient(ops: _MeshOperators, spec: FunctionalSpec, eta_areas: np.ndarray,
     return grad
 
 
-def energy_gradient(spec: FunctionalSpec, mapping: MappingField,
-                    jacobian_floor: float = 0.0) -> np.ndarray:
-    """Exact gradient of the discrete energy wrt nodal values; zero on the boundary.
+def energy_gradient(spec: FunctionalSpec, mapping: MappingField) -> np.ndarray:
+    """Exact gradient of the discrete energy wrt nodal values; zero on the boundary;
+    a DomainError where some J <= 0.
 
     Returned as complex numbers: grad_i = dE/du_i + i dE/dv_i for w_i = u_i + i v_i.
     """
     mesh = mapping.mesh
-    return _gradient(_MeshOperators(mesh), spec, _eta_areas(spec, mesh),
-                     mapping.values, jacobian_floor)
+    return _gradient(_MeshOperators(mesh), spec, _eta_areas(spec, mesh), mapping.values)
 
 
 def _energy_and_minjac(ops: _MeshOperators, spec: FunctionalSpec, eta_areas: np.ndarray,
@@ -282,7 +278,7 @@ def _minimize(ops: _MeshOperators, spec: FunctionalSpec, boundary: BoundaryData,
         if _dot(grad, direction) <= 0.0:  # not a descent direction: restart
             memory.clear()
             direction = _lbfgs_direction(grad, memory, ops)
-        step = 1.0 if memory else config.initial_step
+        step = 1.0 if memory else INITIAL_STEP
         trace.append({"iteration": it, "energy": energy_val,
                       "grad_norm": grad_norm, "min_J": min_jac, "step": step})
         if grad_norm < config.gradient_tolerance:
@@ -316,7 +312,7 @@ def _line_search(ops, spec, eta_areas, values, direction, energy_val, step,
         energy_trial, min_jac = _energy_and_minjac(ops, spec, eta_areas, trial)
         if min_jac >= config.jacobian_floor and energy_trial < energy_val:
             return trial, energy_trial, min_jac
-        step *= config.backtracking_factor
+        step *= BACKTRACKING
     return None
 
 

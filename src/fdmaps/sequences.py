@@ -24,8 +24,7 @@ PARAMS = {
     "constant": {"formula": (str, "identity"), "args": (map_args, ())},
     "oscillation": {},
     "mollified": {"target": (str, "radial_stretch"), "alpha": (float, 2.0),
-                  "a": (complex_number, 1 + 0j), "b": (complex_number, 0j),
-                  "radius_scale": (float, 1.0)},
+                  "a": (complex_number, 1 + 0j), "b": (complex_number, 0j)},
     "affine_drift": {"a": (complex_number, 1 + 0j), "b": (complex_number, 0j),
                      "da": (complex_number, 0.5 + 0j), "db": (complex_number, 0j)},
     "radial_stretch_family": {"alpha": (float, 2.0), "dalpha": (float, 1.0)},
@@ -141,8 +140,7 @@ def generate(recipe: SequenceRecipe, mesh: Mesh) -> SequenceHandle:
             amap = analytic_affine(p["a"], p["b"])
         else:
             raise ConfigurationError(f"unknown mollification target {p['target']!r}")
-        members = [MappingField(mesh, mollify_values(amap, mesh.nodes, p["radius_scale"] / j))
-                   for j in js]
+        members = [MappingField(mesh, mollify_values(amap, mesh.nodes, 1.0 / j)) for j in js]
         limit = MappingField(mesh, amap.value(mesh.nodes), analytic=None)
         metadata["convergence"] = "C1 on compact subsets away from the origin"
     elif recipe.kind == "affine_drift":

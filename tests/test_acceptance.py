@@ -16,10 +16,7 @@ from fdmaps.convergence import lsc_checks, radon_riesz_diagnose
 from fdmaps.fields import (MappingField, derivative_coefficients,
                            derived_from_derivatives, sample_analytic,
                            wirtinger_derivatives)
-from fdmaps.functionals import (FunctionalSpec, concavity_probe,
-                                convexity_probe, energy, inverse_energy,
-                                monotone_truncation_check,
-                                polyconvex_lower_bound, weight_values)
+from fdmaps.functionals import FunctionalSpec, energy, inverse_energy, weight_values
 from fdmaps.hopf import holomorphy_residual, inverse_ahlfors_hopf
 from fdmaps.minimize import (BoundaryData, MinimizeConfig, energy_gradient,
                              minimize_energy, prolong, truncation_sweep)
@@ -250,26 +247,21 @@ def test_criterion_10_area_identity(disk5):
     _report(10, "jacobian-area-identity", ok and elapsed < 5.0)
 
 
-def test_criterion_11_hypothesis_oracles():
+def test_criterion_11_hypothesis_oracles(tmp_path):
+    # the oracle command's battery: the polyconvex bound, convexity of four
+    # weighted families, monotone truncations, the concave power, and a
+    # planted non-convex control that must fail
+    from fdmaps.cli import run
     t0 = time.monotonic()
     n = 100000
-    rng = np.random.default_rng(0)
-    x = rng.uniform(0.0, 10.0, n)
-    y = rng.uniform(0.1, 10.0, n)
-    x0 = rng.uniform(0.0, 10.0, n)
-    y0 = rng.uniform(0.1, 10.0, n)
-    ok = all(polyconvex_lower_bound(x[i], y[i], x0[i], y0[i])[2]
-             for i in range(n))
-    weighted = (FunctionalSpec(family="lp_mean", p=2.0, jac_exp=0.5),
-                FunctionalSpec(family="exp_p", p=1.0, jac_exp=1.0),
-                FunctionalSpec(family="trunc_exp", p=1.0, trunc_n=8, jac_exp=1.0),
-                FunctionalSpec(family="dirichlet"))
-    for spec in weighted:
-        ok &= convexity_probe(spec, spec.s_value, n, seed=0).violations == 0
-    ok &= monotone_truncation_check(1.0, 20, n, seed=0).violations == 0
-    ok &= concavity_probe(0.25, 2.0, n, seed=0).violations == 0
-    control = convexity_probe(lambda xx, yy: -np.asarray(xx) ** 2, 0.0, n, seed=0)
-    ok &= control.violations > 0  # the planted non-convex control must fail
+    ok = run({"command": "oracle", "oracle": {"n_samples": n}, "seed": 0}, tmp_path) == 0
+    results = json.loads((tmp_path / "result.json").read_text())["results"]
+    probes = {name: probe["n_samples"] for name, probe in results["probes"].items()}
+    ok &= probes == {"polyconvex_lower_bound": n, "convexity_lp_mean_p2": 2 * n,
+                     "convexity_exp_p1": 2 * n, "convexity_trunc_exp_p1_n8": 2 * n,
+                     "convexity_dirichlet": 2 * n, "monotone_truncation": 20 * n,
+                     "concavity": n, "nonconvex_control": 2 * n}
+    ok &= results["all_ok"]
     elapsed = time.monotonic() - t0
     _report(11, "hypothesis-oracles", ok and elapsed < 30.0)
 

@@ -194,6 +194,17 @@ _MISSPELT = [
     # the string "false" used to certify the inverse field
     ("hopf", {"hopf": {"formula": "identity", "p": 1.0, "N": 4, "inverse": "false"}},
      "inverse"),
+    # settings that no run changed are constants now; "s" was echoed but never read
+    ("diagnose", {"functional": {"family": "lp_mean", "p": 2.0, "s": 0.3}}, "s"),
+    ("minimize", {"minimize": {"initial_step": 0.3}}, "initial_step"),
+    ("minimize", {"minimize": {"backtracking_factor": 0.25}}, "backtracking_factor"),
+    ("diagnose", {"diagnostic": {"dictionary_degree": 4}}, "dictionary_degree"),
+    # 0 used to make the convexity and monotonicity probes vacuous
+    ("diagnose", {"diagnostic": {"probe_samples": 0}}, "probe_samples"),
+    ("diagnose", {"recipe": {"kind": "mollified", "params": {"radius_scale": 2.0},
+                             "j_max": 2}}, "radius_scale"),
+    # 0 samples used to pass every probe but the control
+    ("oracle", {"oracle": {"n_samples": 0}}, "n_samples"),
 ]
 
 

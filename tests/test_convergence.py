@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fdmaps import convergence
-from fdmaps.convergence import (SequenceHandle, Tolerances, lr_gap, lsc_check, lsc_checks,
+from fdmaps.convergence import (SequenceHandle, Tolerances, lr_gap, lsc_checks,
                                 orlicz_gauge, orlicz_norm, quantity_scale,
                                 radon_riesz_diagnose, sobolev_norm, tail_slice,
                                 weak_probe)
@@ -87,7 +87,7 @@ def test_weak_probe_is_tiny_for_strong_convergence(drift_seq):
 
 
 def test_lsc_on_oscillation_dirichlet(osc_seq):
-    res = lsc_check(FunctionalSpec(family="dirichlet"), osc_seq)
+    res = lsc_checks([FunctionalSpec(family="dirichlet")], osc_seq)[0]
     assert res.holds
     area = osc_seq.mesh.total_area
     assert res.limit_energy == pytest.approx(2.0 * area, rel=1e-6)
@@ -95,7 +95,7 @@ def test_lsc_on_oscillation_dirichlet(osc_seq):
 
 
 def test_lsc_on_drift(drift_seq):
-    res = lsc_check(FunctionalSpec(family="lp_mean", p=2.0), drift_seq)
+    res = lsc_checks([FunctionalSpec(family="lp_mean", p=2.0)], drift_seq)[0]
     assert res.holds
     assert res.limit_bad_area == 0.0
 
@@ -125,7 +125,7 @@ def test_folded_limit_area_rule(disk3, part_folded):
     rep = radon_riesz_diagnose(spec, seq, p_RR=2.0)
     assert rep.verdict == "JacobianDegenerate" and rep.decided_by == "jacobian"
     assert rep.jacobian_bad_fraction == oracle / disk3.total_area
-    assert lsc_check(spec, seq).limit_bad_area == oracle
+    assert lsc_checks([spec], seq)[0].limit_bad_area == oracle
 
 
 def test_lsc_checks_match_one_spec_checks(moll_seq, osc_seq):
@@ -134,7 +134,7 @@ def test_lsc_checks_match_one_spec_checks(moll_seq, osc_seq):
              FunctionalSpec(family="trunc_exp", p=1.0, trunc_n=8),
              FunctionalSpec(family="dirichlet")]
     for seq in (moll_seq, osc_seq):
-        assert lsc_checks(specs, seq) == [lsc_check(spec, seq) for spec in specs]
+        assert lsc_checks(specs, seq) == [lsc_checks([spec], seq)[0] for spec in specs]
 
 
 def test_sobolev_norm_scales(disk4):
@@ -207,7 +207,7 @@ def test_lsc_hyperbolic_weight_on_disk_matches_direct_sum(drift_seq):
     # drift members are affine, so Phi is constant and the energy is
     # Phi * sum(w / (1 - |z|^2)^2) over the quadrature points
     spec = FunctionalSpec(family="lp_mean", p=2.0, weight="hyperbolic")
-    res = lsc_check(spec, drift_seq)
+    res = lsc_checks([spec], drift_seq)[0]
     pts, w = mesh_quad_points(drift_seq.mesh, convergence.ANALYTIC_QUAD_N)
     weighted_area = np.sum(w / (1.0 - np.abs(pts) ** 2) ** 2)
     for j, energy in enumerate(res.member_energies, start=1):
@@ -222,7 +222,7 @@ def test_hyperbolic_weight_rejects_points_outside_disk(osc_seq):
     # the unit square reaches |z| = sqrt(2); the weight is undefined there
     spec = FunctionalSpec(family="lp_mean", p=2.0, weight="hyperbolic")
     with pytest.raises(DomainError):
-        lsc_check(spec, osc_seq)
+        lsc_checks([spec], osc_seq)[0]
     with pytest.raises(DomainError):
         radon_riesz_diagnose(spec, osc_seq, p_RR=2.0)
 
@@ -283,7 +283,7 @@ def test_diagnose_matches_standalone_measurements(request, fixture, sub_kind):
         close(rep.conclusion_gaps[qname]["scale"], scale)
     if subdomain is None:
         # p_RR equals the family's p, so the energy series is the plain energy
-        lsc = lsc_check(spec, seq)
+        lsc = lsc_checks([spec], seq)[0]
         close(rep.energy_series, lsc.member_energies)
         close(rep.limit_energy, lsc.limit_energy)
 
@@ -426,7 +426,7 @@ def test_nonpositive_jacobian_in_one_block_gives_inf(unit_square_16):
     for series in (rep.energy_series, rep.conclusion_gaps["phi"]["series"]):
         assert np.isfinite(series[0]) and np.isfinite(series[2])
         assert series[1] == np.inf
-    assert lsc_check(spec, seq).member_energies[1] == np.inf
+    assert lsc_checks([spec], seq)[0].member_energies[1] == np.inf
 
 
 def test_pointwise_proxy_drift_closed_form(drift_seq):
@@ -442,24 +442,20 @@ def test_pointwise_proxy_drift_closed_form(drift_seq):
         assert rep.pointwise_proxy[qname]["p95"] == pytest.approx(value, rel=1e-12)
 
 
-def test_eta_weights_energies_per_triangle(drift_seq):
-    # affine members have constant Phi, so a per-triangle eta weighs the
-    # energy by sum(eta * area) over the subdomain
+def test_subdomain_energies_closed_form(drift_seq):
+    # affine members have constant Phi, so the energy on a subdomain is
+    # Phi times the subdomain's area
     mesh = drift_seq.mesh
-    eta = 1.0 + np.arange(mesh.n_triangles) / mesh.n_triangles
-    seq = SequenceHandle(mesh, drift_seq.members, drift_seq.limit,
-                         eta_members=[j * eta for j in range(1, len(drift_seq) + 1)],
-                         eta_limit=eta)
     spec = FunctionalSpec(family="lp_mean", p=2.0)
     sub = _subdomain("mask", mesh)
-    rep = radon_riesz_diagnose(spec, seq, p_RR=2.0, subdomain=sub)
-    weighted_area = np.sum((eta * mesh.areas)[sub])
+    rep = radon_riesz_diagnose(spec, drift_seq, p_RR=2.0, subdomain=sub)
+    area = np.sum(mesh.areas[sub])
     for j, energy in enumerate(rep.energy_series, start=1):
         a, b = 1.0 + 0.4 / j, 0.2 + 0.1 / j
         phi = phi_eval(spec, np.sqrt(2.0 * (a ** 2 + b ** 2)), a ** 2 - b ** 2)
-        assert energy == pytest.approx(j * phi * weighted_area, rel=1e-12)
+        assert energy == pytest.approx(phi * area, rel=1e-12)
     phi = phi_eval(spec, np.sqrt(2.0 * 1.04), 0.96)
-    assert rep.limit_energy == pytest.approx(phi * weighted_area, rel=1e-12)
+    assert rep.limit_energy == pytest.approx(phi * area, rel=1e-12)
 
 
 def test_nodal_derivatives_match_wirtinger_derivatives(moll_seq):

@@ -154,6 +154,16 @@ def test_polyconvex_lower_bound_examples():
     assert holds2
 
 
+def test_polyconvex_lower_bound_is_elementwise():
+    rng = np.random.default_rng(3)
+    x, y, x0, y0 = (rng.uniform(lo, 10.0, 50) for lo in (0.0, 0.1, 0.0, 0.1))
+    lhs, rhs, holds = polyconvex_lower_bound(x, y, x0, y0)
+    for i in range(50):
+        assert polyconvex_lower_bound(x[i], y[i], x0[i], y0[i]) == (lhs[i], rhs[i], holds[i])
+    with pytest.raises(DomainError):
+        polyconvex_lower_bound(x, np.where(np.arange(50) == 7, 0.0, y), x0, y0)
+
+
 @given(st.floats(0.0, 10.0), st.floats(0.1, 10.0),
        st.floats(0.0, 10.0), st.floats(0.1, 10.0))
 @settings(max_examples=300, deadline=None)

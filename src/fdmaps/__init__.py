@@ -1,6 +1,13 @@
 """Distortion-energy minimization and strong-convergence diagnostics for
 planar mappings of finite distortion."""
 
+# numpy loads these subpackages on first attribute access (numpy.ma inside
+# np.unique); loading them with the package keeps that one-time cost in
+# start-up instead of in the first mesh build, probe or quadrature of a run
+import numpy.ma  # noqa: F401
+import numpy.polynomial  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .convergence import (ConvergenceReport, SequenceHandle, Tolerances,
                           lr_gap, lsc_checks, orlicz_norm, radon_riesz_diagnose,
                           sobolev_norm, weak_probe)
@@ -14,9 +21,22 @@ from .functionals import (FunctionalSpec, concavity_probe, convexity_probe,
                           phi_eval, polyconvex_lower_bound)
 from .geometry import Mesh, build_disk_mesh, build_rect_mesh, refine_mesh
 from .hopf import HopfField, ahlfors_hopf, holomorphy_residual, inverse_ahlfors_hopf
-from .minimize import (BoundaryData, MinimizeConfig, energy_gradient,
-                       harmonic_extension, minimize_energy, prolong,
-                       truncation_sweep)
 from .sequences import SequenceRecipe, generate, radial_stretch_facts
 
 __version__ = "0.1.0"
+
+# The descent is the one user of scipy; its names load it on first use, so
+# every other command starts on numpy alone.
+_DESCENT = ("BoundaryData", "MinimizeConfig", "energy_gradient", "harmonic_extension",
+            "minimize_energy", "prolong", "truncation_sweep")
+
+
+def __getattr__(name):
+    if name in _DESCENT:
+        from . import minimize
+        return getattr(minimize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *_DESCENT])

@@ -29,8 +29,6 @@ from .functionals import (FunctionalSpec, concavity_probe, convexity_probe,
 from .geometry import build_disk_mesh, build_rect_mesh
 from .hopf import (ahlfors_hopf, holomorphy_residual, hopf_to_csv,
                    inverse_ahlfors_hopf)
-from .minimize import (BoundaryData, MinimizeConfig, minimize_energy,
-                       truncation_sweep)
 from .sequences import SequenceRecipe, generate
 
 # Top-level keys: any command may carry any section, and reads the ones it needs.
@@ -84,7 +82,9 @@ def _write_mapping(mapping, path: Path):
                    mapping.values.imag])
 
 
+# The descent's runners import it, and with it scipy, only when they run.
 def _run_minimize(config, out: Path):
+    from .minimize import BoundaryData, MinimizeConfig, minimize_energy
     mesh = _build_mesh(config["domain"])
     spec = FunctionalSpec.from_json(config["functional"])
     boundary = BoundaryData.from_json(config["boundary"])
@@ -103,6 +103,7 @@ def _run_minimize(config, out: Path):
 
 
 def _run_sweep(config, out: Path):
+    from .minimize import BoundaryData, MinimizeConfig, truncation_sweep
     mesh = _build_mesh(config["domain"])
     sweep = read("sweep", config["sweep"], _SWEEP)
     boundary = BoundaryData.from_json(config["boundary"])

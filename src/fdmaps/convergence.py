@@ -10,7 +10,7 @@ Closed-form sequence members carry exact derivative callables; integrals
 for those use a high-order per-element quadrature so that oscillatory
 members are resolved well below the mesh scale.  Plain nodal members fall
 back to the exact per-element-constant (centroid) path, sampled per block
-with the rows of the mesh's sparse Wirtinger pair (Dz, Dzbar) from
+with the rows of the mesh's Wirtinger coefficient pair (a, b) from
 `fields.derivative_coefficients`, built once per sequence.
 
 `radon_riesz_diagnose` builds the quadrature once and sweeps it in blocks
@@ -36,8 +36,9 @@ import numpy as np
 
 from .config import Section, setting
 from .errors import ConfigurationError, DomainError
-from .fields import (MappingField, derivative_coefficients, finite_distortion_report,
-                     squared_moduli, wirtinger_derivatives, write_columns)
+from .fields import (MappingField, apply_coefficients, derivative_coefficients,
+                     finite_distortion_report, squared_moduli, wirtinger_derivatives,
+                     write_columns)
 from .functionals import (FunctionalSpec, convexity_probe, default_s, df_norm, integrand,
                           monotone_truncation_check, quadrature_sum, weight_values)
 from .geometry import Mesh
@@ -85,7 +86,8 @@ class SequenceHandle:
 
     @cached_property  # mesh-only, so built once for every nodal field
     def coefficients(self):
-        """The mesh's sparse Wirtinger pair (Dz, Dzbar) of `derivative_coefficients`."""
+        """The mesh's (m, 3) Wirtinger coefficient pair (a, b) of
+        `derivative_coefficients`."""
         return derivative_coefficients(self.mesh)
 
 
@@ -100,7 +102,9 @@ def _derivatives_at(seq: SequenceHandle, index: int, pts: np.ndarray,
     m = seq.limit if index == -1 else seq.members[index]
     if seq.all_analytic:
         return m.analytic.derivatives(pts[tris])
-    return tuple((D[tris] @ m.values)[:, None] for D in seq.coefficients)
+    triangles = seq.mesh.triangles[tris]
+    return tuple(apply_coefficients(c[tris], m.values, triangles)[:, None]
+                 for c in seq.coefficients)
 
 
 class _Sample(NamedTuple):
@@ -588,8 +592,9 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
     convergence theorem, on one sequence with one functional family.
 
     The structural hypotheses on Phi are probed at PROBE_SAMPLES random
-    points each, the weak limit against the tensor Legendre dictionary of
-    degree DICTIONARY_DEGREE.  The quadrature is built once and swept block
+    points each, Phi * y^s at `s` (Dirichlet, whose admissible range of s
+    is empty, at its `spec.s_value` 0), the weak limit against the tensor
+    Legendre dictionary of degree DICTIONARY_DEGREE.  The quadrature is built once and swept block
     by block, so every quadrature point of every member is sampled once;
     the weak probe and the pointwise proxy use the whole mesh, every other
     measurement the subdomain.
@@ -612,7 +617,8 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
 
     # (a) structural conditions on the family: convexity of Phi and Phi*y^s,
     # monotone approach of the truncations to the exponential
-    conv = convexity_probe(spec, s, PROBE_SAMPLES, seed=0)
+    probe_s = spec.s_value if spec.family == "dirichlet" else s
+    conv = convexity_probe(spec, probe_s, PROBE_SAMPLES, seed=0)
     if spec.family == "trunc_exp":
         mono = monotone_truncation_check(spec.p, max(spec.trunc_n, 1), PROBE_SAMPLES, seed=0)
         monotonicity_ok = mono.ok

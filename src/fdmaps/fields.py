@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigurationError, InternalError
 from .geometry import Mesh
@@ -65,12 +64,13 @@ class DerivedField:
 
 
 def derivative_coefficients(mesh: Mesh):
-    """The sparse (m, n) pair (Dz, Dzbar) with fz = Dz @ w, fzbar = Dzbar @ w.
+    """The (m, 3) pair (a, b) of per-triangle Wirtinger coefficients:
+    f_z = sum_k a[t, k] w[triangles[t, k]], and f_zbar likewise with b.
 
-    Row t holds the three coefficients of triangle t on its nodes, in the
-    triangle's local order, so every product sums the same three terms in
-    the same order.  This is the one formula for the per-triangle Wirtinger
-    derivatives of the piecewise-affine interpolant.
+    Column k holds the coefficient of the triangle's k-th node in its local
+    order.  This is the one formula for the per-triangle Wirtinger
+    derivatives of the piecewise-affine interpolant; `apply_coefficients`
+    applies it, and the descent builds its sparse operators from it.
     """
     z = mesh.nodes[mesh.triangles]
     e1 = z[:, 1] - z[:, 0]
@@ -80,12 +80,17 @@ def derivative_coefficients(mesh: Mesh):
         raise InternalError("degenerate triangle in mesh")
     a = np.stack([(np.conj(e1) - np.conj(e2)) / D, np.conj(e2) / D, -np.conj(e1) / D], axis=1)
     b = np.stack([(e2 - e1) / D, -e2 / D, e1 / D], axis=1)
-    # CSR straight from the triangles: a COO build sums in node order and
-    # raises the peak memory of a level-7 `wirtinger_derivatives` by ~10 MiB
-    indptr = np.arange(0, 3 * mesh.n_triangles + 1, 3)
-    shape = (mesh.n_triangles, mesh.n_nodes)
-    return tuple(sp.csr_matrix((c.ravel(), mesh.triangles.ravel(), indptr), shape=shape)
-                 for c in (a, b))
+    return a, b
+
+
+def apply_coefficients(c: np.ndarray, values: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """f_z (c = a) or f_zbar (c = b) per triangle of the nodal `values`.
+
+    einsum sums the three terms in local order with separate multiplies and
+    adds, as the descent's CSR product does, so the two give the same bits;
+    `(c * values[triangles]).sum(1)` may fuse them and differ in the last bit.
+    """
+    return np.einsum("tk,tk->t", c, values[triangles])
 
 
 def squared_moduli(fz: np.ndarray, fzbar: np.ndarray):
@@ -131,8 +136,9 @@ def derived_from_derivatives(mesh: Mesh, fz: np.ndarray, fzbar: np.ndarray,
 def wirtinger_derivatives(mapping: MappingField) -> DerivedField:
     """Exact per-triangle f_z, f_zbar of the piecewise-affine interpolant."""
     mesh = mapping.mesh
-    Dz, Dzbar = derivative_coefficients(mesh)
-    return derived_from_derivatives(mesh, Dz @ mapping.values, Dzbar @ mapping.values,
+    fz, fzbar = (apply_coefficients(c, mapping.values, mesh.triangles)
+                 for c in derivative_coefficients(mesh))
+    return derived_from_derivatives(mesh, fz, fzbar,
                                     mapping.values[mesh.triangles].mean(axis=1))
 
 

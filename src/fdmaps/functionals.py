@@ -237,7 +237,10 @@ def _phi_callable(phi: PhiLike):
 
 def convexity_probe(phi: PhiLike, s: float, n_samples: int,
                     box=((0.0, 5.0), (0.1, 5.0)), seed: int = 0) -> ProbeReport:
-    """Randomized midpoint-convexity check of phi and phi * y^s on a box."""
+    """Randomized midpoint-convexity check of phi and phi * y^s on a box.
+
+    At s = 0 the two coincide and phi is checked once; the report's
+    `n_samples` counts the point pairs checked over the passes made."""
     (x_lo, x_hi), (y_lo, y_hi) = box
     if x_lo < 0 or y_lo <= 0:
         raise ConfigurationError("box must lie in x >= 0, y > 0")
@@ -249,7 +252,8 @@ def convexity_probe(phi: PhiLike, s: float, n_samples: int,
     y2 = rng.uniform(y_lo, y_hi, n_samples)
     violations = 0
     worst = 0.0
-    for weight_s in (0.0, float(s)):
+    passes = (0.0, float(s)) if s != 0 else (0.0,)
+    for weight_s in passes:
         def g(x, y):
             return f(x, y) * y ** weight_s
         v1, v2 = g(x1, y1), g(x2, y2)
@@ -260,7 +264,7 @@ def convexity_probe(phi: PhiLike, s: float, n_samples: int,
         violations += int(np.sum(bad))
         if np.any(bad):
             worst = max(worst, float(np.max(gap[bad])))
-    return ProbeReport(2 * n_samples, violations, worst)
+    return ProbeReport(len(passes) * n_samples, violations, worst)
 
 
 def monotone_truncation_check(p: float, n_max: int, n_samples: int,

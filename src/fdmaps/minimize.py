@@ -11,12 +11,13 @@ Sobolev gradient.  The iteration count does not grow under mesh
 refinement.  Steps are accepted only if the energy strictly decreases and
 every triangle keeps its Jacobian above a floor, so iterates stay
 orientation-preserving all along the sequence.  The operators that depend
-only on the mesh -- the sparse Wirtinger matrices Dz and Dzbar of
-`fields.derivative_coefficients` (the pair behind every nodal f_z and
-f_zbar in the package), the stiffness matrix S = 4 Re(Dz^H diag(areas) Dz)
-and the factorisation of S_II -- are built once per mesh of a solve or of
-a truncation sweep; the functional enters only the energy and gradient
-evaluations.
+only on the mesh -- the sparse Wirtinger matrices Dz and Dzbar, built
+from the coefficient pair of `fields.derivative_coefficients` (the pair
+behind every nodal f_z and f_zbar in the package), the stiffness matrix
+S = 4 Re(Dz^H diag(areas) Dz) and the factorisation of S_II -- are built
+once per mesh of a solve or of a truncation sweep; the functional enters
+only the energy and gradient evaluations.  This is the one module that
+imports scipy.
 
 A descent ends with one `stop_reason`: `gradient_tolerance` (|g| below the
 tolerance), `precision_floor` (the L-BFGS decrement g^T d / 2, an estimate
@@ -118,8 +119,10 @@ class _MeshOperators:
     """The functional-free operators of one mesh: fz = Dz @ w, fzbar = Dzbar @ w,
     the stiffness matrix S and the `splu` factor of its interior block S_II.
 
-    Dz and Dzbar are the sparse pair of `fields.derivative_coefficients`,
-    the same operators behind `wirtinger_derivatives`; the gradient applies
+    Dz and Dzbar are CSR matrices whose row t holds triangle t's
+    coefficients of `fields.derivative_coefficients` in local node order, so
+    a product sums the same three terms in the same order as
+    `wirtinger_derivatives` and gives the same bits; the gradient applies
     their conjugate transposes.  For real u, |grad u|^2 = 4 |u_z|^2,
     so S = 4 Re(Dz^H diag(areas) Dz).  S and the factor are built on first
     use.  Built per solve or sweep rather than cached on the mesh, so they
@@ -129,7 +132,13 @@ class _MeshOperators:
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         self.interior = np.flatnonzero(~mesh.is_boundary())
-        self.Dz, self.Dzbar = derivative_coefficients(mesh)
+        # CSR straight from the triangles keeps each row in local node order;
+        # a COO build would sort it by node and change the sums' last bits
+        indptr = np.arange(0, 3 * mesh.n_triangles + 1, 3)
+        shape = (mesh.n_triangles, mesh.n_nodes)
+        self.Dz, self.Dzbar = (
+            sp.csr_matrix((c.ravel(), mesh.triangles.ravel(), indptr), shape=shape)
+            for c in derivative_coefficients(mesh))
         self.Dz_H = self.Dz.conj().T.tocsr()
         self.Dzbar_H = self.Dzbar.conj().T.tocsr()
 

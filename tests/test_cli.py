@@ -260,6 +260,16 @@ def test_oracle_command_small(tmp_path):
     assert result["results"]["probes"]["nonconvex_control"]["violations"] > 0
 
 
+def test_diagnose_probes_dirichlet_at_its_s_value(tmp_path):
+    # the admissible range of s is empty for Dirichlet, so diagnose probes it
+    # at s = 0 as oracle does; at the diagnostic s the probe found violations
+    config = {"command": "diagnose", "domain": {"kind": "disk", "level": 2},
+              "recipe": {"kind": "affine_drift", "params": {}, "j_max": 4},
+              "functional": {"family": "dirichlet"}}
+    assert run(config, tmp_path) == 0
+    assert _read(tmp_path / "result.json")["results"]["hypotheses"]["convexity_ok"]
+
+
 def test_reproducible_result_bytes(tmp_path):
     config = {
         "command": "diagnose",

@@ -178,12 +178,13 @@ def test_convexity_probe_families():
                  FunctionalSpec(family="exp_p", p=1.0, jac_exp=1.0),
                  FunctionalSpec(family="trunc_exp", p=1.0, trunc_n=8, jac_exp=1.0)):
         rep = convexity_probe(spec, spec.s_value, 2000, seed=7)
-        assert rep.violations == 0
+        assert rep.violations == 0 and rep.n_samples == 4000
 
 
 def test_convexity_probe_catches_planted_concave():
+    # at s = 0 the weighted pass would repeat the unweighted one
     rep = convexity_probe(lambda x, y: -np.asarray(x) ** 2, 0.0, 2000, seed=7)
-    assert rep.violations > 0
+    assert rep.violations > 0 and rep.n_samples == 2000
 
 
 def test_monotone_truncation():

@@ -21,7 +21,7 @@ from .functionals import (FunctionalSpec, concavity_probe, convexity_probe,
                           phi_eval, polyconvex_lower_bound)
 from .geometry import Mesh, build_disk_mesh, build_rect_mesh, refine_mesh
 from .hopf import HopfField, ahlfors_hopf, holomorphy_residual, inverse_ahlfors_hopf
-from .sequences import SequenceRecipe, generate, radial_stretch_facts
+from .sequences import SequenceRecipe, generate
 
 __version__ = "0.1.0"
 

@@ -593,7 +593,8 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
 
     The structural hypotheses on Phi are probed at PROBE_SAMPLES random
     points each, Phi * y^s at `s` (Dirichlet, whose admissible range of s
-    is empty, at its `spec.s_value` 0), the weak limit against the tensor
+    is empty, at its `spec.s_value` 0, whatever `s` says; the report's
+    config records the s of the probe), the weak limit against the tensor
     Legendre dictionary of degree DICTIONARY_DEGREE.  The quadrature is built once and swept block
     by block, so every quadrature point of every member is sampled once;
     the weak probe and the pointwise proxy use the whole mesh, every other
@@ -601,10 +602,13 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
     """
     if p_RR <= 1.0:
         raise ConfigurationError("p_RR must exceed 1")
-    if s is None:
-        s = default_s(p_RR)
-    if not (0.0 < s < 1.0 - 1.0 / p_RR):
-        raise ConfigurationError(f"s must lie in (0, 1 - 1/p_RR), got {s}")
+    if spec.family == "dirichlet":
+        s = spec.s_value
+    else:
+        if s is None:
+            s = default_s(p_RR)
+        if not (0.0 < s < 1.0 - 1.0 / p_RR):
+            raise ConfigurationError(f"s must lie in (0, 1 - 1/p_RR), got {s}")
     if r_list is None:
         r_list = {"df": 1.5, "jac": 0.5, "mu": 1.0}
     if not isinstance(r_list, dict):
@@ -617,8 +621,7 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
 
     # (a) structural conditions on the family: convexity of Phi and Phi*y^s,
     # monotone approach of the truncations to the exponential
-    probe_s = spec.s_value if spec.family == "dirichlet" else s
-    conv = convexity_probe(spec, probe_s, PROBE_SAMPLES, seed=0)
+    conv = convexity_probe(spec, s, PROBE_SAMPLES, seed=0)
     if spec.family == "trunc_exp":
         mono = monotone_truncation_check(spec.p, max(spec.trunc_n, 1), PROBE_SAMPLES, seed=0)
         monotonicity_ok = mono.ok

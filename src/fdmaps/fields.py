@@ -25,12 +25,6 @@ class AnalyticMap:
     value: Callable[[np.ndarray], np.ndarray]
     derivatives: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
-    def fz(self, z) -> np.ndarray:
-        return self.derivatives(z)[0]
-
-    def fzbar(self, z) -> np.ndarray:
-        return self.derivatives(z)[1]
-
 
 @dataclass(frozen=True)
 class MappingField:
@@ -148,7 +142,6 @@ class DistortionReport:
     bad_area: float
     ess_sup_k: float        # max operator distortion over J > 0
     mean_khs: float         # area-weighted over J > 0
-    mean_jac: float         # area-weighted over all triangles
     finite_distortion: bool
 
 
@@ -159,13 +152,11 @@ def finite_distortion_report(derived: DerivedField) -> DistortionReport:
     good_area = float(np.sum(areas[pos]))
     ess_sup = float(np.max(derived.kop[pos])) if np.any(pos) else np.inf
     mean_khs = float(np.sum(derived.khs[pos] * areas[pos]) / good_area) if good_area > 0 else np.inf
-    mean_jac = float(np.sum(derived.jac * areas) / np.sum(areas))
     return DistortionReport(
         bad_count=int(np.sum(~pos)),
         bad_area=bad_area,
         ess_sup_k=ess_sup,
         mean_khs=mean_khs,
-        mean_jac=mean_jac,
         finite_distortion=(bad_area == 0.0),
     )
 

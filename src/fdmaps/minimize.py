@@ -19,11 +19,14 @@ once per mesh of a solve or of a truncation sweep; the functional enters
 only the energy and gradient evaluations.  This is the one module that
 imports scipy.
 
-A descent ends with one `stop_reason`: `gradient_tolerance` (|g| below the
-tolerance), `precision_floor` (the L-BFGS decrement g^T d / 2, an estimate
-of E - E* as in Boyd & Vandenberghe 2004, 9.5.1, is at most
-PRECISION_FLOOR * |E|, the rounding of E), `max_iterations`, or
-`line_search_failure` (no admissible step down to MIN_STEP above the floor).
+The descent has one convergence test, on the L-BFGS decrement g^T d / 2,
+an estimate of E - E* (Boyd & Vandenberghe 2004, 9.5.1).  With an empty
+memory it is half the squared Sobolev-dual norm g^T S_II^{-1} g, which
+does not shrink under refinement, so a tolerance decides alike on every
+mesh.  A descent ends with one `stop_reason`: `gradient_tolerance` (the
+decrement is at most max(tol^2 / 2, PRECISION_FLOOR * |E|), the floor
+being the rounding of E), `max_iterations`, or `line_search_failure` (no
+admissible step down to MIN_STEP while the decrement is above that).
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ INITIAL_STEP = 0.1  # first trial step while the memory is empty
 BACKTRACKING = 0.5  # step factor per rejected trial
 MIN_STEP = 1e-14
 PRECISION_FLOOR = 1e-14  # stop once the decrement is below this fraction of |E|
+JACOBIAN_FLOOR = 1e-8  # every accepted iterate keeps J above this on each triangle
 MEMORY = 8  # (s, y) pairs kept by the L-BFGS descent
 
 
@@ -58,16 +62,15 @@ class MinimizeConfig(Section, section="minimize"):
     the L-BFGS memory is empty, along the preconditioned direction
     S_II^{-1} g (not along g itself), and 1 with pairs in memory; each
     rejected trial multiplies the step by BACKTRACKING.
-    `gradient_tolerance` bounds the Euclidean norm of the unpreconditioned
-    gradient.
+    `gradient_tolerance` bounds sqrt(g^T d), the gradient's norm in the
+    metric of the L-BFGS model, which is S_II^{-1} while the memory is
+    empty; PRECISION_FLOOR * |E| bounds the decrement from below.
     """
     max_iterations: int = setting(integer, 2000)
     gradient_tolerance: float = setting(float, 1e-8)
-    jacobian_floor: float = setting(float, 1e-8)
 
     def __post_init__(self):
-        if self.max_iterations <= 0 or self.gradient_tolerance <= 0 \
-                or self.jacobian_floor <= 0:
+        if self.max_iterations <= 0 or self.gradient_tolerance <= 0:
             raise ConfigurationError("minimize config fields must be positive")
 
 
@@ -171,11 +174,6 @@ class _MeshOperators:
         return direction
 
 
-def stiffness_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """P1 Laplace stiffness: S_ij = integral grad phi_i . grad phi_j."""
-    return _MeshOperators(mesh).stiffness
-
-
 def harmonic_extension(mesh: Mesh, boundary: BoundaryData) -> MappingField:
     """Discrete harmonic extension of the boundary data (the feasible start)."""
     return MappingField(mesh, _MeshOperators(mesh).extend(boundary.boundary_values(mesh)))
@@ -223,7 +221,7 @@ def _energy_and_minjac(ops: _MeshOperators, spec: FunctionalSpec, eta_areas: np.
 class MinimizeResult:
     mapping: MappingField
     trace: List[dict]
-    stop_reason: str  # gradient_tolerance | precision_floor | max_iterations | line_search_failure
+    stop_reason: str  # gradient_tolerance | max_iterations | line_search_failure
 
     @property
     def stalled(self) -> bool:  # read by the perfbench ladder workload and tracer
@@ -274,7 +272,7 @@ def _minimize(ops: _MeshOperators, spec: FunctionalSpec, boundary: BoundaryData,
         values = initial.values.copy()
         values[mesh.boundary_nodes] = boundary.boundary_values(mesh)
     energy_val, min_jac = _energy_and_minjac(ops, spec, eta_areas, values)
-    if min_jac <= config.jacobian_floor or not np.isfinite(energy_val):
+    if min_jac <= JACOBIAN_FLOOR or not np.isfinite(energy_val):
         raise InitializationError(
             f"initial map infeasible: min J = {min_jac:.3e}, energy = {energy_val}")
 
@@ -282,22 +280,22 @@ def _minimize(ops: _MeshOperators, spec: FunctionalSpec, boundary: BoundaryData,
     memory = deque(maxlen=MEMORY)
     grad = _gradient(ops, spec, eta_areas, values)
     for it in range(config.max_iterations + 1):
-        grad_norm = float(np.linalg.norm(grad))
         direction = _lbfgs_direction(grad, memory, ops)
         if _dot(grad, direction) <= 0.0:  # not a descent direction: restart
             memory.clear()
             direction = _lbfgs_direction(grad, memory, ops)
+        gd = _dot(grad, direction)
         step = 1.0 if memory else INITIAL_STEP
         trace.append({"iteration": it, "energy": energy_val,
-                      "grad_norm": grad_norm, "min_J": min_jac, "step": step})
-        if grad_norm < config.gradient_tolerance:
+                      "grad_norm": float(np.sqrt(max(gd, 0.0))), "min_J": min_jac,
+                      "step": step})
+        if 0.5 * gd <= max(0.5 * config.gradient_tolerance ** 2,
+                           PRECISION_FLOOR * abs(energy_val)):
             stop_reason = "gradient_tolerance"
-        elif 0.5 * _dot(grad, direction) <= PRECISION_FLOOR * abs(energy_val):
-            stop_reason = "precision_floor"
         elif it == config.max_iterations:
             stop_reason = "max_iterations"
         elif (accepted := _line_search(ops, spec, eta_areas, values, direction,
-                                       energy_val, step, config)) is None:
+                                       energy_val, step)) is None:
             stop_reason = "line_search_failure"
         else:
             trial, energy_trial, min_jac = accepted
@@ -312,14 +310,13 @@ def _minimize(ops: _MeshOperators, spec: FunctionalSpec, boundary: BoundaryData,
     return MinimizeResult(MappingField(mesh, values), trace, stop_reason)
 
 
-def _line_search(ops, spec, eta_areas, values, direction, energy_val, step,
-                 config: MinimizeConfig):
+def _line_search(ops, spec, eta_areas, values, direction, energy_val, step):
     """Backtrack from `step` to the first trial that lowers the energy and keeps
     J above the floor: (trial, energy, min J), or None below MIN_STEP."""
     while step >= MIN_STEP:
         trial = values - step * direction
         energy_trial, min_jac = _energy_and_minjac(ops, spec, eta_areas, trial)
-        if min_jac >= config.jacobian_floor and energy_trial < energy_val:
+        if min_jac >= JACOBIAN_FLOOR and energy_trial < energy_val:
             return trial, energy_trial, min_jac
         step *= BACKTRACKING
     return None

@@ -44,35 +44,6 @@ class SequenceRecipe(Section, section="recipe"):
             raise ConfigurationError("j_max must be >= 2")
 
 
-@dataclass(frozen=True)
-class RadialStretchFacts:
-    alpha: float
-    khs: float       # constant Hilbert-Schmidt distortion (alpha^2+1)/alpha
-    abs_mu: float    # constant |Beltrami| = |alpha-1|/(alpha+1)
-    amap: AnalyticMap
-
-    def fz_abs(self, z):
-        return np.abs(self.amap.fz(z))
-
-    def fzbar_abs(self, z):
-        return np.abs(self.amap.fzbar(z))
-
-    def jac(self, z):
-        r = np.abs(np.asarray(z, dtype=complex))
-        return self.alpha * r ** (2.0 * self.alpha - 2.0)
-
-
-def radial_stretch_facts(alpha: float) -> RadialStretchFacts:
-    if alpha <= 0:
-        raise ConfigurationError("alpha must be positive")
-    return RadialStretchFacts(
-        alpha=float(alpha),
-        khs=(alpha ** 2 + 1.0) / alpha,
-        abs_mu=abs(alpha - 1.0) / (alpha + 1.0),
-        amap=analytic_radial_stretch(alpha),
-    )
-
-
 def _bump_quadrature(delta: float, n: int = 16):
     """Tensor Gauss rule for the normalized polynomial bump on |u| < delta.
 

@@ -198,6 +198,7 @@ _MISSPELT = [
     ("diagnose", {"functional": {"family": "lp_mean", "p": 2.0, "s": 0.3}}, "s"),
     ("minimize", {"minimize": {"initial_step": 0.3}}, "initial_step"),
     ("minimize", {"minimize": {"backtracking_factor": 0.25}}, "backtracking_factor"),
+    ("minimize", {"minimize": {"jacobian_floor": 1e-6}}, "jacobian_floor"),
     ("diagnose", {"diagnostic": {"dictionary_degree": 4}}, "dictionary_degree"),
     # 0 used to make the convexity and monotonicity probes vacuous
     ("diagnose", {"diagnostic": {"probe_samples": 0}}, "probe_samples"),
@@ -268,6 +269,17 @@ def test_diagnose_probes_dirichlet_at_its_s_value(tmp_path):
               "functional": {"family": "dirichlet"}}
     assert run(config, tmp_path) == 0
     assert _read(tmp_path / "result.json")["results"]["hypotheses"]["convexity_ok"]
+
+
+@pytest.mark.parametrize("diagnostic", [{}, {"s": 0.9}], ids=["default", "s=0.9"])
+def test_dirichlet_diagnose_records_the_s_it_probed(tmp_path, diagnostic):
+    # Dirichlet reads no s: an s outside (0, 1 - 1/p_RR) used to exit 2, and
+    # the default one (0.01) was echoed as config.s although the probe used 0
+    config = {"command": "diagnose", "domain": {"kind": "disk", "level": 2},
+              "recipe": {"kind": "affine_drift", "params": {}, "j_max": 4},
+              "functional": {"family": "dirichlet"}, "diagnostic": diagnostic}
+    assert run(config, tmp_path) == 0
+    assert _read(tmp_path / "result.json")["results"]["config"]["s"] == 0.0
 
 
 def test_reproducible_result_bytes(tmp_path):

@@ -15,7 +15,7 @@ from fdmaps.sequences import SequenceRecipe
 @pytest.mark.parametrize("section", [
     FunctionalSpec(family="trunc_exp", p=1.5, trunc_n=4, norm="op", jac_exp=0.5,
                    weight="hyperbolic"),
-    MinimizeConfig(max_iterations=7, gradient_tolerance=1e-5, jacobian_floor=1e-6),
+    MinimizeConfig(max_iterations=7, gradient_tolerance=1e-5),
     BoundaryData(kind="circle_diffeo", sin_coeffs=(0.0, 0.2), cos_coeffs=(0.1,)),
     SequenceRecipe(kind="mollified", params={"target": "radial_stretch", "alpha": 2.0},
                    j_max=8),

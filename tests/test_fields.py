@@ -41,8 +41,29 @@ def test_analytic_radial_stretch_closed_forms(rng):
     fy = (amap.value(z + 1j * h) - amap.value(z - 1j * h)) / (2 * h)
     fz_fd = 0.5 * (fx - 1j * fy)
     fzbar_fd = 0.5 * (fx + 1j * fy)
-    assert np.allclose(amap.fz(z), fz_fd, atol=1e-6)
-    assert np.allclose(amap.fzbar(z), fzbar_fd, atol=1e-6)
+    fz, fzbar = amap.derivatives(z)
+    assert np.allclose(fz, fz_fd, atol=1e-6)
+    assert np.allclose(fzbar, fzbar_fd, atol=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+def test_analytic_radial_stretch_pointwise(alpha):
+    # z = r e^{i theta} -> r^alpha e^{i theta}: |f_z| = (alpha+1)/2 r^(alpha-1),
+    # |f_zbar| = |alpha-1|/2 r^(alpha-1), J = alpha r^(2 alpha - 2), and the
+    # distortion (alpha^2+1)/alpha and |mu| = |alpha-1|/(alpha+1) are constant
+    r = np.array([0.05, 0.3, 0.7, 1.0, 1.6])
+    z = r * np.exp(1j * np.array([0.4, 2.0, -1.1, 3.0, -2.7]))
+    fz, fzbar = analytic_radial_stretch(alpha).derivatives(z)
+    fz_abs, fzbar_abs = np.abs(fz), np.abs(fzbar)
+    jac = fz_abs ** 2 - fzbar_abs ** 2
+    np.testing.assert_allclose(fz_abs, (alpha + 1.0) / 2.0 * r ** (alpha - 1.0), rtol=1e-12)
+    np.testing.assert_allclose(fzbar_abs, abs(alpha - 1.0) / 2.0 * r ** (alpha - 1.0),
+                               rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(jac, alpha * r ** (2.0 * alpha - 2.0), rtol=1e-12)
+    np.testing.assert_allclose(2.0 * (fz_abs ** 2 + fzbar_abs ** 2) / jac,
+                               (alpha ** 2 + 1.0) / alpha, rtol=1e-12)
+    np.testing.assert_allclose(fzbar_abs / fz_abs, abs(alpha - 1.0) / (alpha + 1.0),
+                               rtol=1e-12, atol=1e-300)
 
 
 def test_sampled_stretch_distortion_converges():
@@ -64,8 +85,9 @@ def test_oscillation_derivatives(unit_square_16, rng):
     amap = analytic_oscillation(j)
     z = rng.uniform(0.05, 0.95, 20) + 1j * rng.uniform(0.05, 0.95, 20)
     c = np.cos(2 * np.pi * j * z.real)
-    assert np.allclose(amap.fz(z), 1.0 + 0.5 * c)
-    assert np.allclose(amap.fzbar(z), 0.5 * c)
+    fz, fzbar = amap.derivatives(z)
+    assert np.allclose(fz, 1.0 + 0.5 * c)
+    assert np.allclose(fzbar, 0.5 * c)
     # P1 sampling at a resolved frequency matches the closed form at centroids
     m = sample_analytic(unit_square_16, "oscillation", 2)
     d = wirtinger_derivatives(m)

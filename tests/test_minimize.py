@@ -5,15 +5,20 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fdmaps.cli import run
+try:
+    import jsonschema
+except ImportError:  # pragma: no cover
+    jsonschema = None
+
+from fdmaps.cli import result_schema, run
 from fdmaps.errors import ConfigurationError
 from fdmaps.fields import MappingField, sample_analytic, wirtinger_derivatives
 from fdmaps.functionals import FunctionalSpec, energy
-from fdmaps.geometry import build_rect_mesh
-from fdmaps.minimize import (MEMORY, BoundaryData, MinimizeConfig, _dot, _eta_areas,
-                             _energy_and_minjac, _lbfgs_direction, _MeshOperators,
-                             energy_gradient, harmonic_extension, minimize_energy,
-                             prolong, stiffness_matrix, truncation_sweep)
+from fdmaps.geometry import build_disk_mesh, build_rect_mesh
+from fdmaps.minimize import (JACOBIAN_FLOOR, MEMORY, BoundaryData, MinimizeConfig, _dot,
+                             _eta_areas, _energy_and_minjac, _lbfgs_direction,
+                             _MeshOperators, energy_gradient, harmonic_extension,
+                             minimize_energy, prolong, truncation_sweep)
 
 
 # criterion 08: trunc_exp p=1 N=8 under a circle diffeomorphism, and its
@@ -106,13 +111,13 @@ def test_stiffness_matrix_matches_barycentric_assembly(request, mesh):
     # compared on the pattern of nonzero values, as the reference also
     # stores the exact zeros of right-angled triangles
     mesh = build_rect_mesh(8, 5, 0, 2 + 1j) if mesh == "rect" else request.getfixturevalue(mesh)
-    S, ref = stiffness_matrix(mesh), _barycentric_stiffness(mesh)
+    S, ref = _MeshOperators(mesh).stiffness, _barycentric_stiffness(mesh)
     assert ((S != 0) != (ref != 0)).nnz == 0
     assert abs(S - ref).max() <= 1e-14 * abs(ref).max()
 
 
 def test_stiffness_matrix_annihilates_constants(disk3):
-    K = stiffness_matrix(disk3)
+    K = _MeshOperators(disk3).stiffness
     assert K.shape == (disk3.n_nodes, disk3.n_nodes)
     assert np.allclose(K @ np.ones(disk3.n_nodes), 0.0, atol=1e-12)
     # symmetric positive semidefinite
@@ -170,18 +175,18 @@ def test_minimize_recovers_identity(disk3):
 
 def test_minimize_keeps_jacobian_floor(disk3):
     spec = FunctionalSpec(family="trunc_exp", p=1.0, trunc_n=8)
-    cfg = MinimizeConfig(max_iterations=300, jacobian_floor=1e-8)
     res = minimize_energy(spec, disk3,
                           BoundaryData(kind="circle_diffeo", sin_coeffs=(0.0, 0.3)),
-                          cfg)
-    assert wirtinger_derivatives(res.mapping).jac.min() >= cfg.jacobian_floor
+                          MinimizeConfig(max_iterations=300))
+    assert wirtinger_derivatives(res.mapping).jac.min() >= JACOBIAN_FLOOR
 
 
 def test_descent_is_mesh_independent_on_refinement_ladder(disk3, disk4, disk5):
     # criterion-08 problem at levels 3 to 5, warm-started by prolongation;
     # plain steepest descent needs 939 and 3218 trace rows at levels 3 and 4,
     # the Laplacian-preconditioned descent 68 / 107 / 159 and the L-BFGS one
-    # 25 / 29 / 33 with the precision-floor stop (28 / 35 / 37 without it)
+    # 25 / 29 / 33 with the decrement stopped at PRECISION_FLOOR * |E|
+    # (28 / 35 / 37 without that floor)
     spec = FunctionalSpec.from_json(CRITERION_08["functional"])
     boundary = BoundaryData.from_json(CRITERION_08["boundary"])
     prev = None
@@ -193,32 +198,69 @@ def test_descent_is_mesh_independent_on_refinement_ladder(disk3, disk4, disk5):
                               initial=init)
         assert abs(res.final_energy - ref) <= 1e-10 * ref
         assert len(res.trace) <= 60
-        assert res.stop_reason == "precision_floor"
+        assert res.stop_reason == "gradient_tolerance"
         prev = res
 
 
 @pytest.mark.parametrize("level", [3, 4, 5])
-def test_cli_minimize_converges_at_the_precision_floor(tmp_path, level):
+def test_cli_minimize_converges_at_the_gradient_tolerance(tmp_path, level):
     # the descent ends where no step lowers E by more than its rounding;
     # that is a converged solve, which used to exit 3 as a stalled line search
     config = {"command": "minimize", "domain": {"kind": "disk", "level": level},
               "minimize": {"gradient_tolerance": 1e-9}, **CRITERION_08}
     assert run(config, tmp_path) == 0
     results = json.loads((tmp_path / "result.json").read_text())["results"]
-    assert results["stop_reason"] == "precision_floor"
+    assert results["stop_reason"] == "gradient_tolerance"
     ref = CRITERION_08_ENERGIES[level - 3]
     assert abs(results["final_energy"] - ref) <= 1e-10 * ref
 
 
+def test_stopping_norm_is_mesh_independent():
+    # at the harmonic start of the criterion-08 problem the trace's norm
+    # sqrt(g^T S_II^{-1} g) reads 3.84 / 3.81 / 3.80 / 3.80 on levels 3-6,
+    # where the Euclidean |g| halves per level: 2.63 / 1.51 / 0.82 / 0.43
+    spec = FunctionalSpec.from_json(CRITERION_08["functional"])
+    boundary = BoundaryData.from_json(CRITERION_08["boundary"])
+    norms = [minimize_energy(spec, build_disk_mesh(level), boundary,
+                             MinimizeConfig(max_iterations=1)).trace[0]["grad_norm"]
+             for level in (3, 4, 5, 6)]
+    assert max(norms) <= 1.02 * min(norms)
+
+
+def test_gradient_tolerance_decides_alike_on_every_mesh(tmp_path):
+    # a tolerance well above the float floor stops each level by
+    # gradient_tolerance after about as many rows (8 / 9 / 10 on levels 3-5)
+    # and as close to the minimum: E - E* is 0.50 / 0.59 / 0.48 tol^2, the
+    # decrement tol^2 / 2 that the test reads; the Euclidean test stopped at
+    # 0.0043 / 0.0049 / 0.013 tol^2
+    tol, rows, gaps = 1e-2, [], []
+    for level, ref in zip((3, 4, 5), CRITERION_08_ENERGIES):
+        config = {"command": "minimize", "domain": {"kind": "disk", "level": level},
+                  "minimize": {"gradient_tolerance": tol}, **CRITERION_08}
+        out = tmp_path / str(level)
+        assert run(config, out) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["results"]["stop_reason"] == "gradient_tolerance"
+        assert result["results"]["grad_norm"] <= tol
+        rows.append(result["results"]["iterations"] + 1)
+        gaps.append(result["results"]["final_energy"] - ref)
+        if jsonschema is not None:
+            jsonschema.validate(result, result_schema())
+    assert max(rows) - min(rows) <= 3
+    assert 0.0 < min(gaps) and max(gaps) <= min(2.0 * min(gaps), tol ** 2)
+    assert set(result_schema()["$defs"]["stop_reason"]["enum"]) == \
+        {"gradient_tolerance", "max_iterations", "line_search_failure"}
+
+
 @pytest.mark.parametrize("command", ["minimize", "sweep"])
-def test_line_search_failure_exits_3(disk3, tmp_path, command):
+def test_line_search_failure_exits_3(disk3, tmp_path, monkeypatch, command):
     # a Jacobian floor just under the harmonic start's min J rejects every
     # step that lowers min J, long before the decrement reaches the floor
     boundary = BoundaryData.from_json(CRITERION_08["boundary"])
     min_jac = wirtinger_derivatives(harmonic_extension(disk3, boundary)).jac.min()
+    monkeypatch.setattr("fdmaps.minimize.JACOBIAN_FLOOR", float(min_jac) * (1.0 - 1e-13))
     config = {"command": command, "domain": {"kind": "disk", "level": 3},
-              "minimize": {"gradient_tolerance": 1e-9,
-                           "jacobian_floor": float(min_jac) * (1.0 - 1e-13)},
+              "minimize": {"gradient_tolerance": 1e-9},
               "sweep": {"N_list": [1]}, **CRITERION_08}
     assert run(config, tmp_path) == 3
     manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -267,7 +309,7 @@ def test_lbfgs_direction_matches_dense_bfgs_updates(disk3, rng):
         y = (1.0 + k) * s + 0.3 * nodal()  # s^T y > 0, and gamma differs per pair
         sy = _dot(s, y)
         memory.append((s, y, 1.0 / sy, sy / _dot(y, ops.precondition(y))))
-    S_II = stiffness_matrix(disk3)[interior][:, interior].toarray()
+    S_II = ops.stiffness[interior][:, interior].toarray()
     H = memory[-1][3] * np.kron(np.eye(2), np.linalg.inv(S_II))
     for s, y, rho, _ in memory:
         V = np.eye(len(H)) - rho * np.outer(real(y), real(s))
@@ -303,13 +345,13 @@ def test_sweep_factorises_the_mesh_once(disk4, monkeypatch):
     entries = truncation_sweep(1.0, [1, 2, 4, 8], disk4, boundary,
                                MinimizeConfig(gradient_tolerance=1e-9))
     assert len(calls) == 1
-    assert [e.stop_reason for e in entries] == ["precision_floor"] * 4
+    assert [e.stop_reason for e in entries] == ["gradient_tolerance"] * 4
     # N = 8 is the criterion-08 problem at level 4
     for entry, ref in zip(entries, (9.748915545760502, 16.70814939622371,
                                     24.16697104650499, CRITERION_08_ENERGIES[1])):
         assert abs(entry.energy - ref) <= 1e-12 * ref
     energy_gradient(FunctionalSpec(family="exp_p", p=1.0), entries[0].mapping)
-    stiffness_matrix(disk4)
+    _MeshOperators(disk4).stiffness
     assert len(calls) == 1
 
 

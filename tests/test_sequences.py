@@ -4,8 +4,7 @@ import pytest
 from fdmaps.convergence import BLOCK_POINTS
 from fdmaps.errors import ConfigurationError
 from fdmaps.fields import analytic_affine, analytic_radial_stretch
-from fdmaps.sequences import (SequenceRecipe, _bump_quadrature, generate,
-                              mollify_values, radial_stretch_facts)
+from fdmaps.sequences import SequenceRecipe, _bump_quadrature, generate, mollify_values
 
 
 def test_recipe_validation():
@@ -13,35 +12,6 @@ def test_recipe_validation():
         SequenceRecipe(kind="nope", params={}, j_max=4)
     with pytest.raises(ConfigurationError):
         SequenceRecipe(kind="constant", params={}, j_max=1)
-
-
-def test_radial_stretch_facts():
-    f1 = radial_stretch_facts(1.0)
-    assert f1.khs == pytest.approx(2.0)
-    assert f1.abs_mu == pytest.approx(0.0)
-    f2 = radial_stretch_facts(2.0)
-    assert f2.khs == pytest.approx(2.5)
-    assert f2.abs_mu == pytest.approx(1.0 / 3.0)
-    f3 = radial_stretch_facts(3.0)
-    assert f3.khs == pytest.approx(10.0 / 3.0)
-    assert f3.abs_mu == pytest.approx(0.5)
-
-
-@pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0])
-def test_radial_stretch_facts_pointwise(alpha):
-    # z = r e^{i theta} -> r^alpha e^{i theta}: |f_z| = (alpha+1)/2 r^(alpha-1),
-    # |f_zbar| = |alpha-1|/2 r^(alpha-1), J = alpha r^(2 alpha - 2)
-    facts = radial_stretch_facts(alpha)
-    r = np.array([0.05, 0.3, 0.7, 1.0, 1.6])
-    z = r * np.exp(1j * np.array([0.4, 2.0, -1.1, 3.0, -2.7]))
-    fz_abs, fzbar_abs, jac = facts.fz_abs(z), facts.fzbar_abs(z), facts.jac(z)
-    np.testing.assert_allclose(fz_abs, (alpha + 1.0) / 2.0 * r ** (alpha - 1.0), rtol=1e-12)
-    np.testing.assert_allclose(fzbar_abs, abs(alpha - 1.0) / 2.0 * r ** (alpha - 1.0),
-                               rtol=1e-12)
-    np.testing.assert_allclose(jac, alpha * r ** (2.0 * alpha - 2.0), rtol=1e-12)
-    np.testing.assert_allclose(jac, fz_abs ** 2 - fzbar_abs ** 2, rtol=1e-12)
-    np.testing.assert_allclose(2.0 * (fz_abs ** 2 + fzbar_abs ** 2) / jac, facts.khs,
-                               rtol=1e-12)
 
 
 def test_constant_sequence(disk3):

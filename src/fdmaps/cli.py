@@ -12,6 +12,7 @@ import importlib.resources
 import json
 import sys
 import time
+from dataclasses import asdict
 from operator import itemgetter
 from pathlib import Path
 
@@ -19,12 +20,12 @@ import numpy as np
 
 from . import __version__
 from .config import (boolean, complex_number, integer, map_args, optional,
-                     positive_integer, read)
+                     positive_integer, read, real)
 from .convergence import Tolerances, gaps_to_csv, radon_riesz_diagnose
 from .errors import ConfigurationError, DomainError, FdmapsError, InitializationError
 from .fields import (derived_to_csv, sample_analytic, wirtinger_derivatives,
                      write_columns)
-from .functionals import (FunctionalSpec, concavity_probe, convexity_probe,
+from .functionals import (FunctionalSpec, ProbeReport, concavity_probe, convexity_probe,
                           monotone_truncation_check, polyconvex_lower_bound)
 from .geometry import build_disk_mesh, build_rect_mesh
 from .hopf import (ahlfors_hopf, holomorphy_residual, hopf_to_csv,
@@ -38,14 +39,14 @@ _CONFIG = {"command": (str, None), "seed": (integer, 0), "out": (str, "."),
 _DOMAIN = {"kind": (str, None), "level": (integer, 4, ("disk",)),
            "nx": (integer, 16, ("rect",)), "ny": (integer, 16, ("rect",)),
            "lo": (complex_number, 0j, ("rect",)), "hi": (complex_number, 1 + 1j, ("rect",))}
-_SWEEP = {"p": (float, 1.0), "N_list": (lambda ns: [integer(n) for n in ns], (1, 2, 4, 8)),
-          "jac_exp": (float, 0.0), "weight": (str, "none")}
+_SWEEP = {"p": (real, 1.0), "N_list": (lambda ns: [integer(n) for n in ns], (1, 2, 4, 8)),
+          "jac_exp": (real, 0.0), "weight": (str, "none")}
 # keyed by the arguments of radon_riesz_diagnose
-_DIAGNOSTIC = {"p_RR": (float, 2.0), "s": (optional(float), None),
+_DIAGNOSTIC = {"p_RR": (real, 2.0), "s": (optional(real), None),
                "r_list": (optional(dict), None),
                "tolerances": (Tolerances.from_json, Tolerances())}
 _HOPF = {"formula": (str, "identity"), "args": (map_args, ()),
-         "p": (float, 1.0), "N": (optional(integer), None), "inverse": (boolean, False),
+         "p": (real, 1.0), "N": (optional(integer), None), "inverse": (boolean, False),
          "weight": (str, "none")}
 _ORACLE = {"n_samples": (positive_integer, 100000)}
 
@@ -134,9 +135,7 @@ def _run_diagnose(config, out: Path):
     report = radon_riesz_diagnose(spec, seq,
                                   **read("diagnostic", config["diagnostic"], _DIAGNOSTIC))
     gaps_to_csv(report, out / "gaps.csv")
-    doc = report.to_json()
-    doc["gap"] = report.phi_energy_gap
-    return doc
+    return {**report.to_json(), "gap": report.hypotheses["phi_energy_gap"]}
 
 
 def _run_hopf(config, out: Path):
@@ -156,12 +155,9 @@ def _run_oracle(config, out: Path):
     n = read("oracle", config["oracle"], _ORACLE)["n_samples"]
     seed = config["seed"]
     rng = np.random.default_rng(seed)
-    probes = {}
-
     x, y, x0, y0 = (rng.uniform(lo, 10.0, n) for lo in (0.0, 0.1, 0.0, 0.1))
     _, _, holds = polyconvex_lower_bound(x, y, x0, y0)
-    probes["polyconvex_lower_bound"] = {"n_samples": n, "violations": int(np.sum(~holds))}
-
+    probes = {"polyconvex_lower_bound": ProbeReport(n, int(np.sum(~holds)))}
     # the s-weighted convexity holds for the inverse-problem forms, which
     # carry the Jacobian factor; probe those
     for name, spec in (
@@ -171,24 +167,14 @@ def _run_oracle(config, out: Path):
                                            jac_exp=1.0)),
         ("dirichlet", FunctionalSpec(family="dirichlet")),
     ):
-        rep = convexity_probe(spec, spec.s_value, n, seed=seed)
-        probes[f"convexity_{name}"] = {"n_samples": rep.n_samples,
-                                       "violations": rep.violations}
-    mono = monotone_truncation_check(1.0, 20, n, seed=seed)
-    probes["monotone_truncation"] = {"n_samples": mono.n_samples,
-                                     "violations": mono.violations}
-    conc = concavity_probe(0.25, 2.0, n, seed=seed)
-    probes["concavity"] = {"n_samples": conc.n_samples, "violations": conc.violations}
-    control = convexity_probe(lambda xx, yy: -np.asarray(xx) ** 2, 0.0, n, seed=seed)
-    probes["nonconvex_control"] = {"n_samples": control.n_samples,
-                                   "violations": control.violations}
-    all_ok = (probes["polyconvex_lower_bound"]["violations"] == 0
-              and probes["monotone_truncation"]["violations"] == 0
-              and probes["concavity"]["violations"] == 0
-              and all(v["violations"] == 0 for k, v in probes.items()
-                      if k.startswith("convexity_"))
-              and probes["nonconvex_control"]["violations"] > 0)
-    return {"probes": probes, "all_ok": all_ok}
+        probes[f"convexity_{name}"] = convexity_probe(spec, spec.s_value, n, seed=seed)
+    probes["monotone_truncation"] = monotone_truncation_check(1.0, 20, n, seed=seed)
+    probes["concavity"] = concavity_probe(0.25, 2.0, n, seed=seed)
+    probes["nonconvex_control"] = convexity_probe(lambda xx, yy: -np.asarray(xx) ** 2, 0.0,
+                                                  n, seed=seed)
+    # every probe finds no violation, except the control, which must find some
+    all_ok = all(rep.ok != (name == "nonconvex_control") for name, rep in probes.items())
+    return {"probes": {name: asdict(rep) for name, rep in probes.items()}, "all_ok": all_ok}
 
 
 _RUNNERS = {

@@ -10,6 +10,7 @@ kind never reads is unknown.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, field, fields
 
 from .errors import ConfigurationError
@@ -21,6 +22,14 @@ def integer(value) -> int:
     if isinstance(value, bool) or int(value) != value:
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def real(value) -> float:
+    """float(value) of a finite JSON number, refusing a JSON boolean, NaN and
+    an infinity as `integer` does."""
+    if isinstance(value, bool) or not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
 
 
 def positive_integer(value) -> int:
@@ -42,18 +51,19 @@ def optional(convert):
 
 
 def floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+    return tuple(real(v) for v in values)
 
 
 def complex_number(value) -> complex:
     """A complex from [re, im] or from a real number."""
-    return complex(*value) if isinstance(value, (list, tuple)) else complex(value)
+    parts = value if isinstance(value, (list, tuple)) else [value]
+    return complex(*map(real, parts))
 
 
 def map_args(values) -> list:
     """Arguments of a closed-form map: each [re, im] pair becomes a complex
-    number, any other value is passed as it is."""
-    return [complex_number(v) if isinstance(v, (list, tuple)) else v for v in values]
+    number, any other value a `real`."""
+    return [complex_number(v) if isinstance(v, (list, tuple)) else real(v) for v in values]
 
 
 def rows(table: dict, kind) -> dict:

@@ -19,7 +19,7 @@ block the limit and then every member is sampled once, as (f_z, f_zbar,
 P, Q, J), and the sample feeds every measurement, which adds the block's
 part to its sums: the weak probe (one matrix product pairs the
 differences of PROBE_GROUP members with the test dictionary), the energy
-series, the Phi-gap, the L^r gaps, the scales and the pointwise proxy.
+series, the L^r gaps (of Phi too), the scales and the pointwise proxy.
 No full-length per-member array is formed.  The standalone `weak_probe`, `lr_gap`,
 `quantity_scale` and `lsc_checks` run the same sweep with the measurement
 they report.
@@ -28,13 +28,13 @@ they report.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .config import Section, setting
+from .config import Section, real, setting
 from .errors import ConfigurationError, DomainError
 from .fields import (MappingField, apply_coefficients, derivative_coefficients,
                      finite_distortion_report, squared_moduli, wirtinger_derivatives,
@@ -209,9 +209,14 @@ def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
 QUANTITIES = ("df", "fz", "fzbar", "jac", "mu")
 
 
-def _quantity_diff(quantity: str, a: _Sample, b: _Sample):
+def _quantity_diff(quantity: str, a: _Sample, b: _Sample,
+                   spec: Optional[FunctionalSpec] = None):
     """Pointwise |q(a) - q(b)|, 0 where q is undefined, and a validity mask
-    (None: valid everywhere)."""
+    (None: valid everywhere).  The quantity "phi" is the integrand Phi of
+    `spec`; its difference is inf everywhere once it is not finite somewhere."""
+    if quantity == "phi":
+        d = np.abs(a.phi(spec) - b.phi(spec))
+        return (d if np.all(np.isfinite(d)) else np.full(d.shape, np.inf)), None
     if quantity == "df":
         return np.sqrt(np.abs(a.fz - b.fz) ** 2 + np.abs(a.fzbar - b.fzbar) ** 2), None
     if quantity == "fz":
@@ -234,14 +239,16 @@ def _lr_sum(d: np.ndarray, w: np.ndarray, r: float) -> float:
 
 
 class _LrGap(_Measurement):
-    """L^r distance of a derived quantity to the limit's, per member."""
+    """L^r distance of a quantity of `_quantity_diff` to the limit's, per
+    member; `spec` is the functional of the quantity "phi"."""
 
-    def __init__(self, quantity: str, r: float, n_members: int):
-        self.quantity, self.r = quantity, r
+    def __init__(self, quantity: str, r: float, n_members: int,
+                 spec: Optional[FunctionalSpec] = None):
+        self.quantity, self.r, self.spec = quantity, r, spec
         self.sums = np.zeros(n_members)
 
     def member(self, block, j, f, lim):
-        d, _ = _quantity_diff(self.quantity, f.part, lim.part)
+        d, _ = _quantity_diff(self.quantity, f.part, lim.part, self.spec)
         self.sums[j] += _lr_sum(d, block.w_sub, self.r)
 
     def values(self) -> List[float]:
@@ -394,23 +401,6 @@ class _Energy(_Measurement):
         return [quadrature_sum(np.array(parts), 1.0) for parts in self.blocks]
 
 
-class _PhiGap(_Measurement):
-    """L^p distance of each member's Phi to the limit's; inf once a
-    difference is not finite."""
-
-    def __init__(self, spec: FunctionalSpec, p: float, n_members: int):
-        self.spec, self.p = spec, p
-        self.sums = np.zeros(n_members)
-
-    def member(self, block, j, f, lim):
-        diff = np.abs(f.part.phi(self.spec) - lim.part.phi(self.spec))
-        self.sums[j] += (_lr_sum(diff, block.w_sub, self.p)
-                         if np.all(np.isfinite(diff)) else np.inf)
-
-    def values(self) -> List[float]:
-        return [float(s ** (1.0 / self.p)) for s in self.sums]
-
-
 class _Pointwise(_Measurement):
     """Median and 95th percentile of |q(last member) - q(limit)| over the
     whole mesh, for q in df, jac and mu."""
@@ -523,27 +513,28 @@ def orlicz_norm(mapping: MappingField, subdomain=None) -> float:
 
 @dataclass(frozen=True)
 class Tolerances(Section, section="tolerances"):
-    hypothesis_rel: float = setting(float, 1e-3)  # energy-convergence gap, relative to scale
-    conclusion_rel: float = setting(float, 1e-2)  # strong-convergence tails, relative to scale
-    weak_rel: float = setting(float, 2e-2)        # weak-probe last residual, relative to scale
+    hypothesis_rel: float = setting(real, 1e-3)  # energy-convergence gap, relative to scale
+    conclusion_rel: float = setting(real, 1e-2)  # strong-convergence tails, relative to scale
+    weak_rel: float = setting(real, 2e-2)        # weak-probe last residual, relative to scale
 
 
 @dataclass
 class ConvergenceReport:
+    """The `diagnose` result document: `to_json` writes the fields as they are.
+
+    `hypotheses` holds the eight hypothesis flags and measurements:
+    energy_convergence and energy_gap (the PhiConv gap at exponent p_RR),
+    phi_energy_gap (the plain-Phi energy gap, Lemma-1 scale), weak_probe_ok,
+    jacobian_ok and jacobian_bad_fraction, convexity_ok, monotonicity_ok.
+    `conclusions` holds one `_gap_record` per quantity: "phi" at p_RR and
+    each quantity of the r_list."""
     verdict: str
     decided_by: str                   # first failed hypothesis, or "all"
-    energy_convergence: bool
-    energy_gap: float                 # PhiConv gap at exponent p_RR
-    phi_energy_gap: float             # plain-Phi energy gap (Lemma-1 scale)
+    hypotheses: Dict[str, object]
     energy_series: List[float]
     limit_energy: float
-    weak_probe_ok: bool
     weak_probe_residuals: List[float]
-    jacobian_ok: bool
-    jacobian_bad_fraction: float
-    convexity_ok: bool
-    monotonicity_ok: bool
-    conclusion_gaps: Dict[str, dict]
+    conclusions: Dict[str, dict]
     pointwise_proxy: Dict[str, dict]
     config: Dict
 
@@ -552,35 +543,16 @@ class ConvergenceReport:
             raise ConfigurationError(f"invalid verdict {self.verdict!r}")
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "decided_by": self.decided_by,
-            "hypotheses": {
-                "energy_convergence": self.energy_convergence,
-                "energy_gap": self.energy_gap,
-                "phi_energy_gap": self.phi_energy_gap,
-                "weak_probe_ok": self.weak_probe_ok,
-                "jacobian_ok": self.jacobian_ok,
-                "jacobian_bad_fraction": self.jacobian_bad_fraction,
-                "convexity_ok": self.convexity_ok,
-                "monotonicity_ok": self.monotonicity_ok,
-            },
-            "energy_series": self.energy_series,
-            "limit_energy": self.limit_energy,
-            "weak_probe_residuals": self.weak_probe_residuals,
-            "conclusions": self.conclusion_gaps,
-            "pointwise_proxy": self.pointwise_proxy,
-            "config": self.config,
-        }
+        return asdict(self)
 
 
 def gaps_to_csv(report: ConvergenceReport, path) -> None:
     """Gap-vs-j series for plotting."""
-    names = sorted(report.conclusion_gaps)
+    names = sorted(report.conclusions)
     write_columns(path, ["j", "energy", "weak_residual"] + [f"gap_{n}" for n in names],
                   [np.arange(1, len(report.energy_series) + 1), report.energy_series,
                    report.weak_probe_residuals]
-                  + [report.conclusion_gaps[n]["series"] for n in names])
+                  + [report.conclusions[n]["series"] for n in names])
 
 
 def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
@@ -600,7 +572,7 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
     the weak probe and the pointwise proxy use the whole mesh, every other
     measurement the subdomain.
     """
-    if p_RR <= 1.0:
+    if not p_RR > 1.0:
         raise ConfigurationError("p_RR must exceed 1")
     if spec.family == "dirichlet":
         s = spec.s_value
@@ -616,18 +588,15 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
     for qname, r in r_list.items():
         if qname not in QUANTITIES:
             raise ConfigurationError(f"unknown quantity {qname!r} in r_list")
-        if not (isinstance(r, (int, float)) and r > 0):
+        if isinstance(r, bool) or not (isinstance(r, (int, float)) and 0 < r < np.inf):
             raise ConfigurationError(f"bad exponent for {qname!r}: {r}")
 
     # (a) structural conditions on the family: convexity of Phi and Phi*y^s,
     # monotone approach of the truncations to the exponential
     conv = convexity_probe(spec, s, PROBE_SAMPLES, seed=0)
-    if spec.family == "trunc_exp":
-        mono = monotone_truncation_check(spec.p, max(spec.trunc_n, 1), PROBE_SAMPLES, seed=0)
-        monotonicity_ok = mono.ok
-    elif spec.family == "exp_p":
-        mono = monotone_truncation_check(spec.p, 20, PROBE_SAMPLES, seed=0)
-        monotonicity_ok = mono.ok
+    if spec.family in ("trunc_exp", "exp_p"):
+        n_max = max(spec.trunc_n, 1) if spec.family == "trunc_exp" else 20
+        monotonicity_ok = monotone_truncation_check(spec.p, n_max, PROBE_SAMPLES, seed=0).ok
     else:
         monotonicity_ok = True  # constant family sequence is trivially monotone
 
@@ -645,8 +614,7 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
     series = _Energy(rr_spec, n, rr_power)
     phi_energies = series if (rr_spec, rr_power) == (spec, 1.0) else _Energy(spec, n)
     exponents = {"phi": p_RR, **r_list}
-    gaps = {"phi": _PhiGap(spec, p_RR, n),
-            **{q: _LrGap(q, r, n) for q, r in r_list.items()}}
+    gaps = {q: _LrGap(q, r, n, spec) for q, r in exponents.items()}
     scales = {q: _Scale(q, r) for q, r in r_list.items()}
     weak_scale = _Scale("df", 1.0)
     pointwise = _Pointwise(n)
@@ -680,37 +648,33 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
     scale_values = {"phi": max(abs(limit_energy) ** (1.0 / p_RR), 1e-12)
                     if np.isfinite(limit_energy) else 1e-12}
     scale_values.update({q: max(scale.value(), 1e-12) for q, scale in scales.items()})
-    conclusion_gaps = {q: _gap_record(gaps[q].values(), r, scale_values[q],
-                                      tolerances.conclusion_rel)
-                       for q, r in exponents.items()}
-    tails_ok = all(gap["ok"] for gap in conclusion_gaps.values())
+    conclusions = {q: _gap_record(gaps[q].values(), r, scale_values[q],
+                                  tolerances.conclusion_rel)
+                   for q, r in exponents.items()}
+    tails_ok = all(gap["ok"] for gap in conclusions.values())
 
     # the first failed hypothesis decides; failures past the Jacobian are
     # not conclusive
-    hypotheses = (("energy_convergence", energy_ok, "EnergyGap"),
-                  ("weak_probe", weak_ok, "WeakProbeFail"),
-                  ("jacobian", jac_ok, "JacobianDegenerate"),
-                  ("convexity", conv.ok, "Inconclusive"),
-                  ("monotonicity", monotonicity_ok, "Inconclusive"),
-                  ("conclusion_tails", tails_ok, "Inconclusive"))
-    decided_by, verdict = next(((name, v) for name, ok, v in hypotheses if not ok),
+    checks = (("energy_convergence", energy_ok, "EnergyGap"),
+              ("weak_probe", weak_ok, "WeakProbeFail"),
+              ("jacobian", jac_ok, "JacobianDegenerate"),
+              ("convexity", conv.ok, "Inconclusive"),
+              ("monotonicity", monotonicity_ok, "Inconclusive"),
+              ("conclusion_tails", tails_ok, "Inconclusive"))
+    decided_by, verdict = next(((name, v) for name, ok, v in checks if not ok),
                                ("all", "StrongConvergence"))
 
     return ConvergenceReport(
         verdict=verdict,
         decided_by=decided_by,
-        energy_convergence=energy_ok,
-        energy_gap=energy_gap,
-        phi_energy_gap=phi_energy_gap,
+        hypotheses={"energy_convergence": energy_ok, "energy_gap": energy_gap,
+                    "phi_energy_gap": phi_energy_gap, "weak_probe_ok": weak_ok,
+                    "jacobian_ok": jac_ok, "jacobian_bad_fraction": bad_fraction,
+                    "convexity_ok": conv.ok, "monotonicity_ok": monotonicity_ok},
         energy_series=energy_series,
         limit_energy=limit_energy,
-        weak_probe_ok=weak_ok,
         weak_probe_residuals=residuals,
-        jacobian_ok=jac_ok,
-        jacobian_bad_fraction=bad_fraction,
-        convexity_ok=conv.ok,
-        monotonicity_ok=monotonicity_ok,
-        conclusion_gaps=conclusion_gaps,
+        conclusions=conclusions,
         pointwise_proxy=pointwise.values(),
         config={"spec": spec.to_json(), "p_RR": p_RR, "s": s,
                 "r_list": dict(r_list), "tolerances": tolerances.to_json(),

@@ -21,7 +21,6 @@ from .geometry import Mesh
 class AnalyticMap:
     """Closed-form map with exact Wirtinger derivatives, for oracle use;
     `derivatives(z)` returns (f_z, f_zbar) from one shared evaluation."""
-    tag: str
     value: Callable[[np.ndarray], np.ndarray]
     derivatives: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
@@ -164,7 +163,6 @@ def finite_distortion_report(derived: DerivedField) -> DistortionReport:
 def analytic_affine(a: complex, b: complex) -> AnalyticMap:
     a, b = complex(a), complex(b)
     return AnalyticMap(
-        tag=f"affine({a},{b})",
         # conj(z) * b, not b * conj(z): numpy evaluates the latter in place as
         # conj(z) * b for large arrays only, and the two operand orders differ
         # in the last bit, so the values would depend on the array size
@@ -192,7 +190,7 @@ def analytic_radial_stretch(alpha: float) -> AnalyticMap:
         return (((alpha + 1.0) / 2.0) * stretch + 0j,
                 ((alpha - 1.0) / 2.0) * stretch * phase)
 
-    return AnalyticMap(tag=f"radial_stretch({alpha})", value=value, derivatives=derivatives)
+    return AnalyticMap(value=value, derivatives=derivatives)
 
 
 def analytic_oscillation(j: int) -> AnalyticMap:
@@ -208,7 +206,7 @@ def analytic_oscillation(j: int) -> AnalyticMap:
         half_cos = 0.5 * np.cos(w * np.asarray(z, dtype=complex).real)
         return 1.0 + half_cos + 0j, half_cos + 0j
 
-    return AnalyticMap(tag=f"oscillation({j})", value=value, derivatives=derivatives)
+    return AnalyticMap(value=value, derivatives=derivatives)
 
 
 _FORMULAS = {

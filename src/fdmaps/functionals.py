@@ -21,7 +21,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .config import Section, integer, setting
+from .config import Section, integer, real, setting
 from .errors import ConfigurationError, DomainError
 from .fields import DerivedField, norm_squared, squared_moduli
 
@@ -38,22 +38,22 @@ def default_s(p: float) -> float:
 @dataclass(frozen=True)
 class FunctionalSpec(Section, section="functional"):
     family: str = setting(str, "lp_mean")
-    p: float = setting(float, 1.0)
+    p: float = setting(real, 1.0)
     trunc_n: int = setting(integer, 0, key="N")   # truncation order for trunc_exp
     norm: str = setting(str, "hs")                # "hs" | "op"
-    jac_exp: float = setting(float, 0.0)          # integrand multiplied by y^jac_exp
+    jac_exp: float = setting(real, 0.0)           # integrand multiplied by y^jac_exp
     weight: str = setting(str, "none")            # "none" | "hyperbolic"
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown family {self.family!r}")
-        if self.p <= 0:
+        if not self.p > 0:
             raise ConfigurationError("p must be positive")
         if self.trunc_n < 0:
             raise ConfigurationError("truncation order must be >= 0")
         if self.norm not in ("hs", "op"):
             raise ConfigurationError(f"unknown norm choice {self.norm!r}")
-        if self.jac_exp < 0:
+        if not self.jac_exp >= 0:
             raise ConfigurationError("jac_exp must be >= 0")
         if self.weight not in ("none", "hyperbolic"):
             raise ConfigurationError(f"unknown weight {self.weight!r}")
@@ -217,9 +217,10 @@ def polyconvex_lower_bound(x, y, x0, y0):
 
 @dataclass(frozen=True)
 class ProbeReport:
+    """A randomized probe's count of checks and of the checks it failed: an
+    `oracle` probe entry."""
     n_samples: int
     violations: int
-    worst_violation: float
 
     @property
     def ok(self) -> bool:
@@ -228,6 +229,11 @@ class ProbeReport:
 
 PhiLike = Union[FunctionalSpec, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
+# (x, y) sample boxes of the probes, and the range of the concavity probe's pairs
+CONVEXITY_BOX = ((0.0, 5.0), (0.1, 5.0))
+TRUNCATION_BOX = ((0.0, 3.0), (0.1, 3.0))
+CONCAVITY_RANGE = (1e-3, 10.0)
+
 
 def _phi_callable(phi: PhiLike):
     if isinstance(phi, FunctionalSpec):
@@ -235,15 +241,12 @@ def _phi_callable(phi: PhiLike):
     return phi
 
 
-def convexity_probe(phi: PhiLike, s: float, n_samples: int,
-                    box=((0.0, 5.0), (0.1, 5.0)), seed: int = 0) -> ProbeReport:
-    """Randomized midpoint-convexity check of phi and phi * y^s on a box.
+def convexity_probe(phi: PhiLike, s: float, n_samples: int, seed: int = 0) -> ProbeReport:
+    """Randomized midpoint-convexity check of phi and phi * y^s on CONVEXITY_BOX.
 
     At s = 0 the two coincide and phi is checked once; the report's
     `n_samples` counts the point pairs checked over the passes made."""
-    (x_lo, x_hi), (y_lo, y_hi) = box
-    if x_lo < 0 or y_lo <= 0:
-        raise ConfigurationError("box must lie in x >= 0, y > 0")
+    (x_lo, x_hi), (y_lo, y_hi) = CONVEXITY_BOX
     f = _phi_callable(phi)
     rng = np.random.default_rng(seed)
     x1 = rng.uniform(x_lo, x_hi, n_samples)
@@ -251,7 +254,6 @@ def convexity_probe(phi: PhiLike, s: float, n_samples: int,
     x2 = rng.uniform(x_lo, x_hi, n_samples)
     y2 = rng.uniform(y_lo, y_hi, n_samples)
     violations = 0
-    worst = 0.0
     passes = (0.0, float(s)) if s != 0 else (0.0,)
     for weight_s in passes:
         def g(x, y):
@@ -259,48 +261,39 @@ def convexity_probe(phi: PhiLike, s: float, n_samples: int,
         v1, v2 = g(x1, y1), g(x2, y2)
         vm = g(0.5 * (x1 + x2), 0.5 * (y1 + y2))
         scale = np.maximum(1.0, np.maximum(np.abs(v1), np.abs(v2)))
-        gap = vm - 0.5 * (v1 + v2) - 1e-10 * scale
-        bad = gap > 0
-        violations += int(np.sum(bad))
-        if np.any(bad):
-            worst = max(worst, float(np.max(gap[bad])))
-    return ProbeReport(len(passes) * n_samples, violations, worst)
+        violations += int(np.sum(vm - 0.5 * (v1 + v2) - 1e-10 * scale > 0))
+    return ProbeReport(len(passes) * n_samples, violations)
 
 
 def monotone_truncation_check(p: float, n_max: int, n_samples: int,
-                              box=((0.0, 3.0), (0.1, 3.0)), seed: int = 0) -> ProbeReport:
-    """Condition-2 oracle: truncations are non-decreasing in N, bounded by exp."""
+                              seed: int = 0) -> ProbeReport:
+    """Condition-2 oracle: truncations are non-decreasing in N, bounded by exp,
+    on TRUNCATION_BOX."""
     rng = np.random.default_rng(seed)
-    (x_lo, x_hi), (y_lo, y_hi) = box
+    (x_lo, x_hi), (y_lo, y_hi) = TRUNCATION_BOX
     x = rng.uniform(x_lo, x_hi, n_samples)
     y = rng.uniform(y_lo, y_hi, n_samples)
     pk = p * x ** 2 / y
     violations = 0
-    worst = 0.0
     prev = truncated_exp(pk, 0)
     limit = np.exp(pk)
     for n in range(1, n_max + 1):
         cur = truncated_exp(pk, n)
-        bad = (cur < prev - 1e-12) | (cur > limit * (1 + 1e-12))
-        violations += int(np.sum(bad))
-        if np.any(bad):
-            worst = max(worst, float(np.max(np.abs(prev - cur)[bad])))
+        violations += int(np.sum((cur < prev - 1e-12) | (cur > limit * (1 + 1e-12))))
         prev = cur
-    return ProbeReport(n_samples * n_max, violations, worst)
+    return ProbeReport(n_samples * n_max, violations)
 
 
-def concavity_probe(s: float, p_prime: float, n_samples: int, seed: int = 0,
-                    lo: float = 1e-3, hi: float = 10.0) -> ProbeReport:
-    """Tangent-line bound of the concave power t -> t^(s p') over positive pairs."""
+def concavity_probe(s: float, p_prime: float, n_samples: int, seed: int = 0) -> ProbeReport:
+    """Tangent-line bound of the concave power t -> t^(s p') over pairs in
+    CONCAVITY_RANGE."""
     sp = s * p_prime
     if not (0.0 < sp < 1.0):
         raise ConfigurationError(f"need 0 < s*p' < 1, got {sp}")
     rng = np.random.default_rng(seed)
-    jj = rng.uniform(lo, hi, n_samples)
-    jf = rng.uniform(lo, hi, n_samples)
+    jj = rng.uniform(*CONCAVITY_RANGE, n_samples)
+    jf = rng.uniform(*CONCAVITY_RANGE, n_samples)
     lhs = jj ** sp - jf ** sp
     rhs = sp * jf ** (sp - 1.0) * (jj - jf)
     gap = lhs - rhs - 1e-12 * np.maximum(1.0, np.abs(rhs))
-    bad = gap > 0
-    worst = float(np.max(gap[bad])) if np.any(bad) else 0.0
-    return ProbeReport(n_samples, int(np.sum(bad)), worst)
+    return ProbeReport(n_samples, int(np.sum(gap > 0)))

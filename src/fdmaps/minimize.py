@@ -40,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .config import Section, floats, integer, setting
+from .config import Section, floats, integer, real, setting
 from .errors import ConfigurationError, DomainError, InitializationError
 from .fields import MappingField, derivative_coefficients, squared_moduli
 from .functionals import FunctionalSpec, integrand, quadrature_sum, weight_values
@@ -67,10 +67,10 @@ class MinimizeConfig(Section, section="minimize"):
     empty; PRECISION_FLOOR * |E| bounds the decrement from below.
     """
     max_iterations: int = setting(integer, 2000)
-    gradient_tolerance: float = setting(float, 1e-8)
+    gradient_tolerance: float = setting(real, 1e-8)
 
     def __post_init__(self):
-        if self.max_iterations <= 0 or self.gradient_tolerance <= 0:
+        if not (self.max_iterations > 0 and self.gradient_tolerance > 0):
             raise ConfigurationError("minimize config fields must be positive")
 
 
@@ -81,7 +81,7 @@ class BoundaryData(Section, section="boundary"):
     sin_coeffs: Sequence[float] = setting(floats, (), kinds=("circle_diffeo",))
     cos_coeffs: Sequence[float] = setting(floats, (), kinds=("circle_diffeo",))
     explicit_values: Optional[np.ndarray] = setting(  # [re, im] per boundary node
-        lambda pairs: np.array([complex(x, y) for x, y in pairs]), None, key="values",
+        lambda pairs: np.array([complex(real(x), real(y)) for x, y in pairs]), None, key="values",
         kinds=("explicit",), dump=lambda values: [[v.real, v.imag] for v in values])
 
     def __post_init__(self):

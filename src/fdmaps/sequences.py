@@ -13,7 +13,7 @@ from typing import Dict
 import numpy as np
 
 from .convergence import BLOCK_POINTS, SequenceHandle
-from .config import Section, complex_number, integer, map_args, read, setting
+from .config import Section, complex_number, integer, map_args, read, real, setting
 from .errors import ConfigurationError
 from .fields import (AnalyticMap, MappingField, analytic_affine,
                      analytic_oscillation, analytic_radial_stretch)
@@ -23,11 +23,11 @@ from .geometry import Mesh
 PARAMS = {
     "constant": {"formula": (str, "identity"), "args": (map_args, ())},
     "oscillation": {},
-    "mollified": {"target": (str, "radial_stretch"), "alpha": (float, 2.0),
+    "mollified": {"target": (str, "radial_stretch"), "alpha": (real, 2.0),
                   "a": (complex_number, 1 + 0j), "b": (complex_number, 0j)},
     "affine_drift": {"a": (complex_number, 1 + 0j), "b": (complex_number, 0j),
                      "da": (complex_number, 0.5 + 0j), "db": (complex_number, 0j)},
-    "radial_stretch_family": {"alpha": (float, 2.0), "dalpha": (float, 1.0)},
+    "radial_stretch_family": {"alpha": (real, 2.0), "dalpha": (real, 1.0)},
 }
 
 

@@ -160,7 +160,7 @@ def test_criterion_05_diagnose_positive_case(disk5):
                                p_RR=2.0, s=0.01,
                                r_list={"df": 1.5, "jac": 0.5, "mu": 1.0})
     ok = rep.verdict == "StrongConvergence"
-    for gap in rep.conclusion_gaps.values():
+    for gap in rep.conclusions.values():
         ok &= gap["ok"] and gap["tail"] < 1e-2 * max(gap["scale"], 1.0)
     elapsed = time.monotonic() - t0
     _report(5, "radon-riesz-positive", ok and elapsed < 120.0)
@@ -173,7 +173,7 @@ def test_criterion_06_diagnose_negative_case():
     rep = radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq,
                                p_RR=2.0, s=0.01, r_list={"fzbar": 2.0})
     ok = rep.verdict == "EnergyGap"
-    tail = rep.conclusion_gaps["fzbar"]["tail"]
+    tail = rep.conclusions["fzbar"]["tail"]
     ok &= abs(tail - math.sqrt(1.0 / 8.0)) < 0.05 * math.sqrt(1.0 / 8.0)
     res = rep.weak_probe_residuals
     ok &= res[3] / res[-1] >= 10.0  # j = 4 to j = 64

@@ -15,6 +15,8 @@ except ImportError:  # pragma: no cover
 
 import fdmaps
 from fdmaps.cli import main, result_schema, run
+from fdmaps.convergence import QUANTITIES, VERDICTS
+from fdmaps.functionals import ProbeReport
 
 
 def _read(path):
@@ -206,6 +208,23 @@ _MISSPELT = [
                              "j_max": 2}}, "radius_scale"),
     # 0 samples used to pass every probe but the control
     ("oracle", {"oracle": {"n_samples": 0}}, "n_samples"),
+    # numbers must be finite JSON numbers: NaN used to certify a NaN field,
+    # run a diagnose to a verdict and end a descent in line_search_failure
+    ("hopf", {"hopf": {"formula": "identity", "p": float("nan"), "N": 4}}, "p"),
+    ("diagnose", {"functional": {"family": "trunc_exp", "p": 1, "N": 8,
+                                 "jac_exp": float("nan")}}, "jac_exp"),
+    ("minimize", {"minimize": {"gradient_tolerance": float("nan")}}, "gradient_tolerance"),
+    ("sweep", {"sweep": {"p": float("inf"), "N_list": [1]}}, "p"),
+    # p_RR NaN used to be blamed on s
+    ("diagnose", {"diagnostic": {"p_RR": float("nan")}}, "p_RR"),
+    ("diagnose", {"diagnostic": {"tolerances": {"weak_rel": float("nan")}}}, "weak_rel"),
+    # a JSON boolean used to run as 1
+    ("minimize", {"functional": {"family": "lp_mean", "p": True}}, "p"),
+    ("diagnose", {"diagnostic": {"r_list": {"df": True}}}, "df"),
+    ("hopf", {"hopf": {"formula": "radial_stretch", "args": [True], "p": 1.0}}, "args"),
+    ("mesh", {"domain": {"kind": "rect", "lo": [float("nan"), 0.0]}}, "lo"),
+    ("minimize", {"boundary": {"kind": "circle_diffeo", "sin_coeffs": [0.0, float("inf")]}},
+     "sin_coeffs"),
 ]
 
 
@@ -261,6 +280,18 @@ def test_oracle_command_small(tmp_path):
     assert result["results"]["probes"]["nonconvex_control"]["violations"] > 0
 
 
+@pytest.mark.parametrize("probe, fake", [
+    ("concavity_probe", lambda s, p_prime, n, seed=0: ProbeReport(n, 1)),
+    # a control that finds no violation proves nothing about the probe
+    ("convexity_probe", lambda phi, s, n, seed=0: ProbeReport(n, 0)),
+], ids=["violation", "silent-control"])
+def test_oracle_all_ok_fails(tmp_path, monkeypatch, probe, fake):
+    monkeypatch.setattr(fdmaps.cli, probe, fake)
+    config = {"command": "oracle", "oracle": {"n_samples": 50}}
+    assert run(config, tmp_path) == 0
+    assert not _read(tmp_path / "result.json")["results"]["all_ok"]
+
+
 def test_diagnose_probes_dirichlet_at_its_s_value(tmp_path):
     # the admissible range of s is empty for Dirichlet, so diagnose probes it
     # at s = 0 as oracle does; at the diagnostic s the probe found violations
@@ -311,11 +342,24 @@ def test_results_validate_against_schema(tmp_path):
         {"command": "sweep", "domain": {"kind": "disk", "level": 2},
          "boundary": {"kind": "circle_diffeo", "sin_coeffs": [0.0, 0.3]},
          "sweep": {"N_list": [1, 2]}},
+        {"command": "diagnose", "domain": {"kind": "disk", "level": 2},
+         "recipe": {"kind": "affine_drift", "params": {}, "j_max": 4},
+         "diagnostic": {"p_RR": 3.0, "r_list": {q: 1.0 for q in QUANTITIES}}},
+        {"command": "hopf", "domain": {"kind": "disk", "level": 3},
+         "hopf": {"formula": "affine", "args": [[1.0, 0.0], [0.3, 0.0]], "N": 8,
+                  "inverse": True}},
     ]
     for i, config in enumerate(configs):
         out = tmp_path / str(i)
         assert run(config, out) == 0
         jsonschema.validate(_read(out / "result.json"), schema)
+
+
+def test_schema_verdicts_are_the_diagnose_verdicts():
+    diagnose, = [case for case in result_schema()["allOf"]
+                 if case["if"]["properties"]["command"]["const"] == "diagnose"]
+    verdict = diagnose["then"]["properties"]["results"]["properties"]["verdict"]
+    assert verdict["enum"] == list(VERDICTS)
 
 
 def test_console_entry_point(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from fdmaps import cli, sequences
 from fdmaps.config import rows
 from fdmaps.convergence import Tolerances
+from fdmaps.errors import ConfigurationError
 from fdmaps.functionals import FunctionalSpec
 from fdmaps.minimize import BoundaryData, MinimizeConfig
 from fdmaps.sequences import SequenceRecipe
@@ -67,3 +68,13 @@ def test_readme_config_table_lists_the_read_keys():
     assert _documented_keys() == read
     sections = {key for key, row in cli._CONFIG.items() if row[0] is dict}
     assert sections == {section.split(".")[0] for section, _ in read} - {"top level"}
+
+
+@pytest.mark.parametrize("section, field", [
+    (FunctionalSpec, "p"), (FunctionalSpec, "jac_exp"),
+    (MinimizeConfig, "gradient_tolerance"),
+])
+def test_constructor_refuses_nan(section, field):
+    # NaN used to pass every range check
+    with pytest.raises(ConfigurationError):
+        section(**{field: float("nan")})

@@ -124,7 +124,7 @@ def test_folded_limit_area_rule(disk3, part_folded):
     spec = FunctionalSpec(family="dirichlet")
     rep = radon_riesz_diagnose(spec, seq, p_RR=2.0)
     assert rep.verdict == "JacobianDegenerate" and rep.decided_by == "jacobian"
-    assert rep.jacobian_bad_fraction == oracle / disk3.total_area
+    assert rep.hypotheses["jacobian_bad_fraction"] == oracle / disk3.total_area
     assert lsc_checks([spec], seq)[0].limit_bad_area == oracle
 
 
@@ -170,7 +170,7 @@ def test_diagnose_verdict_on_drift(drift_seq):
                                                      conclusion_rel=0.2,
                                                      weak_rel=0.2))
     assert rep.verdict == "StrongConvergence"
-    assert rep.energy_convergence
+    assert rep.hypotheses["energy_convergence"]
     doc = json.loads(json.dumps(rep.to_json()))
     assert doc["verdict"] == "StrongConvergence"
 
@@ -195,9 +195,9 @@ def test_gaps_to_csv(tmp_path, drift_seq, csv_reference):
     gaps_to_csv(rep, path)
     rows = path.read_text().strip().splitlines()
     assert len(rows) == len(drift_seq) + 1
-    names = sorted(rep.conclusion_gaps)
+    names = sorted(rep.conclusions)
     expected = [[j + 1, rep.energy_series[j], rep.weak_probe_residuals[j]]
-                + [rep.conclusion_gaps[n]["series"][j] for n in names]
+                + [rep.conclusions[n]["series"][j] for n in names]
                 for j in range(len(rep.energy_series))]
     assert path.read_bytes() == csv_reference(
         ["j", "energy", "weak_residual"] + [f"gap_{n}" for n in names], expected)
@@ -278,9 +278,9 @@ def test_diagnose_matches_standalone_measurements(request, fixture, sub_kind):
     # the weak probe always integrates over the whole mesh
     close(rep.weak_probe_residuals, weak_probe(seq))
     for qname, r in r_list.items():
-        close(rep.conclusion_gaps[qname]["series"], lr_gap(seq, qname, r, subdomain))
+        close(rep.conclusions[qname]["series"], lr_gap(seq, qname, r, subdomain))
         scale = max(quantity_scale(seq, qname, r, subdomain), 1e-12)
-        close(rep.conclusion_gaps[qname]["scale"], scale)
+        close(rep.conclusions[qname]["scale"], scale)
     if subdomain is None:
         # p_RR equals the family's p, so the energy series is the plain energy
         lsc = lsc_checks([spec], seq)[0]
@@ -411,7 +411,7 @@ def test_nonpositive_jacobian_in_one_block_gives_inf(unit_square_16):
 
     members = [MappingField(mesh, mesh.nodes.copy(), analytic=analytic_affine(1.1, 0.0)),
                MappingField(mesh, mesh.nodes.copy(),
-                            analytic=AnalyticMap("folded", lambda z: z, folded)),
+                            analytic=AnalyticMap(lambda z: z, folded)),
                MappingField(mesh, mesh.nodes.copy(), analytic=analytic_affine(1.05, 0.0))]
     limit = MappingField(mesh, mesh.nodes.copy(), analytic=analytic_affine(1.0, 0.0))
     seq = SequenceHandle(mesh, members, limit)
@@ -423,7 +423,7 @@ def test_nonpositive_jacobian_in_one_block_gives_inf(unit_square_16):
 
     spec = FunctionalSpec(family="lp_mean", p=2.0)
     rep = radon_riesz_diagnose(spec, seq, p_RR=2.0, r_list={"df": 1.5})
-    for series in (rep.energy_series, rep.conclusion_gaps["phi"]["series"]):
+    for series in (rep.energy_series, rep.conclusions["phi"]["series"]):
         assert np.isfinite(series[0]) and np.isfinite(series[2])
         assert series[1] == np.inf
     assert lsc_checks([spec], seq)[0].member_energies[1] == np.inf

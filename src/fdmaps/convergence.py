@@ -23,19 +23,24 @@ series, the L^r gaps (of Phi too), the scales and the pointwise proxy.
 No full-length per-member array is formed.  The standalone `weak_probe`, `lr_gap`,
 `quantity_scale` and `lsc_checks` run the same sweep with the measurement
 they report.
+
+Every measurement integrates over the whole mesh.  The theorem's
+convergence is local (W^{1,q}_loc), and a gap on the whole domain bounds
+the gap on every compact subset of it, so the whole-mesh verdict is the
+stronger statement.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .config import Section, real, setting
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .fields import (MappingField, apply_coefficients, derivative_coefficients,
                      finite_distortion_report, squared_moduli, wirtinger_derivatives,
                      write_columns)
@@ -65,7 +70,6 @@ class SequenceHandle:
     mesh: Mesh
     members: List[MappingField]
     limit: MappingField
-    metadata: Dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.members:
@@ -122,11 +126,6 @@ class _Sample(NamedTuple):
         P, Q = squared_moduli(fz, fzbar)
         return _Sample(fz, fzbar, P, Q, P - Q, {})
 
-    def restrict(self, sub) -> "_Sample":
-        if isinstance(sub, slice):  # the whole block
-            return self
-        return _Sample(*(a[sub] for a in self[:5]), {})
-
     def phi(self, spec: FunctionalSpec) -> np.ndarray:
         if spec not in self.phis:
             self.phis[spec] = integrand(spec, self.P, self.Q)
@@ -140,68 +139,39 @@ def _sample(seq: SequenceHandle, index: int, pts: np.ndarray, tris: slice) -> _S
                         for a in _derivatives_at(seq, index, pts, tris)))
 
 
-def _subdomain_index(mesh: Mesh, subdomain):
-    """Triangle index of a subdomain: a full slice (no copies) when None."""
-    if subdomain is None:
-        return slice(None)
-    subdomain = np.asarray(subdomain)
-    if subdomain.dtype == bool:
-        mask = subdomain
-    else:
-        mask = np.zeros(mesh.n_triangles, dtype=bool)
-        mask[subdomain] = True
-    if not np.any(mask):
-        raise DomainError("empty subdomain")
-    return mask
-
-
 class _Block(NamedTuple):
-    """A run of whole triangles: their quadrature points and weights, the
-    subdomain's index into them, and the subdomain's weights."""
-    tris: slice
+    """A run of whole triangles: their quadrature points and weights."""
     pts: np.ndarray
     w: np.ndarray
-    sub: object
-    w_sub: np.ndarray
-
-
-class _Field(NamedTuple):
-    """One field's sample on a block, and its restriction to the subdomain."""
-    whole: _Sample
-    part: _Sample
 
 
 class _Measurement:
     """A quantity summed block by block over a sweep.  In every block the
     sweep passes the limit first, then each member in order."""
 
-    def limit(self, block: _Block, lim: _Field) -> None:
+    def limit(self, block: _Block, lim: _Sample) -> None:
         pass
 
-    def member(self, block: _Block, j: int, f: _Field, lim: _Field) -> None:
+    def member(self, block: _Block, j: int, f: _Sample, lim: _Sample) -> None:
         pass
 
 
 def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
-           subdomain=None, members: bool = True) -> None:
+           members: bool = True) -> None:
     """Feed the measurements one block of whole triangles (about BLOCK_POINTS
     quadrature points) at a time.  Each field is sampled once per block and
     the sample is shared by every measurement; with members=False only the
     limit is sampled."""
-    sub = _subdomain_index(seq.mesh, subdomain)
     pts, w = _quad(seq)
     step = max(1, BLOCK_POINTS // pts.shape[1])
     for start in range(0, len(pts), step):
         tris = slice(start, start + step)
-        block_sub = sub if isinstance(sub, slice) else sub[tris]
-        block = _Block(tris, pts[tris], w[tris], block_sub, w[tris][block_sub])
-        whole = _sample(seq, -1, pts, tris)
-        lim = _Field(whole, whole.restrict(block_sub))
+        block = _Block(pts[tris], w[tris])
+        lim = _sample(seq, -1, pts, tris)
         for m in measurements:
             m.limit(block, lim)
         for j in range(len(seq) if members else 0):
-            whole = _sample(seq, j, pts, tris)
-            f = _Field(whole, whole.restrict(block_sub))
+            f = _sample(seq, j, pts, tris)
             for m in measurements:
                 m.member(block, j, f, lim)
 
@@ -215,7 +185,8 @@ def _quantity_diff(quantity: str, a: _Sample, b: _Sample,
     (None: valid everywhere).  The quantity "phi" is the integrand Phi of
     `spec`; its difference is inf everywhere once it is not finite somewhere."""
     if quantity == "phi":
-        d = np.abs(a.phi(spec) - b.phi(spec))
+        with np.errstate(invalid="ignore"):  # inf - inf where both fold
+            d = np.abs(a.phi(spec) - b.phi(spec))
         return (d if np.all(np.isfinite(d)) else np.full(d.shape, np.inf)), None
     if quantity == "df":
         return np.sqrt(np.abs(a.fz - b.fz) ** 2 + np.abs(a.fzbar - b.fzbar) ** 2), None
@@ -248,8 +219,8 @@ class _LrGap(_Measurement):
         self.sums = np.zeros(n_members)
 
     def member(self, block, j, f, lim):
-        d, _ = _quantity_diff(self.quantity, f.part, lim.part, self.spec)
-        self.sums[j] += _lr_sum(d, block.w_sub, self.r)
+        d, _ = _quantity_diff(self.quantity, f, lim, self.spec)
+        self.sums[j] += _lr_sum(d, block.w, self.r)
 
     def values(self) -> List[float]:
         return [float(s ** (1.0 / self.r)) for s in self.sums]
@@ -263,24 +234,22 @@ class _Scale(_Measurement):
         self.sum = 0.0
 
     def limit(self, block, lim):
-        part = lim.part
         if self.quantity == "mu":
             # size of mu itself; comparing against a zero field would empty
             # the fz != 0 mask and floor the scale at nothing
-            ok = part.fz != 0
+            ok = lim.fz != 0
             d = np.zeros(ok.shape)
-            np.divide(np.abs(part.fzbar), np.abs(part.fz), out=d, where=ok)
+            np.divide(np.abs(lim.fzbar), np.abs(lim.fz), out=d, where=ok)
         else:
-            zero = _Sample.of(np.zeros_like(part.fz), np.zeros_like(part.fzbar))
-            d, _ = _quantity_diff(self.quantity, part, zero)
-        self.sum += _lr_sum(d, block.w_sub, self.r)
+            zero = _Sample.of(np.zeros_like(lim.fz), np.zeros_like(lim.fzbar))
+            d, _ = _quantity_diff(self.quantity, lim, zero)
+        self.sum += _lr_sum(d, block.w, self.r)
 
     def value(self) -> float:
         return float(self.sum ** (1.0 / self.r))
 
 
-def lr_gap(seq: SequenceHandle, quantity: str, r: float,
-           subdomain=None) -> List[float]:
+def lr_gap(seq: SequenceHandle, quantity: str, r: float) -> List[float]:
     """Discrete L^r distance of a derived quantity to the limit, per member."""
     if quantity not in QUANTITIES:
         raise ConfigurationError(f"quantity must be one of {QUANTITIES}")
@@ -289,15 +258,14 @@ def lr_gap(seq: SequenceHandle, quantity: str, r: float,
     if quantity == "jac" and r >= 1.0:
         warnings.warn("Jacobian convergence is only guaranteed for r < 1", stacklevel=2)
     gap = _LrGap(quantity, r, len(seq))
-    _sweep(seq, [gap], subdomain)
+    _sweep(seq, [gap])
     return gap.values()
 
 
-def quantity_scale(seq: SequenceHandle, quantity: str, r: float,
-                   subdomain=None) -> float:
+def quantity_scale(seq: SequenceHandle, quantity: str, r: float) -> float:
     """L^r size of the limit quantity, used to normalize gap tolerances."""
     scale = _Scale(quantity, r)
-    _sweep(seq, [scale], subdomain, members=False)
+    _sweep(seq, [scale], members=False)
     return scale.value()
 
 
@@ -338,14 +306,13 @@ class _WeakProbe(_Measurement):
             self.rows = np.empty((5 * min(self.n, PROBE_GROUP),) + block.pts.shape)
 
     def member(self, block, j, f, lim):
-        a, b = f.whole, lim.whole
         k = j % PROBE_GROUP  # the member's slot in the row buffer
         rows = self.rows[5 * k:5 * k + 5]
-        np.subtract(a.fz.real, b.fz.real, out=rows[0])
-        np.subtract(a.fz.imag, b.fz.imag, out=rows[1])
-        np.subtract(a.fzbar.real, b.fzbar.real, out=rows[2])
-        np.subtract(a.fzbar.imag, b.fzbar.imag, out=rows[3])
-        np.subtract(a.jac, b.jac, out=rows[4])
+        np.subtract(f.fz.real, lim.fz.real, out=rows[0])
+        np.subtract(f.fz.imag, lim.fz.imag, out=rows[1])
+        np.subtract(f.fzbar.real, lim.fzbar.real, out=rows[2])
+        np.subtract(f.fzbar.imag, lim.fzbar.imag, out=rows[3])
+        np.subtract(f.jac, lim.jac, out=rows[4])
         if k == PROBE_GROUP - 1 or j == self.n - 1:
             filled = self.rows[:5 * (k + 1)].reshape(5 * (k + 1), -1)
             self.pairings[5 * (j - k):5 * (j + 1)] += filled @ self.kr
@@ -364,9 +331,7 @@ def weak_probe(seq: SequenceHandle) -> List[float]:
     For each member, the residual is the largest normalized pairing
     |integral (q_j - q_limit) phi| over the dictionary, for q in
     {f_z, f_zbar, J}.  Test fields are tensor Legendre polynomials up to
-    degree DICTIONARY_DEGREE times a boundary cutoff.  The probe always
-    integrates over the whole mesh, also under a `radon_riesz_diagnose`
-    subdomain.
+    degree DICTIONARY_DEGREE times a boundary cutoff.
     """
     probe = _WeakProbe(seq.mesh, len(seq))
     _sweep(seq, [probe])
@@ -374,7 +339,7 @@ def weak_probe(seq: SequenceHandle) -> List[float]:
 
 
 class _Energy(_Measurement):
-    """Energy of Phi^power on the subdomain, for the limit and each member.
+    """Energy of Phi^power, for the limit and each member.
     Block energies are summed by `quadrature_sum` too, so one inf term
     anywhere makes the energy inf."""
 
@@ -382,19 +347,19 @@ class _Energy(_Measurement):
         self.spec, self.power = spec, power
         self.blocks: List[List[float]] = [[] for _ in range(n_members + 1)]  # index j + 1
 
-    def _add(self, j, part):
-        vals = part.phi(self.spec)
+    def _add(self, j, sample):
+        vals = sample.phi(self.spec)
         if self.power != 1.0:
             with np.errstate(over="ignore"):
                 vals = vals ** self.power
         self.blocks[j + 1].append(quadrature_sum(vals, self.weights))
 
     def limit(self, block, lim):
-        self.weights = block.w_sub * weight_values(self.spec, block.pts[block.sub])
-        self._add(-1, lim.part)
+        self.weights = block.w * weight_values(self.spec, block.pts)
+        self._add(-1, lim)
 
     def member(self, block, j, f, lim):
-        self._add(j, f.part)
+        self._add(j, f)
 
     def values(self) -> List[float]:
         """The limit's energy, then each member's."""
@@ -402,8 +367,8 @@ class _Energy(_Measurement):
 
 
 class _Pointwise(_Measurement):
-    """Median and 95th percentile of |q(last member) - q(limit)| over the
-    whole mesh, for q in df, jac and mu."""
+    """Median and 95th percentile of |q(last member) - q(limit)|, for q in
+    df, jac and mu."""
 
     def __init__(self, n_members: int):
         self.last = n_members - 1
@@ -412,7 +377,7 @@ class _Pointwise(_Measurement):
     def member(self, block, j, f, lim):
         if j == self.last:
             for qname, pieces in self.pieces.items():
-                d, ok = _quantity_diff(qname, f.whole, lim.whole)
+                d, ok = _quantity_diff(qname, f, lim)
                 # a copy, like d[ok]: views that keep every block's d alive
                 # fragment the heap (peak RSS ~1 MiB higher on 64 blocks)
                 pieces.append(d.flatten() if ok is None else d[ok])
@@ -457,19 +422,16 @@ def lsc_checks(specs: Sequence[FunctionalSpec], seq: SequenceHandle) -> List[Lsc
     return results
 
 
-def sobolev_norm(mapping: MappingField, q: float = 2.0, subdomain=None) -> float:
+def sobolev_norm(mapping: MappingField, q: float = 2.0) -> float:
     """Discrete W^{1,q} norm: node-lumped value part plus per-element |Df| part."""
     if q < 1:
         warnings.warn("q < 1 gives a quasi-norm", stacklevel=2)
     mesh = mapping.mesh
-    mask = _subdomain_index(mesh, subdomain)
-    derived = wirtinger_derivatives(mapping)
     lumped = np.zeros(mesh.n_nodes)
-    np.add.at(lumped, mesh.triangles[mask].ravel(),
-              np.repeat(mesh.areas[mask] / 3.0, 3))
+    np.add.at(lumped, mesh.triangles.ravel(), np.repeat(mesh.areas / 3.0, 3))
     value_part = float(np.sum(np.abs(mapping.values) ** q * lumped))
-    dnorm = df_norm(derived, "op")
-    deriv_part = float(np.sum(dnorm[mask] ** q * mesh.areas[mask]))
+    dnorm = df_norm(wirtinger_derivatives(mapping), "op")
+    deriv_part = float(np.sum(dnorm ** q * mesh.areas))
     return (value_part + deriv_part) ** (1.0 / q)
 
 
@@ -479,13 +441,10 @@ def orlicz_gauge(t: np.ndarray) -> np.ndarray:
     return t ** 2 / np.log(np.e + t)
 
 
-def orlicz_norm(mapping: MappingField, subdomain=None) -> float:
+def orlicz_norm(mapping: MappingField) -> float:
     """Luxemburg norm of |Df|: the lambda > 0 with int P(|Df|/lambda) = 1."""
-    mesh = mapping.mesh
-    mask = _subdomain_index(mesh, subdomain)
-    derived = wirtinger_derivatives(mapping)
-    dnorm = df_norm(derived, "op")[mask]
-    areas = mesh.areas[mask]
+    dnorm = df_norm(wirtinger_derivatives(mapping), "op")
+    areas = mapping.mesh.areas
     if np.max(dnorm, initial=0.0) == 0.0:
         return 0.0
 
@@ -558,8 +517,7 @@ def gaps_to_csv(report: ConvergenceReport, path) -> None:
 def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
                          p_RR: float, s: Optional[float] = None,
                          r_list: Optional[Dict[str, float]] = None,
-                         tolerances: Tolerances = Tolerances(),
-                         subdomain=None) -> ConvergenceReport:
+                         tolerances: Tolerances = Tolerances()) -> ConvergenceReport:
     """Hypothesis verification and conclusion measurement for the strong-
     convergence theorem, on one sequence with one functional family.
 
@@ -567,10 +525,10 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
     points each, Phi * y^s at `s` (Dirichlet, whose admissible range of s
     is empty, at its `spec.s_value` 0, whatever `s` says; the report's
     config records the s of the probe), the weak limit against the tensor
-    Legendre dictionary of degree DICTIONARY_DEGREE.  The quadrature is built once and swept block
-    by block, so every quadrature point of every member is sampled once;
-    the weak probe and the pointwise proxy use the whole mesh, every other
-    measurement the subdomain.
+    Legendre dictionary of degree DICTIONARY_DEGREE.  The quadrature is
+    built once and swept block by block, so every quadrature point of every
+    member is sampled once, and every measurement integrates over the whole
+    mesh.
     """
     if not p_RR > 1.0:
         raise ConfigurationError("p_RR must exceed 1")
@@ -621,7 +579,7 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
     measurements = [probe, series, pointwise, weak_scale, *gaps.values(), *scales.values()]
     if phi_energies is not series:
         measurements.append(phi_energies)
-    _sweep(seq, measurements, subdomain)
+    _sweep(seq, measurements)
 
     # (b) weak-limit hypothesis
     residuals = probe.residuals()

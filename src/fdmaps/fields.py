@@ -13,6 +13,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .config import integer
 from .errors import ConfigurationError, InternalError
 from .geometry import Mesh
 
@@ -48,7 +49,6 @@ class DerivedField:
     khs: np.ndarray         # 2(|fz|^2+|fzbar|^2)/J, inf where J <= 0
     kop: np.ndarray         # (|fz|+|fzbar|)^2/J, inf where J <= 0
     mu: np.ndarray          # fzbar/fz, nan marker where fz == 0
-    mu_defined: np.ndarray  # bool per triangle
     f_centroid: np.ndarray  # image of the element centroid (affine => mean)
 
     @property
@@ -123,7 +123,7 @@ def derived_from_derivatives(mesh: Mesh, fz: np.ndarray, fzbar: np.ndarray,
     mu = np.where(defined, fzbar / np.where(defined, fz, 1.0), np.nan + 1j * np.nan)
     if f_centroid is None:
         f_centroid = np.full(mesh.n_triangles, np.nan + 0j)
-    return DerivedField(mesh, fz, fzbar, jac, khs, kop, mu, defined, f_centroid)
+    return DerivedField(mesh, fz, fzbar, jac, khs, kop, mu, f_centroid)
 
 
 def wirtinger_derivatives(mapping: MappingField) -> DerivedField:
@@ -194,8 +194,12 @@ def analytic_radial_stretch(alpha: float) -> AnalyticMap:
 
 
 def analytic_oscillation(j: int) -> AnalyticMap:
-    """z -> z + sin(2 pi j x)/(2 pi j): bounded gradients, no strong W^{1,2} limit."""
-    j = int(j)
+    """z -> z + sin(2 pi j x)/(2 pi j): bounded gradients, no strong W^{1,2} limit.
+    A frequency j with a fractional part is refused, not truncated."""
+    try:
+        j = integer(j)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"oscillation frequency j: {exc}") from None
     w = 2.0 * np.pi * j
 
     def value(z):

@@ -77,7 +77,6 @@ def generate(recipe: SequenceRecipe, mesh: Mesh) -> SequenceHandle:
     """Sample every member and the analytic limit on the mesh."""
     js = range(1, recipe.j_max + 1)
     p = read("recipe params", recipe.params, PARAMS[recipe.kind])
-    metadata: Dict = {"recipe": recipe.to_json()}
 
     if recipe.kind == "constant":
         from .fields import sample_analytic
@@ -93,15 +92,6 @@ def generate(recipe: SequenceRecipe, mesh: Mesh) -> SequenceHandle:
             members.append(MappingField(mesh, amap.value(mesh.nodes), analytic=amap))
         ident = analytic_affine(1.0, 0.0)
         limit = MappingField(mesh, mesh.nodes.copy(), analytic=ident)
-        area = mesh.total_area
-        # per unit x-interval: int cos^2 = 1/2; members have
-        # fz = 1 + cos/2, fzbar = cos/2 against the identity limit
-        metadata.update({
-            "fzbar_l2_gap": float(np.sqrt(area / 8.0)),
-            "df_l2_gap": float(np.sqrt(area / 4.0)),
-            "dirichlet_energy_tail": 2.5 * area,
-            "dirichlet_energy_limit": 2.0 * area,
-        })
     elif recipe.kind == "mollified":
         if p["target"] == "radial_stretch":
             if mesh.kind != "disk":
@@ -113,7 +103,6 @@ def generate(recipe: SequenceRecipe, mesh: Mesh) -> SequenceHandle:
             raise ConfigurationError(f"unknown mollification target {p['target']!r}")
         members = [MappingField(mesh, mollify_values(amap, mesh.nodes, 1.0 / j)) for j in js]
         limit = MappingField(mesh, amap.value(mesh.nodes), analytic=None)
-        metadata["convergence"] = "C1 on compact subsets away from the origin"
     elif recipe.kind == "affine_drift":
         members = []
         for j in js:
@@ -131,4 +120,4 @@ def generate(recipe: SequenceRecipe, mesh: Mesh) -> SequenceHandle:
         lim_map = analytic_radial_stretch(p["alpha"])
         limit = MappingField(mesh, lim_map.value(mesh.nodes), analytic=lim_map)
 
-    return SequenceHandle(mesh=mesh, members=members, limit=limit, metadata=metadata)
+    return SequenceHandle(mesh=mesh, members=members, limit=limit)

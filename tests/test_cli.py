@@ -144,6 +144,30 @@ def test_constant_recipe_reads_complex_args(tmp_path):
     assert all(c["series"] == [0.0] * 3 for c in result["conclusions"].values())
 
 
+_OSCILLATION_RUNS = {
+    "hopf": lambda args: {"command": "hopf", "domain": {"kind": "disk", "level": 2},
+                          "hopf": {"formula": "oscillation", "args": args,
+                                   "p": 1.0, "N": 4}},
+    "constant": lambda args: {"command": "diagnose", "domain": {"kind": "disk", "level": 2},
+                              "functional": {"family": "lp_mean", "p": 2.0},
+                              "recipe": {"kind": "constant", "j_max": 2,
+                                         "params": {"formula": "oscillation",
+                                                    "args": args}}},
+}
+
+
+@pytest.mark.parametrize("path", sorted(_OSCILLATION_RUNS))
+def test_oscillation_frequency_must_be_an_integer(tmp_path, path):
+    # a fractional frequency is refused, not truncated; an integral float runs
+    assert run(_OSCILLATION_RUNS[path]([2.5]), tmp_path / "half") == 2
+    reason = _read(tmp_path / "half" / "manifest.json")["failure_reason"]
+    assert "oscillation frequency j" in reason and "2.5" in reason
+    assert run(_OSCILLATION_RUNS[path]([2]), tmp_path / "int") == 0
+    assert run(_OSCILLATION_RUNS[path]([2.0]), tmp_path / "float") == 0
+    assert (_read(tmp_path / "int" / "result.json")["results"]
+            == _read(tmp_path / "float" / "result.json")["results"])
+
+
 @pytest.mark.parametrize("inverse", [False, True])
 def test_unknown_hopf_weight_exits_2(tmp_path, inverse):
     config = {

@@ -255,37 +255,24 @@ def test_diagnose_samples_each_field_once(monkeypatch, unit_square_16):
     assert calls["blocks"] == (len(seq) + 1) * blocks
 
 
-def _subdomain(kind, mesh):
-    if kind == "mask":
-        return np.arange(mesh.n_triangles) % 2 == 0
-    if kind == "index":
-        return np.arange(0, mesh.n_triangles, 3)
-    return None
-
-
-@pytest.mark.parametrize("sub_kind", [None, "mask", "index"])
 @pytest.mark.parametrize("fixture", ["drift_seq", "osc_seq", "moll_seq"])
-def test_diagnose_matches_standalone_measurements(request, fixture, sub_kind):
+def test_diagnose_matches_standalone_measurements(request, fixture):
     seq = request.getfixturevalue(fixture)
-    subdomain = _subdomain(sub_kind, seq.mesh)
     spec = FunctionalSpec(family="lp_mean", p=2.0)
     r_list = {"df": 1.5, "jac": 0.5, "mu": 1.0, "fz": 2.0, "fzbar": 2.0}
-    rep = radon_riesz_diagnose(spec, seq, p_RR=2.0, r_list=r_list, subdomain=subdomain)
+    rep = radon_riesz_diagnose(spec, seq, p_RR=2.0, r_list=r_list)
 
     def close(a, b):
         assert np.allclose(a, b, rtol=1e-12, atol=0.0)
 
-    # the weak probe always integrates over the whole mesh
     close(rep.weak_probe_residuals, weak_probe(seq))
     for qname, r in r_list.items():
-        close(rep.conclusions[qname]["series"], lr_gap(seq, qname, r, subdomain))
-        scale = max(quantity_scale(seq, qname, r, subdomain), 1e-12)
-        close(rep.conclusions[qname]["scale"], scale)
-    if subdomain is None:
-        # p_RR equals the family's p, so the energy series is the plain energy
-        lsc = lsc_checks([spec], seq)[0]
-        close(rep.energy_series, lsc.member_energies)
-        close(rep.limit_energy, lsc.limit_energy)
+        close(rep.conclusions[qname]["series"], lr_gap(seq, qname, r))
+        close(rep.conclusions[qname]["scale"], max(quantity_scale(seq, qname, r), 1e-12))
+    # p_RR equals the family's p, so the energy series is the plain energy
+    lsc = lsc_checks([spec], seq)[0]
+    close(rep.energy_series, lsc.member_energies)
+    close(rep.limit_energy, lsc.limit_energy)
 
 
 def _assert_numbers_close(a, b, rtol, path="report"):
@@ -317,12 +304,10 @@ def test_diagnose_is_block_size_invariant(monkeypatch, request, fixture, tris_pe
     seq = request.getfixturevalue(fixture)
     spec = FunctionalSpec(family="lp_mean", p=2.0)
     r_list = {"df": 1.5, "jac": 0.5, "mu": 1.0, "fz": 2.0, "fzbar": 2.0}
-    subdomain = _subdomain("mask", seq.mesh)
 
     def report():
         # p_RR != p, so the energy series and the plain-Phi energies differ
-        return radon_riesz_diagnose(spec, seq, p_RR=3.0, r_list=r_list,
-                                    subdomain=subdomain).to_json()
+        return radon_riesz_diagnose(spec, seq, p_RR=3.0, r_list=r_list).to_json()
 
     default = report()
     k = convergence.ANALYTIC_QUAD_N ** 2 if seq.all_analytic else 1
@@ -378,13 +363,10 @@ def weak_reference():
     return {}
 
 
-@pytest.mark.parametrize("sub_kind", [None, "mask", "index"])
 @pytest.mark.parametrize("fixture", ["drift_seq", "osc_seq", "moll_seq"])
-def test_weak_probe_matches_per_member_reference(request, weak_reference, fixture, sub_kind):
+def test_weak_probe_matches_per_member_reference(request, weak_reference, fixture):
     seq = request.getfixturevalue(fixture)
-    rep = radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0,
-                               subdomain=_subdomain(sub_kind, seq.mesh))
-    # the probe pairs over the whole mesh whatever the subdomain
+    rep = radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0)
     if fixture not in weak_reference:
         weak_reference[fixture] = _reference_weak_residuals(seq)
     assert np.allclose(rep.weak_probe_residuals, weak_reference[fixture],
@@ -442,20 +424,28 @@ def test_pointwise_proxy_drift_closed_form(drift_seq):
         assert rep.pointwise_proxy[qname]["p95"] == pytest.approx(value, rel=1e-12)
 
 
-def test_subdomain_energies_closed_form(drift_seq):
-    # affine members have constant Phi, so the energy on a subdomain is
-    # Phi times the subdomain's area
-    mesh = drift_seq.mesh
+def test_diagnose_energies_closed_form(drift_seq):
+    # affine members have constant Phi, so each energy is Phi times the
+    # mesh's area
     spec = FunctionalSpec(family="lp_mean", p=2.0)
-    sub = _subdomain("mask", mesh)
-    rep = radon_riesz_diagnose(spec, drift_seq, p_RR=2.0, subdomain=sub)
-    area = np.sum(mesh.areas[sub])
+    rep = radon_riesz_diagnose(spec, drift_seq, p_RR=2.0)
+    area = drift_seq.mesh.total_area
     for j, energy in enumerate(rep.energy_series, start=1):
         a, b = 1.0 + 0.4 / j, 0.2 + 0.1 / j
         phi = phi_eval(spec, np.sqrt(2.0 * (a ** 2 + b ** 2)), a ** 2 - b ** 2)
         assert energy == pytest.approx(phi * area, rel=1e-12)
     phi = phi_eval(spec, np.sqrt(2.0 * 1.04), 0.96)
     assert rep.limit_energy == pytest.approx(phi * area, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_folded_limit_phi_distance_is_inf_without_warnings(disk3):
+    # a = 0.5, b = 1 folds members and limit alike: Phi is inf on both, and
+    # inf - inf must neither warn nor turn the distance into nan
+    seq = generate(SequenceRecipe(kind="affine_drift", params={"a": 0.5, "b": 1.0},
+                                  j_max=4), disk3)
+    rep = radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0)
+    assert rep.conclusions["phi"]["series"] == [np.inf] * 4
 
 
 def test_nodal_derivatives_match_wirtinger_derivatives(moll_seq):

@@ -72,16 +72,33 @@ class FunctionalSpec(Section, section="functional"):
         return replace(self, **kw)
 
 
-def truncated_exp(pk: np.ndarray, n_max: int) -> np.ndarray:
-    """Partial sum of exp evaluated term-wise (monotone in n_max for pk >= 0);
-    the empty sum n_max = -1 is 0."""
-    pk = np.asarray(pk, dtype=float)
-    total = np.ones_like(pk) if n_max >= 0 else np.zeros_like(pk)
-    term = np.ones_like(pk)
+def _partial_sums(pk: np.ndarray, n_max: int):
+    """Yield the partial sums S_0, ..., S_{n_max} of exp at pk, term-wise
+    (term = term * pk / n, S_n = S_{n-1} + term), from one running sum.
+
+    Two buffers alternate, so a yielded sum stays valid until the one after
+    next is yielded: the last two of the pass are S_{n_max} and S_{n_max-1}.
+    """
+    if n_max < 0:
+        return
+    total, spare, term = np.ones_like(pk), np.empty_like(pk), np.ones_like(pk)
+    yield total
     for n in range(1, n_max + 1):
-        term = term * pk / n
-        total = total + term
-    return total
+        term *= pk
+        term /= n
+        np.add(total, term, out=spare)
+        total, spare = spare, total
+        yield total
+
+
+def truncated_exp(pk: np.ndarray, n_max: int):
+    """(S_N, S_{N-1}) for N = n_max: partial sums of exp evaluated term-wise
+    in one pass (monotone in N for pk >= 0); the empty sum S_{-1} is 0."""
+    pk = np.asarray(pk, dtype=float)
+    last = prev = np.zeros_like(pk)
+    for total in _partial_sums(pk, n_max):
+        prev, last = last, total
+    return last, prev
 
 
 def _family(spec: FunctionalSpec, k: np.ndarray, derivative: bool = False):
@@ -93,8 +110,8 @@ def _family(spec: FunctionalSpec, k: np.ndarray, derivative: bool = False):
         F = np.exp(p * k)
         return F, (p * F if derivative else None)
     if spec.family == "trunc_exp":  # S_N' = S_{N-1}, and S_{-1} = 0
-        return (truncated_exp(p * k, spec.trunc_n),
-                p * truncated_exp(p * k, spec.trunc_n - 1) if derivative else None)
+        F, F_prev = truncated_exp(p * k, spec.trunc_n)
+        return F, (p * F_prev if derivative else None)
     return k, (np.ones_like(k) if derivative else None)  # dirichlet
 
 
@@ -275,10 +292,10 @@ def monotone_truncation_check(p: float, n_max: int, n_samples: int,
     y = rng.uniform(y_lo, y_hi, n_samples)
     pk = p * x ** 2 / y
     violations = 0
-    prev = truncated_exp(pk, 0)
     limit = np.exp(pk)
-    for n in range(1, n_max + 1):
-        cur = truncated_exp(pk, n)
+    sums = _partial_sums(pk, n_max)
+    prev = next(sums, None)
+    for cur in sums:
         violations += int(np.sum((cur < prev - 1e-12) | (cur > limit * (1 + 1e-12))))
         prev = cur
     return ProbeReport(n_samples * n_max, violations)

@@ -10,14 +10,21 @@ from the newest pair, as in the blended quasi-Newton method of Zhu, Bridson
 Sobolev gradient.  The iteration count does not grow under mesh
 refinement.  Steps are accepted only if the energy strictly decreases and
 every triangle keeps its Jacobian above a floor, so iterates stay
-orientation-preserving all along the sequence.  The operators that depend
-only on the mesh -- the sparse Wirtinger matrices Dz and Dzbar, built
-from the coefficient pair of `fields.derivative_coefficients` (the pair
-behind every nodal f_z and f_zbar in the package), the stiffness matrix
-S = 4 Re(Dz^H diag(areas) Dz) and the factorisation of S_II -- are built
-once per mesh of a solve or of a truncation sweep; the functional enters
-only the energy and gradient evaluations.  This is the one module that
-imports scipy.
+orientation-preserving all along the sequence.
+
+Each iteration does one S_II solve, u = S_II^{-1} g for the new gradient:
+as S_II^{-1} is linear, S_II^{-1} y = u_new - u_old, so each pair keeps
+z = S_II^{-1} y for gamma and the two-loop recursion (Nocedal 1980)
+applies S_II^{-1} to q = g - sum alpha_i y_i as u - sum alpha_i z_i.  The
+accepted trial's one forward product gives (f_z, f_zbar) to both its
+energy and its gradient, and the gradient is one adjoint product.  The
+operators that depend only on the mesh -- the stacked sparse Wirtinger
+matrix D = [Dz; Dzbar] built from `fields.derivative_coefficients` (the
+pair behind every nodal f_z and f_zbar in the package), its conjugate
+transpose, the stiffness matrix S and the factorisation of S_II -- are
+built once per mesh of a solve or of a truncation sweep; the functional
+enters only the energy and gradient evaluations.  This is the one module
+that imports scipy.
 
 The descent has one convergence test, on the L-BFGS decrement g^T d / 2,
 an estimate of E - E* (Boyd & Vandenberghe 2004, 9.5.1).  With an empty
@@ -119,14 +126,15 @@ class BoundaryData(Section, section="boundary"):
 
 
 class _MeshOperators:
-    """The functional-free operators of one mesh: fz = Dz @ w, fzbar = Dzbar @ w,
-    the stiffness matrix S and the `splu` factor of its interior block S_II.
+    """The functional-free operators of one mesh: the stacked Wirtinger matrix
+    D = [Dz; Dzbar] and its conjugate transpose D_H, the stiffness matrix S
+    and the `splu` factor of its interior block S_II.
 
-    Dz and Dzbar are CSR matrices whose row t holds triangle t's
-    coefficients of `fields.derivative_coefficients` in local node order, so
-    a product sums the same three terms in the same order as
-    `wirtinger_derivatives` and gives the same bits; the gradient applies
-    their conjugate transposes.  For real u, |grad u|^2 = 4 |u_z|^2,
+    D is a CSR matrix whose rows t and m + t (m triangles) hold triangle
+    t's coefficients of `fields.derivative_coefficients` in local node
+    order, so one product sums the same three terms in the same order as
+    `wirtinger_derivatives` and gives the same bits of f_z and f_zbar; the
+    gradient is one product with D_H.  For real u, |grad u|^2 = 4 |u_z|^2,
     so S = 4 Re(Dz^H diag(areas) Dz).  S and the factor are built on first
     use.  Built per solve or sweep rather than cached on the mesh, so they
     live no longer than the descents that use them.
@@ -137,17 +145,23 @@ class _MeshOperators:
         self.interior = np.flatnonzero(~mesh.is_boundary())
         # CSR straight from the triangles keeps each row in local node order;
         # a COO build would sort it by node and change the sums' last bits
-        indptr = np.arange(0, 3 * mesh.n_triangles + 1, 3)
-        shape = (mesh.n_triangles, mesh.n_nodes)
-        self.Dz, self.Dzbar = (
-            sp.csr_matrix((c.ravel(), mesh.triangles.ravel(), indptr), shape=shape)
-            for c in derivative_coefficients(mesh))
-        self.Dz_H = self.Dz.conj().T.tocsr()
-        self.Dzbar_H = self.Dzbar.conj().T.tocsr()
+        m = mesh.n_triangles
+        self.D = sp.csr_matrix(
+            (np.concatenate([c.ravel() for c in derivative_coefficients(mesh)]),
+             np.tile(mesh.triangles.ravel(), 2), np.arange(0, 6 * m + 1, 3)),
+            shape=(2 * m, mesh.n_nodes))
+        self.D_H = self.D.conj().T.tocsr()
+
+    def fields(self, values: np.ndarray):
+        """(f_z, f_zbar, P, Q) per triangle of nodal values, from one product with D."""
+        f = self.D @ values
+        fz, fzbar = f[:self.mesh.n_triangles], f[self.mesh.n_triangles:]
+        return (fz, fzbar, *squared_moduli(fz, fzbar))
 
     @cached_property
     def stiffness(self) -> sp.csr_matrix:
-        return 4.0 * (self.Dz_H @ sp.diags(self.mesh.areas) @ self.Dz).real
+        Dz = self.D[:self.mesh.n_triangles]
+        return 4.0 * (Dz.conj().T.tocsr() @ sp.diags(self.mesh.areas) @ Dz).real
 
     @cached_property
     def _lu(self):
@@ -185,17 +199,16 @@ def _eta_areas(spec: FunctionalSpec, mesh: Mesh) -> np.ndarray:
 
 
 def _gradient(ops: _MeshOperators, spec: FunctionalSpec, eta_areas: np.ndarray,
-              values: np.ndarray) -> np.ndarray:
-    fz = ops.Dz @ values
-    fzbar = ops.Dzbar @ values
-    P, Q = squared_moduli(fz, fzbar)
+              fields) -> np.ndarray:
+    """The gradient at the nodal values whose `ops.fields` are `fields`."""
+    fz, fzbar, P, Q = fields
     jac = P - Q
     if np.any(jac <= 0.0):
         worst = int(np.argmin(jac))
         raise DomainError(f"gradient undefined: triangle {worst} has J = {jac[worst]:.6e} <= 0")
     _, dP, dQ = integrand(spec, P, Q, derivatives=True)
     # dE/d conj(w) summed over elements; the real gradient is twice that
-    grad = 2.0 * (ops.Dz_H @ (eta_areas * dP * fz) + ops.Dzbar_H @ (eta_areas * dQ * fzbar))
+    grad = 2.0 * (ops.D_H @ np.concatenate((eta_areas * dP * fz, eta_areas * dQ * fzbar)))
     grad[ops.mesh.boundary_nodes] = 0.0
     return grad
 
@@ -207,14 +220,17 @@ def energy_gradient(spec: FunctionalSpec, mapping: MappingField) -> np.ndarray:
     Returned as complex numbers: grad_i = dE/du_i + i dE/dv_i for w_i = u_i + i v_i.
     """
     mesh = mapping.mesh
-    return _gradient(_MeshOperators(mesh), spec, _eta_areas(spec, mesh), mapping.values)
+    ops = _MeshOperators(mesh)
+    return _gradient(ops, spec, _eta_areas(spec, mesh), ops.fields(mapping.values))
 
 
 def _energy_and_minjac(ops: _MeshOperators, spec: FunctionalSpec, eta_areas: np.ndarray,
                        values: np.ndarray):
+    """(energy, min J, fields) at nodal values; the fields serve the gradient."""
     # module-level so that perfbench/tracing.py can count energy evaluations
-    P, Q = squared_moduli(ops.Dz @ values, ops.Dzbar @ values)
-    return quadrature_sum(integrand(spec, P, Q), eta_areas), float(np.min(P - Q))
+    fields = ops.fields(values)
+    P, Q = fields[2:]
+    return quadrature_sum(integrand(spec, P, Q), eta_areas), float(np.min(P - Q)), fields
 
 
 @dataclass
@@ -237,19 +253,24 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b).real)
 
 
-def _lbfgs_direction(grad: np.ndarray, memory, ops: _MeshOperators) -> np.ndarray:
-    """Two-loop recursion over pairs (s, y, 1/s^T y, gamma), oldest first;
-    the initial inverse Hessian is gamma * S_II^{-1} with the newest gamma,
-    so an empty memory gives S_II^{-1} g."""
+def _lbfgs_direction(grad: np.ndarray, sobolev: np.ndarray, memory) -> np.ndarray:
+    """Two-loop recursion over pairs (s, y, 1/s^T y, gamma, z = S_II^{-1} y),
+    oldest first, given sobolev = S_II^{-1} grad.
+
+    The initial inverse Hessian is gamma * S_II^{-1} with the newest gamma;
+    it maps q = grad - sum alpha_i y_i to gamma (sobolev - sum alpha_i z_i),
+    so the recursion makes no solve and an empty memory gives S_II^{-1} g.
+    """
     q = grad.copy()
+    direction = sobolev.copy()
     alphas = []
-    for s, y, rho, _ in reversed(memory):
+    for s, y, rho, _, z in reversed(memory):
         alphas.append(rho * _dot(s, q))
         q -= alphas[-1] * y
-    direction = ops.precondition(q)
+        direction -= alphas[-1] * z
     if memory:
         direction *= memory[-1][3]  # gamma of the newest pair
-    for (s, y, rho, _), alpha in zip(memory, reversed(alphas)):
+    for (s, y, rho, _, _), alpha in zip(memory, reversed(alphas)):
         direction += (alpha - rho * _dot(y, direction)) * s
     return direction
 
@@ -271,19 +292,20 @@ def _minimize(ops: _MeshOperators, spec: FunctionalSpec, boundary: BoundaryData,
     else:
         values = initial.values.copy()
         values[mesh.boundary_nodes] = boundary.boundary_values(mesh)
-    energy_val, min_jac = _energy_and_minjac(ops, spec, eta_areas, values)
+    energy_val, min_jac, fields = _energy_and_minjac(ops, spec, eta_areas, values)
     if min_jac <= JACOBIAN_FLOOR or not np.isfinite(energy_val):
         raise InitializationError(
             f"initial map infeasible: min J = {min_jac:.3e}, energy = {energy_val}")
 
     trace = []
     memory = deque(maxlen=MEMORY)
-    grad = _gradient(ops, spec, eta_areas, values)
+    grad = _gradient(ops, spec, eta_areas, fields)
+    sobolev = ops.precondition(grad)  # the one S_II solve per gradient
     for it in range(config.max_iterations + 1):
-        direction = _lbfgs_direction(grad, memory, ops)
+        direction = _lbfgs_direction(grad, sobolev, memory)
         if _dot(grad, direction) <= 0.0:  # not a descent direction: restart
             memory.clear()
-            direction = _lbfgs_direction(grad, memory, ops)
+            direction = _lbfgs_direction(grad, sobolev, memory)
         gd = _dot(grad, direction)
         step = 1.0 if memory else INITIAL_STEP
         trace.append({"iteration": it, "energy": energy_val,
@@ -298,13 +320,15 @@ def _minimize(ops: _MeshOperators, spec: FunctionalSpec, boundary: BoundaryData,
                                        energy_val, step)) is None:
             stop_reason = "line_search_failure"
         else:
-            trial, energy_trial, min_jac = accepted
-            new_grad = _gradient(ops, spec, eta_areas, trial)
+            trial, energy_trial, min_jac, fields = accepted
+            new_grad = _gradient(ops, spec, eta_areas, fields)
+            new_sobolev = ops.precondition(new_grad)
             s, y = trial - values, new_grad - grad
             sy = _dot(s, y)
             if sy > 0.0:  # curvature pair; otherwise the memory keeps its old pairs
-                memory.append((s, y, 1.0 / sy, sy / _dot(y, ops.precondition(y))))
-            values, energy_val, grad = trial, energy_trial, new_grad
+                z = new_sobolev - sobolev  # S_II^{-1} y, by linearity
+                memory.append((s, y, 1.0 / sy, sy / _dot(y, z), z))
+            values, energy_val, grad, sobolev = trial, energy_trial, new_grad, new_sobolev
             continue
         break
     return MinimizeResult(MappingField(mesh, values), trace, stop_reason)
@@ -312,12 +336,12 @@ def _minimize(ops: _MeshOperators, spec: FunctionalSpec, boundary: BoundaryData,
 
 def _line_search(ops, spec, eta_areas, values, direction, energy_val, step):
     """Backtrack from `step` to the first trial that lowers the energy and keeps
-    J above the floor: (trial, energy, min J), or None below MIN_STEP."""
+    J above the floor: (trial, energy, min J, fields), or None below MIN_STEP."""
     while step >= MIN_STEP:
         trial = values - step * direction
-        energy_trial, min_jac = _energy_and_minjac(ops, spec, eta_areas, trial)
+        energy_trial, min_jac, fields = _energy_and_minjac(ops, spec, eta_areas, trial)
         if min_jac >= JACOBIAN_FLOOR and energy_trial < energy_val:
-            return trial, energy_trial, min_jac
+            return trial, energy_trial, min_jac, fields
         step *= BACKTRACKING
     return None
 

@@ -13,6 +13,16 @@ import numpy as np
 
 
 @lru_cache(maxsize=None)
+def gauss_legendre(n: int):
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], computed once
+    per n and returned read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+@lru_cache(maxsize=None)
 def duffy_rule(n: int):
     """Collapsed n x n Gauss-Legendre rule on the reference triangle.
 
@@ -24,7 +34,7 @@ def duffy_rule(n: int):
         raise ValueError("rule size must be >= 1")
     if n == 1:
         return np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1.0])
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_legendre(n)
     u = 0.5 * (x + 1.0)
     wu = 0.5 * w
     uu, vv = np.meshgrid(u, u, indexing="ij")

@@ -18,6 +18,7 @@ from .errors import ConfigurationError
 from .fields import (AnalyticMap, MappingField, analytic_affine,
                      analytic_oscillation, analytic_radial_stretch)
 from .geometry import Mesh
+from .quadrature import gauss_legendre
 
 # The params table of each sequence kind; a key its kind never reads is refused.
 PARAMS = {
@@ -49,7 +50,7 @@ def _bump_quadrature(delta: float, n: int = 16):
 
     Only the points inside the bump's support are returned (144 of 256 at
     n = 16); the others carry weight 0."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_legendre(n)
     u = delta * x
     wu = delta * w
     U = u[:, None] + 1j * u[None, :]

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdmaps import functionals
 from fdmaps.errors import ConfigurationError, DomainError
 from fdmaps.fields import sample_analytic, wirtinger_derivatives
-from fdmaps.functionals import (FunctionalSpec, concavity_probe,
+from fdmaps.functionals import (TRUNCATION_BOX, FunctionalSpec, concavity_probe,
                                 convexity_probe, default_s, energy,
                                 integrand, inverse_energy,
                                 monotone_truncation_check, phi_eval,
@@ -34,12 +35,48 @@ def test_default_s_in_open_interval():
 
 def test_truncated_exp_partial_sums():
     pk = np.array([0.0, 1.0, 2.5])
-    assert truncated_exp(pk, 1) == pytest.approx(1.0 + pk)
-    assert truncated_exp(pk, 2) == pytest.approx(1.0 + pk + pk ** 2 / 2.0)
+    S1, S0 = truncated_exp(pk, 1)
+    assert S1 == pytest.approx(1.0 + pk)
+    assert np.array_equal(S0, np.ones(3))
+    S2, S1 = truncated_exp(pk, 2)
+    assert S2 == pytest.approx(1.0 + pk + pk ** 2 / 2.0)
+    assert S1 == pytest.approx(1.0 + pk)
     # S_2(2.5) = 6.625, used by the Hopf examples
-    assert truncated_exp(np.array([2.5]), 2)[0] == pytest.approx(6.625)
-    big = truncated_exp(pk, 40)
+    assert truncated_exp(np.array([2.5]), 2)[0][0] == pytest.approx(6.625)
+    big = truncated_exp(pk, 40)[0]
     assert big == pytest.approx(np.exp(pk), rel=1e-12)
+
+
+def _termwise_truncated_exp(pk, n_max):
+    # the separate term-wise loop per order that the one-pass sums replace
+    total = np.ones_like(pk) if n_max >= 0 else np.zeros_like(pk)
+    term = np.ones_like(pk)
+    for n in range(1, n_max + 1):
+        term = term * pk / n
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("n_max", [-1, 0, 1, 2, 8, 40])
+def test_one_pass_truncations_match_termwise_bits(rng, monkeypatch, n_max):
+    # S_N and S_{N-1} come from one pass with the operations of the
+    # term-wise loop in the same order, so every bit agrees; S_{-1} = 0
+    pk = np.concatenate([[0.0], rng.uniform(0.0, 30.0, 500)])
+    S_N, S_prev = truncated_exp(pk, n_max)
+    assert np.array_equal(S_N, _termwise_truncated_exp(pk, n_max))
+    assert np.array_equal(S_prev, _termwise_truncated_exp(pk, n_max - 1))
+    # and the kernel's value and partials on trunc_exp keep their bits
+    Q = rng.uniform(0.0, 1.0, 500)
+    P = Q + rng.uniform(0.1, 2.0, 500)
+    for spec in (FunctionalSpec(family="trunc_exp", p=1.5, trunc_n=max(n_max, 0)),
+                 FunctionalSpec(family="trunc_exp", p=1.0, trunc_n=max(n_max, 0),
+                                norm="op", jac_exp=0.5)):
+        one_pass = integrand(spec, P, Q, derivatives=True)
+        with monkeypatch.context() as m:
+            m.setattr(functionals, "truncated_exp", lambda pk, n: (
+                _termwise_truncated_exp(pk, n), _termwise_truncated_exp(pk, n - 1)))
+            termwise = integrand(spec, P, Q, derivatives=True)
+        assert all(np.array_equal(a, b) for a, b in zip(one_pass, termwise))
 
 
 def test_phi_eval_families():
@@ -192,6 +229,24 @@ def test_monotone_truncation():
     assert rep.violations == 0
 
 
+@pytest.mark.parametrize("p, n_max, seed", [(1.0, 20, 0), (1.0, 12, 3), (-1.0, 20, 1)])
+def test_monotone_truncation_matches_per_order_check(p, n_max, seed):
+    # the one-pass check counts what one term-wise sum per order counted;
+    # a negative rate makes the sums alternate, so there is something to count
+    rng = np.random.default_rng(seed)
+    (x_lo, x_hi), (y_lo, y_hi) = TRUNCATION_BOX
+    x = rng.uniform(x_lo, x_hi, 2000)
+    y = rng.uniform(y_lo, y_hi, 2000)
+    pk = p * x ** 2 / y
+    limit = np.exp(pk)
+    violations = 0
+    for n in range(1, n_max + 1):
+        prev, cur = _termwise_truncated_exp(pk, n - 1), _termwise_truncated_exp(pk, n)
+        violations += int(np.sum((cur < prev - 1e-12) | (cur > limit * (1 + 1e-12))))
+    rep = monotone_truncation_check(p, n_max, 2000, seed=seed)
+    assert (rep.n_samples, rep.violations) == (2000 * n_max, violations)
+
+
 def test_concavity_probe():
     rep = concavity_probe(0.25, 2.0, 2000, seed=3)
     assert rep.violations == 0
@@ -204,7 +259,7 @@ def test_concavity_probe():
 def test_truncations_increase_to_exponential(x, y):
     spec_prev = None
     k = x ** 2 / y
-    vals = [truncated_exp(np.array([k]), n)[0] for n in (1, 2, 4, 8)]
+    vals = [truncated_exp(np.array([k]), n)[0][0] for n in (1, 2, 4, 8)]
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
     assert vals[-1] <= math.exp(k) + 1e-12
 

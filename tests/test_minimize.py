@@ -10,6 +10,7 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
+from fdmaps import minimize
 from fdmaps.cli import result_schema, run
 from fdmaps.errors import ConfigurationError
 from fdmaps.fields import MappingField, sample_analytic, wirtinger_derivatives
@@ -69,15 +70,18 @@ def test_gradient_matches_finite_differences(disk3, rng, spec):
 
 
 def test_sparse_operators_match_per_triangle_derivatives(disk3, rng):
-    # the descent evaluates energies through sparse Dz / Dzbar; they are
-    # the operators behind wirtinger_derivatives, so the bits agree
+    # the descent evaluates energies through one product with the stacked
+    # D = [Dz; Dzbar]; its blocks are the operators behind
+    # wirtinger_derivatives, so the bits agree
     spec = FunctionalSpec(family="exp_p", p=1.0, weight="hyperbolic")
     values = disk3.nodes + 0.01 * (rng.standard_normal(disk3.n_nodes)
                                    + 1j * rng.standard_normal(disk3.n_nodes))
     ref = wirtinger_derivatives(MappingField(disk3, values, None))
     ops = _MeshOperators(disk3)
-    assert np.array_equal(ops.Dz @ values, ref.fz)
-    assert np.array_equal(ops.Dzbar @ values, ref.fzbar)
+    fz, fzbar, P, Q = ops.fields(values)
+    assert np.array_equal(fz, ref.fz)
+    assert np.array_equal(fzbar, ref.fzbar)
+    assert np.array_equal(P - Q, ref.jac)
     e_ops = _energy_and_minjac(ops, spec, _eta_areas(spec, disk3), values)[0]
     assert e_ops == energy(spec, ref)
 
@@ -289,7 +293,8 @@ def test_dirichlet_minimiser_is_the_harmonic_extension(disk4):
 def test_lbfgs_direction_matches_dense_bfgs_updates(disk3, rng):
     # reference: the inverse-Hessian model built densely over the real and
     # imaginary parts, H_0 = gamma_newest * S_II^{-1} and then one BFGS
-    # update per pair, oldest first
+    # update per pair, oldest first; the recursion applies H_0 through the
+    # stored z = S_II^{-1} y and S_II^{-1} g, without a solve of its own
     ops = _MeshOperators(disk3)
     interior = ops.interior
 
@@ -302,25 +307,54 @@ def test_lbfgs_direction_matches_dense_bfgs_updates(disk3, rng):
         return np.concatenate([v[interior].real, v[interior].imag])
 
     grad = nodal()
-    assert np.array_equal(_lbfgs_direction(grad, [], ops), ops.precondition(grad))
+    sobolev = ops.precondition(grad)
+    assert np.array_equal(_lbfgs_direction(grad, sobolev, []), sobolev)
     memory = []
     for k in range(MEMORY):
         s = nodal()
         y = (1.0 + k) * s + 0.3 * nodal()  # s^T y > 0, and gamma differs per pair
-        sy = _dot(s, y)
-        memory.append((s, y, 1.0 / sy, sy / _dot(y, ops.precondition(y))))
+        sy, z = _dot(s, y), ops.precondition(y)
+        memory.append((s, y, 1.0 / sy, sy / _dot(y, z), z))
     S_II = ops.stiffness[interior][:, interior].toarray()
     H = memory[-1][3] * np.kron(np.eye(2), np.linalg.inv(S_II))
-    for s, y, rho, _ in memory:
+    for s, y, rho, _, _ in memory:
         V = np.eye(len(H)) - rho * np.outer(real(y), real(s))
         H = V.T @ H @ V + rho * np.outer(real(s), real(s))
-    direction = _lbfgs_direction(grad, memory, ops)
+    direction = _lbfgs_direction(grad, sobolev, memory)
     assert np.all(direction[disk3.boundary_nodes] == 0.0)
     expected = H @ real(grad)
     assert np.abs(real(direction) - expected).max() < 1e-10 * np.abs(expected).max()
     # the model maps the newest y onto the newest s
-    s, y = memory[-1][:2]
-    assert np.abs(_lbfgs_direction(y, memory, ops) - s).max() < 1e-10 * np.abs(s).max()
+    s, y, _, _, z = memory[-1]
+    assert np.abs(_lbfgs_direction(y, z, memory) - s).max() < 1e-10 * np.abs(s).max()
+
+
+@pytest.mark.parametrize("restart", [False, True])
+def test_descent_solves_once_per_trace_row(disk4, monkeypatch, restart):
+    # each row needs S_II^{-1} g of its gradient and nothing more: the
+    # scale gamma and the recursion reuse it, a cold start adds the solve
+    # of the harmonic extension, and a restart (here forced once, on a
+    # direction with pairs in memory, by reversing it) makes none
+    solve, solves = _MeshOperators._solve, []
+    monkeypatch.setattr(_MeshOperators, "_solve",
+                        lambda self, rhs: solves.append(1) or solve(self, rhs))
+    lbfgs_direction, restarts = minimize._lbfgs_direction, []
+
+    def reversed_once(grad, sobolev, memory):
+        direction = lbfgs_direction(grad, sobolev, memory)
+        if restart and len(memory) >= 3 and not restarts:
+            restarts.append(1)
+            return -direction
+        return direction
+
+    monkeypatch.setattr(minimize, "_lbfgs_direction", reversed_once)
+    spec = FunctionalSpec.from_json(CRITERION_08["functional"])
+    boundary = BoundaryData.from_json(CRITERION_08["boundary"])
+    res = minimize_energy(spec, disk4, boundary, MinimizeConfig(gradient_tolerance=1e-9))
+    assert res.stop_reason == "gradient_tolerance"
+    assert len(restarts) == restart
+    assert len(solves) == len(res.trace) + 1
+    assert abs(res.final_energy - CRITERION_08_ENERGIES[1]) <= 1e-10 * CRITERION_08_ENERGIES[1]
 
 
 def test_prolong_reproduces_nodal_interpolation(disk3):

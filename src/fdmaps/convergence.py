@@ -13,16 +13,19 @@ back to the exact per-element-constant (centroid) path, sampled per block
 with the rows of the mesh's Wirtinger coefficient pair (a, b) from
 `fields.derivative_coefficients`, built once per sequence.
 
-`radon_riesz_diagnose` builds the quadrature once and sweeps it in blocks
-of whole triangles, about BLOCK_POINTS quadrature points each.  In each
-block the limit and then every member is sampled once, as (f_z, f_zbar,
-P, Q, J), and the sample feeds every measurement, which adds the block's
-part to its sums: the weak probe (one matrix product pairs the
-differences of PROBE_GROUP members with the test dictionary), the energy
-series, the L^r gaps (of Phi too), the scales and the pointwise proxy.
-No full-length per-member array is formed.  The standalone `weak_probe`, `lr_gap`,
-`quantity_scale` and `lsc_checks` run the same sweep with the measurement
-they report.
+`radon_riesz_diagnose` sweeps the mesh in blocks of whole triangles,
+about BLOCK_POINTS quadrature points each, and builds each block's
+quadrature when it reaches the block.  In each block the limit and then
+every member is sampled once, as (f_z, f_zbar, P, Q, J), and the sample
+feeds every measurement, which adds the block's part to its sums: the
+weak probe (one matrix product pairs the differences of PROBE_GROUP
+members with the test dictionary), the energy series, the L^r gaps (of
+Phi too), the scales and the pointwise proxy.  The working set is one
+block, plus one buffer of the mesh's quadrature points per pointwise
+quantity (df, jac, mu) for the proxy's median and 95th percentile; no
+other mesh-length array is formed.  The standalone `weak_probe`,
+`lr_gap`, `quantity_scale` and `lsc_checks` run the same sweep with the
+measurement they report.
 
 Every measurement integrates over the whole mesh.  The theorem's
 convergence is local (W^{1,q}_loc), and a gap on the whole domain bounds
@@ -94,18 +97,20 @@ class SequenceHandle:
         `derivative_coefficients`."""
         return derivative_coefficients(self.mesh)
 
-
-def _quad(seq: SequenceHandle):
-    return mesh_quad_points(seq.mesh, ANALYTIC_QUAD_N if seq.all_analytic else 1)
+    @property
+    def quad_n(self) -> int:
+        """The `duffy_rule` size of the sweep: n^2 points per triangle for
+        closed-form fields, the centroid for nodal ones."""
+        return ANALYTIC_QUAD_N if self.all_analytic else 1
 
 
 def _derivatives_at(seq: SequenceHandle, index: int, pts: np.ndarray,
                     tris: slice = slice(None)):
-    """(fz, fzbar) of member/limit on the triangles `tris` of the (m, K)
-    quadrature points, broadcastable to pts[tris].shape."""
+    """(fz, fzbar) of member/limit on the triangles `tris`, whose quadrature
+    points are `pts`; broadcastable to pts.shape."""
     m = seq.limit if index == -1 else seq.members[index]
     if seq.all_analytic:
-        return m.analytic.derivatives(pts[tris])
+        return m.analytic.derivatives(pts)
     triangles = seq.mesh.triangles[tris]
     return tuple(apply_coefficients(c[tris], m.values, triangles)[:, None]
                  for c in seq.coefficients)
@@ -132,11 +137,19 @@ class _Sample(NamedTuple):
         return self.phis[spec]
 
 
-def _sample(seq: SequenceHandle, index: int, pts: np.ndarray, tris: slice) -> _Sample:
+def _shared(a: np.ndarray, shape) -> np.ndarray:
+    """`a` as a read-only array of `shape`: the sample every measurement reads."""
+    a = np.asarray(a)
+    if a.shape != shape:
+        return np.broadcast_to(a, shape)  # read-only already
+    a.setflags(write=False)
+    return a
+
+
+def _sample(seq: SequenceHandle, index: int, block: _Block, tris: slice) -> _Sample:
     """The derivative evaluation of member `index` (-1: the limit) on a block."""
-    shape = pts[tris].shape
-    return _Sample.of(*(np.broadcast_to(a, shape)
-                        for a in _derivatives_at(seq, index, pts, tris)))
+    return _Sample.of(*(_shared(a, block.pts.shape)
+                        for a in _derivatives_at(seq, index, block.pts, tris)))
 
 
 class _Block(NamedTuple):
@@ -159,19 +172,20 @@ class _Measurement:
 def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
            members: bool = True) -> None:
     """Feed the measurements one block of whole triangles (about BLOCK_POINTS
-    quadrature points) at a time.  Each field is sampled once per block and
-    the sample is shared by every measurement; with members=False only the
-    limit is sampled."""
-    pts, w = _quad(seq)
-    step = max(1, BLOCK_POINTS // pts.shape[1])
-    for start in range(0, len(pts), step):
+    quadrature points) at a time.  Each block's quadrature is built when the
+    block is reached, each field is sampled once per block and the sample is
+    shared by every measurement; with members=False only the limit is
+    sampled."""
+    n = seq.quad_n
+    step = max(1, BLOCK_POINTS // n ** 2)
+    for start in range(0, seq.mesh.n_triangles, step):
         tris = slice(start, start + step)
-        block = _Block(pts[tris], w[tris])
-        lim = _sample(seq, -1, pts, tris)
+        block = _Block(*mesh_quad_points(seq.mesh, n, tris))
+        lim = _sample(seq, -1, block, tris)
         for m in measurements:
             m.limit(block, lim)
         for j in range(len(seq) if members else 0):
-            f = _sample(seq, j, pts, tris)
+            f = _sample(seq, j, block, tris)
             for m in measurements:
                 m.member(block, j, f, lim)
 
@@ -368,26 +382,39 @@ class _Energy(_Measurement):
 
 class _Pointwise(_Measurement):
     """Median and 95th percentile of |q(last member) - q(limit)|, for q in
-    df, jac and mu."""
+    df, jac and mu, over the `n_points` quadrature points of the sweep.
 
-    def __init__(self, n_members: int):
+    Each quantity fills one buffer block by block, up to its fill count (mu
+    keeps only the points where it is defined), and the statistics select
+    in that buffer in place.  A quantity defined at no point has None for
+    both."""
+
+    def __init__(self, n_members: int, n_points: int):
         self.last = n_members - 1
-        self.pieces: Dict[str, List[np.ndarray]] = {q: [] for q in ("df", "jac", "mu")}
+        self.buffers = {q: np.empty(n_points) for q in ("df", "jac", "mu")}
+        self.filled = dict.fromkeys(self.buffers, 0)
 
     def member(self, block, j, f, lim):
         if j == self.last:
-            for qname, pieces in self.pieces.items():
+            for qname, buffer in self.buffers.items():
                 d, ok = _quantity_diff(qname, f, lim)
-                # a copy, like d[ok]: views that keep every block's d alive
-                # fragment the heap (peak RSS ~1 MiB higher on 64 blocks)
-                pieces.append(d.flatten() if ok is None else d[ok])
+                kept = d.ravel() if ok is None else d[ok]
+                start = self.filled[qname]
+                self.filled[qname] = start + kept.size
+                buffer[start:start + kept.size] = kept
 
     def values(self) -> Dict[str, dict]:
         out = {}
-        for qname, pieces in self.pieces.items():
-            d = np.concatenate(pieces)
-            out[qname] = {"median": float(np.median(d)),
-                          "p95": float(np.percentile(d, 95.0))}
+        for qname, buffer in self.buffers.items():
+            d = buffer[:self.filled[qname]]
+            if d.size == 0:
+                out[qname] = {"median": None, "p95": None}
+                continue
+            # each selection reorders d but keeps its multiset, and with it
+            # the other statistic
+            median = float(np.median(d, overwrite_input=True))
+            p95 = float(np.percentile(d, 95.0, overwrite_input=True))
+            out[qname] = {"median": median, "p95": p95}
         return out
 
 
@@ -525,10 +552,11 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
     points each, Phi * y^s at `s` (Dirichlet, whose admissible range of s
     is empty, at its `spec.s_value` 0, whatever `s` says; the report's
     config records the s of the probe), the weak limit against the tensor
-    Legendre dictionary of degree DICTIONARY_DEGREE.  The quadrature is
-    built once and swept block by block, so every quadrature point of every
-    member is sampled once, and every measurement integrates over the whole
-    mesh.
+    Legendre dictionary of degree DICTIONARY_DEGREE.  The mesh is swept
+    block by block, each block's quadrature built when it is reached, so
+    every quadrature point of every member is sampled once and every
+    measurement integrates over the whole mesh, while memory holds one
+    block plus one buffer per pointwise quantity.
     """
     if not p_RR > 1.0:
         raise ConfigurationError("p_RR must exceed 1")
@@ -575,7 +603,7 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
     gaps = {q: _LrGap(q, r, n, spec) for q, r in exponents.items()}
     scales = {q: _Scale(q, r) for q, r in r_list.items()}
     weak_scale = _Scale("df", 1.0)
-    pointwise = _Pointwise(n)
+    pointwise = _Pointwise(n, seq.mesh.n_triangles * seq.quad_n ** 2)
     measurements = [probe, series, pointwise, weak_scale, *gaps.values(), *scales.values()]
     if phi_energies is not series:
         measurements.append(phi_energies)

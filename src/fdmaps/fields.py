@@ -176,15 +176,20 @@ def analytic_radial_stretch(alpha: float) -> AnalyticMap:
     """z -> z|z|^(alpha-1); the standard closed-form finite-distortion example."""
     alpha = float(alpha)
 
+    def radial(r):
+        """|z|^(alpha-1), 0 at the origin; the power is taken only where r > 0."""
+        stretch = np.zeros(np.shape(r))
+        np.power(r, alpha - 1.0, out=stretch, where=r > 0)
+        return stretch
+
     def value(z):
         z = np.asarray(z, dtype=complex)
-        r = np.abs(z)
-        return z * np.where(r > 0, r ** (alpha - 1.0), 0.0)
+        return z * radial(np.abs(z))
 
     def derivatives(z):
         z = np.asarray(z, dtype=complex)
         r = np.abs(z)
-        stretch = np.where(r > 0, r ** (alpha - 1.0), 0.0)
+        stretch = radial(r)
         with np.errstate(invalid="ignore", divide="ignore"):
             phase = np.where(r > 0, z / np.where(r > 0, np.conj(z), 1.0), 0.0)
         return (((alpha + 1.0) / 2.0) * stretch + 0j,
@@ -207,8 +212,14 @@ def analytic_oscillation(j: int) -> AnalyticMap:
         return z + np.sin(w * z.real) / w
 
     def derivatives(z):
-        half_cos = 0.5 * np.cos(w * np.asarray(z, dtype=complex).real)
-        return 1.0 + half_cos + 0j, half_cos + 0j
+        # each complex output is written once: its real part, imaginary 0
+        half_cos = np.cos(w * np.asarray(z, dtype=complex).real)
+        half_cos *= 0.5
+        fz = np.zeros(np.shape(half_cos), dtype=complex)
+        fzbar = np.zeros(np.shape(half_cos), dtype=complex)
+        np.add(1.0, half_cos, out=fz.real)
+        fzbar.real = half_cos
+        return fz, fzbar
 
     return AnalyticMap(value=value, derivatives=derivatives)
 

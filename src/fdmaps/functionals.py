@@ -183,9 +183,13 @@ def weight_values(spec: FunctionalSpec, points: np.ndarray) -> np.ndarray:
 
 
 def quadrature_sum(values: np.ndarray, weights: np.ndarray) -> float:
-    """Sum of values * weights; inf as soon as one term is inf."""
+    """Sum of values * weights; inf as soon as one term is inf.  A finite sum
+    has no inf term, so only a sum that is not finite looks for one."""
     contrib = values * weights
-    return np.inf if np.any(np.isinf(contrib)) else float(np.sum(contrib))
+    total = np.sum(contrib)
+    if not np.isfinite(total) and np.any(np.isinf(contrib)):
+        return np.inf
+    return float(total)
 
 
 def energy(spec: FunctionalSpec, derived: DerivedField,

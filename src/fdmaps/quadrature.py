@@ -47,15 +47,16 @@ def duffy_rule(n: int):
     return bary, weights
 
 
-def mesh_quad_points(mesh, n: int):
-    """Quadrature nodes and weights for every triangle of a mesh.
+def mesh_quad_points(mesh, n: int, tris: slice = slice(None)):
+    """Quadrature nodes and weights for the triangles `tris` of a mesh.
 
-    Returns (points, weights) of shape (n_triangles, K) where points are
+    Returns (points, weights) of shape (len(tris), K) where points are
     complex plane positions and weights already include triangle areas, so
-    integral = sum(values * weights).
+    integral = sum(values * weights).  A sweep that asks for one block of
+    triangles at a time holds one block's points, never the whole mesh's.
     """
     bary, w = duffy_rule(n)
-    corners = mesh.nodes[mesh.triangles]  # (m, 3) complex
-    points = corners @ bary.T.astype(complex)  # (m, K)
-    weights = mesh.areas[:, None] * w[None, :]
+    corners = mesh.nodes[mesh.triangles[tris]]  # (len(tris), 3) complex
+    points = corners @ bary.T.astype(complex)  # (len(tris), K)
+    weights = mesh.areas[tris, None] * w[None, :]
     return points, weights

@@ -144,6 +144,26 @@ def test_constant_recipe_reads_complex_args(tmp_path):
     assert all(c["series"] == [0.0] * 3 for c in result["conclusions"].values())
 
 
+@pytest.mark.filterwarnings("error")
+def test_diagnose_reports_undefined_beltrami_proxy_as_null(tmp_path):
+    # f = conj(z) has f_z = 0 at every point, so mu is defined nowhere: its
+    # proxy statistics are null, the other quantities and the verdict stand
+    config = {
+        "command": "diagnose",
+        "domain": {"kind": "disk", "level": 2},
+        "functional": {"family": "lp_mean", "p": 2.0},
+        "recipe": {"kind": "constant", "j_max": 3,
+                   "params": {"formula": "affine", "args": [[0, 0], [1, 0]]}},
+    }
+    assert run(config, tmp_path) == 0
+    result = _read(tmp_path / "result.json")["results"]
+    proxy = result["pointwise_proxy"]
+    assert proxy["mu"] == {"median": None, "p95": None}
+    assert proxy["df"] == proxy["jac"] == {"median": 0.0, "p95": 0.0}
+    # J = -1 folds every point, so every lp_mean energy is inf
+    assert result["verdict"] == "EnergyGap"
+
+
 _OSCILLATION_RUNS = {
     "hopf": lambda args: {"command": "hopf", "domain": {"kind": "disk", "level": 2},
                           "hopf": {"formula": "oscillation", "args": args,

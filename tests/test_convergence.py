@@ -229,10 +229,12 @@ def test_hyperbolic_weight_rejects_points_outside_disk(osc_seq):
 
 def test_diagnose_samples_each_field_once(monkeypatch, unit_square_16):
     # fields are sampled block by block; together the blocks cover every
-    # quadrature point of every field exactly once, from one quadrature
+    # quadrature point of every field exactly once, and each block's
+    # quadrature is built once, when the block is reached
     seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=8), unit_square_16)
     k = convergence.ANALYTIC_QUAD_N ** 2
     covered = np.zeros((len(seq) + 1, unit_square_16.n_triangles, k), dtype=int)
+    quad_covered = np.zeros(unit_square_16.n_triangles, dtype=int)
     calls = {"blocks": 0, "quadrature": 0}
     derivatives_at, quad_points = convergence._derivatives_at, convergence.mesh_quad_points
 
@@ -241,18 +243,43 @@ def test_diagnose_samples_each_field_once(monkeypatch, unit_square_16):
         calls["blocks"] += 1
         return derivatives_at(seq_, index, pts, tris)
 
-    def counted(*args, **kwargs):
+    def counted(mesh, n, tris=slice(None)):
+        quad_covered[tris] += 1
         calls["quadrature"] += 1
-        return quad_points(*args, **kwargs)
+        return quad_points(mesh, n, tris)
 
     monkeypatch.setattr(convergence, "_derivatives_at", recorded)
     monkeypatch.setattr(convergence, "mesh_quad_points", counted)
     radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0,
                          r_list={"df": 1.5, "jac": 0.5, "mu": 1.0, "fzbar": 2.0})
-    assert calls["quadrature"] == 1
-    assert np.all(covered == 1)
     blocks = -(-unit_square_16.n_triangles * k // convergence.BLOCK_POINTS)
+    assert blocks > 1
+    assert calls["quadrature"] == blocks
+    assert np.all(quad_covered == 1)
+    assert np.all(covered == 1)
     assert calls["blocks"] == (len(seq) + 1) * blocks
+
+
+def test_diagnose_memory_is_bounded():
+    # the sweep holds one block and one buffer per pointwise quantity (df,
+    # jac, mu) of the N quadrature points: not the whole mesh's quadrature,
+    # nor copies of the proxy's points (20.9 MiB here; 32.6 MiB with both)
+    import tracemalloc
+
+    import fdmaps
+    mib = 2.0 ** 20
+    mesh = fdmaps.build_rect_mesh(64, 64, 0.0, 1.0 + 1.0j)
+    seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=2), mesh)
+    n_points = mesh.n_triangles * convergence.ANALYTIC_QUAD_N ** 2
+    assert n_points == 524288
+    tracemalloc.start()
+    try:
+        radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0,
+                             r_list={"fzbar": 2.0})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n_points * 8 + 12 * mib
 
 
 @pytest.mark.parametrize("fixture", ["drift_seq", "osc_seq", "moll_seq"])

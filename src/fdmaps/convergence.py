@@ -20,10 +20,12 @@ every member is sampled once, as (f_z, f_zbar, P, Q, J), and the sample
 feeds every measurement, which adds the block's part to its sums: the
 weak probe (one matrix product pairs the differences of PROBE_GROUP
 members with the test dictionary), the energy series, the L^r gaps (of
-Phi too), the scales and the pointwise proxy.  The working set is one
-block, plus one buffer of the mesh's quadrature points per pointwise
-quantity (df, jac, mu) for the proxy's median and 95th percentile; no
-other mesh-length array is formed.  The standalone `weak_probe`,
+Phi too), the scales and the pointwise proxy.  The proxy's median and
+95th percentile are selected exactly from bit-pattern histograms and
+distinct-value tallies of fixed size; when a pass leaves them undecided,
+a further sweep samples only the limit and the last member.  The working
+set is one block plus that selection state: no array grows with the
+number of quadrature points.  The standalone `weak_probe`,
 `lr_gap`, `quantity_scale` and `lsc_checks` run the same sweep with the
 measurement they report.
 
@@ -160,7 +162,7 @@ class _Block(NamedTuple):
 
 class _Measurement:
     """A quantity summed block by block over a sweep.  In every block the
-    sweep passes the limit first, then each member in order."""
+    sweep passes the limit first, then each member it samples in order."""
 
     def limit(self, block: _Block, lim: _Sample) -> None:
         pass
@@ -170,21 +172,22 @@ class _Measurement:
 
 
 def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
-           members: bool = True) -> None:
+           members: Optional[Sequence[int]] = None) -> None:
     """Feed the measurements one block of whole triangles (about BLOCK_POINTS
     quadrature points) at a time.  Each block's quadrature is built when the
     block is reached, each field is sampled once per block and the sample is
-    shared by every measurement; with members=False only the limit is
-    sampled."""
+    shared by every measurement.  The limit is sampled, then the members of
+    the index sequence `members` in its order (None: every member)."""
     n = seq.quad_n
     step = max(1, BLOCK_POINTS // n ** 2)
+    members = range(len(seq)) if members is None else members
     for start in range(0, seq.mesh.n_triangles, step):
         tris = slice(start, start + step)
         block = _Block(*mesh_quad_points(seq.mesh, n, tris))
         lim = _sample(seq, -1, block, tris)
         for m in measurements:
             m.limit(block, lim)
-        for j in range(len(seq) if members else 0):
+        for j in members:
             f = _sample(seq, j, block, tris)
             for m in measurements:
                 m.member(block, j, f, lim)
@@ -279,7 +282,7 @@ def lr_gap(seq: SequenceHandle, quantity: str, r: float) -> List[float]:
 def quantity_scale(seq: SequenceHandle, quantity: str, r: float) -> float:
     """L^r size of the limit quantity, used to normalize gap tolerances."""
     scale = _Scale(quantity, r)
-    _sweep(seq, [scale], members=False)
+    _sweep(seq, [scale], members=())
     return scale.value()
 
 
@@ -380,42 +383,163 @@ class _Energy(_Measurement):
         return [quadrature_sum(np.array(parts), 1.0) for parts in self.blocks]
 
 
+DIGIT_BITS = 16  # bits of the bit pattern a selection pass narrows a bin by (2^16-bin histogram)
+
+
+class _Bin:
+    """The values whose uint64 bit patterns shifted right by `shift` equal
+    `prefix` (shift 64: every value).  The ranks in `ranks` fall in the bin,
+    and `below` values lie under it.  During a pass it keeps its distinct
+    bit patterns and their counts, up to BLOCK_POINTS of them, and past that a
+    histogram of its next DIGIT_BITS bits."""
+
+    def __init__(self, prefix: int, shift: int, below: int):
+        self.prefix, self.shift, self.below = prefix, shift, below
+        self.ranks: List[int] = []
+        self.keys = np.empty(0, np.uint64)
+        self.counts = np.empty(0, np.int64)
+        self.hist: Optional[np.ndarray] = None
+
+    def add(self, keys: np.ndarray) -> None:
+        if self.shift < 64:
+            keys = keys[(keys >> self.shift) == self.prefix]
+        if keys.size == 0:
+            return
+        counts = 1
+        if self.hist is None:
+            counts = np.concatenate((self.counts, np.ones(keys.size, np.int64)))
+            keys = np.concatenate((self.keys, keys))
+            order = np.argsort(keys)
+            keys, counts = keys[order], counts[order]
+            first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+            keys, counts = keys[first], np.add.reduceat(counts, first)
+            if keys.size <= BLOCK_POINTS:
+                self.keys, self.counts = keys, counts
+                return
+            # too many distinct values to keep: histogram them instead
+            self.hist = np.zeros(1 << DIGIT_BITS, np.int64)
+            self.keys = self.counts = None
+        np.add.at(self.hist, (keys >> (self.shift - DIGIT_BITS)) & ((1 << DIGIT_BITS) - 1),
+                  counts)
+
+
+class _Selection:
+    """Median and 95th percentile of a stream of values >= 0 (or NaN) that
+    can be fed again: an exact radix selection on their IEEE-754 bit
+    patterns, since non-negative doubles sort as their bit patterns do as
+    unsigned integers (Munro and Paterson, Selection and sorting with
+    limited storage, 1980).
+
+    A pass feeds every value once to `add`, in blocks of any size, and
+    `settle` ends it.  Each rank the statistics need lies in a `_Bin`, at
+    first the bin of all values.  A bin that kept its distinct values finds
+    its ranks; one that kept a histogram is narrowed to the next digit of
+    each rank's bit pattern for the next pass.  So the state is a few bins of
+    BLOCK_POINTS pairs or 2^DIGIT_BITS counts, whatever the number of values,
+    and values with at most BLOCK_POINTS distinct ones need a single pass."""
+
+    def __init__(self):
+        self.n = 0
+        self.nan = False
+        self.counting = True  # the first pass counts the values
+        self.bins = [_Bin(0, 64, 0)]
+        self.found: Dict[int, int] = {}  # rank -> bit pattern
+
+    def add(self, values: np.ndarray) -> None:
+        if self.counting:
+            self.n += values.size
+            self.nan = self.nan or bool(np.isnan(values).any())
+        keys = values.view(np.uint64)
+        for b in self.bins:
+            b.add(keys)
+
+    def settle(self) -> bool:
+        """End a pass; True when every rank is found and no pass is left."""
+        if self.counting:
+            self.counting = False
+            # a NaN makes both statistics NaN, as in numpy, whatever the ranks hold
+            if self.n and not self.nan:
+                self.bins[0].ranks = sorted(set(_median_ranks(self.n))
+                                            | set(_p95_lerp(self.n)[:2]))
+        narrowed: Dict[int, _Bin] = {}
+        for b in self.bins:
+            cum = np.cumsum(b.counts if b.hist is None else b.hist)
+            for rank in b.ranks:
+                i = int(np.searchsorted(cum, rank - b.below, side="right"))
+                if b.hist is None:
+                    self.found[rank] = int(b.keys[i])
+                    continue
+                prefix = (b.prefix << DIGIT_BITS) | i
+                if b.shift == DIGIT_BITS:  # the whole bit pattern is known
+                    self.found[rank] = prefix
+                    continue
+                if prefix not in narrowed:
+                    below = b.below + (int(cum[i - 1]) if i else 0)
+                    narrowed[prefix] = _Bin(prefix, b.shift - DIGIT_BITS, below)
+                narrowed[prefix].ranks.append(rank)
+        self.bins = list(narrowed.values())
+        return not self.bins
+
+    def statistics(self) -> Dict[str, Optional[float]]:
+        """The median and 95th percentile, bit for bit as `np.median` and
+        `np.percentile(..., 95.0)` give them; None for no values."""
+        if self.n == 0:
+            return {"median": None, "p95": None}
+        if self.nan:
+            return {"median": np.nan, "p95": np.nan}
+        middle = [_as_float(self.found[r]) for r in _median_ranks(self.n)]
+        lo, hi, t = _p95_lerp(self.n)
+        a, b = _as_float(self.found[lo]), _as_float(self.found[hi])
+        # numpy's mean of the middle values, and its `_lerp`
+        return {"median": middle[0] if len(middle) == 1 else (middle[0] + middle[1]) / 2,
+                "p95": b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t}
+
+
+def _median_ranks(n: int) -> List[int]:
+    """The sorted ranks whose mean `np.median` takes."""
+    return [(n - 1) // 2] if n % 2 else [n // 2 - 1, n // 2]
+
+
+def _p95_lerp(n: int):
+    """The ranks and weight `np.percentile(..., 95.0)` interpolates between
+    with its "linear" method: virtual index (n - 1) * q, and past the last
+    rank the last value with weight index + 1."""
+    index = (n - 1) * 0.95
+    if index >= n - 1:
+        return n - 1, n - 1, index + 1
+    lo = int(np.floor(index))
+    return lo, lo + 1, index - lo
+
+
+def _as_float(key: int) -> float:
+    return float(np.array(key, np.uint64).view(np.float64))
+
+
 class _Pointwise(_Measurement):
     """Median and 95th percentile of |q(last member) - q(limit)|, for q in
-    df, jac and mu, over the `n_points` quadrature points of the sweep.
+    df, jac and mu, over the quadrature points of the sweep (mu: those where
+    it is defined), each by a `_Selection`.  The main sweep feeds every
+    selection; `settle` ends a sweep and says whether another is needed,
+    which samples only the limit and the last member.  A quantity defined
+    at no point has None for both."""
 
-    Each quantity fills one buffer block by block, up to its fill count (mu
-    keeps only the points where it is defined), and the statistics select
-    in that buffer in place.  A quantity defined at no point has None for
-    both."""
-
-    def __init__(self, n_members: int, n_points: int):
+    def __init__(self, n_members: int):
         self.last = n_members - 1
-        self.buffers = {q: np.empty(n_points) for q in ("df", "jac", "mu")}
-        self.filled = dict.fromkeys(self.buffers, 0)
+        self.selections = {q: _Selection() for q in ("df", "jac", "mu")}
+        self.pending = dict(self.selections)
 
     def member(self, block, j, f, lim):
         if j == self.last:
-            for qname, buffer in self.buffers.items():
+            for qname, selection in self.pending.items():
                 d, ok = _quantity_diff(qname, f, lim)
-                kept = d.ravel() if ok is None else d[ok]
-                start = self.filled[qname]
-                self.filled[qname] = start + kept.size
-                buffer[start:start + kept.size] = kept
+                selection.add(d.ravel() if ok is None else d[ok])
+
+    def settle(self) -> bool:
+        self.pending = {q: s for q, s in self.pending.items() if not s.settle()}
+        return not self.pending
 
     def values(self) -> Dict[str, dict]:
-        out = {}
-        for qname, buffer in self.buffers.items():
-            d = buffer[:self.filled[qname]]
-            if d.size == 0:
-                out[qname] = {"median": None, "p95": None}
-                continue
-            # each selection reorders d but keeps its multiset, and with it
-            # the other statistic
-            median = float(np.median(d, overwrite_input=True))
-            p95 = float(np.percentile(d, 95.0, overwrite_input=True))
-            out[qname] = {"median": median, "p95": p95}
-        return out
+        return {q: s.statistics() for q, s in self.selections.items()}
 
 
 @dataclass(frozen=True)
@@ -556,7 +680,9 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
     block by block, each block's quadrature built when it is reached, so
     every quadrature point of every member is sampled once and every
     measurement integrates over the whole mesh, while memory holds one
-    block plus one buffer per pointwise quantity.
+    block plus the pointwise proxy's fixed-size selection state; a proxy
+    statistic the main sweep leaves undecided costs a further sweep of the
+    limit and the last member.
     """
     if not p_RR > 1.0:
         raise ConfigurationError("p_RR must exceed 1")
@@ -603,11 +729,13 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
     gaps = {q: _LrGap(q, r, n, spec) for q, r in exponents.items()}
     scales = {q: _Scale(q, r) for q, r in r_list.items()}
     weak_scale = _Scale("df", 1.0)
-    pointwise = _Pointwise(n, seq.mesh.n_triangles * seq.quad_n ** 2)
+    pointwise = _Pointwise(n)
     measurements = [probe, series, pointwise, weak_scale, *gaps.values(), *scales.values()]
     if phi_energies is not series:
         measurements.append(phi_energies)
     _sweep(seq, measurements)
+    while not pointwise.settle():
+        _sweep(seq, [pointwise], members=[n - 1])
 
     # (b) weak-limit hypothesis
     residuals = probe.residuals()

@@ -57,6 +57,10 @@ def mesh_quad_points(mesh, n: int, tris: slice = slice(None)):
     """
     bary, w = duffy_rule(n)
     corners = mesh.nodes[mesh.triangles[tris]]  # (len(tris), 3) complex
-    points = corners @ bary.T.astype(complex)  # (len(tris), K)
+    rows = len(corners)
+    # numpy hands BLAS a one-row product as a vector product, which rounds
+    # unlike the matrix product of more rows: a lone triangle is doubled, so
+    # its points do not depend on the block that asks for them
+    points = ((corners[[0, 0]] if rows == 1 else corners) @ bary.T.astype(complex))[:rows]
     weights = mesh.areas[tris, None] * w[None, :]
     return points, weights

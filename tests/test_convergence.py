@@ -228,58 +228,81 @@ def test_hyperbolic_weight_rejects_points_outside_disk(osc_seq):
 
 
 def test_diagnose_samples_each_field_once(monkeypatch, unit_square_16):
-    # fields are sampled block by block; together the blocks cover every
-    # quadrature point of every field exactly once, and each block's
-    # quadrature is built once, when the block is reached
+    # the main sweep samples every field block by block, the blocks covering
+    # every quadrature point of every field exactly once, and builds each
+    # block's quadrature once, when the block is reached.  A refinement sweep
+    # of the pointwise proxy samples only the limit and the last member, once
+    # per triangle.  The fixture's proxy has at most 572 distinct values per
+    # quantity: blocks of 8,192 points keep them all in the main sweep, and
+    # blocks of 256 points (4 triangles) keep at most 256, so one quantity
+    # needs a refinement sweep
     seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=8), unit_square_16)
     k = convergence.ANALYTIC_QUAD_N ** 2
-    covered = np.zeros((len(seq) + 1, unit_square_16.n_triangles, k), dtype=int)
-    quad_covered = np.zeros(unit_square_16.n_triangles, dtype=int)
-    calls = {"blocks": 0, "quadrature": 0}
+    m = unit_square_16.n_triangles
+    sweep = convergence._sweep
     derivatives_at, quad_points = convergence._derivatives_at, convergence.mesh_quad_points
+    for block_points, refinements in ((convergence.BLOCK_POINTS, 0), (4 * k, 1)):
+        monkeypatch.setattr(convergence, "BLOCK_POINTS", block_points)
+        sweeps = []  # per sweep: samples of each (field, triangle, point), row 0 the limit
+        quad_covered = np.zeros(m, dtype=int)
+        calls = {"blocks": 0, "quadrature": 0}
 
-    def recorded(seq_, index, pts, tris=slice(None)):
-        covered[index + 1][tris] += 1  # row 0 is the limit
-        calls["blocks"] += 1
-        return derivatives_at(seq_, index, pts, tris)
+        def recorded_sweep(seq_, measurements, members=None):
+            sweeps.append(np.zeros((len(seq) + 1, m, k), dtype=int))
+            sweep(seq_, measurements, members)
 
-    def counted(mesh, n, tris=slice(None)):
-        quad_covered[tris] += 1
-        calls["quadrature"] += 1
-        return quad_points(mesh, n, tris)
+        def recorded(seq_, index, pts, tris=slice(None)):
+            sweeps[-1][index + 1][tris] += 1
+            calls["blocks"] += 1
+            return derivatives_at(seq_, index, pts, tris)
 
-    monkeypatch.setattr(convergence, "_derivatives_at", recorded)
-    monkeypatch.setattr(convergence, "mesh_quad_points", counted)
-    radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0,
-                         r_list={"df": 1.5, "jac": 0.5, "mu": 1.0, "fzbar": 2.0})
-    blocks = -(-unit_square_16.n_triangles * k // convergence.BLOCK_POINTS)
-    assert blocks > 1
-    assert calls["quadrature"] == blocks
-    assert np.all(quad_covered == 1)
-    assert np.all(covered == 1)
-    assert calls["blocks"] == (len(seq) + 1) * blocks
+        def counted(mesh, n, tris=slice(None)):
+            quad_covered[tris] += 1
+            calls["quadrature"] += 1
+            return quad_points(mesh, n, tris)
+
+        monkeypatch.setattr(convergence, "_sweep", recorded_sweep)
+        monkeypatch.setattr(convergence, "_derivatives_at", recorded)
+        monkeypatch.setattr(convergence, "mesh_quad_points", counted)
+        radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0,
+                             r_list={"df": 1.5, "jac": 0.5, "mu": 1.0, "fzbar": 2.0})
+        blocks = -(-m * k // block_points)
+        assert blocks > 1
+        main, *refining = sweeps
+        assert len(refining) == refinements
+        assert np.all(main == 1)
+        for covered in refining:
+            assert np.all(covered[[0, -1]] == 1)
+            assert np.all(covered[1:-1] == 0)
+        assert calls["quadrature"] == blocks * len(sweeps)
+        assert np.all(quad_covered == len(sweeps))
+        assert calls["blocks"] == (len(seq) + 1 + 2 * refinements) * blocks
 
 
 def test_diagnose_memory_is_bounded():
-    # the sweep holds one block and one buffer per pointwise quantity (df,
-    # jac, mu) of the N quadrature points: not the whole mesh's quadrature,
-    # nor copies of the proxy's points (20.9 MiB here; 32.6 MiB with both)
+    # the sweep holds one block and the pointwise proxy's fixed-size
+    # selection state, so its traced peak does not grow with the mesh: 64x64
+    # has four times the 131,072 quadrature points of 32x32.  Neither the
+    # whole mesh's quadrature nor a buffer of the proxy's points is held
+    # (9.0 MiB at both sizes; 11.9 and 20.9 MiB with one buffer of the
+    # points per proxy quantity)
     import tracemalloc
 
     import fdmaps
     mib = 2.0 ** 20
-    mesh = fdmaps.build_rect_mesh(64, 64, 0.0, 1.0 + 1.0j)
-    seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=2), mesh)
-    n_points = mesh.n_triangles * convergence.ANALYTIC_QUAD_N ** 2
-    assert n_points == 524288
-    tracemalloc.start()
-    try:
-        radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0,
-                             r_list={"fzbar": 2.0})
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * n_points * 8 + 12 * mib
+    peaks = {}
+    for nx in (32, 64):
+        mesh = fdmaps.build_rect_mesh(nx, nx, 0.0, 1.0 + 1.0j)
+        seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=2), mesh)
+        tracemalloc.start()
+        try:
+            radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0,
+                                 r_list={"fzbar": 2.0})
+            _, peaks[nx] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[64] <= peaks[32] + mib
+    assert peaks[64] < 12 * mib
 
 
 @pytest.mark.parametrize("fixture", ["drift_seq", "osc_seq", "moll_seq"])
@@ -341,7 +364,85 @@ def test_diagnose_is_block_size_invariant(monkeypatch, request, fixture, tris_pe
     m = seq.mesh.n_triangles
     assert m % 7 != 0
     monkeypatch.setattr(convergence, "BLOCK_POINTS", k * (tris_per_block or m))
-    _assert_numbers_close(default, report(), rtol=1e-12)
+    blocked = report()
+    # order statistics do not depend on how the points are split
+    assert blocked["pointwise_proxy"] == default["pointwise_proxy"]
+    _assert_numbers_close(default, blocked, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, convergence.ANALYTIC_QUAD_N])
+def test_quadrature_does_not_depend_on_the_block(unit_square_16, n):
+    # a lone triangle's points are formed by the same matrix product as a
+    # block's, so one triangle at a time, blocks of 7 and the whole mesh
+    # give the same bits
+    m = unit_square_16.n_triangles
+    pts, w = mesh_quad_points(unit_square_16, n)
+    for step in (1, 7):
+        parts = [mesh_quad_points(unit_square_16, n, slice(s, s + step))
+                 for s in range(0, m, step)]
+        assert np.array_equal(np.concatenate([p for p, _ in parts]), pts)
+        assert np.array_equal(np.concatenate([v for _, v in parts]), w)
+
+
+def _select(values, block):
+    """Feed `values` to a `_Selection` in blocks, pass after pass, until it
+    settles: the statistics and the number of passes."""
+    selection = convergence._Selection()
+    passes = 0
+    while True:
+        for start in range(0, values.size, block):
+            selection.add(values[start:start + block])
+        passes += 1
+        if selection.settle():
+            return selection.statistics(), passes
+
+
+def _selection_cases():
+    rng = np.random.default_rng(21)
+    cases = {f"n={n}": rng.lognormal(0.0, 3.0, n) for n in (1, 2, 3, 10, 999, 100_001)}
+    cases["equal"] = np.full(1000, 0.7)
+    cases["zeros"] = np.zeros(1000)
+    cases["zeros and a few"] = np.concatenate([np.zeros(9000), rng.random(5)])
+    cases["inf"] = np.concatenate([rng.random(40), np.full(3, np.inf)])
+    # index (21 - 1) * 0.95 is 19.0: weight 0 on an inf neighbour gives nan
+    cases["inf next"] = np.concatenate([rng.random(20), [np.inf]])
+    cases["inf both"] = np.concatenate([rng.random(10), np.full(10, np.inf)])
+    cases["nan"] = np.concatenate([rng.random(50), [np.nan], rng.random(50)])
+    # the oscillation's proxy: 524,288 points, about 2,000 distinct values
+    cases["ties"] = rng.choice(rng.random(2000), 524_288)
+    # 20,000 neighbouring doubles share all but the last 16 bits: every
+    # digit is narrowed in a pass of its own
+    one = np.array(1.0).view(np.uint64)
+    cases["ulps"] = rng.permutation((one + np.arange(20_000, dtype=np.uint64)).view(np.float64))
+    return cases
+
+
+_SELECTION_CASES = _selection_cases()
+
+
+@pytest.mark.parametrize("name, block", [
+    (name, block) for name, values in _SELECTION_CASES.items()
+    for block in (1, 7, convergence.BLOCK_POINTS) if values.size <= 2000 * block])
+def test_selection_matches_numpy_bit_for_bit(name, block):
+    # RuntimeWarnings are errors in this suite: the selection raises none,
+    # even where numpy's own interpolation meets inf - inf
+    values = _SELECTION_CASES[name]
+    stats, passes = _select(values, block)
+    with np.errstate(all="ignore"):
+        expected = {"median": np.median(values), "p95": np.percentile(values, 95.0)}
+    for key, want in expected.items():
+        got = stats[key]
+        assert isinstance(got, float)
+        assert (np.isnan(got) and np.isnan(want)) or \
+            np.float64(got).tobytes() == np.float64(want).tobytes(), key
+    if np.unique(values).size <= convergence.BLOCK_POINTS or np.isnan(values).any():
+        assert passes == 1
+    if name == "ulps":
+        assert passes == 4
+
+
+def test_selection_of_no_values():
+    assert _select(np.empty(0), 7) == ({"median": None, "p95": None}, 1)
 
 
 def _reference_weak_residuals(seq, degree=6):

@@ -111,17 +111,17 @@ def _run_sweep(config, out: Path):
     mcfg = MinimizeConfig.from_json(config["minimize"])
     entries = truncation_sweep(sweep["p"], sweep["N_list"], mesh, boundary, mcfg,
                                jac_exp=sweep["jac_exp"], weight=sweep["weight"])
-    rows = []
-    psi_fields = []
+    rows, gaps = [], []
+    previous = None  # the last entry's Hopf values, for the sup-gap to the next
     for e in entries:
         derived = wirtinger_derivatives(e.mapping)
         psi = inverse_ahlfors_hopf(derived, sweep["p"], e.trunc_n, sweep["weight"])
         res = holomorphy_residual(psi)
-        psi_fields.append(psi)
+        if previous is not None:
+            gaps.append(float(np.nanmax(np.abs(psi.values - previous))))
+        previous = psi.values
         rows.append({"N": e.trunc_n, "energy": e.energy, "hopf_l1": psi.l1_norm,
                      "holomorphy_l1": res.l1_residual, "stop_reason": e.stop_reason})
-    gaps = [float(np.nanmax(np.abs(b.values - a.values)))
-            for a, b in zip(psi_fields, psi_fields[1:])]
     header = ["N", "energy", "hopf_l1", "holomorphy_l1", "stop_reason"]
     write_columns(out / "sweep.csv", header, list(zip(*map(itemgetter(*header), rows))))
     return {"entries": rows, "psi_cauchy_sup_gaps": gaps}
@@ -148,7 +148,8 @@ def _run_hopf(config, out: Path):
     hopf_to_csv(psi, out / "hopf.csv")
     derived_to_csv(derived, out / "derived.csv")
     return {"l1_residual": res.l1_residual, "l2_residual": res.l2_residual,
-            "field_l1": psi.l1_norm, "skipped_vertices": res.skipped_vertices}
+            "field_l1": psi.l1_norm, "skipped_vertices": res.skipped_vertices,
+            "interior_area": res.interior_area}
 
 
 def _run_oracle(config, out: Path):
@@ -193,6 +194,19 @@ def _dump(doc, path: Path):
         fh.write("\n")
 
 
+def _failure(results: dict):
+    """Why a run that produced results still fails, or None: a failed
+    descent, in minimize or in any sweep entry, or a holomorphy certificate
+    that fitted no interior vertex and so certifies nothing."""
+    if any(r.get("stop_reason") == "line_search_failure"
+           for r in (results, *results.get("entries", ()))):
+        return "line_search_failure"
+    if results.get("interior_area") == 0.0:
+        return (f"no interior vertex fitted: {results['skipped_vertices']} "
+                "skipped, so the certificate is empty")
+    return None
+
+
 def run(config: dict, out_dir) -> int:
     """Execute one config; returns the process exit status."""
     out = Path(out_dir)
@@ -213,11 +227,10 @@ def run(config: dict, out_dir) -> int:
         if top["command"] not in _RUNNERS:
             raise ConfigurationError(f"unknown command {top['command']!r}")
         results = _RUNNERS[top["command"]](top, out)
-        # a failed descent, in minimize or in any sweep entry, fails the run
-        if any(r.get("stop_reason") == "line_search_failure"
-               for r in (results, *results.get("entries", ()))):
+        reason = _failure(results)
+        if reason is not None:
             manifest["status"] = "numerical_failure"
-            manifest["failure_reason"] = "line_search_failure"
+            manifest["failure_reason"] = reason
             status = 3
     except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
         manifest["status"] = "validation_error"

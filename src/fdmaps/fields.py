@@ -4,6 +4,11 @@ A mapping is a complex value per mesh node; derivatives come from the
 unique affine interpolant on each triangle, so every pointwise formula
 (Wirtinger derivatives, Jacobian, distortions, Beltrami coefficient) is
 exact per element.
+
+The per-triangle arrays of a derived field are built over blocks of
+`geometry.BLOCK_ROWS` triangles and written into preallocated outputs, so
+`wirtinger_derivatives` holds its outputs and one block's temporaries; the
+CSV writer formats blocks of the same number of rows.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from .config import integer
 from .errors import ConfigurationError, InternalError
-from .geometry import Mesh
+from .geometry import Mesh, blocks
 
 
 @dataclass(frozen=True)
@@ -56,16 +61,17 @@ class DerivedField:
         return self.mesh.areas
 
 
-def derivative_coefficients(mesh: Mesh):
-    """The (m, 3) pair (a, b) of per-triangle Wirtinger coefficients:
-    f_z = sum_k a[t, k] w[triangles[t, k]], and f_zbar likewise with b.
+def derivative_coefficients(mesh: Mesh, tris: slice = slice(None)):
+    """The (len(tris), 3) pair (a, b) of Wirtinger coefficients of the
+    triangles `tris`: f_z = sum_k a[t, k] w[triangles[t, k]], and f_zbar
+    likewise with b.
 
     Column k holds the coefficient of the triangle's k-th node in its local
     order.  This is the one formula for the per-triangle Wirtinger
     derivatives of the piecewise-affine interpolant; `apply_coefficients`
     applies it, and the descent builds its sparse operators from it.
     """
-    z = mesh.nodes[mesh.triangles]
+    z = mesh.nodes[mesh.triangles[tris]]
     e1 = z[:, 1] - z[:, 0]
     e2 = z[:, 2] - z[:, 0]
     D = e1 * np.conj(e2) - e2 * np.conj(e1)  # = -4i * area
@@ -113,14 +119,19 @@ def norm_squared(norm: str, P, Q, derivatives: bool = False):
 
 def derived_from_derivatives(mesh: Mesh, fz: np.ndarray, fzbar: np.ndarray,
                              f_centroid: np.ndarray | None = None) -> DerivedField:
-    P, Q = squared_moduli(fz, fzbar)
-    jac = P - Q
-    pos = jac > 0
-    safe_jac = np.where(pos, jac, 1.0)
-    khs, kop = (np.where(pos, norm_squared(norm, P, Q) / safe_jac, np.inf)
-                for norm in ("hs", "op"))
-    defined = fz != 0
-    mu = np.where(defined, fzbar / np.where(defined, fz, 1.0), np.nan + 1j * np.nan)
+    m = len(fz)
+    jac, khs, kop = np.empty(m), np.empty(m), np.empty(m)
+    mu = np.empty(m, dtype=complex)
+    for b in blocks(m):
+        P, Q = squared_moduli(fz[b], fzbar[b])
+        jac[b] = j = P - Q
+        pos = j > 0
+        safe_jac = np.where(pos, j, 1.0)
+        for out, norm in ((khs, "hs"), (kop, "op")):
+            out[b] = np.where(pos, norm_squared(norm, P, Q) / safe_jac, np.inf)
+        defined = fz[b] != 0
+        mu[b] = np.where(defined, fzbar[b] / np.where(defined, fz[b], 1.0),
+                         np.nan + 1j * np.nan)
     if f_centroid is None:
         f_centroid = np.full(mesh.n_triangles, np.nan + 0j)
     return DerivedField(mesh, fz, fzbar, jac, khs, kop, mu, f_centroid)
@@ -129,10 +140,15 @@ def derived_from_derivatives(mesh: Mesh, fz: np.ndarray, fzbar: np.ndarray,
 def wirtinger_derivatives(mapping: MappingField) -> DerivedField:
     """Exact per-triangle f_z, f_zbar of the piecewise-affine interpolant."""
     mesh = mapping.mesh
-    fz, fzbar = (apply_coefficients(c, mapping.values, mesh.triangles)
-                 for c in derivative_coefficients(mesh))
-    return derived_from_derivatives(mesh, fz, fzbar,
-                                    mapping.values[mesh.triangles].mean(axis=1))
+    m = mesh.n_triangles
+    fz, fzbar, f_centroid = (np.empty(m, dtype=complex) for _ in range(3))
+    for b in blocks(m):
+        tri = mesh.triangles[b]
+        a, c = derivative_coefficients(mesh, b)
+        fz[b] = apply_coefficients(a, mapping.values, tri)
+        fzbar[b] = apply_coefficients(c, mapping.values, tri)
+        f_centroid[b] = mapping.values[tri].mean(axis=1)
+    return derived_from_derivatives(mesh, fz, fzbar, f_centroid)
 
 
 @dataclass(frozen=True)
@@ -240,9 +256,6 @@ def sample_analytic(mesh: Mesh, formula: str, *params) -> MappingField:
     return MappingField(mesh, amap.value(mesh.nodes), analytic=amap)
 
 
-CSV_BLOCK_ROWS = 8192
-
-
 def _cells(c: np.ndarray) -> list:
     """One block of a column as csv.writer prints it: str of each integer or
     string, repr of each distinct float bit pattern once (0.0 and -0.0 stay apart)."""
@@ -261,15 +274,15 @@ def write_columns(path, header, columns) -> None:
 
     Integer and string columns print as str, all others as the repr of a
     Python float (with inf and nan); lines end in CRLF.  Rows go out in blocks of
-    CSV_BLOCK_ROWS, and in each block every distinct float bit pattern of a
+    `geometry.BLOCK_ROWS`, and in each block every distinct float bit pattern of a
     column is formatted once, so repeated values cost one repr per block.
     """
     columns = [np.asarray(c) for c in columns]
     n_rows = len(columns[0]) if columns else 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            cells = [_cells(c[start:start + CSV_BLOCK_ROWS]) for c in columns]
+        for b in blocks(n_rows):
+            cells = [_cells(c[b]) for c in columns]
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 

@@ -10,6 +10,13 @@ with one `np.unique` over sorted edge pairs and numbers the midpoints in the
 order their edges are first met, triangle by triangle, so node order,
 `parent_edges` and boundary nodes are fixed by the coarse triangle list.
 An edge used by one triangle only is a boundary edge.
+
+Per-triangle quantities (signed areas, centroids, and downstream the
+Wirtinger fields and Hopf factors) are built over blocks of `BLOCK_ROWS`
+triangles and written into a preallocated output, so building one holds
+the output and one block's temporaries, never a whole-mesh (m, 3) array.
+Every formula is elementwise per triangle, so the bits do not depend on
+the block size.
 """
 
 from __future__ import annotations
@@ -22,6 +29,16 @@ import numpy as np
 from .errors import ConfigurationError
 
 MAX_DISK_LEVEL = 10
+
+# Triangles per block of every per-triangle kernel, and rows per block of the
+# CSV writer.
+BLOCK_ROWS = 8192
+
+
+def blocks(n: int):
+    """Consecutive slices of at most BLOCK_ROWS rows that cover range(n)."""
+    step = BLOCK_ROWS
+    return (slice(start, min(start + step, n)) for start in range(0, n, step))
 
 
 @dataclass(frozen=True)
@@ -57,8 +74,13 @@ class Mesh:
     def total_area(self) -> float:
         return float(np.sum(self.areas))
 
-    def centroids(self) -> np.ndarray:
-        return self.nodes[self.triangles].mean(axis=1)
+    def centroids(self, tris: slice = slice(None)) -> np.ndarray:
+        """Centroids of the triangles `tris`, by default of all of them."""
+        triangles = self.triangles[tris]
+        out = np.empty(len(triangles), dtype=complex)
+        for b in blocks(len(triangles)):
+            out[b] = self.nodes[triangles[b]].mean(axis=1)
+        return out
 
     def is_boundary(self) -> np.ndarray:
         mask = np.zeros(self.n_nodes, dtype=bool)
@@ -97,10 +119,13 @@ class Mesh:
 
 
 def signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    z = nodes[triangles]
-    e1 = z[:, 1] - z[:, 0]
-    e2 = z[:, 2] - z[:, 0]
-    return 0.5 * (np.conj(e1) * e2).imag
+    out = np.empty(len(triangles))
+    for b in blocks(len(triangles)):
+        z = nodes[triangles[b]]
+        e1 = z[:, 1] - z[:, 0]
+        e2 = z[:, 2] - z[:, 0]
+        out[b] = 0.5 * (np.conj(e1) * e2).imag
+    return out
 
 
 def _edge_table(triangles: np.ndarray):

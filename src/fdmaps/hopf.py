@@ -7,7 +7,10 @@ numerical certificate that a minimiser has been reached.
 The residual fits c0 + c1 w + c2 conj(w) around every interior vertex at
 once: centring each vertex star at the mean of its chart points turns the
 least-squares fit into a closed form in a few star sums, which are
-gathered with `np.bincount` one triangle corner at a time.  The factor
+gathered one triangle corner at a time with `np.add.at` over triangle
+blocks in triangle order; the sums keep the bits of one `np.bincount` per
+corner, and the fit holds the per-vertex sums and one block.  The Hopf
+fields are built over the same blocks into preallocated values.  The factor
 S_N(p K) of the Ahlfors-Hopf fields is the `trunc_exp` integrand kernel and
 their weight is `functionals.weight_values`, the same rules the energies use.
 """
@@ -21,7 +24,7 @@ import numpy as np
 
 from .fields import DerivedField, squared_moduli, write_columns
 from .functionals import FunctionalSpec, integrand, weight_values
-from .geometry import Mesh
+from .geometry import Mesh, blocks
 
 
 @dataclass(frozen=True)
@@ -42,21 +45,27 @@ class HopfField:
         return self.mesh.centroids() if self.chart is None else self.chart
 
 
-def _ahlfors_hopf_factor(derived: DerivedField, p: float, n_trunc: Optional[int],
+def _ahlfors_hopf_values(derived: DerivedField, p: float, n_trunc: Optional[int],
                          weight: str, inverse: bool):
-    """The J <= 0 flags and S_N(p K) eta, the `trunc_exp` integrand (`exp_p`
-    for n_trunc = None) times the weight; nan where flagged, so the
-    differential is nan there too.  The weight is taken on the field's
-    domain: the image of the centroids, or for the inverse map the source
-    centroids."""
+    """The J <= 0 flags and the differential's values, built block by block
+    from S_N(p K) eta, the `trunc_exp` integrand (`exp_p` for n_trunc = None)
+    times the weight; nan where flagged, so the differential is nan there
+    too.  The weight is taken on the field's domain: the image of the
+    centroids, or for the inverse map the source centroids."""
     spec = FunctionalSpec(family="exp_p" if n_trunc is None else "trunc_exp", p=p,
                           trunc_n=0 if n_trunc is None else int(n_trunc), weight=weight)
+    mesh = derived.mesh
     flagged = derived.jac <= 0
-    factor = np.where(flagged, np.nan, integrand(spec, *squared_moduli(derived.fz, derived.fzbar)))
-    if spec.weight == "none":
-        return flagged, factor
-    points = derived.mesh.centroids() if inverse else derived.f_centroid
-    return flagged, factor * weight_values(spec, points)
+    values = np.empty(mesh.n_triangles, dtype=complex)
+    for b in blocks(mesh.n_triangles):
+        fz, fzbar = derived.fz[b], derived.fzbar[b]
+        factor = np.where(flagged[b], np.nan, integrand(spec, *squared_moduli(fz, fzbar)))
+        if spec.weight != "none":
+            factor = factor * weight_values(spec, mesh.centroids(b) if inverse
+                                            else derived.f_centroid[b])
+        values[b] = (-factor / derived.jac[b] ** 2 * np.conj(fz * fzbar) if inverse
+                     else factor * fz * np.conj(fzbar))
+    return flagged, values
 
 
 def ahlfors_hopf(derived: DerivedField, p: float, n_trunc: Optional[int],
@@ -67,8 +76,8 @@ def ahlfors_hopf(derived: DerivedField, p: float, n_trunc: Optional[int],
     weight is evaluated at the image of the element centroid and requires
     the image to stay inside the open unit disk.
     """
-    flagged, factor = _ahlfors_hopf_factor(derived, p, n_trunc, weight, inverse=False)
-    return HopfField(derived.mesh, factor * derived.fz * np.conj(derived.fzbar), flagged)
+    flagged, values = _ahlfors_hopf_values(derived, p, n_trunc, weight, inverse=False)
+    return HopfField(derived.mesh, values, flagged)
 
 
 def inverse_ahlfors_hopf(derived: DerivedField, p: float, n_trunc: Optional[int],
@@ -82,8 +91,7 @@ def inverse_ahlfors_hopf(derived: DerivedField, p: float, n_trunc: Optional[int]
     triangles, the coefficient becomes -S_N(pK) conj(f_z f_zbar)/J^2,
     located at the image of each centroid.
     """
-    flagged, factor = _ahlfors_hopf_factor(derived, p, n_trunc, weight, inverse=True)
-    values = -factor / derived.jac ** 2 * np.conj(derived.fz * derived.fzbar)
+    flagged, values = _ahlfors_hopf_values(derived, p, n_trunc, weight, inverse=True)
     return HopfField(derived.mesh, values, flagged, chart=derived.f_centroid)
 
 
@@ -107,50 +115,70 @@ def holomorphy_residual(field: HopfField) -> HolomorphyResidual:
         c2 = (S R+ - T R-) / (S^2 - |T|^2),
 
     S = sum |d|^2, T = sum d^2, R- = sum conj(d) y, R+ = sum d y.  The sums
-    are gathered one triangle corner at a time.  Boundary vertices are not
+    are gathered one triangle corner at a time, each with `np.add.at` over
+    the triangle blocks in triangle order, so a sum adds its terms in the
+    order one `np.bincount` per corner would.  Boundary vertices are not
     fitted; stars with fewer than 3 triangles, any non-finite value or
     collinear points (S^2 - |T|^2 <= 0) count as skipped.
     """
     mesh = field.mesh
     tri = mesh.triangles
     n = mesh.n_nodes
-    w = field.chart_points()
-    y = field.values
-    finite = np.isfinite(y) & np.isfinite(w)
-    # stars touching a non-finite triangle are skipped; zeros keep the sums quiet
-    w = np.where(finite, w, 0.0)
-    y = np.where(finite, y, 0.0)
+    chart = field.chart_points()
 
-    def gather(corner, x):
-        """Sum per-triangle values x into the vertices at one corner."""
-        out = np.bincount(corner, weights=x.real, minlength=n)
-        if np.iscomplexobj(x):
-            out = out + 1j * np.bincount(corner, weights=x.imag, minlength=n)
-        return out
+    def inputs(b):
+        """Chart points w and values y of the triangles b, and the mask of
+        the finite ones.  Stars touching a non-finite triangle are skipped;
+        zeros in its w and y keep the sums quiet."""
+        w, y = chart[b], field.values[b]
+        finite = np.isfinite(y) & np.isfinite(w)
+        return np.where(finite, w, 0.0), np.where(finite, y, 0.0), finite
 
-    def star_sum(x):
-        return sum(gather(tri[:, k], x) for k in range(3))
+    def star_sums(terms, dtypes):
+        """Per-vertex sums of the terms(b, corner) that each block b yields
+        at each corner, gathered one corner after the other."""
+        sums = [np.zeros(n, dtype) for dtype in dtypes]
+        part = [np.zeros(n, dtype) for dtype in dtypes]
+        for k in range(3):
+            for b in blocks(len(tri)):
+                corner = tri[b, k]
+                for x, term in zip(part, terms(b, corner)):
+                    np.add.at(x, corner, term)
+            for total, x in zip(sums, part):
+                total += x
+                x.fill(0)
+        return sums
 
-    count = star_sum(np.ones(len(tri)))
-    bad = star_sum((~finite).astype(float)) > 0
-    centre = star_sum(w) / np.maximum(count, 1.0)
-    mean = star_sum(y) / np.maximum(count, 1.0)
-    s, t, r_minus, r_plus = 0.0, 0.0, 0.0, 0.0
-    for k in range(3):
-        corner = tri[:, k]
-        d = w - centre[corner]
+    def moments(b, corner):
+        w, y, finite = inputs(b)
+        return ~finite, w, y
+
+    count = np.bincount(tri.ravel(), minlength=n)
+    bad, centre, mean = star_sums(moments, (bool, complex, complex))
+    centre /= np.maximum(count, 1.0)
+    mean /= np.maximum(count, 1.0)
+    skip = bad | (count < 3)
+    del bad, count  # the fit's sums need the room
+
+    def fit(b, corner):
+        d, e, _ = inputs(b)
+        d -= centre[corner]
         # centring y too changes no sum in exact arithmetic, and leaves a
         # constant field exactly zero instead of at roundoff
-        e = y - mean[corner]
-        s = s + gather(corner, d.real ** 2 + d.imag ** 2)
-        t = t + gather(corner, d * d)
-        r_minus = r_minus + gather(corner, np.conj(d) * e)
-        r_plus = r_plus + gather(corner, d * e)
+        e -= mean[corner]
+        # one term at a time: each is gathered before the next is formed
+        yield d.real ** 2 + d.imag ** 2
+        yield d * d
+        yield np.conj(d) * e
+        yield d * e
+
+    s, t, r_minus, r_plus = star_sums(fit, (float, complex, complex, complex))
+    lumped, = star_sums(lambda b, corner: (mesh.areas[b],), (float,))
     det = s * s - (t.real ** 2 + t.imag ** 2)
     interior = ~mesh.is_boundary()
-    fitted = interior & (count >= 3) & ~bad & (det > 0)
+    fitted = interior & ~skip & (det > 0)
     c2 = np.abs(s * r_plus - t * r_minus)[fitted] / det[fitted]
-    lumped = star_sum(mesh.areas)[fitted] / 3.0
+    lumped = lumped[fitted] / 3.0
     return HolomorphyResidual(float(np.sum(lumped * c2)),
                               float(np.sqrt(np.sum(lumped * c2 ** 2))),
                               int(np.count_nonzero(interior & ~fitted)),

@@ -54,3 +54,12 @@ def part_folded(disk3):
     from fdmaps.fields import MappingField
     z = disk3.nodes
     return MappingField(disk3, np.where(z.imag > 0.3, np.conj(z), z), None)
+
+
+@pytest.fixture(params=[1, 7, None], ids=["block1", "block7", "whole"])
+def triangle_block(request, monkeypatch):
+    """Runs a test with per-triangle blocks of 1 triangle, of 7 (which
+    divides the size of no test mesh) and of the whole mesh."""
+    from fdmaps import geometry
+    monkeypatch.setattr(geometry, "BLOCK_ROWS", request.param or 2 ** 62)
+    return request.param

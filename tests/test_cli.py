@@ -17,6 +17,7 @@ import fdmaps
 from fdmaps.cli import main, result_schema, run
 from fdmaps.convergence import QUANTITIES, VERDICTS
 from fdmaps.functionals import ProbeReport
+from fdmaps.geometry import BLOCK_ROWS as DEFAULT_BLOCK_ROWS
 
 
 def _read(path):
@@ -126,6 +127,37 @@ def test_hopf_command(tmp_path):
     assert result["l1_residual"] <= 1e-9 * result["field_l1"]
     assert (tmp_path / "hopf.csv").exists()
     assert (tmp_path / "derived.csv").exists()
+
+
+def test_hopf_that_fits_no_vertex_fails(tmp_path):
+    # f = conj(z) folds every triangle: the field is nan everywhere and
+    # every interior star is skipped, so there is nothing to certify
+    config = {"command": "hopf", "domain": {"kind": "disk", "level": 3},
+              "hopf": {"formula": "affine", "args": [[0, 0], [1, 0]], "inverse": True}}
+    assert run(config, tmp_path) == 3
+    result = _read(tmp_path / "result.json")["results"]
+    assert result["interior_area"] == 0.0
+    assert result["skipped_vertices"] == 169
+    manifest = _read(tmp_path / "manifest.json")
+    assert manifest["status"] == "numerical_failure"
+    assert "169" in manifest["failure_reason"]
+
+
+@pytest.mark.parametrize("hopf", [
+    {"formula": "affine", "args": [[1.0, 0.0], [0.3, 0.0]], "N": 8, "inverse": True},
+    {"formula": "radial_stretch", "args": [0.7], "N": None, "weight": "hyperbolic"},
+    {"formula": "radial_stretch", "args": [1.5], "N": 4, "inverse": True,
+     "weight": "hyperbolic"}])
+def test_hopf_artefacts_do_not_depend_on_the_block(tmp_path, monkeypatch, hopf,
+                                                   triangle_block):
+    from fdmaps import geometry
+    config = {"command": "hopf", "domain": {"kind": "disk", "level": 3}, "hopf": hopf}
+    assert run(config, tmp_path / "blocks") == 0
+    monkeypatch.setattr(geometry, "BLOCK_ROWS", DEFAULT_BLOCK_ROWS)
+    assert run(config, tmp_path / "default") == 0
+    for name in ("derived.csv", "hopf.csv", "result.json"):
+        assert ((tmp_path / "blocks" / name).read_bytes()
+                == (tmp_path / "default" / name).read_bytes()), name
 
 
 def test_constant_recipe_reads_complex_args(tmp_path):

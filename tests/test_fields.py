@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fdmaps import fields
+from fdmaps import geometry
 from fdmaps.fields import (analytic_affine, analytic_oscillation,
                            analytic_radial_stretch, derived_to_csv,
                            finite_distortion_report, sample_analytic,
@@ -141,9 +141,9 @@ def test_derived_to_csv(tmp_path, part_folded, csv_reference):
     assert path.read_bytes() == csv_reference(header, expected)
 
 
-@pytest.mark.parametrize("block_rows", [fields.CSV_BLOCK_ROWS, 1, 4])
+@pytest.mark.parametrize("block_rows", [geometry.BLOCK_ROWS, 1, 4])
 def test_write_columns_matches_csv_writer(tmp_path, monkeypatch, csv_reference, block_rows):
-    monkeypatch.setattr(fields, "CSV_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(geometry, "BLOCK_ROWS", block_rows)
     ints = np.array([0, -3, 2 ** 40, 7, 11])
     floats = [0.1, -0.0, float("inf"), float("nan"), 1e-310]
     extremes = np.array([1e16, -np.inf, 2.5e-5, 123456789.125, np.pi])
@@ -167,9 +167,9 @@ SPECIALS = np.concatenate([
     [np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324]])
 
 
-@pytest.mark.parametrize("block_rows", [fields.CSV_BLOCK_ROWS, 1, 4])
+@pytest.mark.parametrize("block_rows", [geometry.BLOCK_ROWS, 1, 4])
 def test_write_columns_repeats_and_specials(tmp_path, monkeypatch, csv_reference, block_rows):
-    monkeypatch.setattr(fields, "CSV_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(geometry, "BLOCK_ROWS", block_rows)
     n = 2 * block_rows + 5
     # runs of three: the run holding rows block_rows - 1 and block_rows is
     # split by the first block boundary
@@ -192,14 +192,14 @@ def test_write_columns_repeats_and_specials(tmp_path, monkeypatch, csv_reference
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(values=st.lists(st.one_of(st.floats(), st.sampled_from(SPECIALS.tolist())),
                        max_size=20),
-       block_rows=st.sampled_from([1, 3, fields.CSV_BLOCK_ROWS]))
+       block_rows=st.sampled_from([1, 3, geometry.BLOCK_ROWS]))
 def test_write_columns_property(tmp_path, csv_reference, values, block_rows):
     # every value appears at least twice, in one block or across blocks;
     # each float must still print as csv.writer prints it
     column = values + values[::-1]
     shifted = column[1:] + column[:1]
     path = tmp_path / "prop.csv"
-    with mock.patch.object(fields, "CSV_BLOCK_ROWS", block_rows):
+    with mock.patch.object(geometry, "BLOCK_ROWS", block_rows):
         write_columns(path, ["i", "x", "y"], [np.arange(len(column)), column, shifted])
     rows = list(zip(range(len(column)), column, shifted))
     assert path.read_bytes() == csv_reference(["i", "x", "y"], rows)
@@ -223,8 +223,10 @@ def test_write_columns_memory_is_bounded(tmp_path):
 
 
 def test_wirtinger_derivatives_memory_is_bounded():
-    # the coefficient pair, the gathered nodal values and the derived arrays
-    # of a level-7 disk (98,304 triangles) peak at about 22.5 MiB
+    # the derived arrays of a level-7 disk (98,304 triangles) take 8.25 MiB;
+    # built block by block they are all that is held besides one block of
+    # coefficients and temporaries (9.5 MiB in all; 22.5 MiB with whole-mesh
+    # temporaries)
     import tracemalloc
 
     from fdmaps import build_disk_mesh
@@ -234,8 +236,40 @@ def test_wirtinger_derivatives_memory_is_bounded():
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        wirtinger_derivatives(mapping)
+        d = wirtinger_derivatives(mapping)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - before < 30 * mib
+    outputs = sum(a.nbytes for a in (d.fz, d.fzbar, d.jac, d.khs, d.kop, d.mu, d.f_centroid))
+    assert peak - before <= outputs + 2 * mib
+
+
+def _derived_reference(mapping):
+    """Every DerivedField array by the whole-array formulas."""
+    mesh = mapping.mesh
+    z = mesh.nodes[mesh.triangles]
+    e1, e2 = z[:, 1] - z[:, 0], z[:, 2] - z[:, 0]
+    D = e1 * np.conj(e2) - e2 * np.conj(e1)
+    a = np.stack([(np.conj(e1) - np.conj(e2)) / D, np.conj(e2) / D, -np.conj(e1) / D], axis=1)
+    b = np.stack([(e2 - e1) / D, -e2 / D, e1 / D], axis=1)
+    w = mapping.values[mesh.triangles]
+    fz, fzbar = np.einsum("tk,tk->t", a, w), np.einsum("tk,tk->t", b, w)
+    P, Q = np.abs(fz) ** 2, np.abs(fzbar) ** 2
+    jac = P - Q
+    pos = jac > 0
+    safe_jac = np.where(pos, jac, 1.0)
+    defined = fz != 0
+    return {"fz": fz, "fzbar": fzbar, "jac": jac,
+            "khs": np.where(pos, 2.0 * (P + Q) / safe_jac, np.inf),
+            "kop": np.where(pos, (np.sqrt(P) + np.sqrt(Q)) ** 2 / safe_jac, np.inf),
+            "mu": np.where(defined, fzbar / np.where(defined, fz, 1.0), np.nan + 1j * np.nan),
+            "f_centroid": w.mean(axis=1)}
+
+
+def test_derived_field_does_not_depend_on_the_block(part_folded, triangle_block):
+    d = wirtinger_derivatives(part_folded)
+    reference = _derived_reference(part_folded)
+    # the folded rows (inf distortion, nan mu) lie next to finite ones
+    assert np.isinf(reference["khs"]).any() and np.isfinite(reference["khs"]).any()
+    for name, expected in reference.items():
+        assert np.array_equal(getattr(d, name), expected, equal_nan=True), name

@@ -118,6 +118,18 @@ def test_centroids_inside_hull(disk4):
     assert len(c) == disk4.n_triangles
 
 
+def test_areas_and_centroids_do_not_depend_on_the_block(disk4, unit_square_16,
+                                                         triangle_block):
+    for mesh in (disk4, unit_square_16, build_disk_mesh(3)):
+        z = mesh.nodes[mesh.triangles]
+        e1, e2 = z[:, 1] - z[:, 0], z[:, 2] - z[:, 0]
+        areas = 0.5 * (np.conj(e1) * e2).imag
+        assert np.array_equal(signed_areas(mesh.nodes, mesh.triangles), areas)
+        assert np.array_equal(mesh.areas, areas)
+        assert np.array_equal(mesh.centroids(), z.mean(axis=1))
+        assert np.array_equal(mesh.centroids(slice(5, 12)), z[5:12].mean(axis=1))
+
+
 def _dict_refine_mesh(mesh):
     """Reference: quadrisection with a dict of edge midpoints, one triangle at a time."""
     nodes = list(mesh.nodes)

@@ -3,9 +3,10 @@ import pytest
 
 from fdmaps.errors import DomainError
 from fdmaps.fields import sample_analytic, wirtinger_derivatives
-from fdmaps.functionals import FunctionalSpec, hyperbolic_density, weight_values
-from fdmaps.hopf import (HopfField, ahlfors_hopf, holomorphy_residual,
-                         hopf_to_csv, inverse_ahlfors_hopf)
+from fdmaps.functionals import (FunctionalSpec, hyperbolic_density, integrand,
+                                weight_values)
+from fdmaps.hopf import (HolomorphyResidual, HopfField, ahlfors_hopf,
+                         holomorphy_residual, hopf_to_csv, inverse_ahlfors_hopf)
 
 
 def test_hyperbolic_weight_values():
@@ -160,10 +161,9 @@ def _lstsq_residual(field):
     return l1, np.sqrt(l2), skipped, area
 
 
-@pytest.mark.parametrize("mesh_name", ["disk4", "unit_square_16"])
-@pytest.mark.parametrize("kind", ["random", "smooth", "image_chart"])
-def test_holomorphy_residual_matches_per_vertex_lstsq(request, rng, mesh_name, kind):
-    mesh = request.getfixturevalue(mesh_name)
+def _residual_field(mesh, kind, rng):
+    """A test field of the given kind: random with NaN rows, smooth in the
+    centroid chart, smooth in an affine image chart, or in a collinear chart."""
     m = mesh.n_triangles
     c = mesh.centroids()
     flags = np.zeros(m, bool)
@@ -174,10 +174,20 @@ def test_holomorphy_residual_matches_per_vertex_lstsq(request, rng, mesh_name, k
         values[flags] = np.nan
     elif kind == "smooth":
         values = c ** 2 + np.conj(c) * np.abs(c)
-    else:
+    elif kind == "image_chart":
         values = np.exp(c) + 0.5 * np.conj(c) ** 2
         chart = 1.3 * c + 0.2j * np.conj(c) + 0.1
-    field = HopfField(mesh, values, flags, chart=chart)
+    else:
+        values = rng.standard_normal(m) + 0j
+        chart = c.real + 0j
+    return HopfField(mesh, values, flags, chart=chart)
+
+
+@pytest.mark.parametrize("mesh_name", ["disk4", "unit_square_16"])
+@pytest.mark.parametrize("kind", ["random", "smooth", "image_chart"])
+def test_holomorphy_residual_matches_per_vertex_lstsq(request, rng, mesh_name, kind):
+    mesh = request.getfixturevalue(mesh_name)
+    field = _residual_field(mesh, kind, rng)
     l1, l2, skipped, area = _lstsq_residual(field)
     res = holomorphy_residual(field)
     assert type(res.l1_residual) is float and type(res.l2_residual) is float
@@ -197,3 +207,106 @@ def test_holomorphy_residual_skips_collinear_stars(disk4, rng):
     res = holomorphy_residual(field)
     assert res.skipped_vertices == disk4.n_nodes - len(disk4.boundary_nodes)
     assert res.l1_residual == 0.0 and res.interior_area == 0.0
+
+
+def _bincount_residual(field):
+    """The residual's closed-form fit with the whole-array star sums of one
+    np.bincount per triangle corner."""
+    mesh = field.mesh
+    tri, n = mesh.triangles, mesh.n_nodes
+    w, y = field.chart_points(), field.values
+    finite = np.isfinite(y) & np.isfinite(w)
+    w, y = np.where(finite, w, 0.0), np.where(finite, y, 0.0)
+
+    def gather(corner, x):
+        out = np.bincount(corner, weights=x.real, minlength=n)
+        if np.iscomplexobj(x):
+            out = out + 1j * np.bincount(corner, weights=x.imag, minlength=n)
+        return out
+
+    def star_sum(x):
+        return sum(gather(tri[:, k], x) for k in range(3))
+
+    count = star_sum(np.ones(len(tri)))
+    bad = star_sum((~finite).astype(float)) > 0
+    centre = star_sum(w) / np.maximum(count, 1.0)
+    mean = star_sum(y) / np.maximum(count, 1.0)
+    s, t, r_minus, r_plus = 0.0, 0.0, 0.0, 0.0
+    for k in range(3):
+        corner = tri[:, k]
+        d, e = w - centre[corner], y - mean[corner]
+        s = s + gather(corner, d.real ** 2 + d.imag ** 2)
+        t = t + gather(corner, d * d)
+        r_minus = r_minus + gather(corner, np.conj(d) * e)
+        r_plus = r_plus + gather(corner, d * e)
+    det = s * s - (t.real ** 2 + t.imag ** 2)
+    interior = ~mesh.is_boundary()
+    fitted = interior & (count >= 3) & ~bad & (det > 0)
+    c2 = np.abs(s * r_plus - t * r_minus)[fitted] / det[fitted]
+    lumped = star_sum(mesh.areas)[fitted] / 3.0
+    return HolomorphyResidual(float(np.sum(lumped * c2)),
+                              float(np.sqrt(np.sum(lumped * c2 ** 2))),
+                              int(np.count_nonzero(interior & ~fitted)),
+                              float(np.sum(lumped)))
+
+
+@pytest.mark.parametrize("mesh_name, kind", [
+    ("disk4", "random"), ("disk4", "smooth"), ("disk4", "image_chart"),
+    ("disk4", "collinear"), ("unit_square_16", "random"), ("unit_square_16", "image_chart")])
+def test_holomorphy_residual_does_not_depend_on_the_block(request, rng, mesh_name, kind,
+                                                          triangle_block):
+    field = _residual_field(request.getfixturevalue(mesh_name), kind, rng)
+    assert holomorphy_residual(field) == _bincount_residual(field)
+
+
+def _hopf_reference(d, p, n_trunc, weight, inverse):
+    """Flags and values of a Hopf builder by the whole-array formulas."""
+    spec = FunctionalSpec(family="exp_p" if n_trunc is None else "trunc_exp", p=p,
+                          trunc_n=n_trunc or 0, weight=weight)
+    flagged = d.jac <= 0
+    factor = np.where(flagged, np.nan,
+                      integrand(spec, np.abs(d.fz) ** 2, np.abs(d.fzbar) ** 2))
+    if weight != "none":
+        mesh = d.mesh
+        factor = factor * weight_values(
+            spec, mesh.nodes[mesh.triangles].mean(axis=1) if inverse else d.f_centroid)
+    if inverse:
+        return flagged, -factor / d.jac ** 2 * np.conj(d.fz * d.fzbar)
+    return flagged, factor * d.fz * np.conj(d.fzbar)
+
+
+@pytest.mark.parametrize("weight", ["none", "hyperbolic"])
+@pytest.mark.parametrize("n_trunc", [4, None])
+def test_hopf_builders_do_not_depend_on_the_block(part_folded, weight, n_trunc,
+                                                  triangle_block):
+    d = wirtinger_derivatives(part_folded)
+    for builder, inverse in ((ahlfors_hopf, False), (inverse_ahlfors_hopf, True)):
+        psi = builder(d, 1.0, n_trunc, weight)
+        flagged, values = _hopf_reference(d, 1.0, n_trunc, weight, inverse)
+        # the flagged (nan) rows lie next to finite ones
+        assert flagged.any() and not flagged.all()
+        assert np.array_equal(psi.flagged, flagged)
+        assert np.array_equal(psi.values, values, equal_nan=True)
+
+
+def test_certificate_memory_is_bounded():
+    # level-7 disk, 98,304 triangles and 49,537 vertices.  The Hopf values
+    # are built block by block; the residual holds its per-vertex star sums
+    # and one block (7.5 MiB; 14.4 MiB with whole-mesh temporaries)
+    import tracemalloc
+
+    import fdmaps
+    mesh = fdmaps.build_disk_mesh(7)
+    derived = wirtinger_derivatives(sample_analytic(mesh, "affine", 1.0, 0.3))
+    mib = 2.0 ** 20
+    tracemalloc.start()
+    try:
+        psi = inverse_ahlfors_hopf(derived, 1.0, 8)
+        held, peak = tracemalloc.get_traced_memory()
+        assert peak <= held + 2 * mib
+        tracemalloc.reset_peak()
+        holomorphy_residual(psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= held + 8 * mib

@@ -19,7 +19,8 @@ quadrature when it reaches the block.  In each block the limit and then
 every member is sampled once, as (f_z, f_zbar, P, Q, J), and the sample
 feeds every measurement, which adds the block's part to its sums: the
 weak probe (one matrix product pairs the differences of PROBE_GROUP
-members with the test dictionary), the energy series, the L^r gaps (of
+members with the test dictionary, built into one column-major buffer
+that every block reuses), the energy series, the L^r gaps (of
 Phi too), the scales and the pointwise proxy.  The proxy's median and
 95th percentile are selected exactly from bit-pattern histograms and
 distinct-value tallies of fixed size; when a pass leaves them undecided,
@@ -57,8 +58,9 @@ from .quadrature import mesh_quad_points
 ANALYTIC_QUAD_N = 8  # 64 points per triangle
 BLOCK_POINTS = 8192  # quadrature points per block of a sweep; blocks hold whole triangles
 # members per weak-probe matrix product: the row buffer is 5 * PROBE_GROUP *
-# BLOCK_POINTS floats (5.2 MB); 8 members (40 rows) ran at a quarter of the
-# GEMM rate of 16-64 members on a 2-core Xeon, and 64 raised peak memory
+# BLOCK_POINTS floats (5.0 MiB); on the 64x64 oscillation with 64 members, 8
+# held 2.5 MiB less but made the probe's per-member work 27% slower (2-core
+# Xeon), and 64 raised peak memory
 PROBE_GROUP = 16
 DICTIONARY_DEGREE = 6  # weak-probe test fields: tensor Legendre polynomials up to this degree
 PROBE_SAMPLES = 20000  # random points of each convexity and monotonicity probe
@@ -258,8 +260,8 @@ class _Scale(_Measurement):
             d = np.zeros(ok.shape)
             np.divide(np.abs(lim.fzbar), np.abs(lim.fz), out=d, where=ok)
         else:
-            zero = _Sample.of(np.zeros_like(lim.fz), np.zeros_like(lim.fzbar))
-            d, _ = _quantity_diff(self.quantity, lim, zero)
+            # one zero sample, broadcast: q - 0 keeps every bit of q
+            d, _ = _quantity_diff(self.quantity, lim, _Sample.of(0j, 0j))
         self.sum += _lr_sum(d, block.w, self.r)
 
     def value(self) -> float:
@@ -290,10 +292,12 @@ class _WeakProbe(_Measurement):
     """Tensor Legendre test fields times a boundary cutoff, on the whole mesh.
 
     Per block, the (d+1)^2 test fields (d = DICTIONARY_DEGREE) times
-    w * cutoff form a C x (d+1)^2 Khatri-Rao dictionary.  The members' five
-    difference rows each (Re/Im f_z, Re/Im f_zbar and J against the limit)
-    fill a (5 PROBE_GROUP) x C buffer, and one matrix product per
-    PROBE_GROUP members adds the block to their pairings."""
+    w * cutoff form a C x (d+1)^2 Khatri-Rao dictionary, filled in place
+    into one column-major buffer that the sweep's blocks share (a block of
+    another size replaces it).  The members' five difference rows each
+    (Re/Im f_z, Re/Im f_zbar and J against the limit) fill a
+    (5 PROBE_GROUP) x C buffer, and one matrix product per PROBE_GROUP
+    members adds the block to their pairings."""
 
     def __init__(self, mesh: Mesh, n_members: int):
         self.box = (mesh.nodes.real.min(), mesh.nodes.real.max(),
@@ -316,11 +320,18 @@ class _WeakProbe(_Measurement):
                                               DICTIONARY_DEGREE)
         vy = np.polynomial.legendre.legvander(2.0 * (y - y0) / (y1 - y0) - 1.0,
                                               DICTIONARY_DEGREE)
-        self.kr = (vx[:, :, None] * vy[:, None, :]).reshape(flat.size, -1)
-        self.kr *= (block.w.ravel() * cut)[:, None]
-        self.norms += np.abs(self.kr).sum(axis=0)  # int |phi|: w and the cutoff are >= 0
         if self.rows.shape[1:] != block.pts.shape:
+            self.kr = self.rows = None  # free the old buffers before the new ones
+            # column-major, the layout of the product vx[:, :, None] * vy[:, None, :]:
+            # each column of norms is then summed pairwise over one contiguous run
+            self.kr = np.empty(((DICTIONARY_DEGREE + 1) ** 2, flat.size)).T
             self.rows = np.empty((5 * min(self.n, PROBE_GROUP),) + block.pts.shape)
+        cube = self.kr.reshape(flat.size, DICTIONARY_DEGREE + 1, DICTIONARY_DEGREE + 1)
+        assert np.may_share_memory(cube, self.kr)  # a copy would leave the dictionary unfilled
+        np.multiply(vx[:, :, None], vy[:, None, :], out=cube)
+        self.kr *= (block.w.ravel() * cut)[:, None]
+        for k in range(self.kr.shape[1]):  # int |phi|: w and the cutoff are >= 0
+            self.norms[k] += np.abs(self.kr[:, k]).sum()
 
     def member(self, block, j, f, lim):
         k = j % PROBE_GROUP  # the member's slot in the row buffer

@@ -31,18 +31,35 @@ class AnalyticMap:
     derivatives: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
-@dataclass(frozen=True)
 class MappingField:
-    mesh: Mesh
-    values: np.ndarray                     # complex per node
-    analytic: Optional[AnalyticMap] = None
+    """A complex value per mesh node, and for a closed form its `AnalyticMap`.
 
-    def __post_init__(self):
-        if len(self.values) != self.mesh.n_nodes:
+    A closed-form field may be built without values: `values` is then
+    `analytic.value(mesh.nodes)`, sampled on its first read and kept, so a
+    measurement that reads only the closed form never holds nodal arrays.
+    Values are checked (one per node, all finite) and made read-only when
+    they are given, or else when they are sampled."""
+
+    def __init__(self, mesh: Mesh, values: Optional[np.ndarray] = None,
+                 analytic: Optional[AnalyticMap] = None):
+        if values is None and analytic is None:
+            raise ConfigurationError("a mapping needs nodal values or a closed form")
+        self.mesh, self.analytic = mesh, analytic
+        self._values = None if values is None else self._checked(values)
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = self._checked(self.analytic.value(self.mesh.nodes))
+        return self._values
+
+    def _checked(self, values: np.ndarray) -> np.ndarray:
+        if len(values) != self.mesh.n_nodes:
             raise ConfigurationError("values length does not match node count")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ConfigurationError("mapping values must be finite")
-        self.values.setflags(write=False)
+        values.setflags(write=False)
+        return values
 
 
 @dataclass(frozen=True)
@@ -249,11 +266,10 @@ _FORMULAS = {
 
 
 def sample_analytic(mesh: Mesh, formula: str, *params) -> MappingField:
-    """Nodal sampling of a closed-form map; the closed form rides along."""
+    """A closed-form map as a field on the mesh, its nodes sampled on first read."""
     if formula not in _FORMULAS:
         raise ConfigurationError(f"unknown analytic formula tag {formula!r}")
-    amap = _FORMULAS[formula](params)
-    return MappingField(mesh, amap.value(mesh.nodes), analytic=amap)
+    return MappingField(mesh, analytic=_FORMULAS[formula](params))
 
 
 def _cells(c: np.ndarray) -> list:

@@ -75,7 +75,9 @@ def mollify_values(amap: AnalyticMap, points: np.ndarray, delta: float) -> np.nd
 
 
 def generate(recipe: SequenceRecipe, mesh: Mesh) -> SequenceHandle:
-    """Sample every member and the analytic limit on the mesh."""
+    """Every member and the limit on the mesh.  Closed-form members and
+    limits sample their nodes on first read; mollified members are sampled
+    here."""
     js = range(1, recipe.j_max + 1)
     p = read("recipe params", recipe.params, PARAMS[recipe.kind])
 
@@ -87,10 +89,7 @@ def generate(recipe: SequenceRecipe, mesh: Mesh) -> SequenceHandle:
     elif recipe.kind == "oscillation":
         if mesh.kind != "rect":
             raise ConfigurationError("oscillation sequences are defined on rectangles")
-        members = []
-        for j in js:
-            amap = analytic_oscillation(j)
-            members.append(MappingField(mesh, amap.value(mesh.nodes), analytic=amap))
+        members = [MappingField(mesh, analytic=analytic_oscillation(j)) for j in js]
         ident = analytic_affine(1.0, 0.0)
         limit = MappingField(mesh, mesh.nodes.copy(), analytic=ident)
     elif recipe.kind == "mollified":
@@ -105,20 +104,14 @@ def generate(recipe: SequenceRecipe, mesh: Mesh) -> SequenceHandle:
         members = [MappingField(mesh, mollify_values(amap, mesh.nodes, 1.0 / j)) for j in js]
         limit = MappingField(mesh, amap.value(mesh.nodes), analytic=None)
     elif recipe.kind == "affine_drift":
-        members = []
-        for j in js:
-            amap = analytic_affine(p["a"] + p["da"] / j, p["b"] + p["db"] / j)
-            members.append(MappingField(mesh, amap.value(mesh.nodes), analytic=amap))
-        lim_map = analytic_affine(p["a"], p["b"])
-        limit = MappingField(mesh, lim_map.value(mesh.nodes), analytic=lim_map)
+        members = [MappingField(mesh, analytic=analytic_affine(
+            p["a"] + p["da"] / j, p["b"] + p["db"] / j)) for j in js]
+        limit = MappingField(mesh, analytic=analytic_affine(p["a"], p["b"]))
     elif recipe.kind == "radial_stretch_family":
         if mesh.kind != "disk":
             raise ConfigurationError("radial stretch families are defined on the disk")
-        members = []
-        for j in js:
-            amap = analytic_radial_stretch(p["alpha"] + p["dalpha"] / j)
-            members.append(MappingField(mesh, amap.value(mesh.nodes), analytic=amap))
-        lim_map = analytic_radial_stretch(p["alpha"])
-        limit = MappingField(mesh, lim_map.value(mesh.nodes), analytic=lim_map)
+        members = [MappingField(mesh, analytic=analytic_radial_stretch(
+            p["alpha"] + p["dalpha"] / j)) for j in js]
+        limit = MappingField(mesh, analytic=analytic_radial_stretch(p["alpha"]))
 
     return SequenceHandle(mesh=mesh, members=members, limit=limit)

@@ -9,7 +9,7 @@ from fdmaps.convergence import (SequenceHandle, Tolerances, lr_gap, lsc_checks,
                                 radon_riesz_diagnose, sobolev_norm, tail_slice,
                                 weak_probe)
 from fdmaps.errors import ConfigurationError, DomainError
-from fdmaps.fields import (AnalyticMap, MappingField, analytic_affine,
+from fdmaps.fields import (AnalyticMap, MappingField, analytic_affine, analytic_oscillation,
                            sample_analytic, wirtinger_derivatives)
 from fdmaps.functionals import FunctionalSpec, phi_eval
 from fdmaps.quadrature import mesh_quad_points
@@ -284,7 +284,8 @@ def test_diagnose_memory_is_bounded():
     # selection state, so its traced peak does not grow with the mesh: 64x64
     # has four times the 131,072 quadrature points of 32x32.  Neither the
     # whole mesh's quadrature nor a buffer of the proxy's points is held
-    # (9.0 MiB at both sizes; 11.9 and 20.9 MiB with one buffer of the
+    # (6.2 MiB at both sizes; 9.0 MiB with a fresh weak-probe dictionary and
+    # its |.| temporary per block, 11.9 and 20.9 MiB with one buffer of the
     # points per proxy quantity)
     import tracemalloc
 
@@ -302,7 +303,46 @@ def test_diagnose_memory_is_bounded():
         finally:
             tracemalloc.stop()
     assert peaks[64] <= peaks[32] + mib
-    assert peaks[64] < 12 * mib
+    assert peaks[64] < 8 * mib
+
+
+def test_closed_form_sequences_hold_no_nodal_arrays():
+    # generate keeps the closed forms, not one nodal array per member
+    # (64 x 4,225 nodes x 16 B = 4.2 MiB at j_max 64); the oscillation limit
+    # keeps its copy of the nodes
+    import tracemalloc
+
+    import fdmaps
+    mib = 2.0 ** 20
+    mesh = fdmaps.build_rect_mesh(64, 64, 0.0, 1.0 + 1.0j)
+    held = {}
+    for j_max in (16, 64):
+        tracemalloc.start()
+        try:
+            seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=j_max), mesh)
+            held[j_max], _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del seq
+    assert held[64] < mib
+    assert held[64] <= held[16] + 0.5 * mib
+
+
+def test_closed_form_diagnose_reads_no_member_values(monkeypatch, unit_square_16):
+    from fdmaps import sequences
+    sampled = []
+
+    def recorded(j):
+        amap = analytic_oscillation(j)
+        return AnalyticMap(lambda z: sampled.append(j) or amap.value(z), amap.derivatives)
+
+    monkeypatch.setattr(sequences, "analytic_oscillation", recorded)
+    seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=4), unit_square_16)
+    rep = radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0)
+    assert rep.verdict == "EnergyGap"
+    assert sampled == []
+    assert np.array_equal(seq.members[2].values, analytic_oscillation(3).value(seq.mesh.nodes))
+    assert sampled == [3]
 
 
 @pytest.mark.parametrize("fixture", ["drift_seq", "osc_seq", "moll_seq"])
@@ -499,6 +539,52 @@ def test_weak_probe_matches_per_member_reference(request, weak_reference, fixtur
         weak_reference[fixture] = _reference_weak_residuals(seq)
     assert np.allclose(rep.weak_probe_residuals, weak_reference[fixture],
                        rtol=1e-12, atol=0.0)
+
+
+class _FreshDictionaryProbe(convergence._WeakProbe):
+    """The weak probe with a fresh Khatri-Rao product per block and its
+    norms summed by np.abs(kr).sum(axis=0)."""
+
+    def limit(self, block, lim):
+        flat = block.pts.ravel()
+        x, y = flat.real, flat.imag
+        x0, x1, y0, y1 = self.box
+        if self.disk:
+            cut = np.maximum(0.0, 1.0 - np.abs(flat) ** 2)
+        else:
+            cut = np.maximum(0.0, (x - x0) * (x1 - x) * (y - y0) * (y1 - y))
+        degree = convergence.DICTIONARY_DEGREE
+        vx = np.polynomial.legendre.legvander(2.0 * (x - x0) / (x1 - x0) - 1.0, degree)
+        vy = np.polynomial.legendre.legvander(2.0 * (y - y0) / (y1 - y0) - 1.0, degree)
+        self.kr = (vx[:, :, None] * vy[:, None, :]).reshape(flat.size, -1)
+        self.kr *= (block.w.ravel() * cut)[:, None]
+        self.norms += np.abs(self.kr).sum(axis=0)
+        if self.rows.shape[1:] != block.pts.shape:
+            self.rows = np.empty((5 * min(self.n, convergence.PROBE_GROUP),)
+                                 + block.pts.shape)
+
+
+@pytest.fixture(scope="module")
+def partial_block_seq():
+    # 200 triangles of 64 points: blocks of 128 triangles, the last one of 72;
+    # 20 members: one full group of 16 and a partial one
+    import fdmaps
+    mesh = fdmaps.build_rect_mesh(10, 10, 0.0, 1.0 + 1.0j)
+    return generate(SequenceRecipe(kind="affine_drift",
+                                   params={"a": 1.0, "b": 0.2, "da": 0.4, "db": 0.1},
+                                   j_max=20), mesh)
+
+
+@pytest.mark.parametrize("fixture", ["osc_seq", "partial_block_seq"])
+def test_reused_dictionary_keeps_the_bits(request, fixture):
+    seq = request.getfixturevalue(fixture)
+    probe, reference = (cls(seq.mesh, len(seq))
+                        for cls in (convergence._WeakProbe, _FreshDictionaryProbe))
+    convergence._sweep(seq, [probe])
+    convergence._sweep(seq, [reference])
+    assert np.array_equal(probe.norms, reference.norms)
+    assert np.array_equal(probe.pairings, reference.pairings)
+    assert np.array_equal(weak_probe(seq), reference.residuals())
 
 
 @pytest.mark.parametrize("group", [1, 5, 100])

@@ -6,7 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fdmaps import geometry
-from fdmaps.fields import (analytic_affine, analytic_oscillation,
+from fdmaps.errors import ConfigurationError
+from fdmaps.fields import (AnalyticMap, MappingField, analytic_affine, analytic_oscillation,
                            analytic_radial_stretch, derived_to_csv,
                            finite_distortion_report, sample_analytic,
                            wirtinger_derivatives, write_columns)
@@ -92,6 +93,23 @@ def test_oscillation_derivatives(unit_square_16, rng):
     m = sample_analytic(unit_square_16, "oscillation", 2)
     d = wirtinger_derivatives(m)
     assert np.isfinite(d.fz).all()
+
+
+def test_closed_form_values_are_sampled_on_first_read(disk3):
+    amap = analytic_radial_stretch(1.5)
+    field = MappingField(disk3, analytic=amap)
+    values = field.values
+    assert np.array_equal(values, amap.value(disk3.nodes))
+    assert not values.flags.writeable
+    assert field.values is values
+    # the checks apply at the read
+    for value, message in ((lambda z: z[:-1], "length"),
+                           (lambda z: np.where(z == 0, np.nan, z), "finite")):
+        field = MappingField(disk3, analytic=AnalyticMap(value, amap.derivatives))
+        with pytest.raises(ConfigurationError, match=message):
+            field.values
+    with pytest.raises(ConfigurationError):
+        MappingField(disk3)
 
 
 def test_distortion_report_counts(disk3):
@@ -232,6 +250,7 @@ def test_wirtinger_derivatives_memory_is_bounded():
     from fdmaps import build_disk_mesh
     mesh = build_disk_mesh(7)
     mapping = sample_analytic(mesh, "affine", 1.0, 0.3)
+    mapping.values  # the input: its nodes are sampled on first read, before the trace
     mib = 2.0 ** 20
     tracemalloc.start()
     try:

@@ -1,34 +1,38 @@
 """Strong-vs-weak convergence diagnostics for sequences of discrete mappings.
 
 Given a sequence with a designated limit on a common mesh, this module
-measures energy convergence, weak convergence against a polynomial test
-dictionary, lower semicontinuity, and the strong-convergence gaps of the
-derivatives, Jacobians and Beltrami coefficients, and combines them into a
-single verdict.
+measures energy convergence, weak convergence, lower semicontinuity, and
+the strong-convergence gaps of the derivatives, Jacobians and Beltrami
+coefficients, and combines them into a single verdict.
 
-Closed-form sequence members carry exact derivative callables; integrals
-for those use a high-order per-element quadrature so that oscillatory
-members are resolved well below the mesh scale.  Plain nodal members fall
-back to the exact per-element-constant (centroid) path, sampled per block
-with the rows of the mesh's Wirtinger coefficient pair (a, b) from
-`fields.derivative_coefficients`, built once per sequence.
+Weak convergence is measured by compactness.  In the plane W^{1,q},
+1 < q < infinity, embeds compactly in L^2, so a bounded sequence converges
+weakly in W^{1,q} exactly when its values converge in L^2 (Brezis,
+Functional Analysis, Sobolev Spaces and PDE, Thm 9.16 and Prop. 3.32):
+the weak residual of member j is ||f_j - f||_{L^2}.
+
+Closed-form sequence members carry exact value and derivative callables;
+integrals for those use a high-order per-element quadrature so that
+oscillatory members are resolved well below the mesh scale.  Plain nodal
+members fall back to the exact per-element-constant (centroid) path: the
+derivatives are sampled per block with the rows of the mesh's Wirtinger
+coefficient pair (a, b) from `fields.derivative_coefficients`, built once
+per sequence, and the values are the P1 interpolant at the centroid.
 
 `radon_riesz_diagnose` sweeps the mesh in blocks of whole triangles,
-about BLOCK_POINTS quadrature points each, and builds each block's
-quadrature when it reaches the block.  In each block the limit and then
-every member is sampled once, as (f_z, f_zbar, P, Q, J), and the sample
-feeds every measurement, which adds the block's part to its sums: the
-weak probe (one matrix product pairs the differences of PROBE_GROUP
-members with the test dictionary, built into one column-major buffer
-that every block reuses), the energy series, the L^r gaps (of
-Phi too), the scales and the pointwise proxy.  The proxy's median and
-95th percentile are selected exactly from bit-pattern histograms and
-distinct-value tallies of fixed size; when a pass leaves them undecided,
-a further sweep samples only the limit and the last member.  The working
-set is one block plus that selection state: no array grows with the
-number of quadrature points.  The standalone `weak_probe`,
-`lr_gap`, `quantity_scale` and `lsc_checks` run the same sweep with the
-measurement they report.
+about `geometry.BLOCK_ROWS` quadrature points each, and builds each
+block's quadrature when it reaches the block.  In each block the limit
+and then every member is sampled once, as (f_z, f_zbar, P, Q, J), with
+the values f sampled on first use, and the sample feeds every
+measurement, which adds the block's part to its sums: the weak residual,
+the energy series, the L^r gaps (of Phi too), the scales and the
+pointwise proxy.  The proxy's median and 95th percentile are selected
+exactly from bit-pattern histograms and distinct-value tallies of fixed
+size; when a pass leaves them undecided, a further sweep samples only the
+limit and the last member.  The working set is one block plus that
+selection state: no array grows with the number of quadrature points.
+The standalone `weak_probe`, `lr_gap`, `quantity_scale` and `lsc_checks`
+run the same sweep with the measurement they report.
 
 Every measurement integrates over the whole mesh.  The theorem's
 convergence is local (W^{1,q}_loc), and a gap on the whole domain bounds
@@ -41,10 +45,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import geometry
 from .config import Section, real, setting
 from .errors import ConfigurationError
 from .fields import (MappingField, apply_coefficients, derivative_coefficients,
@@ -56,13 +61,6 @@ from .geometry import Mesh
 from .quadrature import mesh_quad_points
 
 ANALYTIC_QUAD_N = 8  # 64 points per triangle
-BLOCK_POINTS = 8192  # quadrature points per block of a sweep; blocks hold whole triangles
-# members per weak-probe matrix product: the row buffer is 5 * PROBE_GROUP *
-# BLOCK_POINTS floats (5.0 MiB); on the 64x64 oscillation with 64 members, 8
-# held 2.5 MiB less but made the probe's per-member work 27% slower (2-core
-# Xeon), and 64 raised peak memory
-PROBE_GROUP = 16
-DICTIONARY_DEGREE = 6  # weak-probe test fields: tensor Legendre polynomials up to this degree
 PROBE_SAMPLES = 20000  # random points of each convexity and monotonicity probe
 
 VERDICTS = ("StrongConvergence", "EnergyGap", "WeakProbeFail",
@@ -120,20 +118,31 @@ def _derivatives_at(seq: SequenceHandle, index: int, pts: np.ndarray,
                  for c in seq.coefficients)
 
 
-class _Sample(NamedTuple):
-    """f_z, f_zbar, P = |f_z|^2, Q = |f_zbar|^2 and J = P - Q of one field on
-    a block of quadrature points, and its Phi values by spec."""
-    fz: np.ndarray
-    fzbar: np.ndarray
-    P: np.ndarray
-    Q: np.ndarray
-    jac: np.ndarray
-    phis: Dict[FunctionalSpec, np.ndarray]
+def _values_at(seq: SequenceHandle, index: int, pts: np.ndarray,
+               tris: slice = slice(None)):
+    """Values of member/limit at the quadrature points `pts` of the triangles
+    `tris`: the closed form, or the P1 interpolant at the centroid (the mean
+    of the three nodal values, as `wirtinger_derivatives` forms it)."""
+    m = seq.limit if index == -1 else seq.members[index]
+    if seq.all_analytic:
+        return m.analytic.value(pts)
+    return m.values[seq.mesh.triangles[tris]].mean(axis=1)[:, None]
 
-    @staticmethod
-    def of(fz: np.ndarray, fzbar: np.ndarray) -> "_Sample":
-        P, Q = squared_moduli(fz, fzbar)
-        return _Sample(fz, fzbar, P, Q, P - Q, {})
+
+class _Sample:
+    """f_z, f_zbar, P = |f_z|^2, Q = |f_zbar|^2 and J = P - Q of one field on
+    a block of quadrature points.  Its values `f` (from the callable
+    `values`) and its Phi values by spec are computed on first use."""
+
+    def __init__(self, fz, fzbar, values: Callable[[], np.ndarray] = lambda: 0j):
+        self.fz, self.fzbar = fz, fzbar
+        self.P, self.Q = squared_moduli(fz, fzbar)
+        self.jac = self.P - self.Q
+        self._values, self.phis = values, {}
+
+    @cached_property
+    def f(self):
+        return self._values()
 
     def phi(self, spec: FunctionalSpec) -> np.ndarray:
         if spec not in self.phis:
@@ -151,9 +160,11 @@ def _shared(a: np.ndarray, shape) -> np.ndarray:
 
 
 def _sample(seq: SequenceHandle, index: int, block: _Block, tris: slice) -> _Sample:
-    """The derivative evaluation of member `index` (-1: the limit) on a block."""
-    return _Sample.of(*(_shared(a, block.pts.shape)
-                        for a in _derivatives_at(seq, index, block.pts, tris)))
+    """The derivative evaluation of member `index` (-1: the limit) on a block;
+    its values are evaluated when a measurement first reads them."""
+    shape = block.pts.shape
+    return _Sample(*(_shared(a, shape) for a in _derivatives_at(seq, index, block.pts, tris)),
+                   lambda: _shared(_values_at(seq, index, block.pts, tris), shape))
 
 
 class _Block(NamedTuple):
@@ -175,13 +186,13 @@ class _Measurement:
 
 def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
            members: Optional[Sequence[int]] = None) -> None:
-    """Feed the measurements one block of whole triangles (about BLOCK_POINTS
-    quadrature points) at a time.  Each block's quadrature is built when the
-    block is reached, each field is sampled once per block and the sample is
-    shared by every measurement.  The limit is sampled, then the members of
+    """Feed the measurements one block of whole triangles (about
+    `geometry.BLOCK_ROWS` quadrature points) at a time.  Each block's
+    quadrature is built when the block is reached, each field is sampled
+    once per block and the sample is shared by every measurement.  The limit is sampled, then the members of
     the index sequence `members` in its order (None: every member)."""
     n = seq.quad_n
-    step = max(1, BLOCK_POINTS // n ** 2)
+    step = max(1, geometry.BLOCK_ROWS // n ** 2)
     members = range(len(seq)) if members is None else members
     for start in range(0, seq.mesh.n_triangles, step):
         tris = slice(start, start + step)
@@ -198,11 +209,23 @@ def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
 QUANTITIES = ("df", "fz", "fzbar", "jac", "mu")
 
 
+def _check_exponent(quantity: str, r) -> None:
+    """Refuse a quantity outside QUANTITIES and an exponent that is not a
+    positive finite number."""
+    if quantity not in QUANTITIES:
+        raise ConfigurationError(f"unknown quantity {quantity!r}; one of {QUANTITIES}")
+    if isinstance(r, bool) or not (isinstance(r, (int, float)) and 0 < r < np.inf):
+        raise ConfigurationError(f"bad exponent for {quantity!r}: {r}")
+
+
 def _quantity_diff(quantity: str, a: _Sample, b: _Sample,
                    spec: Optional[FunctionalSpec] = None):
     """Pointwise |q(a) - q(b)|, 0 where q is undefined, and a validity mask
     (None: valid everywhere).  The quantity "phi" is the integrand Phi of
-    `spec`; its difference is inf everywhere once it is not finite somewhere."""
+    `spec`; its difference is inf everywhere once it is not finite somewhere.
+    The quantity "f" is the field's values, which the weak residual reads."""
+    if quantity == "f":
+        return np.abs(a.f - b.f), None
     if quantity == "phi":
         with np.errstate(invalid="ignore"):  # inf - inf where both fold
             d = np.abs(a.phi(spec) - b.phi(spec))
@@ -261,7 +284,7 @@ class _Scale(_Measurement):
             np.divide(np.abs(lim.fzbar), np.abs(lim.fz), out=d, where=ok)
         else:
             # one zero sample, broadcast: q - 0 keeps every bit of q
-            d, _ = _quantity_diff(self.quantity, lim, _Sample.of(0j, 0j))
+            d, _ = _quantity_diff(self.quantity, lim, _Sample(0j, 0j))
         self.sum += _lr_sum(d, block.w, self.r)
 
     def value(self) -> float:
@@ -270,10 +293,7 @@ class _Scale(_Measurement):
 
 def lr_gap(seq: SequenceHandle, quantity: str, r: float) -> List[float]:
     """Discrete L^r distance of a derived quantity to the limit, per member."""
-    if quantity not in QUANTITIES:
-        raise ConfigurationError(f"quantity must be one of {QUANTITIES}")
-    if r <= 0:
-        raise ConfigurationError("r must be positive")
+    _check_exponent(quantity, r)
     if quantity == "jac" and r >= 1.0:
         warnings.warn("Jacobian convergence is only guaranteed for r < 1", stacklevel=2)
     gap = _LrGap(quantity, r, len(seq))
@@ -283,87 +303,23 @@ def lr_gap(seq: SequenceHandle, quantity: str, r: float) -> List[float]:
 
 def quantity_scale(seq: SequenceHandle, quantity: str, r: float) -> float:
     """L^r size of the limit quantity, used to normalize gap tolerances."""
+    _check_exponent(quantity, r)
     scale = _Scale(quantity, r)
     _sweep(seq, [scale], members=())
     return scale.value()
 
 
-class _WeakProbe(_Measurement):
-    """Tensor Legendre test fields times a boundary cutoff, on the whole mesh.
-
-    Per block, the (d+1)^2 test fields (d = DICTIONARY_DEGREE) times
-    w * cutoff form a C x (d+1)^2 Khatri-Rao dictionary, filled in place
-    into one column-major buffer that the sweep's blocks share (a block of
-    another size replaces it).  The members' five difference rows each
-    (Re/Im f_z, Re/Im f_zbar and J against the limit) fill a
-    (5 PROBE_GROUP) x C buffer, and one matrix product per PROBE_GROUP
-    members adds the block to their pairings."""
-
-    def __init__(self, mesh: Mesh, n_members: int):
-        self.box = (mesh.nodes.real.min(), mesh.nodes.real.max(),
-                    mesh.nodes.imag.min(), mesh.nodes.imag.max())
-        self.disk = mesh.kind == "disk"
-        self.n = n_members
-        self.pairings = np.zeros((5 * n_members, (DICTIONARY_DEGREE + 1) ** 2))
-        self.norms = np.zeros((DICTIONARY_DEGREE + 1) ** 2)
-        self.rows = np.empty(0)
-
-    def limit(self, block, lim):
-        flat = block.pts.ravel()
-        x, y = flat.real, flat.imag
-        x0, x1, y0, y1 = self.box
-        if self.disk:
-            cut = np.maximum(0.0, 1.0 - np.abs(flat) ** 2)
-        else:
-            cut = np.maximum(0.0, (x - x0) * (x1 - x) * (y - y0) * (y1 - y))
-        vx = np.polynomial.legendre.legvander(2.0 * (x - x0) / (x1 - x0) - 1.0,
-                                              DICTIONARY_DEGREE)
-        vy = np.polynomial.legendre.legvander(2.0 * (y - y0) / (y1 - y0) - 1.0,
-                                              DICTIONARY_DEGREE)
-        if self.rows.shape[1:] != block.pts.shape:
-            self.kr = self.rows = None  # free the old buffers before the new ones
-            # column-major, the layout of the product vx[:, :, None] * vy[:, None, :]:
-            # each column of norms is then summed pairwise over one contiguous run
-            self.kr = np.empty(((DICTIONARY_DEGREE + 1) ** 2, flat.size)).T
-            self.rows = np.empty((5 * min(self.n, PROBE_GROUP),) + block.pts.shape)
-        cube = self.kr.reshape(flat.size, DICTIONARY_DEGREE + 1, DICTIONARY_DEGREE + 1)
-        assert np.may_share_memory(cube, self.kr)  # a copy would leave the dictionary unfilled
-        np.multiply(vx[:, :, None], vy[:, None, :], out=cube)
-        self.kr *= (block.w.ravel() * cut)[:, None]
-        for k in range(self.kr.shape[1]):  # int |phi|: w and the cutoff are >= 0
-            self.norms[k] += np.abs(self.kr[:, k]).sum()
-
-    def member(self, block, j, f, lim):
-        k = j % PROBE_GROUP  # the member's slot in the row buffer
-        rows = self.rows[5 * k:5 * k + 5]
-        np.subtract(f.fz.real, lim.fz.real, out=rows[0])
-        np.subtract(f.fz.imag, lim.fz.imag, out=rows[1])
-        np.subtract(f.fzbar.real, lim.fzbar.real, out=rows[2])
-        np.subtract(f.fzbar.imag, lim.fzbar.imag, out=rows[3])
-        np.subtract(f.jac, lim.jac, out=rows[4])
-        if k == PROBE_GROUP - 1 or j == self.n - 1:
-            filled = self.rows[:5 * (k + 1)].reshape(5 * (k + 1), -1)
-            self.pairings[5 * (j - k):5 * (j + 1)] += filled @ self.kr
-
-    def residuals(self) -> List[float]:
-        """Per member, the largest normalized |integral (q_member - q_limit) phi|
-        over the dictionary, q in {Re f_z, Im f_z, Re f_zbar, Im f_zbar, J}."""
-        ratios = np.abs(self.pairings) / np.maximum(self.norms, 1e-300)
-        row_max = np.max(ratios, axis=1).reshape(self.n, 5)
-        return [max([0.0] + row) for row in row_max.tolist()]
-
-
 def weak_probe(seq: SequenceHandle) -> List[float]:
-    """Weak-convergence proxy against smooth polynomial test fields.
+    """Weak-convergence residuals: per member, ||f_j - f||_{L^2} at the
+    sweep's quadrature points.
 
-    For each member, the residual is the largest normalized pairing
-    |integral (q_j - q_limit) phi| over the dictionary, for q in
-    {f_z, f_zbar, J}.  Test fields are tensor Legendre polynomials up to
-    degree DICTIONARY_DEGREE times a boundary cutoff.
+    A sequence bounded in W^{1,q}, 1 < q < infinity, converges weakly to the
+    limit exactly when these tend to 0, since W^{1,q} embeds compactly in
+    L^2 in the plane (Rellich-Kondrachov) and weak limits are unique.
     """
-    probe = _WeakProbe(seq.mesh, len(seq))
-    _sweep(seq, [probe])
-    return probe.residuals()
+    gap = _LrGap("f", 2.0, len(seq))
+    _sweep(seq, [gap])
+    return gap.values()
 
 
 class _Energy(_Measurement):
@@ -401,8 +357,8 @@ class _Bin:
     """The values whose uint64 bit patterns shifted right by `shift` equal
     `prefix` (shift 64: every value).  The ranks in `ranks` fall in the bin,
     and `below` values lie under it.  During a pass it keeps its distinct
-    bit patterns and their counts, up to BLOCK_POINTS of them, and past that a
-    histogram of its next DIGIT_BITS bits."""
+    bit patterns and their counts, up to `geometry.BLOCK_ROWS` of them, and
+    past that a histogram of its next DIGIT_BITS bits."""
 
     def __init__(self, prefix: int, shift: int, below: int):
         self.prefix, self.shift, self.below = prefix, shift, below
@@ -424,7 +380,7 @@ class _Bin:
             keys, counts = keys[order], counts[order]
             first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
             keys, counts = keys[first], np.add.reduceat(counts, first)
-            if keys.size <= BLOCK_POINTS:
+            if keys.size <= geometry.BLOCK_ROWS:
                 self.keys, self.counts = keys, counts
                 return
             # too many distinct values to keep: histogram them instead
@@ -446,8 +402,8 @@ class _Selection:
     first the bin of all values.  A bin that kept its distinct values finds
     its ranks; one that kept a histogram is narrowed to the next digit of
     each rank's bit pattern for the next pass.  So the state is a few bins of
-    BLOCK_POINTS pairs or 2^DIGIT_BITS counts, whatever the number of values,
-    and values with at most BLOCK_POINTS distinct ones need a single pass."""
+    BLOCK_ROWS pairs or 2^DIGIT_BITS counts, whatever the number of values,
+    and values with at most BLOCK_ROWS distinct ones need a single pass."""
 
     def __init__(self):
         self.n = 0
@@ -636,7 +592,7 @@ def orlicz_norm(mapping: MappingField) -> float:
 class Tolerances(Section, section="tolerances"):
     hypothesis_rel: float = setting(real, 1e-3)  # energy-convergence gap, relative to scale
     conclusion_rel: float = setting(real, 1e-2)  # strong-convergence tails, relative to scale
-    weak_rel: float = setting(real, 2e-2)        # weak-probe last residual, relative to scale
+    weak_rel: float = setting(real, 2e-2)        # last weak residual, relative to ||f||_{L^2}
 
 
 @dataclass
@@ -686,8 +642,8 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
     The structural hypotheses on Phi are probed at PROBE_SAMPLES random
     points each, Phi * y^s at `s` (Dirichlet, whose admissible range of s
     is empty, at its `spec.s_value` 0, whatever `s` says; the report's
-    config records the s of the probe), the weak limit against the tensor
-    Legendre dictionary of degree DICTIONARY_DEGREE.  The mesh is swept
+    config records the s of the probe), the weak limit by the L^2 gap of
+    the values, relative to the limit's ||f||_{L^2}.  The mesh is swept
     block by block, each block's quadrature built when it is reached, so
     every quadrature point of every member is sampled once and every
     measurement integrates over the whole mesh, while memory holds one
@@ -709,10 +665,7 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
     if not isinstance(r_list, dict):
         raise ConfigurationError("r_list must map quantity names to exponents")
     for qname, r in r_list.items():
-        if qname not in QUANTITIES:
-            raise ConfigurationError(f"unknown quantity {qname!r} in r_list")
-        if isinstance(r, bool) or not (isinstance(r, (int, float)) and 0 < r < np.inf):
-            raise ConfigurationError(f"bad exponent for {qname!r}: {r}")
+        _check_exponent(qname, r)
 
     # (a) structural conditions on the family: convexity of Phi and Phi*y^s,
     # monotone approach of the truncations to the exponential
@@ -733,15 +686,15 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
 
     # one sweep: each field's sample on a block feeds every measurement
     n = len(seq)
-    probe = _WeakProbe(seq.mesh, n)
+    weak = _LrGap("f", 2.0, n)
     series = _Energy(rr_spec, n, rr_power)
     phi_energies = series if (rr_spec, rr_power) == (spec, 1.0) else _Energy(spec, n)
     exponents = {"phi": p_RR, **r_list}
     gaps = {q: _LrGap(q, r, n, spec) for q, r in exponents.items()}
     scales = {q: _Scale(q, r) for q, r in r_list.items()}
-    weak_scale = _Scale("df", 1.0)
+    weak_scale = _Scale("f", 2.0)
     pointwise = _Pointwise(n)
-    measurements = [probe, series, pointwise, weak_scale, *gaps.values(), *scales.values()]
+    measurements = [weak, series, pointwise, weak_scale, *gaps.values(), *scales.values()]
     if phi_energies is not series:
         measurements.append(phi_energies)
     _sweep(seq, measurements)
@@ -749,7 +702,7 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
         _sweep(seq, [pointwise], members=[n - 1])
 
     # (b) weak-limit hypothesis
-    residuals = probe.residuals()
+    residuals = weak.values()
     weak_ok = bool(residuals[-1] <= tolerances.weak_rel * max(weak_scale.value(), 1e-12)
                    and residuals[-1] <= 0.5 * max(residuals))
 

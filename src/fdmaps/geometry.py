@@ -30,8 +30,10 @@ from .errors import ConfigurationError
 
 MAX_DISK_LEVEL = 10
 
-# Triangles per block of every per-triangle kernel, and rows per block of the
-# CSV writer.
+# Triangles per block of every per-triangle kernel, rows per block of the CSV
+# writer, about this many quadrature points per block of a convergence sweep
+# (blocks hold whole triangles) and of the mollifier's temporary, and the
+# distinct values a selection bin keeps.
 BLOCK_ROWS = 8192
 
 

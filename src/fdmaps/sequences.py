@@ -12,7 +12,8 @@ from typing import Dict
 
 import numpy as np
 
-from .convergence import BLOCK_POINTS, SequenceHandle
+from . import geometry
+from .convergence import SequenceHandle
 from .config import Section, complex_number, integer, map_args, read, real, setting
 from .errors import ConfigurationError
 from .fields import (AnalyticMap, MappingField, analytic_affine,
@@ -68,7 +69,8 @@ def mollify_values(amap: AnalyticMap, points: np.ndarray, delta: float) -> np.nd
     offsets, weights = _bump_quadrature(delta)
     pts = np.asarray(points, dtype=complex).reshape(-1)
     out = np.empty_like(pts)
-    step = BLOCK_POINTS // len(offsets)  # rows of a cache-sized (rows x offsets) temporary
+    # rows of a cache-sized (rows x offsets) temporary
+    step = max(1, geometry.BLOCK_ROWS // len(offsets))
     for i in range(0, len(pts), step):
         out[i:i + step] = amap.value(pts[i:i + step, None] - offsets) @ weights
     return out.reshape(np.shape(points))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fdmaps import convergence
+from fdmaps import convergence, geometry
 from fdmaps.convergence import (SequenceHandle, Tolerances, lr_gap, lsc_checks,
                                 orlicz_gauge, orlicz_norm, quantity_scale,
                                 radon_riesz_diagnose, sobolev_norm, tail_slice,
@@ -84,6 +84,27 @@ def test_weak_probe_is_tiny_for_strong_convergence(drift_seq):
     res = weak_probe(drift_seq)
     assert res[-1] < res[0]
     assert res[-1] < 0.1
+
+
+def test_weak_probe_oscillation_closed_form(osc_seq):
+    # f_j - f = sin(2 pi j x) / (2 pi j), whose squared L^2 norm on the unit
+    # square is (1/2) / (2 pi j)^2
+    area = osc_seq.mesh.total_area
+    for j, res in enumerate(weak_probe(osc_seq), start=1):
+        assert res == pytest.approx(np.sqrt(area / 2.0) / (2.0 * np.pi * j), rel=1e-3)
+
+
+@pytest.mark.parametrize("measure, quantity, r", [
+    (quantity_scale, "df", 0), (quantity_scale, "df", -1), (quantity_scale, "phi", 1),
+    (lr_gap, "df", float("nan")), (lr_gap, "df", float("inf")), (lr_gap, "f", 2.0),
+    (lr_gap, "df", True)])
+def test_measurements_refuse_bad_quantities_and_exponents(drift_seq, measure, quantity, r):
+    # one check for the standalone measurements and the r_list of a diagnose
+    with pytest.raises(ConfigurationError):
+        measure(drift_seq, quantity, r)
+    with pytest.raises(ConfigurationError):
+        radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), drift_seq,
+                             p_RR=2.0, r_list={quantity: r})
 
 
 def test_lsc_on_oscillation_dirichlet(osc_seq):
@@ -232,29 +253,37 @@ def test_diagnose_samples_each_field_once(monkeypatch, unit_square_16):
     # every quadrature point of every field exactly once, and builds each
     # block's quadrature once, when the block is reached.  A refinement sweep
     # of the pointwise proxy samples only the limit and the last member, once
-    # per triangle.  The fixture's proxy has at most 572 distinct values per
-    # quantity: blocks of 8,192 points keep them all in the main sweep, and
-    # blocks of 256 points (4 triangles) keep at most 256, so one quantity
-    # needs a refinement sweep
+    # per triangle and reads no values.  The fixture's proxy has at most 572
+    # distinct values per quantity: blocks of 8,192 points keep them all in
+    # the main sweep, and blocks of 256 points (4 triangles) keep at most 256,
+    # so one quantity needs a refinement sweep.  Each field's values are
+    # sampled once per block of the main sweep, for the weak residual
     seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=8), unit_square_16)
     k = convergence.ANALYTIC_QUAD_N ** 2
     m = unit_square_16.n_triangles
     sweep = convergence._sweep
     derivatives_at, quad_points = convergence._derivatives_at, convergence.mesh_quad_points
-    for block_points, refinements in ((convergence.BLOCK_POINTS, 0), (4 * k, 1)):
-        monkeypatch.setattr(convergence, "BLOCK_POINTS", block_points)
+    values_at = convergence._values_at
+    for block_points, refinements in ((geometry.BLOCK_ROWS, 0), (4 * k, 1)):
+        monkeypatch.setattr(geometry, "BLOCK_ROWS", block_points)
         sweeps = []  # per sweep: samples of each (field, triangle, point), row 0 the limit
+        values = []  # the same for the values
         quad_covered = np.zeros(m, dtype=int)
         calls = {"blocks": 0, "quadrature": 0}
 
         def recorded_sweep(seq_, measurements, members=None):
             sweeps.append(np.zeros((len(seq) + 1, m, k), dtype=int))
+            values.append(np.zeros((len(seq) + 1, m, k), dtype=int))
             sweep(seq_, measurements, members)
 
         def recorded(seq_, index, pts, tris=slice(None)):
             sweeps[-1][index + 1][tris] += 1
             calls["blocks"] += 1
             return derivatives_at(seq_, index, pts, tris)
+
+        def recorded_values(seq_, index, pts, tris=slice(None)):
+            values[-1][index + 1][tris] += 1
+            return values_at(seq_, index, pts, tris)
 
         def counted(mesh, n, tris=slice(None)):
             quad_covered[tris] += 1
@@ -263,6 +292,7 @@ def test_diagnose_samples_each_field_once(monkeypatch, unit_square_16):
 
         monkeypatch.setattr(convergence, "_sweep", recorded_sweep)
         monkeypatch.setattr(convergence, "_derivatives_at", recorded)
+        monkeypatch.setattr(convergence, "_values_at", recorded_values)
         monkeypatch.setattr(convergence, "mesh_quad_points", counted)
         radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0,
                              r_list={"df": 1.5, "jac": 0.5, "mu": 1.0, "fzbar": 2.0})
@@ -271,9 +301,11 @@ def test_diagnose_samples_each_field_once(monkeypatch, unit_square_16):
         main, *refining = sweeps
         assert len(refining) == refinements
         assert np.all(main == 1)
+        assert np.all(values[0] == 1)
         for covered in refining:
             assert np.all(covered[[0, -1]] == 1)
             assert np.all(covered[1:-1] == 0)
+        assert all(np.all(v == 0) for v in values[1:])
         assert calls["quadrature"] == blocks * len(sweeps)
         assert np.all(quad_covered == len(sweeps))
         assert calls["blocks"] == (len(seq) + 1 + 2 * refinements) * blocks
@@ -284,9 +316,8 @@ def test_diagnose_memory_is_bounded():
     # selection state, so its traced peak does not grow with the mesh: 64x64
     # has four times the 131,072 quadrature points of 32x32.  Neither the
     # whole mesh's quadrature nor a buffer of the proxy's points is held
-    # (6.2 MiB at both sizes; 9.0 MiB with a fresh weak-probe dictionary and
-    # its |.| temporary per block, 11.9 and 20.9 MiB with one buffer of the
-    # points per proxy quantity)
+    # (2.2 and 2.3 MiB; 11.9 and 20.9 MiB with one buffer of the points per
+    # proxy quantity)
     import tracemalloc
 
     import fdmaps
@@ -303,7 +334,7 @@ def test_diagnose_memory_is_bounded():
         finally:
             tracemalloc.stop()
     assert peaks[64] <= peaks[32] + mib
-    assert peaks[64] < 8 * mib
+    assert peaks[64] < 4 * mib
 
 
 def test_closed_form_sequences_hold_no_nodal_arrays():
@@ -329,20 +360,26 @@ def test_closed_form_sequences_hold_no_nodal_arrays():
 
 
 def test_closed_form_diagnose_reads_no_member_values(monkeypatch, unit_square_16):
+    # the weak residual evaluates each member's closed form at the quadrature
+    # points; no member's nodes are sampled until its values are read
     from fdmaps import sequences
-    sampled = []
+    sampled = []  # (j, shape of the points) per evaluation of a member's closed form
 
     def recorded(j):
         amap = analytic_oscillation(j)
-        return AnalyticMap(lambda z: sampled.append(j) or amap.value(z), amap.derivatives)
+        return AnalyticMap(lambda z: sampled.append((j, np.shape(z))) or amap.value(z),
+                           amap.derivatives)
 
     monkeypatch.setattr(sequences, "analytic_oscillation", recorded)
     seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=4), unit_square_16)
     rep = radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0)
     assert rep.verdict == "EnergyGap"
-    assert sampled == []
+    nodes = seq.mesh.nodes.shape
+    assert sorted({j for j, _ in sampled}) == [1, 2, 3, 4]
+    assert all(shape != nodes for _, shape in sampled)
+    del sampled[:]
     assert np.array_equal(seq.members[2].values, analytic_oscillation(3).value(seq.mesh.nodes))
-    assert sampled == [3]
+    assert sampled == [(3, nodes)]
 
 
 @pytest.mark.parametrize("fixture", ["drift_seq", "osc_seq", "moll_seq"])
@@ -403,7 +440,7 @@ def test_diagnose_is_block_size_invariant(monkeypatch, request, fixture, tris_pe
     k = convergence.ANALYTIC_QUAD_N ** 2 if seq.all_analytic else 1
     m = seq.mesh.n_triangles
     assert m % 7 != 0
-    monkeypatch.setattr(convergence, "BLOCK_POINTS", k * (tris_per_block or m))
+    monkeypatch.setattr(geometry, "BLOCK_ROWS", k * (tris_per_block or m))
     blocked = report()
     # order statistics do not depend on how the points are split
     assert blocked["pointwise_proxy"] == default["pointwise_proxy"]
@@ -462,7 +499,7 @@ _SELECTION_CASES = _selection_cases()
 
 @pytest.mark.parametrize("name, block", [
     (name, block) for name, values in _SELECTION_CASES.items()
-    for block in (1, 7, convergence.BLOCK_POINTS) if values.size <= 2000 * block])
+    for block in (1, 7, geometry.BLOCK_ROWS) if values.size <= 2000 * block])
 def test_selection_matches_numpy_bit_for_bit(name, block):
     # RuntimeWarnings are errors in this suite: the selection raises none,
     # even where numpy's own interpolation meets inf - inf
@@ -475,7 +512,7 @@ def test_selection_matches_numpy_bit_for_bit(name, block):
         assert isinstance(got, float)
         assert (np.isnan(got) and np.isnan(want)) or \
             np.float64(got).tobytes() == np.float64(want).tobytes(), key
-    if np.unique(values).size <= convergence.BLOCK_POINTS or np.isnan(values).any():
+    if np.unique(values).size <= geometry.BLOCK_ROWS or np.isnan(values).any():
         assert passes == 1
     if name == "ulps":
         assert passes == 4
@@ -485,115 +522,28 @@ def test_selection_of_no_values():
     assert _select(np.empty(0), 7) == ({"median": None, "p95": None}, 1)
 
 
-def _reference_weak_residuals(seq, degree=6):
-    """The per-member weak-probe formula before the block sweep: full-length
-    Legendre Vandermondes and one (5, degree+1, N) @ (N, degree+1) product
-    per member."""
-    mesh = seq.mesh
-    pts, w = mesh_quad_points(mesh, convergence.ANALYTIC_QUAD_N if seq.all_analytic else 1)
-    flat = pts.ravel()
-    x, y = flat.real, flat.imag
-    x0, x1 = mesh.nodes.real.min(), mesh.nodes.real.max()
-    y0, y1 = mesh.nodes.imag.min(), mesh.nodes.imag.max()
-    if mesh.kind == "disk":
-        cut = np.maximum(0.0, 1.0 - np.abs(flat) ** 2)
-    else:
-        cut = np.maximum(0.0, (x - x0) * (x1 - x) * (y - y0) * (y1 - y))
-    wc = w.ravel() * cut
-    VxT = np.polynomial.legendre.legvander(2.0 * (x - x0) / (x1 - x0) - 1.0, degree).T
-    VyT = np.polynomial.legendre.legvander(2.0 * (y - y0) / (y1 - y0) - 1.0, degree).T
-    norms = np.maximum(np.abs(VxT) @ (wc * np.abs(VyT)).T, 1e-300)
+def _reference_weak_residuals(seq):
+    """||f_j - f||_{L^2} per member over the whole mesh's quadrature in one
+    piece: closed-form values at the points, or the centroid values of each
+    member's derived field."""
+    pts, w = mesh_quad_points(seq.mesh, convergence.ANALYTIC_QUAD_N if seq.all_analytic else 1)
 
-    def sample(field):
+    def values(field):
         if seq.all_analytic:
-            fz, fzbar = field.analytic.derivatives(pts)
-        else:
-            d = wirtinger_derivatives(field)
-            fz, fzbar = d.fz[:, None], d.fzbar[:, None]
-        fz, fzbar = np.broadcast_to(fz, pts.shape), np.broadcast_to(fzbar, pts.shape)
-        return fz, fzbar, np.abs(fz) ** 2 - np.abs(fzbar) ** 2
+            return field.analytic.value(pts)
+        return wirtinger_derivatives(field).f_centroid[:, None]
 
-    lim = sample(seq.limit)
-    residuals = []
-    for member in seq.members:
-        fz, fzbar, jac = sample(member)
-        dfz, dfzbar = fz - lim[0], fzbar - lim[1]
-        block = np.stack([dfz.real, dfz.imag, dfzbar.real, dfzbar.imag, jac - lim[2]])
-        block = block.reshape(5, -1) * wc
-        pairings = (block[:, None, :] * VxT) @ VyT.T
-        residuals.append(max([0.0] + [float(np.max(q)) for q in np.abs(pairings) / norms]))
-    return residuals
-
-
-@pytest.fixture(scope="module")
-def weak_reference():
-    """Reference residuals per sequence fixture, computed once."""
-    return {}
+    lim = values(seq.limit)
+    return [float(np.sqrt(np.sum(np.abs(values(member) - lim) ** 2 * w)))
+            for member in seq.members]
 
 
 @pytest.mark.parametrize("fixture", ["drift_seq", "osc_seq", "moll_seq"])
-def test_weak_probe_matches_per_member_reference(request, weak_reference, fixture):
+def test_weak_probe_matches_per_member_reference(request, fixture):
     seq = request.getfixturevalue(fixture)
     rep = radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0)
-    if fixture not in weak_reference:
-        weak_reference[fixture] = _reference_weak_residuals(seq)
-    assert np.allclose(rep.weak_probe_residuals, weak_reference[fixture],
+    assert np.allclose(rep.weak_probe_residuals, _reference_weak_residuals(seq),
                        rtol=1e-12, atol=0.0)
-
-
-class _FreshDictionaryProbe(convergence._WeakProbe):
-    """The weak probe with a fresh Khatri-Rao product per block and its
-    norms summed by np.abs(kr).sum(axis=0)."""
-
-    def limit(self, block, lim):
-        flat = block.pts.ravel()
-        x, y = flat.real, flat.imag
-        x0, x1, y0, y1 = self.box
-        if self.disk:
-            cut = np.maximum(0.0, 1.0 - np.abs(flat) ** 2)
-        else:
-            cut = np.maximum(0.0, (x - x0) * (x1 - x) * (y - y0) * (y1 - y))
-        degree = convergence.DICTIONARY_DEGREE
-        vx = np.polynomial.legendre.legvander(2.0 * (x - x0) / (x1 - x0) - 1.0, degree)
-        vy = np.polynomial.legendre.legvander(2.0 * (y - y0) / (y1 - y0) - 1.0, degree)
-        self.kr = (vx[:, :, None] * vy[:, None, :]).reshape(flat.size, -1)
-        self.kr *= (block.w.ravel() * cut)[:, None]
-        self.norms += np.abs(self.kr).sum(axis=0)
-        if self.rows.shape[1:] != block.pts.shape:
-            self.rows = np.empty((5 * min(self.n, convergence.PROBE_GROUP),)
-                                 + block.pts.shape)
-
-
-@pytest.fixture(scope="module")
-def partial_block_seq():
-    # 200 triangles of 64 points: blocks of 128 triangles, the last one of 72;
-    # 20 members: one full group of 16 and a partial one
-    import fdmaps
-    mesh = fdmaps.build_rect_mesh(10, 10, 0.0, 1.0 + 1.0j)
-    return generate(SequenceRecipe(kind="affine_drift",
-                                   params={"a": 1.0, "b": 0.2, "da": 0.4, "db": 0.1},
-                                   j_max=20), mesh)
-
-
-@pytest.mark.parametrize("fixture", ["osc_seq", "partial_block_seq"])
-def test_reused_dictionary_keeps_the_bits(request, fixture):
-    seq = request.getfixturevalue(fixture)
-    probe, reference = (cls(seq.mesh, len(seq))
-                        for cls in (convergence._WeakProbe, _FreshDictionaryProbe))
-    convergence._sweep(seq, [probe])
-    convergence._sweep(seq, [reference])
-    assert np.array_equal(probe.norms, reference.norms)
-    assert np.array_equal(probe.pairings, reference.pairings)
-    assert np.array_equal(weak_probe(seq), reference.residuals())
-
-
-@pytest.mark.parametrize("group", [1, 5, 100])
-def test_weak_probe_is_member_group_invariant(monkeypatch, weak_reference, osc_seq, group):
-    # 16 members: one per product, groups of 5 (the last one partial), all in one
-    monkeypatch.setattr(convergence, "PROBE_GROUP", group)
-    if "osc_seq" not in weak_reference:
-        weak_reference["osc_seq"] = _reference_weak_residuals(osc_seq)
-    assert np.allclose(weak_probe(osc_seq), weak_reference["osc_seq"], rtol=1e-12, atol=0.0)
 
 
 def test_nonpositive_jacobian_in_one_block_gives_inf(unit_square_16):
@@ -613,7 +563,7 @@ def test_nonpositive_jacobian_in_one_block_gives_inf(unit_square_16):
     seq = SequenceHandle(mesh, members, limit)
 
     pts, _ = mesh_quad_points(mesh, convergence.ANALYTIC_QUAD_N)
-    step = convergence.BLOCK_POINTS // pts.shape[1]
+    step = geometry.BLOCK_ROWS // pts.shape[1]
     folded_tris = np.flatnonzero(np.any(pts.imag < 0.05, axis=1))
     assert folded_tris.max() // step == folded_tris.min() // step < (mesh.n_triangles - 1) // step
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fdmaps.convergence import BLOCK_POINTS
 from fdmaps.errors import ConfigurationError
 from fdmaps.fields import analytic_affine, analytic_radial_stretch
+from fdmaps.geometry import BLOCK_ROWS
 from fdmaps.sequences import SequenceRecipe, _bump_quadrature, generate, mollify_values
 
 
@@ -91,7 +91,7 @@ def _one_shot_mollify(amap, points, delta):
 def test_chunked_mollifier_is_bit_identical(disk5, target, delta):
     amap = (analytic_radial_stretch(2.0) if target == "radial_stretch"
             else analytic_affine(1.3, 0.4 - 0.2j))
-    step = BLOCK_POINTS // len(_bump_quadrature(delta)[0])
+    step = BLOCK_ROWS // len(_bump_quadrature(delta)[0])
     nodes = disk5.nodes
     assert len(nodes) % step != 0
     # all nodes; a count the chunk does not divide; a 2-D array keeps its shape

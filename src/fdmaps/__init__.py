@@ -1,12 +1,12 @@
 """Distortion-energy minimization and strong-convergence diagnostics for
 planar mappings of finite distortion."""
 
-# numpy loads these subpackages on first attribute access (numpy.ma inside
-# np.unique); loading them with the package keeps that one-time cost in
-# start-up instead of in the first mesh build, probe or quadrature of a run
+# numpy loads its subpackages on first attribute access.  numpy.ma is
+# loaded with the package because np.unique needs it in every mesh build;
+# numpy.random (the probes of diagnose and oracle) and numpy.polynomial (the
+# quadrature of diagnose) load on their first use, so mesh and hopf never pay
+# for them
 import numpy.ma  # noqa: F401
-import numpy.polynomial  # noqa: F401
-import numpy.random  # noqa: F401
 
 from .convergence import (ConvergenceReport, SequenceHandle, Tolerances,
                           lr_gap, lsc_checks, orlicz_norm, radon_riesz_diagnose,

@@ -140,13 +140,14 @@ def _run_diagnose(config, out: Path):
 
 def _run_hopf(config, out: Path):
     hopf = read("hopf", config["hopf"], _HOPF)
-    mapping = sample_analytic(_build_mesh(config["domain"]), hopf["formula"], *hopf["args"])
-    derived = wirtinger_derivatives(mapping)
+    derived = wirtinger_derivatives(sample_analytic(_build_mesh(config["domain"]),
+                                                    hopf["formula"], *hopf["args"]))
     builder = inverse_ahlfors_hopf if hopf["inverse"] else ahlfors_hopf
     psi = builder(derived, hopf["p"], hopf["N"], hopf["weight"])
+    derived_to_csv(derived, out / "derived.csv")
+    del derived  # the residual reads only psi, which keeps its chart
     res = holomorphy_residual(psi)
     hopf_to_csv(psi, out / "hopf.csv")
-    derived_to_csv(derived, out / "derived.csv")
     return {"l1_residual": res.l1_residual, "l2_residual": res.l2_residual,
             "field_l1": psi.l1_norm, "skipped_vertices": res.skipped_vertices,
             "interior_area": res.interior_area}

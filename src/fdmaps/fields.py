@@ -5,15 +5,20 @@ unique affine interpolant on each triangle, so every pointwise formula
 (Wirtinger derivatives, Jacobian, distortions, Beltrami coefficient) is
 exact per element.
 
-The per-triangle arrays of a derived field are built over blocks of
-`geometry.BLOCK_ROWS` triangles and written into preallocated outputs, so
-`wirtinger_derivatives` holds its outputs and one block's temporaries; the
-CSV writer formats blocks of the same number of rows.
+A derived field holds f_z, f_zbar and the centroid image, built over
+blocks of `geometry.BLOCK_ROWS` triangles into preallocated outputs, so
+`wirtinger_derivatives` holds those three and one block's temporaries.
+The Jacobian, the distortions and the Beltrami coefficient come from one
+block kernel, `distortions`: a reader that goes block by block (the Hopf
+factors, `derived_to_csv`) applies it per block, and the whole arrays are
+built, block by block, only when a property of the field is first read.
+The CSV writer formats blocks of the same number of rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -64,18 +69,45 @@ class MappingField:
 
 @dataclass(frozen=True)
 class DerivedField:
+    """Per-triangle f_z, f_zbar and centroid image of a mapping.
+
+    `jac`, `khs`, `kop` and `mu` are built block by block with `distortions`
+    on their first read and kept; a reader that goes block by block applies
+    `distortions` itself and never builds them whole."""
     mesh: Mesh
     fz: np.ndarray          # complex per triangle
     fzbar: np.ndarray
-    jac: np.ndarray         # |fz|^2 - |fzbar|^2
-    khs: np.ndarray         # 2(|fz|^2+|fzbar|^2)/J, inf where J <= 0
-    kop: np.ndarray         # (|fz|+|fzbar|)^2/J, inf where J <= 0
-    mu: np.ndarray          # fzbar/fz, nan marker where fz == 0
     f_centroid: np.ndarray  # image of the element centroid (affine => mean)
 
     @property
     def areas(self) -> np.ndarray:
         return self.mesh.areas
+
+    def _whole(self, k: int, dtype=float) -> np.ndarray:
+        out = np.empty(len(self.fz), dtype)
+        for b in blocks(len(out)):
+            out[b] = distortions(self.fz[b], self.fzbar[b])[k]
+        return out
+
+    @cached_property
+    def jac(self) -> np.ndarray:
+        """|fz|^2 - |fzbar|^2"""
+        return self._whole(0)
+
+    @cached_property
+    def khs(self) -> np.ndarray:
+        """2(|fz|^2+|fzbar|^2)/J, inf where J <= 0"""
+        return self._whole(1)
+
+    @cached_property
+    def kop(self) -> np.ndarray:
+        """(|fz|+|fzbar|)^2/J, inf where J <= 0"""
+        return self._whole(2)
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        """fzbar/fz, nan marker where fz == 0"""
+        return self._whole(3, complex)
 
 
 def derivative_coefficients(mesh: Mesh, tris: slice = slice(None)):
@@ -91,6 +123,7 @@ def derivative_coefficients(mesh: Mesh, tris: slice = slice(None)):
     z = mesh.nodes[mesh.triangles[tris]]
     e1 = z[:, 1] - z[:, 0]
     e2 = z[:, 2] - z[:, 0]
+    del z  # the coefficients need the room
     D = e1 * np.conj(e2) - e2 * np.conj(e1)  # = -4i * area
     if np.any(D == 0):
         raise InternalError("degenerate triangle in mesh")
@@ -134,24 +167,26 @@ def norm_squared(norm: str, P, Q, derivatives: bool = False):
             1.0 + np.divide(sP, sQ, out=np.zeros_like(sQ), where=sQ > 0))
 
 
+def distortions(fz: np.ndarray, fzbar: np.ndarray):
+    """(J, K_hs, K_op, mu) of a block of Wirtinger derivatives: the one
+    formula for the Jacobian, the two distortions (inf where J <= 0) and the
+    Beltrami coefficient (nan where f_z = 0)."""
+    P, Q = squared_moduli(fz, fzbar)
+    jac = P - Q
+    pos = jac > 0
+    safe_jac = np.where(pos, jac, 1.0)
+    khs, kop = (np.where(pos, norm_squared(norm, P, Q) / safe_jac, np.inf)
+                for norm in ("hs", "op"))
+    defined = fz != 0
+    mu = np.where(defined, fzbar / np.where(defined, fz, 1.0), np.nan + 1j * np.nan)
+    return jac, khs, kop, mu
+
+
 def derived_from_derivatives(mesh: Mesh, fz: np.ndarray, fzbar: np.ndarray,
                              f_centroid: np.ndarray | None = None) -> DerivedField:
-    m = len(fz)
-    jac, khs, kop = np.empty(m), np.empty(m), np.empty(m)
-    mu = np.empty(m, dtype=complex)
-    for b in blocks(m):
-        P, Q = squared_moduli(fz[b], fzbar[b])
-        jac[b] = j = P - Q
-        pos = j > 0
-        safe_jac = np.where(pos, j, 1.0)
-        for out, norm in ((khs, "hs"), (kop, "op")):
-            out[b] = np.where(pos, norm_squared(norm, P, Q) / safe_jac, np.inf)
-        defined = fz[b] != 0
-        mu[b] = np.where(defined, fzbar[b] / np.where(defined, fz[b], 1.0),
-                         np.nan + 1j * np.nan)
     if f_centroid is None:
         f_centroid = np.full(mesh.n_triangles, np.nan + 0j)
-    return DerivedField(mesh, fz, fzbar, jac, khs, kop, mu, f_centroid)
+    return DerivedField(mesh, fz, fzbar, f_centroid)
 
 
 def wirtinger_derivatives(mapping: MappingField) -> DerivedField:
@@ -165,6 +200,7 @@ def wirtinger_derivatives(mapping: MappingField) -> DerivedField:
         fz[b] = apply_coefficients(a, mapping.values, tri)
         fzbar[b] = apply_coefficients(c, mapping.values, tri)
         f_centroid[b] = mapping.values[tri].mean(axis=1)
+        del a, c  # the next block's coefficients need the room
     return derived_from_derivatives(mesh, fz, fzbar, f_centroid)
 
 
@@ -272,6 +308,14 @@ def sample_analytic(mesh: Mesh, formula: str, *params) -> MappingField:
     return MappingField(mesh, analytic=_FORMULAS[formula](params))
 
 
+# Rows per write of the CSV writer.  The text of 256 rows (at most about
+# 70 KiB for 11 float columns) stays below glibc's initial 128 KiB mmap
+# threshold, so it comes from the heap and the next piece reuses it; a
+# block's text joined whole is megabytes that the allocator may map afresh,
+# page by page, for every block.
+WRITE_ROWS = 256
+
+
 def _cells(c: np.ndarray) -> list:
     """One block of a column as csv.writer prints it: str of each integer or
     string, repr of each distinct float bit pattern once (0.0 and -0.0 stay apart)."""
@@ -285,29 +329,45 @@ def _cells(c: np.ndarray) -> list:
     return np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[inverse].tolist()
 
 
-def write_columns(path, header, columns) -> None:
+def write_columns(path, header, columns, n_rows: int | None = None) -> None:
     """Write equal-length columns as CSV, byte for byte as csv.writer would.
 
-    Integer and string columns print as str, all others as the repr of a
-    Python float (with inf and nan); lines end in CRLF.  Rows go out in blocks of
-    `geometry.BLOCK_ROWS`, and in each block every distinct float bit pattern of a
-    column is formatted once, so repeated values cost one repr per block.
+    `columns` is a list of columns, or a function that returns the columns'
+    rows `b` for each block slice `b` of range(n_rows), so that a column
+    derived per block is never held whole.  Integer and string columns
+    print as str, all others as the repr of a Python float (with inf and
+    nan); lines end in CRLF.  Rows are formatted in blocks of
+    `geometry.BLOCK_ROWS`, and in each block every distinct float bit
+    pattern of a column is formatted once, so repeated values cost one repr
+    per block.  Each block's rows are joined and written `WRITE_ROWS` at a
+    time.
     """
-    columns = [np.asarray(c) for c in columns]
-    n_rows = len(columns[0]) if columns else 0
+    if callable(columns):
+        block = columns
+    else:
+        whole = [np.asarray(c) for c in columns]
+        n_rows = len(whole[0]) if whole else 0
+
+        def block(b):
+            return [c[b] for c in whole]
+
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for b in blocks(n_rows):
-            cells = [_cells(c[b]) for c in columns]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            cells = [_cells(c) for c in block(b)]
+            for start in range(0, len(cells[0]), WRITE_ROWS):
+                rows = zip(*(c[start:start + WRITE_ROWS] for c in cells))
+                fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def derived_to_csv(derived: DerivedField, path) -> None:
+    """One row per triangle; J, the distortions and mu are formed per block."""
+    def rows(b):
+        fz, fzbar = derived.fz[b], derived.fzbar[b]
+        jac, khs, kop, mu = distortions(fz, fzbar)
+        return [np.arange(b.start, b.stop), fz.real, fz.imag, fzbar.real, fzbar.imag,
+                jac, khs, kop, mu.real, mu.imag, derived.areas[b]]
+
     write_columns(path, ["tri_id", "re_fz", "im_fz", "re_fzbar", "im_fzbar",
                          "J", "K_hs", "K_op", "re_mu", "im_mu", "area"],
-                  [np.arange(derived.mesh.n_triangles),
-                   derived.fz.real, derived.fz.imag,
-                   derived.fzbar.real, derived.fzbar.imag,
-                   derived.jac, derived.khs, derived.kop,
-                   derived.mu.real, derived.mu.imag,
-                   derived.areas])
+                  rows, derived.mesh.n_triangles)

@@ -13,6 +13,9 @@ corner, and the fit holds the per-vertex sums and one block.  The Hopf
 fields are built over the same blocks into preallocated values.  The factor
 S_N(p K) of the Ahlfors-Hopf fields is the `trunc_exp` integrand kernel and
 their weight is `functionals.weight_values`, the same rules the energies use.
+Each block's J and flags come from the (P, Q) the factor already forms, so
+building a differential reads only f_z, f_zbar and the centroid images of
+the derived field, and the residual reads only the differential.
 """
 
 from __future__ import annotations
@@ -50,20 +53,25 @@ def _ahlfors_hopf_values(derived: DerivedField, p: float, n_trunc: Optional[int]
     """The J <= 0 flags and the differential's values, built block by block
     from S_N(p K) eta, the `trunc_exp` integrand (`exp_p` for n_trunc = None)
     times the weight; nan where flagged, so the differential is nan there
-    too.  The weight is taken on the field's domain: the image of the
-    centroids, or for the inverse map the source centroids."""
+    too.  J = P - Q comes from the block's own (P, Q), so the field's
+    whole-array Jacobian is never built.  The weight is taken on the field's
+    domain: the image of the centroids, or for the inverse map the source
+    centroids."""
     spec = FunctionalSpec(family="exp_p" if n_trunc is None else "trunc_exp", p=p,
                           trunc_n=0 if n_trunc is None else int(n_trunc), weight=weight)
     mesh = derived.mesh
-    flagged = derived.jac <= 0
+    flagged = np.empty(mesh.n_triangles, dtype=bool)
     values = np.empty(mesh.n_triangles, dtype=complex)
     for b in blocks(mesh.n_triangles):
         fz, fzbar = derived.fz[b], derived.fzbar[b]
-        factor = np.where(flagged[b], np.nan, integrand(spec, *squared_moduli(fz, fzbar)))
+        P, Q = squared_moduli(fz, fzbar)
+        jac = P - Q
+        flagged[b] = jac <= 0
+        factor = np.where(flagged[b], np.nan, integrand(spec, P, Q))
         if spec.weight != "none":
             factor = factor * weight_values(spec, mesh.centroids(b) if inverse
                                             else derived.f_centroid[b])
-        values[b] = (-factor / derived.jac[b] ** 2 * np.conj(fz * fzbar) if inverse
+        values[b] = (-factor / jac ** 2 * np.conj(fz * fzbar) if inverse
                      else factor * fz * np.conj(fzbar))
     return flagged, values
 

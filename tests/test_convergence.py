@@ -86,6 +86,19 @@ def test_weak_probe_is_tiny_for_strong_convergence(drift_seq):
     assert res[-1] < 0.1
 
 
+def test_weak_residuals_at_rounding_level_pass(disk5):
+    # the mollifier reproduces an affine map, so every residual is rounding
+    # noise (at most 3.5e-16 of ||f|| ~ 1) and need not decay
+    seq = generate(SequenceRecipe(kind="mollified",
+                                  params={"target": "affine", "a": 1.0, "b": 0.3},
+                                  j_max=16), disk5)
+    report = radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0)
+    residuals = report.weak_probe_residuals
+    assert max(residuals) <= 1e-15 and residuals[-1] > 0.5 * max(residuals)
+    assert report.hypotheses["weak_probe_ok"]
+    assert (report.verdict, report.decided_by) == ("StrongConvergence", "all")
+
+
 def test_weak_probe_oscillation_closed_form(osc_seq):
     # f_j - f = sin(2 pi j x) / (2 pi j), whose squared L^2 norm on the unit
     # square is (1/2) / (2 pi j)^2

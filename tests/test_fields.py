@@ -144,11 +144,16 @@ def test_affine_value_and_centroid(disk3):
     assert np.allclose(d.f_centroid, 2.0 * disk3.centroids())
 
 
+DISTORTIONS = {"jac", "khs", "kop", "mu"}
+
+
 def test_derived_to_csv(tmp_path, part_folded, csv_reference):
     d = wirtinger_derivatives(part_folded)
-    assert np.isinf(d.khs).any() and np.isnan(d.mu).any() and np.isfinite(d.khs).any()
     path = tmp_path / "derived.csv"
     derived_to_csv(d, path)
+    # the writer forms J, the distortions and mu per block, never whole
+    assert not DISTORTIONS & vars(d).keys()
+    assert np.isinf(d.khs).any() and np.isnan(d.mu).any() and np.isfinite(d.khs).any()
     rows = path.read_text().strip().splitlines()
     assert len(rows) == d.mesh.n_triangles + 1  # header + one row per triangle
     header = ["tri_id", "re_fz", "im_fz", "re_fzbar", "im_fzbar",
@@ -157,6 +162,14 @@ def test_derived_to_csv(tmp_path, part_folded, csv_reference):
                  d.jac[t], d.khs[t], d.kop[t], d.mu[t].real, d.mu[t].imag, d.areas[t]]
                 for t in range(d.mesh.n_triangles)]
     assert path.read_bytes() == csv_reference(header, expected)
+
+
+def test_derived_to_csv_does_not_depend_on_the_block(tmp_path, part_folded, triangle_block):
+    d = wirtinger_derivatives(part_folded)
+    derived_to_csv(d, tmp_path / "derived.csv")
+    with mock.patch.object(geometry, "BLOCK_ROWS", 2 ** 62):
+        derived_to_csv(d, tmp_path / "whole.csv")
+    assert (tmp_path / "derived.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 @pytest.mark.parametrize("block_rows", [geometry.BLOCK_ROWS, 1, 4])
@@ -171,6 +184,22 @@ def test_write_columns_matches_csv_writer(tmp_path, monkeypatch, csv_reference, 
     assert path.read_bytes() == csv_reference(["i", "x", "y"], rows)
     write_columns(path, ["i", "x"], [np.arange(0), []])
     assert path.read_bytes() == csv_reference(["i", "x"], [])
+
+
+@pytest.mark.parametrize("write_rows", [1, 3, 8, 1000])
+def test_write_columns_does_not_depend_on_the_write_size(tmp_path, monkeypatch,
+                                                         csv_reference, write_rows):
+    # blocks of 8 rows, written in pieces that divide them, do not, or
+    # exceed them; the last block is partial
+    from fdmaps import fields
+    monkeypatch.setattr(geometry, "BLOCK_ROWS", 8)
+    monkeypatch.setattr(fields, "WRITE_ROWS", write_rows)
+    n = 21
+    columns = [np.arange(n), np.linspace(-1.0, 1.0, n), np.arange(n) % 3 / 7.0]
+    path = tmp_path / "pieces.csv"
+    write_columns(path, ["i", "x", "y"], columns)
+    rows = [[int(i), float(x), float(y)] for i, x, y in zip(*columns)]
+    assert path.read_bytes() == csv_reference(["i", "x", "y"], rows)
 
 
 def _from_bits(*patterns):
@@ -241,10 +270,10 @@ def test_write_columns_memory_is_bounded(tmp_path):
 
 
 def test_wirtinger_derivatives_memory_is_bounded():
-    # the derived arrays of a level-7 disk (98,304 triangles) take 8.25 MiB;
-    # built block by block they are all that is held besides one block of
-    # coefficients and temporaries (9.5 MiB in all; 22.5 MiB with whole-mesh
-    # temporaries)
+    # f_z, f_zbar and the centroid images of a level-7 disk (98,304
+    # triangles) take 4.5 MiB; built block by block they are all that is
+    # held besides one block of coefficients and temporaries, and the
+    # Jacobian, distortions and mu are not built until they are read
     import tracemalloc
 
     from fdmaps import build_disk_mesh
@@ -259,7 +288,8 @@ def test_wirtinger_derivatives_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    outputs = sum(a.nbytes for a in (d.fz, d.fzbar, d.jac, d.khs, d.kop, d.mu, d.f_centroid))
+    assert not DISTORTIONS & vars(d).keys()
+    outputs = sum(a.nbytes for a in (d.fz, d.fzbar, d.f_centroid))
     assert peak - before <= outputs + 2 * mib
 
 
@@ -292,3 +322,35 @@ def test_derived_field_does_not_depend_on_the_block(part_folded, triangle_block)
     assert np.isinf(reference["khs"]).any() and np.isfinite(reference["khs"]).any()
     for name, expected in reference.items():
         assert np.array_equal(getattr(d, name), expected, equal_nan=True), name
+
+
+def test_certify_memory_and_derived_bytes(tmp_path, csv_reference):
+    # the CLI hopf run of a level-7 disk writes derived.csv from per-block
+    # distortions and drops the derived field before the residual, so its
+    # traced peak is the differential, the star sums and one block (about
+    # 15.3 MiB; 22.4 MiB while the whole derived field and its distortions
+    # were held through the residual)
+    import tracemalloc
+
+    from fdmaps import build_disk_mesh
+    from fdmaps.cli import run
+    config = {"command": "hopf", "domain": {"kind": "disk", "level": 7},
+              "hopf": {"formula": "affine", "args": [[1.0, 0.0], [0.3, 0.0]],
+                       "p": 1.0, "N": 8, "inverse": True}}
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        assert run(config, tmp_path) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 18 * 2.0 ** 20
+    mesh = build_disk_mesh(7)
+    ref = _derived_reference(sample_analytic(mesh, "affine", 1.0, 0.3))
+    columns = [np.arange(mesh.n_triangles), ref["fz"].real, ref["fz"].imag,
+               ref["fzbar"].real, ref["fzbar"].imag, ref["jac"], ref["khs"], ref["kop"],
+               ref["mu"].real, ref["mu"].imag, mesh.areas]
+    header = ["tri_id", "re_fz", "im_fz", "re_fzbar", "im_fzbar",
+              "J", "K_hs", "K_op", "re_mu", "im_mu", "area"]
+    rows = zip(*(c.tolist() for c in columns))
+    assert (tmp_path / "derived.csv").read_bytes() == csv_reference(header, rows)

@@ -280,8 +280,11 @@ def _hopf_reference(d, p, n_trunc, weight, inverse):
 def test_hopf_builders_do_not_depend_on_the_block(part_folded, weight, n_trunc,
                                                   triangle_block):
     d = wirtinger_derivatives(part_folded)
-    for builder, inverse in ((ahlfors_hopf, False), (inverse_ahlfors_hopf, True)):
-        psi = builder(d, 1.0, n_trunc, weight)
+    fields = [(builder(d, 1.0, n_trunc, weight), inverse)
+              for builder, inverse in ((ahlfors_hopf, False), (inverse_ahlfors_hopf, True))]
+    # the builders take J from each block's (P, Q), never the whole array
+    assert not {"jac", "khs", "kop", "mu"} & vars(d).keys()
+    for psi, inverse in fields:
         flagged, values = _hopf_reference(d, 1.0, n_trunc, weight, inverse)
         # the flagged (nan) rows lie next to finite ones
         assert flagged.any() and not flagged.all()

@@ -43,3 +43,32 @@ def test_only_the_descent_imports_scipy(tmp_path):
                           text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True", "True"]
+
+
+# Runs mesh and hopf and reports which of numpy's lazily loaded subpackages
+# they loaded; then diagnose and oracle, which draw from numpy.random and
+# build quadratures with numpy.polynomial, load them on first use.
+LAZY_SCRIPT = """
+import sys
+from fdmaps.cli import run
+lazy = ("numpy.random", "numpy.polynomial")
+assert run({"command": "mesh", "domain": {"kind": "disk", "level": 2}}, "mesh") == 0
+assert run({"command": "hopf", "domain": {"kind": "disk", "level": 3},
+            "hopf": {"formula": "affine", "args": [[1.0, 0.0], [0.3, 0.0]], "p": 1.0,
+                     "N": 8, "inverse": True}}, "hopf") == 0
+print([name in sys.modules for name in lazy])
+assert run({"command": "diagnose", "domain": {"kind": "disk", "level": 2},
+            "recipe": {"kind": "affine_drift", "params": {}, "j_max": 4}}, "diagnose") == 0
+assert run({"command": "oracle", "oracle": {"n_samples": 100}}, "oracle") == 0
+print([name in sys.modules for name in lazy])
+"""
+
+
+def test_mesh_and_hopf_load_neither_numpy_random_nor_polynomial(tmp_path):
+    src = str(Path(fdmaps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", LAZY_SCRIPT], capture_output=True,
+                          text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[False, False]", "[True, True]"]

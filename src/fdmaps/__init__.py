@@ -1,12 +1,11 @@
 """Distortion-energy minimization and strong-convergence diagnostics for
 planar mappings of finite distortion."""
 
-# numpy loads its subpackages on first attribute access.  numpy.ma is
-# loaded with the package because np.unique needs it in every mesh build;
-# numpy.random (the probes of diagnose and oracle) and numpy.polynomial (the
-# quadrature of diagnose) load on their first use, so mesh and hopf never pay
-# for them
-import numpy.ma  # noqa: F401
+# numpy loads its subpackages on first attribute access, and fdmaps touches
+# one: numpy.polynomial, for the quadrature of diagnose.  The probes draw
+# from `functionals.uniform_draws`, not numpy.random, and no mesh build
+# calls the np.unique variant that reads numpy.ma, so mesh, hopf, diagnose
+# and oracle load neither.
 
 from .convergence import (ConvergenceReport, SequenceHandle, Tolerances,
                           lr_gap, lsc_checks, orlicz_norm, radon_riesz_diagnose,

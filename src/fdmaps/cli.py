@@ -26,7 +26,8 @@ from .errors import ConfigurationError, DomainError, FdmapsError, Initialization
 from .fields import (derived_to_csv, sample_analytic, wirtinger_derivatives,
                      write_columns)
 from .functionals import (FunctionalSpec, ProbeReport, concavity_probe, convexity_probe,
-                          monotone_truncation_check, polyconvex_lower_bound)
+                          monotone_truncation_check, polyconvex_lower_bound,
+                          uniform_draws)
 from .geometry import build_disk_mesh, build_rect_mesh
 from .hopf import (ahlfors_hopf, holomorphy_residual, hopf_to_csv,
                    inverse_ahlfors_hopf)
@@ -156,8 +157,8 @@ def _run_hopf(config, out: Path):
 def _run_oracle(config, out: Path):
     n = read("oracle", config["oracle"], _ORACLE)["n_samples"]
     seed = config["seed"]
-    rng = np.random.default_rng(seed)
-    x, y, x0, y0 = (rng.uniform(lo, 10.0, n) for lo in (0.0, 0.1, 0.0, 0.1))
+    x, y, x0, y0 = (uniform_draws(seed, stream, n, lo, 10.0)
+                    for stream, lo in enumerate((0.0, 0.1, 0.0, 0.1)))
     _, _, holds = polyconvex_lower_bound(x, y, x0, y0)
     probes = {"polyconvex_lower_bound": ProbeReport(n, int(np.sum(~holds)))}
     # the s-weighted convexity holds for the inverse-problem forms, which

@@ -248,6 +248,35 @@ class ProbeReport:
         return self.violations == 0
 
 
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the counter's increment, the
+# odd integer nearest 2^64 / golden ratio, and the finaliser's two multipliers
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+
+def uniform_draws(seed: int, stream: int, n: int, lo: float = 0.0,
+                  hi: float = 1.0) -> np.ndarray:
+    """Draws 0, ..., n-1 of `stream` under `seed`, uniform on [lo, hi): the
+    probes' sample points.
+
+    Counter-based (Salmon et al., SC 2011): draw k is SplitMix64's output
+    number stream * 2^32 + k for `seed`, the finaliser applied to the
+    counter seed + (stream * 2^32 + k + 1) * gamma mod 2^64, so it depends
+    on (seed, stream, k) alone, and not on the numpy release.  Its top 53
+    bits are scaled to [lo, hi).
+    """
+    z = np.arange(n, dtype=np.uint64)
+    z *= _GAMMA
+    z += (seed + ((stream << 32) + 1) * _GAMMA) % (1 << 64)
+    for shift, mult in zip((30, 27), _MIX):
+        z ^= z >> shift
+        z *= mult
+    z ^= z >> 31
+    u = (z >> 11) * 2.0 ** -53
+    # lo + (hi - lo) u may round up to hi
+    return np.minimum(lo + (hi - lo) * u, np.nextafter(hi, lo))
+
+
 PhiLike = Union[FunctionalSpec, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 # (x, y) sample boxes of the probes, and the range of the concavity probe's pairs
@@ -267,13 +296,9 @@ def convexity_probe(phi: PhiLike, s: float, n_samples: int, seed: int = 0) -> Pr
 
     At s = 0 the two coincide and phi is checked once; the report's
     `n_samples` counts the point pairs checked over the passes made."""
-    (x_lo, x_hi), (y_lo, y_hi) = CONVEXITY_BOX
     f = _phi_callable(phi)
-    rng = np.random.default_rng(seed)
-    x1 = rng.uniform(x_lo, x_hi, n_samples)
-    y1 = rng.uniform(y_lo, y_hi, n_samples)
-    x2 = rng.uniform(x_lo, x_hi, n_samples)
-    y2 = rng.uniform(y_lo, y_hi, n_samples)
+    x1, y1, x2, y2 = (uniform_draws(seed, stream, n_samples, *box)
+                      for stream, box in enumerate(CONVEXITY_BOX * 2))
     violations = 0
     passes = (0.0, float(s)) if s != 0 else (0.0,)
     for weight_s in passes:
@@ -290,10 +315,8 @@ def monotone_truncation_check(p: float, n_max: int, n_samples: int,
                               seed: int = 0) -> ProbeReport:
     """Condition-2 oracle: truncations are non-decreasing in N, bounded by exp,
     on TRUNCATION_BOX."""
-    rng = np.random.default_rng(seed)
-    (x_lo, x_hi), (y_lo, y_hi) = TRUNCATION_BOX
-    x = rng.uniform(x_lo, x_hi, n_samples)
-    y = rng.uniform(y_lo, y_hi, n_samples)
+    x, y = (uniform_draws(seed, stream, n_samples, *box)
+            for stream, box in enumerate(TRUNCATION_BOX))
     pk = p * x ** 2 / y
     violations = 0
     limit = np.exp(pk)
@@ -311,9 +334,7 @@ def concavity_probe(s: float, p_prime: float, n_samples: int, seed: int = 0) -> 
     sp = s * p_prime
     if not (0.0 < sp < 1.0):
         raise ConfigurationError(f"need 0 < s*p' < 1, got {sp}")
-    rng = np.random.default_rng(seed)
-    jj = rng.uniform(*CONCAVITY_RANGE, n_samples)
-    jf = rng.uniform(*CONCAVITY_RANGE, n_samples)
+    jj, jf = (uniform_draws(seed, stream, n_samples, *CONCAVITY_RANGE) for stream in (0, 1))
     lhs = jj ** sp - jf ** sp
     rhs = sp * jf ** (sp - 1.0) * (jj - jf)
     gap = lhs - rhs - 1e-12 * np.maximum(1.0, np.abs(rhs))

@@ -32,8 +32,8 @@ MAX_DISK_LEVEL = 10
 
 # Triangles per block of every per-triangle kernel, rows per block of the CSV
 # writer, about this many quadrature points per block of a convergence sweep
-# (blocks hold whole triangles) and of the mollifier's temporary, and the
-# distinct values a selection bin keeps.
+# (blocks hold whole triangles), twice the points of the mollifier's complex
+# temporary, and the distinct values a selection bin keeps.
 BLOCK_ROWS = 8192
 
 
@@ -180,7 +180,8 @@ def refine_mesh(mesh: Mesh) -> Mesh:
     return Mesh(
         nodes=np.concatenate([mesh.nodes, z]),
         triangles=tris.reshape(-1, 3),
-        boundary_nodes=np.union1d(mesh.boundary_nodes, n + np.flatnonzero(on_boundary)),
+        # the coarse boundary is sorted and below n, so this is the sorted union
+        boundary_nodes=np.concatenate([mesh.boundary_nodes, n + np.flatnonzero(on_boundary)]),
         refinement_level=mesh.refinement_level + 1,
         kind=mesh.kind,
         parent_edges=unique,

@@ -249,8 +249,12 @@ class MinimizeResult:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Re<a, b>: the Euclidean inner product of the real and imaginary parts."""
-    return float(np.vdot(a, b).real)
+    """Re<a, b>: the Euclidean inner product of the real and imaginary parts.
+
+    Summed pairwise by numpy rather than by a BLAS dot, whose threads can
+    cost a millisecond per call to wake and whose bits depend on their
+    number; this sum gives the same bits at any BLAS thread count."""
+    return float(np.add.reduce(a.view(float) * b.view(float)))
 
 
 def _lbfgs_direction(grad: np.ndarray, sobolev: np.ndarray, memory) -> np.ndarray:
@@ -303,10 +307,11 @@ def _minimize(ops: _MeshOperators, spec: FunctionalSpec, boundary: BoundaryData,
     sobolev = ops.precondition(grad)  # the one S_II solve per gradient
     for it in range(config.max_iterations + 1):
         direction = _lbfgs_direction(grad, sobolev, memory)
-        if _dot(grad, direction) <= 0.0:  # not a descent direction: restart
+        gd = _dot(grad, direction)
+        if gd <= 0.0:  # not a descent direction: restart
             memory.clear()
             direction = _lbfgs_direction(grad, sobolev, memory)
-        gd = _dot(grad, direction)
+            gd = _dot(grad, direction)
         step = 1.0 if memory else INITIAL_STEP
         trace.append({"iteration": it, "energy": energy_val,
                       "grad_norm": float(np.sqrt(max(gd, 0.0))), "min_J": min_jac,

@@ -69,8 +69,10 @@ def mollify_values(amap: AnalyticMap, points: np.ndarray, delta: float) -> np.nd
     offsets, weights = _bump_quadrature(delta)
     pts = np.asarray(points, dtype=complex).reshape(-1)
     out = np.empty_like(pts)
-    # rows of a cache-sized (rows x offsets) temporary
-    step = max(1, geometry.BLOCK_ROWS // len(offsets))
+    # rows of a (rows x offsets) complex temporary of at most BLOCK_ROWS / 2
+    # points, 64 KiB: small enough that the allocator keeps it on the heap
+    # between blocks rather than trimming it and faulting it back in
+    step = max(1, geometry.BLOCK_ROWS // 2 // len(offsets))
     for i in range(0, len(pts), step):
         out[i:i + step] = amap.value(pts[i:i + step, None] - offsets) @ weights
     return out.reshape(np.shape(points))

@@ -12,7 +12,7 @@ from fdmaps.functionals import (TRUNCATION_BOX, FunctionalSpec, concavity_probe,
                                 convexity_probe, default_s, energy,
                                 integrand, inverse_energy,
                                 monotone_truncation_check, phi_eval,
-                                polyconvex_lower_bound, truncated_exp)
+                                polyconvex_lower_bound, truncated_exp, uniform_draws)
 from fdmaps.minimize import energy_gradient
 
 
@@ -233,10 +233,8 @@ def test_monotone_truncation():
 def test_monotone_truncation_matches_per_order_check(p, n_max, seed):
     # the one-pass check counts what one term-wise sum per order counted;
     # a negative rate makes the sums alternate, so there is something to count
-    rng = np.random.default_rng(seed)
-    (x_lo, x_hi), (y_lo, y_hi) = TRUNCATION_BOX
-    x = rng.uniform(x_lo, x_hi, 2000)
-    y = rng.uniform(y_lo, y_hi, 2000)
+    x, y = (uniform_draws(seed, stream, 2000, *box)
+            for stream, box in enumerate(TRUNCATION_BOX))
     pk = p * x ** 2 / y
     limit = np.exp(pk)
     violations = 0
@@ -245,6 +243,46 @@ def test_monotone_truncation_matches_per_order_check(p, n_max, seed):
         violations += int(np.sum((cur < prev - 1e-12) | (cur > limit * (1 + 1e-12))))
     rep = monotone_truncation_check(p, n_max, 2000, seed=seed)
     assert (rep.n_samples, rep.violations) == (2000 * n_max, violations)
+
+
+def _splitmix64(seed, k):
+    """Output number k of SplitMix64 seeded with `seed`, in Python integers."""
+    z = (seed + (k + 1) * 0x9E3779B97F4A7C15) % 2 ** 64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2 ** 64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2 ** 64
+    return z ^ (z >> 31)
+
+
+def test_uniform_draws_pin_splitmix64():
+    # stream 0 of seed 0 is SplitMix64's published sequence for seed 0;
+    # stream 1 starts at its draw 2^32
+    pinned = {0: (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F),
+              1: (0x46093CF9861EC2E4, 0xE7FF814E1D99A40B, 0x99EDB3EBB4A21A15)}
+    for stream, words in pinned.items():
+        assert uniform_draws(0, stream, 3).tolist() == [(w >> 11) * 2.0 ** -53 for w in words]
+    for seed, stream in ((0, 2), (7, 3), (-1, 0), (2 ** 64 + 5, 1)):
+        got = uniform_draws(seed, stream, 200, -3.0, 4.0)
+        words = [_splitmix64(seed, (stream << 32) + k) for k in range(200)]
+        assert got.tolist() == [-3.0 + 7.0 * ((w >> 11) * 2.0 ** -53) for w in words]
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.1, 5.0), (1e-3, 10.0), (-2.0, -1.5),
+                                    (1.0, math.nextafter(1.0, 2.0))])
+def test_uniform_draws_lie_in_range(lo, hi):
+    # the last interval is one ulp wide: half its draws would round up to hi
+    x = uniform_draws(3, 1, 20000, lo, hi)
+    assert x.shape == (20000,) and x.dtype == np.float64
+    assert np.all(x >= lo) and np.all(x < hi)
+    if hi - lo > 1e-3:
+        assert abs(np.mean(x) - 0.5 * (lo + hi)) < 0.02 * (hi - lo)
+
+
+def test_uniform_draws_repeat_and_streams_differ():
+    a = uniform_draws(5, 2, 1000)
+    assert np.array_equal(a, uniform_draws(5, 2, 1000))
+    assert np.array_equal(a[:10], uniform_draws(5, 2, 10))  # draw k needs no earlier draw
+    for other in (uniform_draws(5, 3, 1000), uniform_draws(6, 2, 1000)):
+        assert not np.any(a == other)
 
 
 def test_concavity_probe():

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fdmaps
 from fdmaps.errors import ConfigurationError
 from fdmaps.fields import analytic_affine, analytic_radial_stretch
 from fdmaps.geometry import BLOCK_ROWS
@@ -99,6 +105,37 @@ def test_chunked_mollifier_is_bit_identical(disk5, target, delta):
         got = mollify_values(amap, pts, delta)
         assert got.shape == pts.shape
         assert np.array_equal(got, _one_shot_mollify(amap, pts, delta))
+
+
+# Generates the bench's mollified sequence in an interpreter that never
+# imported numpy.ma, whose import moves glibc's trim and mmap thresholds up,
+# and prints the minor page faults the generation took.
+FAULT_SCRIPT = """
+import resource, sys
+from fdmaps.geometry import build_disk_mesh
+from fdmaps.sequences import SequenceRecipe, generate
+mesh = build_disk_mesh(5)
+recipe = SequenceRecipe(kind="mollified", params={"target": "radial_stretch", "alpha": 2.0},
+                        j_max=64)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+generate(recipe, mesh)
+assert "numpy.ma" not in sys.modules
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="glibc allocator thresholds")
+def test_mollifier_blocks_stay_on_the_heap(tmp_path):
+    # a block temporary the allocator trims from the heap after each block is
+    # faulted back in by the next one: about 200,000 faults for the 64
+    # members, against under 1,000 when the blocks stay on the heap
+    src = str(Path(fdmaps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", FAULT_SCRIPT], capture_output=True,
+                          text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 30_000
 
 
 def test_mollified_sequence_limit_is_target(disk3):

@@ -19,18 +19,17 @@ derivatives are sampled per block with the rows of the mesh's Wirtinger
 coefficient pair (a, b) from `fields.derivative_coefficients`, built once
 per sequence, and the values are the P1 interpolant at the centroid.
 
-`radon_riesz_diagnose` sweeps the mesh in blocks of whole triangles,
+`radon_riesz_diagnose` sweeps the mesh once, in blocks of whole triangles,
 about `geometry.BLOCK_ROWS` quadrature points each, and builds each
 block's quadrature when it reaches the block.  In each block the limit
 and then every member is sampled once, as (f_z, f_zbar, P, Q, J), with
 the values f sampled on first use, and the sample feeds every
 measurement, which adds the block's part to its sums: the weak residual,
 the energy series, the L^r gaps (of Phi too), the scales and the
-pointwise proxy.  The proxy's median and 95th percentile are selected
-exactly from bit-pattern histograms and distinct-value tallies of fixed
-size; when a pass leaves them undecided, a further sweep samples only the
-limit and the last member.  The working set is one block plus that
-selection state: no array grows with the number of quadrature points.
+convergence in measure of the last member (the weight share where each
+pointwise difference exceeds a threshold, which Chebyshev's inequality
+bounds by the L^r gap).  The working set is one block and a few sums: no
+array grows with the number of quadrature points.
 The standalone `weak_probe`, `lr_gap`, `quantity_scale` and `lsc_checks`
 run the same sweep with the measurement they report.
 
@@ -193,8 +192,9 @@ def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
     """Feed the measurements one block of whole triangles (about
     `geometry.BLOCK_ROWS` quadrature points) at a time.  Each block's
     quadrature is built when the block is reached, each field is sampled
-    once per block and the sample is shared by every measurement.  The limit is sampled, then the members of
-    the index sequence `members` in its order (None: every member)."""
+    once per block and the sample is shared by every measurement.  The
+    limit is sampled, then the members of the index sequence `members` in
+    its order (None: every member)."""
     n = seq.quad_n
     step = max(1, geometry.BLOCK_ROWS // n ** 2)
     members = range(len(seq)) if members is None else members
@@ -224,29 +224,29 @@ def _check_exponent(quantity: str, r) -> None:
 
 def _quantity_diff(quantity: str, a: _Sample, b: _Sample,
                    spec: Optional[FunctionalSpec] = None):
-    """Pointwise |q(a) - q(b)|, 0 where q is undefined, and a validity mask
-    (None: valid everywhere).  The quantity "phi" is the integrand Phi of
-    `spec`; its difference is inf everywhere once it is not finite somewhere.
-    The quantity "f" is the field's values, which the weak residual reads."""
+    """Pointwise |q(a) - q(b)|, 0 where q is undefined.  The quantity "phi"
+    is the integrand Phi of `spec`; its difference is inf everywhere once it
+    is not finite somewhere.  The quantity "f" is the field's values, which
+    the weak residual reads."""
     if quantity == "f":
-        return np.abs(a.f - b.f), None
+        return np.abs(a.f - b.f)
     if quantity == "phi":
         with np.errstate(invalid="ignore"):  # inf - inf where both fold
             d = np.abs(a.phi(spec) - b.phi(spec))
-        return (d if np.all(np.isfinite(d)) else np.full(d.shape, np.inf)), None
+        return d if np.all(np.isfinite(d)) else np.full(d.shape, np.inf)
     if quantity == "df":
-        return np.sqrt(np.abs(a.fz - b.fz) ** 2 + np.abs(a.fzbar - b.fzbar) ** 2), None
+        return np.sqrt(np.abs(a.fz - b.fz) ** 2 + np.abs(a.fzbar - b.fzbar) ** 2)
     if quantity == "fz":
-        return np.abs(a.fz - b.fz), None
+        return np.abs(a.fz - b.fz)
     if quantity == "fzbar":
-        return np.abs(a.fzbar - b.fzbar), None
+        return np.abs(a.fzbar - b.fzbar)
     if quantity == "jac":
-        return np.abs(a.jac - b.jac), None
+        return np.abs(a.jac - b.jac)
     if quantity == "mu":
         ok = (a.fz != 0) & (b.fz != 0)
         mu_a = np.where(ok, a.fzbar / np.where(ok, a.fz, 1.0), 0.0)
         mu_b = np.where(ok, b.fzbar / np.where(ok, b.fz, 1.0), 0.0)
-        return np.abs(mu_a - mu_b), ok
+        return np.abs(mu_a - mu_b)
     raise ConfigurationError(f"unknown quantity {quantity!r}")
 
 
@@ -265,7 +265,7 @@ class _LrGap(_Measurement):
         self.sums = np.zeros(n_members)
 
     def member(self, block, j, f, lim):
-        d, _ = _quantity_diff(self.quantity, f, lim, self.spec)
+        d = _quantity_diff(self.quantity, f, lim, self.spec)
         self.sums[j] += _lr_sum(d, block.w, self.r)
 
     def values(self) -> List[float]:
@@ -288,7 +288,7 @@ class _Scale(_Measurement):
             np.divide(np.abs(lim.fzbar), np.abs(lim.fz), out=d, where=ok)
         else:
             # one zero sample, broadcast: q - 0 keeps every bit of q
-            d, _ = _quantity_diff(self.quantity, lim, _Sample(0j, 0j))
+            d = _quantity_diff(self.quantity, lim, _Sample(0j, 0j))
         self.sum += _lr_sum(d, block.w, self.r)
 
     def value(self) -> float:
@@ -354,163 +354,37 @@ class _Energy(_Measurement):
         return [quadrature_sum(np.array(parts), 1.0) for parts in self.blocks]
 
 
-DIGIT_BITS = 16  # bits of the bit pattern a selection pass narrows a bin by (2^16-bin histogram)
+MEASURE_LEVELS = (1e-1, 1e-2, 1e-3)  # thresholds t of the convergence-in-measure record
 
 
-class _Bin:
-    """The values whose uint64 bit patterns shifted right by `shift` equal
-    `prefix` (shift 64: every value).  The ranks in `ranks` fall in the bin,
-    and `below` values lie under it.  During a pass it keeps its distinct
-    bit patterns and their counts, up to `geometry.BLOCK_ROWS` of them, and
-    past that a histogram of its next DIGIT_BITS bits."""
-
-    def __init__(self, prefix: int, shift: int, below: int):
-        self.prefix, self.shift, self.below = prefix, shift, below
-        self.ranks: List[int] = []
-        self.keys = np.empty(0, np.uint64)
-        self.counts = np.empty(0, np.int64)
-        self.hist: Optional[np.ndarray] = None
-
-    def add(self, keys: np.ndarray) -> None:
-        if self.shift < 64:
-            keys = keys[(keys >> self.shift) == self.prefix]
-        if keys.size == 0:
-            return
-        counts = 1
-        if self.hist is None:
-            counts = np.concatenate((self.counts, np.ones(keys.size, np.int64)))
-            keys = np.concatenate((self.keys, keys))
-            order = np.argsort(keys)
-            keys, counts = keys[order], counts[order]
-            first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-            keys, counts = keys[first], np.add.reduceat(counts, first)
-            if keys.size <= geometry.BLOCK_ROWS:
-                self.keys, self.counts = keys, counts
-                return
-            # too many distinct values to keep: histogram them instead
-            self.hist = np.zeros(1 << DIGIT_BITS, np.int64)
-            self.keys = self.counts = None
-        np.add.at(self.hist, (keys >> (self.shift - DIGIT_BITS)) & ((1 << DIGIT_BITS) - 1),
-                  counts)
-
-
-class _Selection:
-    """Median and 95th percentile of a stream of values >= 0 (or NaN) that
-    can be fed again: an exact radix selection on their IEEE-754 bit
-    patterns, since non-negative doubles sort as their bit patterns do as
-    unsigned integers (Munro and Paterson, Selection and sorting with
-    limited storage, 1980).
-
-    A pass feeds every value once to `add`, in blocks of any size, and
-    `settle` ends it.  Each rank the statistics need lies in a `_Bin`, at
-    first the bin of all values.  A bin that kept its distinct values finds
-    its ranks; one that kept a histogram is narrowed to the next digit of
-    each rank's bit pattern for the next pass.  So the state is a few bins of
-    BLOCK_ROWS pairs or 2^DIGIT_BITS counts, whatever the number of values,
-    and values with at most BLOCK_ROWS distinct ones need a single pass."""
-
-    def __init__(self):
-        self.n = 0
-        self.nan = False
-        self.counting = True  # the first pass counts the values
-        self.bins = [_Bin(0, 64, 0)]
-        self.found: Dict[int, int] = {}  # rank -> bit pattern
-
-    def add(self, values: np.ndarray) -> None:
-        if self.counting:
-            self.n += values.size
-            self.nan = self.nan or bool(np.isnan(values).any())
-        keys = values.view(np.uint64)
-        for b in self.bins:
-            b.add(keys)
-
-    def settle(self) -> bool:
-        """End a pass; True when every rank is found and no pass is left."""
-        if self.counting:
-            self.counting = False
-            # a NaN makes both statistics NaN, as in numpy, whatever the ranks hold
-            if self.n and not self.nan:
-                self.bins[0].ranks = sorted(set(_median_ranks(self.n))
-                                            | set(_p95_lerp(self.n)[:2]))
-        narrowed: Dict[int, _Bin] = {}
-        for b in self.bins:
-            cum = np.cumsum(b.counts if b.hist is None else b.hist)
-            for rank in b.ranks:
-                i = int(np.searchsorted(cum, rank - b.below, side="right"))
-                if b.hist is None:
-                    self.found[rank] = int(b.keys[i])
-                    continue
-                prefix = (b.prefix << DIGIT_BITS) | i
-                if b.shift == DIGIT_BITS:  # the whole bit pattern is known
-                    self.found[rank] = prefix
-                    continue
-                if prefix not in narrowed:
-                    below = b.below + (int(cum[i - 1]) if i else 0)
-                    narrowed[prefix] = _Bin(prefix, b.shift - DIGIT_BITS, below)
-                narrowed[prefix].ranks.append(rank)
-        self.bins = list(narrowed.values())
-        return not self.bins
-
-    def statistics(self) -> Dict[str, Optional[float]]:
-        """The median and 95th percentile, bit for bit as `np.median` and
-        `np.percentile(..., 95.0)` give them; None for no values."""
-        if self.n == 0:
-            return {"median": None, "p95": None}
-        if self.nan:
-            return {"median": np.nan, "p95": np.nan}
-        middle = [_as_float(self.found[r]) for r in _median_ranks(self.n)]
-        lo, hi, t = _p95_lerp(self.n)
-        a, b = _as_float(self.found[lo]), _as_float(self.found[hi])
-        # numpy's mean of the middle values, and its `_lerp`
-        return {"median": middle[0] if len(middle) == 1 else (middle[0] + middle[1]) / 2,
-                "p95": b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t}
-
-
-def _median_ranks(n: int) -> List[int]:
-    """The sorted ranks whose mean `np.median` takes."""
-    return [(n - 1) // 2] if n % 2 else [n // 2 - 1, n // 2]
-
-
-def _p95_lerp(n: int):
-    """The ranks and weight `np.percentile(..., 95.0)` interpolates between
-    with its "linear" method: virtual index (n - 1) * q, and past the last
-    rank the last value with weight index + 1."""
-    index = (n - 1) * 0.95
-    if index >= n - 1:
-        return n - 1, n - 1, index + 1
-    lo = int(np.floor(index))
-    return lo, lo + 1, index - lo
-
-
-def _as_float(key: int) -> float:
-    return float(np.array(key, np.uint64).view(np.float64))
-
-
-class _Pointwise(_Measurement):
-    """Median and 95th percentile of |q(last member) - q(limit)|, for q in
-    df, jac and mu, over the quadrature points of the sweep (mu: those where
-    it is defined), each by a `_Selection`.  The main sweep feeds every
-    selection; `settle` ends a sweep and says whether another is needed,
-    which samples only the limit and the last member.  A quantity defined
-    at no point has None for both."""
+class _InMeasure(_Measurement):
+    """Convergence in measure of the last member: for q in df, jac and mu
+    and each t of MEASURE_LEVELS, lambda_q(t), the share of the sweep's
+    quadrature weight where |q(last member) - q(limit)| > t.  The difference
+    is `_quantity_diff`'s, as the L^r gaps read it (mu counts as 0 where it
+    is undefined, inf lies above every t), so on the same measure
+    Chebyshev's inequality gives lambda_q(t) * sum(w) <= (gap_q / t)^r."""
 
     def __init__(self, n_members: int):
         self.last = n_members - 1
-        self.selections = {q: _Selection() for q in ("df", "jac", "mu")}
-        self.pending = dict(self.selections)
+        self.total = 0.0
+        self.above = {q: np.zeros(len(MEASURE_LEVELS)) for q in ("df", "jac", "mu")}
 
     def member(self, block, j, f, lim):
-        if j == self.last:
-            for qname, selection in self.pending.items():
-                d, ok = _quantity_diff(qname, f, lim)
-                selection.add(d.ravel() if ok is None else d[ok])
+        if j != self.last:
+            return
+        self.total += np.sum(block.w)
+        for qname, above in self.above.items():
+            d = _quantity_diff(qname, f, lim)
+            for i, t in enumerate(MEASURE_LEVELS):
+                # where, not a masked sum: with every point above, the sum is
+                # the total's, so the share is exactly 1
+                above[i] += np.sum(np.where(d > t, block.w, 0.0))
 
-    def settle(self) -> bool:
-        self.pending = {q: s for q, s in self.pending.items() if not s.settle()}
-        return not self.pending
-
-    def values(self) -> Dict[str, dict]:
-        return {q: s.statistics() for q, s in self.selections.items()}
+    def values(self) -> Dict[str, List[float]]:
+        return {"levels": list(MEASURE_LEVELS),
+                **{q: [float(a / self.total) for a in above]
+                   for q, above in self.above.items()}}
 
 
 @dataclass(frozen=True)
@@ -616,7 +490,7 @@ class ConvergenceReport:
     limit_energy: float
     weak_probe_residuals: List[float]
     conclusions: Dict[str, dict]
-    pointwise_proxy: Dict[str, dict]
+    pointwise_proxy: Dict[str, List[float]]  # levels, and per quantity the shares
     config: Dict
 
     def __post_init__(self):
@@ -648,12 +522,12 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
     is empty, at its `spec.s_value` 0, whatever `s` says; the report's
     config records the s of the probe), the weak limit by the L^2 gap of
     the values, relative to the limit's ||f||_{L^2}.  The mesh is swept
-    block by block, each block's quadrature built when it is reached, so
-    every quadrature point of every member is sampled once and every
+    once, block by block, each block's quadrature built when it is reached,
+    so every quadrature point of every member is sampled once and every
     measurement integrates over the whole mesh, while memory holds one
-    block plus the pointwise proxy's fixed-size selection state; a proxy
-    statistic the main sweep leaves undecided costs a further sweep of the
-    limit and the last member.
+    block.  `pointwise_proxy` is the convergence in measure of the last
+    member, `_InMeasure`'s record: for df, jac and mu, the weight share
+    above each threshold of `MEASURE_LEVELS`.
     """
     if not p_RR > 1.0:
         raise ConfigurationError("p_RR must exceed 1")
@@ -697,13 +571,11 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
     gaps = {q: _LrGap(q, r, n, spec) for q, r in exponents.items()}
     scales = {q: _Scale(q, r) for q, r in r_list.items()}
     weak_scale = _Scale("f", 2.0)
-    pointwise = _Pointwise(n)
-    measurements = [weak, series, pointwise, weak_scale, *gaps.values(), *scales.values()]
+    in_measure = _InMeasure(n)
+    measurements = [weak, series, in_measure, weak_scale, *gaps.values(), *scales.values()]
     if phi_energies is not series:
         measurements.append(phi_energies)
     _sweep(seq, measurements)
-    while not pointwise.settle():
-        _sweep(seq, [pointwise], members=[n - 1])
 
     # (b) weak-limit hypothesis
     residuals = weak.values()
@@ -759,7 +631,7 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
         limit_energy=limit_energy,
         weak_probe_residuals=residuals,
         conclusions=conclusions,
-        pointwise_proxy=pointwise.values(),
+        pointwise_proxy=in_measure.values(),
         config={"spec": spec.to_json(), "p_RR": p_RR, "s": s,
                 "r_list": dict(r_list), "tolerances": tolerances.to_json(),
                 "n_members": n},

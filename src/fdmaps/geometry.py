@@ -32,8 +32,8 @@ MAX_DISK_LEVEL = 10
 
 # Triangles per block of every per-triangle kernel, rows per block of the CSV
 # writer, about this many quadrature points per block of a convergence sweep
-# (blocks hold whole triangles), twice the points of the mollifier's complex
-# temporary, and the distinct values a selection bin keeps.
+# (blocks hold whole triangles), and twice the points of the mollifier's
+# complex temporary.
 BLOCK_ROWS = 8192
 
 

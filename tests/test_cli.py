@@ -177,9 +177,10 @@ def test_constant_recipe_reads_complex_args(tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
-def test_diagnose_reports_undefined_beltrami_proxy_as_null(tmp_path):
-    # f = conj(z) has f_z = 0 at every point, so mu is defined nowhere: its
-    # proxy statistics are null, the other quantities and the verdict stand
+def test_diagnose_reports_undefined_beltrami_proxy_as_zero(tmp_path):
+    # f = conj(z) has f_z = 0 at every point, so mu is defined nowhere and
+    # counts as 0, as in its gap series: every member equals the limit, so
+    # no quantity differs from the limit anywhere
     config = {
         "command": "diagnose",
         "domain": {"kind": "disk", "level": 2},
@@ -188,12 +189,33 @@ def test_diagnose_reports_undefined_beltrami_proxy_as_null(tmp_path):
                    "params": {"formula": "affine", "args": [[0, 0], [1, 0]]}},
     }
     assert run(config, tmp_path) == 0
-    result = _read(tmp_path / "result.json")["results"]
-    proxy = result["pointwise_proxy"]
-    assert proxy["mu"] == {"median": None, "p95": None}
-    assert proxy["df"] == proxy["jac"] == {"median": 0.0, "p95": 0.0}
+    result = _read(tmp_path / "result.json")
+    proxy = result["results"]["pointwise_proxy"]
+    assert proxy == {"levels": [0.1, 0.01, 0.001], "df": [0.0] * 3, "jac": [0.0] * 3,
+                     "mu": [0.0] * 3}
+    assert result["results"]["conclusions"]["mu"]["series"] == [0.0] * 3
     # J = -1 folds every point, so every lp_mean energy is inf
-    assert result["verdict"] == "EnergyGap"
+    assert result["results"]["verdict"] == "EnergyGap"
+    if jsonschema is not None:
+        jsonschema.validate(result, result_schema())
+
+
+@pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
+def test_schema_requires_the_convergence_in_measure_record(tmp_path):
+    # every quantity's shares are required, and each share lies in [0, 1]
+    config = {"command": "diagnose", "domain": {"kind": "disk", "level": 2},
+              "recipe": {"kind": "affine_drift", "params": {}, "j_max": 4}}
+    assert run(config, tmp_path) == 0
+    result = _read(tmp_path / "result.json")
+    schema = result_schema()
+    jsonschema.validate(result, schema)
+    proxy = result["results"]["pointwise_proxy"]
+    for broken in ({k: v for k, v in proxy.items() if k != "mu"},
+                   {**proxy, "df": [0.0, 1.5, 1.0]},
+                   {**proxy, "jac": ["0.5"] * 3}):
+        result["results"]["pointwise_proxy"] = broken
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(result, schema)
 
 
 _OSCILLATION_RUNS = {

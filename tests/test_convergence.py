@@ -262,22 +262,19 @@ def test_hyperbolic_weight_rejects_points_outside_disk(osc_seq):
 
 
 def test_diagnose_samples_each_field_once(monkeypatch, unit_square_16):
-    # the main sweep samples every field block by block, the blocks covering
-    # every quadrature point of every field exactly once, and builds each
-    # block's quadrature once, when the block is reached.  A refinement sweep
-    # of the pointwise proxy samples only the limit and the last member, once
-    # per triangle and reads no values.  The fixture's proxy has at most 572
-    # distinct values per quantity: blocks of 8,192 points keep them all in
-    # the main sweep, and blocks of 256 points (4 triangles) keep at most 256,
-    # so one quantity needs a refinement sweep.  Each field's values are
-    # sampled once per block of the main sweep, for the weak residual
+    # the diagnose makes one sweep, at any block size: it samples every
+    # field block by block, the blocks covering every quadrature point of
+    # every field exactly once, and builds each block's quadrature once,
+    # when the block is reached.  Each field's values are sampled once per
+    # block, for the weak residual.  Blocks of 8,192 points and of 256
+    # points (4 triangles) both split the mesh
     seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=8), unit_square_16)
     k = convergence.ANALYTIC_QUAD_N ** 2
     m = unit_square_16.n_triangles
     sweep = convergence._sweep
     derivatives_at, quad_points = convergence._derivatives_at, convergence.mesh_quad_points
     values_at = convergence._values_at
-    for block_points, refinements in ((geometry.BLOCK_ROWS, 0), (4 * k, 1)):
+    for block_points in (geometry.BLOCK_ROWS, 4 * k):
         monkeypatch.setattr(geometry, "BLOCK_ROWS", block_points)
         sweeps = []  # per sweep: samples of each (field, triangle, point), row 0 the limit
         values = []  # the same for the values
@@ -311,26 +308,20 @@ def test_diagnose_samples_each_field_once(monkeypatch, unit_square_16):
                              r_list={"df": 1.5, "jac": 0.5, "mu": 1.0, "fzbar": 2.0})
         blocks = -(-m * k // block_points)
         assert blocks > 1
-        main, *refining = sweeps
-        assert len(refining) == refinements
-        assert np.all(main == 1)
+        assert len(sweeps) == 1
+        assert np.all(sweeps[0] == 1)
         assert np.all(values[0] == 1)
-        for covered in refining:
-            assert np.all(covered[[0, -1]] == 1)
-            assert np.all(covered[1:-1] == 0)
-        assert all(np.all(v == 0) for v in values[1:])
-        assert calls["quadrature"] == blocks * len(sweeps)
-        assert np.all(quad_covered == len(sweeps))
-        assert calls["blocks"] == (len(seq) + 1 + 2 * refinements) * blocks
+        assert calls["quadrature"] == blocks
+        assert np.all(quad_covered == 1)
+        assert calls["blocks"] == (len(seq) + 1) * blocks
 
 
 def test_diagnose_memory_is_bounded():
-    # the sweep holds one block and the pointwise proxy's fixed-size
-    # selection state, so its traced peak does not grow with the mesh: 64x64
-    # has four times the 131,072 quadrature points of 32x32.  Neither the
-    # whole mesh's quadrature nor a buffer of the proxy's points is held
-    # (2.2 and 2.3 MiB; 11.9 and 20.9 MiB with one buffer of the points per
-    # proxy quantity)
+    # the sweep holds one block and a few sums, so its traced peak does not
+    # grow with the mesh: 64x64 has four times the 131,072 quadrature points
+    # of 32x32.  Neither the whole mesh's quadrature nor a buffer of the
+    # differences of the convergence in measure is held (2.2 and 2.3 MiB;
+    # 11.9 and 20.9 MiB with one buffer of the points per quantity)
     import tracemalloc
 
     import fdmaps
@@ -455,8 +446,6 @@ def test_diagnose_is_block_size_invariant(monkeypatch, request, fixture, tris_pe
     assert m % 7 != 0
     monkeypatch.setattr(geometry, "BLOCK_ROWS", k * (tris_per_block or m))
     blocked = report()
-    # order statistics do not depend on how the points are split
-    assert blocked["pointwise_proxy"] == default["pointwise_proxy"]
     _assert_numbers_close(default, blocked, rtol=1e-12)
 
 
@@ -472,67 +461,6 @@ def test_quadrature_does_not_depend_on_the_block(unit_square_16, n):
                  for s in range(0, m, step)]
         assert np.array_equal(np.concatenate([p for p, _ in parts]), pts)
         assert np.array_equal(np.concatenate([v for _, v in parts]), w)
-
-
-def _select(values, block):
-    """Feed `values` to a `_Selection` in blocks, pass after pass, until it
-    settles: the statistics and the number of passes."""
-    selection = convergence._Selection()
-    passes = 0
-    while True:
-        for start in range(0, values.size, block):
-            selection.add(values[start:start + block])
-        passes += 1
-        if selection.settle():
-            return selection.statistics(), passes
-
-
-def _selection_cases():
-    rng = np.random.default_rng(21)
-    cases = {f"n={n}": rng.lognormal(0.0, 3.0, n) for n in (1, 2, 3, 10, 999, 100_001)}
-    cases["equal"] = np.full(1000, 0.7)
-    cases["zeros"] = np.zeros(1000)
-    cases["zeros and a few"] = np.concatenate([np.zeros(9000), rng.random(5)])
-    cases["inf"] = np.concatenate([rng.random(40), np.full(3, np.inf)])
-    # index (21 - 1) * 0.95 is 19.0: weight 0 on an inf neighbour gives nan
-    cases["inf next"] = np.concatenate([rng.random(20), [np.inf]])
-    cases["inf both"] = np.concatenate([rng.random(10), np.full(10, np.inf)])
-    cases["nan"] = np.concatenate([rng.random(50), [np.nan], rng.random(50)])
-    # the oscillation's proxy: 524,288 points, about 2,000 distinct values
-    cases["ties"] = rng.choice(rng.random(2000), 524_288)
-    # 20,000 neighbouring doubles share all but the last 16 bits: every
-    # digit is narrowed in a pass of its own
-    one = np.array(1.0).view(np.uint64)
-    cases["ulps"] = rng.permutation((one + np.arange(20_000, dtype=np.uint64)).view(np.float64))
-    return cases
-
-
-_SELECTION_CASES = _selection_cases()
-
-
-@pytest.mark.parametrize("name, block", [
-    (name, block) for name, values in _SELECTION_CASES.items()
-    for block in (1, 7, geometry.BLOCK_ROWS) if values.size <= 2000 * block])
-def test_selection_matches_numpy_bit_for_bit(name, block):
-    # RuntimeWarnings are errors in this suite: the selection raises none,
-    # even where numpy's own interpolation meets inf - inf
-    values = _SELECTION_CASES[name]
-    stats, passes = _select(values, block)
-    with np.errstate(all="ignore"):
-        expected = {"median": np.median(values), "p95": np.percentile(values, 95.0)}
-    for key, want in expected.items():
-        got = stats[key]
-        assert isinstance(got, float)
-        assert (np.isnan(got) and np.isnan(want)) or \
-            np.float64(got).tobytes() == np.float64(want).tobytes(), key
-    if np.unique(values).size <= geometry.BLOCK_ROWS or np.isnan(values).any():
-        assert passes == 1
-    if name == "ulps":
-        assert passes == 4
-
-
-def test_selection_of_no_values():
-    assert _select(np.empty(0), 7) == ({"median": None, "p95": None}, 1)
 
 
 def _reference_weak_residuals(seq):
@@ -589,16 +517,67 @@ def test_nonpositive_jacobian_in_one_block_gives_inf(unit_square_16):
 
 
 def test_pointwise_proxy_drift_closed_form(drift_seq):
-    # the last member differs from the limit by constant derivatives
+    # the last member differs from the limit by constant derivatives, so
+    # each quantity's difference is one number and lies above a level at
+    # every point or at none
     rep = radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), drift_seq, p_RR=2.0)
     n = len(drift_seq)
     a, b = 1.0 + 0.4 / n, 0.2 + 0.1 / n
-    expected = {"df": np.hypot(0.4 / n, 0.1 / n),
-                "jac": abs((a ** 2 - b ** 2) - (1.0 - 0.2 ** 2)),
-                "mu": abs(b / a - 0.2)}
-    for qname, value in expected.items():
-        assert rep.pointwise_proxy[qname]["median"] == pytest.approx(value, rel=1e-12)
-        assert rep.pointwise_proxy[qname]["p95"] == pytest.approx(value, rel=1e-12)
+    # 0.0258, 0.0481 and 0.00122: shares [0, 1, 1] for df and jac, [0, 0, 1] for mu
+    diffs = {"df": np.hypot(0.4 / n, 0.1 / n),
+             "jac": abs((a ** 2 - b ** 2) - (1.0 - 0.2 ** 2)),
+             "mu": abs(b / a - 0.2)}
+    proxy = rep.pointwise_proxy
+    assert proxy["levels"] == [0.1, 0.01, 0.001]
+    for qname, d in diffs.items():
+        assert proxy[qname] == [float(d > t) for t in proxy["levels"]]
+
+
+@pytest.mark.parametrize("fixture", ["drift_seq", "osc_seq", "moll_seq"])
+def test_convergence_in_measure_obeys_chebyshev(request, fixture):
+    # lambda_q(t) * sum(w) <= (gap_q / t)^r for every quantity of r_list
+    # and every level: the shares are taken on the measure the gaps use
+    seq = request.getfixturevalue(fixture)
+    r_list = {"df": 1.5, "jac": 0.5, "mu": 1.0}
+    rep = radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0,
+                               r_list=r_list)
+    total = mesh_quad_points(seq.mesh, seq.quad_n)[1].sum()
+    proxy = rep.pointwise_proxy
+    assert proxy.keys() == {"levels", *r_list}
+    for qname, r in r_list.items():
+        tail = rep.conclusions[qname]["tail"]
+        for t, share in zip(proxy["levels"], proxy[qname]):
+            assert 0.0 <= share <= 1.0
+            assert share * total <= (tail / t) ** r, (qname, t)
+
+
+@pytest.mark.filterwarnings("error")
+def test_convergence_in_measure_counts_inf_above_every_level(unit_square_16):
+    # one block of 40 triangles where the last member's f_z is inf on the
+    # first 10 triangles: df and jac are inf there, above every level, and
+    # elsewhere their finite differences decide; mu = f_zbar / f_z is 0
+    # where f_z is inf, so only its finite differences count
+    pts, w = mesh_quad_points(unit_square_16, 1, slice(0, 40))
+    bad = np.zeros(w.shape, dtype=bool)
+    bad[:10] = True
+    ramp = np.linspace(0.0, 0.3, w.size).reshape(w.shape)  # crosses every level
+    fz = np.where(bad, np.inf, 1.0 + ramp) + 0j
+    fzbar = 0.5 * ramp + 0j
+    lim = convergence._Sample(np.ones(w.shape, dtype=complex), np.zeros(w.shape, dtype=complex))
+    measure = convergence._InMeasure(2)
+    block = convergence._Block(pts, w)
+    measure.member(block, 0, convergence._Sample(fz + 5.0, fzbar), lim)  # not the last
+    measure.member(block, 1, convergence._Sample(fz, fzbar), lim)
+    proxy = measure.values()
+    finite = {"df": np.hypot(ramp, 0.5 * ramp),
+              "jac": np.abs((1.0 + ramp) ** 2 - (0.5 * ramp) ** 2 - 1.0),
+              "mu": np.where(bad, 0.0, 0.5 * ramp / (1.0 + ramp))}
+    for qname, d in finite.items():
+        inf_share = 0.0 if qname == "mu" else w[bad].sum()
+        for t, share in zip(proxy["levels"], proxy[qname]):
+            expected = (inf_share + w[~bad & (d > t)].sum()) / w.sum()
+            assert share == pytest.approx(expected, rel=1e-12, abs=0.0), (qname, t)
+            assert 0.0 < share <= 1.0
 
 
 def test_diagnose_energies_closed_form(drift_seq):

@@ -97,11 +97,12 @@ def _one_shot_mollify(amap, points, delta):
 def test_chunked_mollifier_is_bit_identical(disk5, target, delta):
     amap = (analytic_radial_stretch(2.0) if target == "radial_stretch"
             else analytic_affine(1.3, 0.4 - 0.2j))
-    step = BLOCK_ROWS // len(_bump_quadrature(delta)[0])
+    step = BLOCK_ROWS // 2 // len(_bump_quadrature(delta)[0])  # mollify_values' rows
     nodes = disk5.nodes
     assert len(nodes) % step != 0
-    # all nodes; a count the chunk does not divide; a 2-D array keeps its shape
-    for pts in (nodes, nodes[:3 * step + 5], nodes[:2 * step].reshape(2 * step // 4, 4)):
+    # all nodes; a count the chunk does not divide; a 2-D array keeps its
+    # shape, and its 60 points end in a partial block too
+    for pts in (nodes, nodes[:3 * step + 5], nodes[:2 * step + 4].reshape(-1, 4)):
         got = mollify_values(amap, pts, delta)
         assert got.shape == pts.shape
         assert np.array_equal(got, _one_shot_mollify(amap, pts, delta))

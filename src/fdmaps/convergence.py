@@ -25,11 +25,12 @@ block's quadrature when it reaches the block.  In each block the limit
 and then every member is sampled once, as (f_z, f_zbar, P, Q, J), with
 the values f sampled on first use, and the sample feeds every
 measurement, which adds the block's part to its sums: the weak residual,
-the energy series, the L^r gaps (of Phi too), the scales and the
+the energy series, the L^r gaps (of Phi too), the scales, the
 convergence in measure of the last member (the weight share where each
 pointwise difference exceeds a threshold, which Chebyshev's inequality
-bounds by the L^r gap).  The working set is one block and a few sums: no
-array grows with the number of quadrature points.
+bounds by the L^r gap) and the limit's folded weight, where J <= 0 in
+its sample (of its closed form, if it has one).  The working set is one
+block and a few sums: no array grows with the number of quadrature points.
 The standalone `weak_probe`, `lr_gap`, `quantity_scale` and `lsc_checks`
 run the same sweep with the measurement they report.
 
@@ -52,8 +53,7 @@ from . import geometry
 from .config import Section, real, setting
 from .errors import ConfigurationError
 from .fields import (MappingField, apply_coefficients, derivative_coefficients,
-                     finite_distortion_report, squared_moduli, wirtinger_derivatives,
-                     write_columns)
+                     squared_moduli, wirtinger_derivatives, write_columns)
 from .functionals import (FunctionalSpec, convexity_probe, default_s, df_norm, integrand,
                           monotone_truncation_check, quadrature_sum, weight_values)
 from .geometry import Mesh
@@ -354,26 +354,36 @@ class _Energy(_Measurement):
         return [quadrature_sum(np.array(parts), 1.0) for parts in self.blocks]
 
 
+class _Folded(_Measurement):
+    """Where the limit's sample has J <= 0 (or nan): `folded` of the sweep's
+    `total` quadrature weight.  A masked sum, as `finite_distortion_report`
+    sums the areas, so a nodal limit folds the same area."""
+    folded = total = 0.0  # the first block's += makes them the instance's
+
+    def limit(self, block, lim):
+        self.folded += np.sum(block.w[~(lim.jac > 0)])
+        self.total += np.sum(block.w)
+
+
 MEASURE_LEVELS = (1e-1, 1e-2, 1e-3)  # thresholds t of the convergence-in-measure record
 
 
-class _InMeasure(_Measurement):
+class _InMeasure(_Folded):
     """Convergence in measure of the last member: for q in df, jac and mu
     and each t of MEASURE_LEVELS, lambda_q(t), the share of the sweep's
     quadrature weight where |q(last member) - q(limit)| > t.  The difference
     is `_quantity_diff`'s, as the L^r gaps read it (mu counts as 0 where it
     is undefined, inf lies above every t), so on the same measure
-    Chebyshev's inequality gives lambda_q(t) * sum(w) <= (gap_q / t)^r."""
+    Chebyshev's inequality gives lambda_q(t) * sum(w) <= (gap_q / t)^r.
+    The limit's folded weight comes with it, on the same total."""
 
     def __init__(self, n_members: int):
         self.last = n_members - 1
-        self.total = 0.0
         self.above = {q: np.zeros(len(MEASURE_LEVELS)) for q in ("df", "jac", "mu")}
 
     def member(self, block, j, f, lim):
         if j != self.last:
             return
-        self.total += np.sum(block.w)
         for qname, above in self.above.items():
             d = _quantity_diff(qname, f, lim)
             for i, t in enumerate(MEASURE_LEVELS):
@@ -404,9 +414,8 @@ def tail_slice(n: int) -> slice:
 def lsc_checks(specs: Sequence[FunctionalSpec], seq: SequenceHandle) -> List[LscResult]:
     """Lower-semicontinuity measurement per spec: limit energy vs tail-liminf
     of members.  One sweep samples each field once for all the specs."""
-    bad_area = finite_distortion_report(wirtinger_derivatives(seq.limit)).bad_area
-    energies = [_Energy(spec, len(seq)) for spec in specs]
-    _sweep(seq, energies)
+    folded, energies = _Folded(), [_Energy(spec, len(seq)) for spec in specs]
+    _sweep(seq, [folded, *energies])
     results = []
     for energy in energies:
         limit_energy, *members = energy.values()
@@ -414,7 +423,7 @@ def lsc_checks(specs: Sequence[FunctionalSpec], seq: SequenceHandle) -> List[Lsc
         liminf = float(np.min(tail)) if tail else np.inf
         scale = max(1.0, abs(limit_energy)) if np.isfinite(limit_energy) else 1.0
         holds = bool(limit_energy <= liminf + 1e-8 * scale)
-        results.append(LscResult(liminf, limit_energy, holds, members, bad_area))
+        results.append(LscResult(liminf, limit_energy, holds, members, folded.folded))
     return results
 
 
@@ -480,7 +489,8 @@ class ConvergenceReport:
     `hypotheses` holds the eight hypothesis flags and measurements:
     energy_convergence and energy_gap (the PhiConv gap at exponent p_RR),
     phi_energy_gap (the plain-Phi energy gap, Lemma-1 scale), weak_probe_ok,
-    jacobian_ok and jacobian_bad_fraction, convexity_ok, monotonicity_ok.
+    jacobian_ok and jacobian_bad_fraction (the weight share where the
+    limit's sample has J <= 0), convexity_ok, monotonicity_ok.
     `conclusions` holds one `_gap_record` per quantity: "phi" at p_RR and
     each quantity of the r_list."""
     verdict: str
@@ -595,9 +605,8 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
     phi_energy_gap = float(abs(phi_series[-1] - phi_limit)) \
         if np.isfinite(phi_limit) and np.isfinite(phi_series[-1]) else np.inf
 
-    # (d) limit Jacobian positivity
-    bad_area = finite_distortion_report(wirtinger_derivatives(seq.limit)).bad_area
-    bad_fraction = bad_area / seq.mesh.total_area
+    # (d) limit Jacobian positivity, on the sweep's sample of the limit
+    bad_fraction = float(in_measure.folded / in_measure.total)
     jac_ok = bad_fraction == 0.0
 
     # (e) conclusion measurements

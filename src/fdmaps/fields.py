@@ -182,13 +182,6 @@ def distortions(fz: np.ndarray, fzbar: np.ndarray):
     return jac, khs, kop, mu
 
 
-def derived_from_derivatives(mesh: Mesh, fz: np.ndarray, fzbar: np.ndarray,
-                             f_centroid: np.ndarray | None = None) -> DerivedField:
-    if f_centroid is None:
-        f_centroid = np.full(mesh.n_triangles, np.nan + 0j)
-    return DerivedField(mesh, fz, fzbar, f_centroid)
-
-
 def wirtinger_derivatives(mapping: MappingField) -> DerivedField:
     """Exact per-triangle f_z, f_zbar of the piecewise-affine interpolant."""
     mesh = mapping.mesh
@@ -201,7 +194,7 @@ def wirtinger_derivatives(mapping: MappingField) -> DerivedField:
         fzbar[b] = apply_coefficients(c, mapping.values, tri)
         f_centroid[b] = mapping.values[tri].mean(axis=1)
         del a, c  # the next block's coefficients need the room
-    return derived_from_derivatives(mesh, fz, fzbar, f_centroid)
+    return DerivedField(mesh, fz, fzbar, f_centroid)
 
 
 @dataclass(frozen=True)

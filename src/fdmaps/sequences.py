@@ -16,8 +16,8 @@ from . import geometry
 from .convergence import SequenceHandle
 from .config import Section, complex_number, integer, map_args, read, real, setting
 from .errors import ConfigurationError
-from .fields import (AnalyticMap, MappingField, analytic_affine,
-                     analytic_oscillation, analytic_radial_stretch)
+from .fields import (AnalyticMap, MappingField, analytic_affine, analytic_oscillation,
+                     analytic_radial_stretch, sample_analytic)
 from .geometry import Mesh
 from .quadrature import gauss_legendre
 
@@ -86,7 +86,6 @@ def generate(recipe: SequenceRecipe, mesh: Mesh) -> SequenceHandle:
     p = read("recipe params", recipe.params, PARAMS[recipe.kind])
 
     if recipe.kind == "constant":
-        from .fields import sample_analytic
         member = sample_analytic(mesh, p["formula"], *p["args"])
         members = [member for _ in js]
         limit = member
@@ -94,8 +93,7 @@ def generate(recipe: SequenceRecipe, mesh: Mesh) -> SequenceHandle:
         if mesh.kind != "rect":
             raise ConfigurationError("oscillation sequences are defined on rectangles")
         members = [MappingField(mesh, analytic=analytic_oscillation(j)) for j in js]
-        ident = analytic_affine(1.0, 0.0)
-        limit = MappingField(mesh, mesh.nodes.copy(), analytic=ident)
+        limit = MappingField(mesh, analytic=analytic_affine(1.0, 0.0))
     elif recipe.kind == "mollified":
         if p["target"] == "radial_stretch":
             if mesh.kind != "disk":

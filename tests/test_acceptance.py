@@ -13,8 +13,8 @@ import pytest
 
 import fdmaps
 from fdmaps.convergence import lsc_checks, radon_riesz_diagnose
-from fdmaps.fields import (MappingField, apply_coefficients, derivative_coefficients,
-                           derived_from_derivatives, sample_analytic,
+from fdmaps.fields import (DerivedField, MappingField, apply_coefficients,
+                           derivative_coefficients, sample_analytic,
                            wirtinger_derivatives)
 from fdmaps.functionals import FunctionalSpec, energy, inverse_energy, weight_values
 from fdmaps.hopf import holomorphy_residual, inverse_ahlfors_hopf
@@ -44,8 +44,9 @@ def _fd_gradient(spec, mapping, free, h=3e-7):
     eta = weight_values(spec, mesh.centroids())
 
     def field_energy(values):
-        derived = derived_from_derivatives(mesh, apply_coefficients(a, values, mesh.triangles),
-                                           apply_coefficients(b, values, mesh.triangles))
+        # the forward energy reads no centroid image
+        derived = DerivedField(mesh, apply_coefficients(a, values, mesh.triangles),
+                               apply_coefficients(b, values, mesh.triangles), None)
         return energy(spec, derived, eta)
 
     base = mapping.values

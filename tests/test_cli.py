@@ -194,26 +194,31 @@ def test_diagnose_reports_undefined_beltrami_proxy_as_zero(tmp_path):
     assert proxy == {"levels": [0.1, 0.01, 0.001], "df": [0.0] * 3, "jac": [0.0] * 3,
                      "mu": [0.0] * 3}
     assert result["results"]["conclusions"]["mu"]["series"] == [0.0] * 3
-    # J = -1 folds every point, so every lp_mean energy is inf
+    # J = -1 folds every point, so every lp_mean energy is inf and the
+    # limit's folded share is the whole weight
     assert result["results"]["verdict"] == "EnergyGap"
+    assert result["results"]["hypotheses"]["jacobian_bad_fraction"] == 1.0
     if jsonschema is not None:
         jsonschema.validate(result, result_schema())
 
 
 @pytest.mark.skipif(jsonschema is None, reason="jsonschema not installed")
 def test_schema_requires_the_convergence_in_measure_record(tmp_path):
-    # every quantity's shares are required, and each share lies in [0, 1]
+    # every quantity's shares are required, and each share lies in [0, 1],
+    # as does the limit's folded share
     config = {"command": "diagnose", "domain": {"kind": "disk", "level": 2},
               "recipe": {"kind": "affine_drift", "params": {}, "j_max": 4}}
     assert run(config, tmp_path) == 0
     result = _read(tmp_path / "result.json")
     schema = result_schema()
     jsonschema.validate(result, schema)
-    proxy = result["results"]["pointwise_proxy"]
-    for broken in ({k: v for k, v in proxy.items() if k != "mu"},
-                   {**proxy, "df": [0.0, 1.5, 1.0]},
-                   {**proxy, "jac": ["0.5"] * 3}):
-        result["results"]["pointwise_proxy"] = broken
+    results = result["results"]
+    proxy, hypotheses = results["pointwise_proxy"], results["hypotheses"]
+    for key, broken in (("pointwise_proxy", {k: v for k, v in proxy.items() if k != "mu"}),
+                        ("pointwise_proxy", {**proxy, "df": [0.0, 1.5, 1.0]}),
+                        ("pointwise_proxy", {**proxy, "jac": ["0.5"] * 3}),
+                        ("hypotheses", {**hypotheses, "jacobian_bad_fraction": 1.5})):
+        result["results"] = {**results, key: broken}
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(result, schema)
 

@@ -162,6 +162,37 @@ def test_folded_limit_area_rule(disk3, part_folded):
     assert lsc_checks([spec], seq)[0].limit_bad_area == oracle
 
 
+def test_closed_form_limit_folds_on_its_closed_form(unit_square_16):
+    # f = z + 2 sin(2 pi x) / (2 pi): f_z = 1 + c, f_zbar = c with
+    # c = cos(2 pi x), so J = 1 + 2c <= 0 on 1/3 <= x <= 2/3, a third of the
+    # square.  The P1 interpolant at the 16 x 16 nodes folds 3/8 of it
+    def derivatives(z):
+        c = np.cos(2.0 * np.pi * np.asarray(z).real) + 0j
+        return 1.0 + c, c
+
+    limit = MappingField(unit_square_16, analytic=AnalyticMap(
+        lambda z: z + np.sin(2.0 * np.pi * np.asarray(z).real) / np.pi, derivatives))
+    seq = SequenceHandle(unit_square_16, [limit] * 2, limit)
+    spec = FunctionalSpec(family="dirichlet")
+    rep = radon_riesz_diagnose(spec, seq, p_RR=2.0)
+    assert rep.hypotheses["jacobian_bad_fraction"] == pytest.approx(1 / 3, abs=2e-3)
+    bad_area = lsc_checks([spec], seq)[0].limit_bad_area
+    assert bad_area / unit_square_16.total_area == pytest.approx(1 / 3, abs=2e-3)
+
+
+@pytest.mark.parametrize("kind, mesh", [("affine_drift", "disk3"),
+                                        ("oscillation", "unit_square_16")])
+def test_closed_form_diagnose_and_lsc_sample_no_nodes(request, kind, mesh):
+    # the limit's folded area comes from the sweep's samples as well, so no
+    # field of a closed-form sequence, the limit included, samples its nodes
+    seq = generate(SequenceRecipe(kind=kind, params={}, j_max=4),
+                   request.getfixturevalue(mesh))
+    spec = FunctionalSpec(family="lp_mean", p=2.0)
+    radon_riesz_diagnose(spec, seq, p_RR=2.0)
+    lsc_checks([spec], seq)
+    assert all(field._values is None for field in [*seq.members, seq.limit])
+
+
 def test_lsc_checks_match_one_spec_checks(moll_seq, osc_seq):
     # several families in one sweep give each family's own check exactly
     specs = [FunctionalSpec(family="lp_mean", p=2.0), FunctionalSpec(family="exp_p", p=1.0),
@@ -566,6 +597,7 @@ def test_convergence_in_measure_counts_inf_above_every_level(unit_square_16):
     lim = convergence._Sample(np.ones(w.shape, dtype=complex), np.zeros(w.shape, dtype=complex))
     measure = convergence._InMeasure(2)
     block = convergence._Block(pts, w)
+    measure.limit(block, lim)  # the sweep passes the limit first
     measure.member(block, 0, convergence._Sample(fz + 5.0, fzbar), lim)  # not the last
     measure.member(block, 1, convergence._Sample(fz, fzbar), lim)
     proxy = measure.values()
@@ -618,8 +650,8 @@ def test_nodal_derivatives_match_wirtinger_derivatives(moll_seq):
 
 
 def test_nodal_diagnose_builds_derivatives_once(monkeypatch, moll_seq):
-    # the mesh's Wirtinger coefficients serve every member; only the
-    # limit's Jacobian sign takes a derived field
+    # the mesh's Wirtinger coefficients serve every member and the limit,
+    # whose Jacobian sign is read from the sweep's sample: no derived field
     from fdmaps import fields
     calls = {"wirtinger": 0, "coefficients": 0}
 
@@ -636,8 +668,8 @@ def test_nodal_diagnose_builds_derivatives_once(monkeypatch, moll_seq):
                         counting("wirtinger", fields.wirtinger_derivatives))
     seq = SequenceHandle(moll_seq.mesh, moll_seq.members, moll_seq.limit)
     radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0)
-    assert calls["wirtinger"] == 1
-    assert 1 <= calls["coefficients"] <= 2
+    assert calls["wirtinger"] == 0
+    assert calls["coefficients"] == 1
 
 
 def test_nodal_diagnose_memory_is_bounded():

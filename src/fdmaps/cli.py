@@ -22,7 +22,7 @@ from . import __version__
 from .config import (boolean, complex_number, integer, map_args, optional,
                      positive_integer, read, real)
 from .convergence import Tolerances, gaps_to_csv, radon_riesz_diagnose
-from .errors import ConfigurationError, DomainError, FdmapsError, InitializationError
+from .errors import ConfigurationError, FdmapsError
 from .fields import (derived_to_csv, sample_analytic, wirtinger_derivatives,
                      write_columns)
 from .functionals import (FunctionalSpec, ProbeReport, concavity_probe, convexity_probe,
@@ -238,7 +238,7 @@ def run(config: dict, out_dir) -> int:
         manifest["status"] = "validation_error"
         manifest["failure_reason"] = f"{type(exc).__name__}: {exc}"
         status = 2
-    except (DomainError, InitializationError, FdmapsError) as exc:
+    except FdmapsError as exc:
         manifest["status"] = "numerical_failure"
         manifest["failure_reason"] = f"{type(exc).__name__}: {exc}"
         status = 3

@@ -11,26 +11,29 @@ weakly in W^{1,q} exactly when its values converge in L^2 (Brezis,
 Functional Analysis, Sobolev Spaces and PDE, Thm 9.16 and Prop. 3.32):
 the weak residual of member j is ||f_j - f||_{L^2}.
 
-Closed-form sequence members carry exact value and derivative callables;
-integrals for those use a high-order per-element quadrature so that
-oscillatory members are resolved well below the mesh scale.  Plain nodal
-members fall back to the exact per-element-constant (centroid) path: the
-derivatives are sampled per block with the rows of the mesh's Wirtinger
-coefficient pair (a, b) from `fields.derivative_coefficients`, built once
-per sequence, and the values are the P1 interpolant at the centroid.
+Closed-form sequence members carry an exact jet, the values and Wirtinger
+derivatives from one evaluation; integrals for those use a high-order
+per-element quadrature so that oscillatory members are resolved well below
+the mesh scale.  Plain nodal members fall back to the exact
+per-element-constant (centroid) path: the derivatives are sampled per block
+with the rows of the mesh's Wirtinger coefficient pair (a, b) from
+`fields.derivative_coefficients`, built once per sequence, and the values
+are the P1 interpolant at the centroid.
 
 `radon_riesz_diagnose` sweeps the mesh once, in blocks of whole triangles,
 about `geometry.BLOCK_ROWS` quadrature points each, and builds each
 block's quadrature when it reaches the block.  In each block the limit
-and then every member is sampled once, as (f_z, f_zbar, P, Q, J), with
-the values f sampled on first use, and the sample feeds every
-measurement, which adds the block's part to its sums: the weak residual,
-the energy series, the L^r gaps (of Phi too), the scales, the
-convergence in measure of the last member (the weight share where each
-pointwise difference exceeds a threshold, which Chebyshev's inequality
-bounds by the L^r gap) and the limit's folded weight, where J <= 0 in
-its sample (of its closed form, if it has one).  The working set is one
-block and a few sums: no array grows with the number of quadrature points.
+and then every member is sampled once, as (f, f_z, f_zbar, P, Q, J), and
+the sample feeds every measurement, which adds the block's part to its
+sums: the weak residual, the energy series, the L^r gaps (of Phi too),
+the scales (each the limit's gap to the zero field), the convergence in
+measure of the last member (the weight share where each pointwise
+difference exceeds a threshold, which Chebyshev's inequality bounds by the
+L^r gap) and the limit's folded weight, where J <= 0 in its sample (of
+its closed form, if it has one).  A field's Beltrami coefficient
+mu = f_zbar / f_z counts as 0 where its own f_z = 0.  The working set is
+one block and a few sums: no array grows with the number of quadrature
+points.
 The standalone `weak_probe`, `lr_gap`, `quantity_scale` and `lsc_checks`
 run the same sweep with the measurement they report.
 
@@ -45,7 +48,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -111,41 +114,29 @@ class SequenceHandle:
 
 def _derivatives_at(seq: SequenceHandle, index: int, pts: np.ndarray,
                     tris: slice = slice(None)):
-    """(fz, fzbar) of member/limit on the triangles `tris`, whose quadrature
-    points are `pts`; broadcastable to pts.shape."""
+    """The jet (f, fz, fzbar) of member/limit on the triangles `tris`, whose
+    quadrature points are `pts`, broadcastable to pts.shape: the closed
+    form's, or the P1 interpolant's at the centroid (the mean of the three
+    nodal values, as `wirtinger_derivatives` forms it) with its derivatives."""
     m = seq.limit if index == -1 else seq.members[index]
     if seq.all_analytic:
-        return m.analytic.derivatives(pts)
+        return m.analytic.jet(pts)
     triangles = seq.mesh.triangles[tris]
-    return tuple(apply_coefficients(c[tris], m.values, triangles)[:, None]
-                 for c in seq.coefficients)
-
-
-def _values_at(seq: SequenceHandle, index: int, pts: np.ndarray,
-               tris: slice = slice(None)):
-    """Values of member/limit at the quadrature points `pts` of the triangles
-    `tris`: the closed form, or the P1 interpolant at the centroid (the mean
-    of the three nodal values, as `wirtinger_derivatives` forms it)."""
-    m = seq.limit if index == -1 else seq.members[index]
-    if seq.all_analytic:
-        return m.analytic.value(pts)
-    return m.values[seq.mesh.triangles[tris]].mean(axis=1)[:, None]
+    return (m.values[triangles].mean(axis=1)[:, None],
+            *(apply_coefficients(c[tris], m.values, triangles)[:, None]
+              for c in seq.coefficients))
 
 
 class _Sample:
-    """f_z, f_zbar, P = |f_z|^2, Q = |f_zbar|^2 and J = P - Q of one field on
-    a block of quadrature points.  Its values `f` (from the callable
-    `values`) and its Phi values by spec are computed on first use."""
+    """f, f_z, f_zbar, P = |f_z|^2, Q = |f_zbar|^2 and J = P - Q of one field
+    on a block of quadrature points.  Its Phi values by spec are computed on
+    first use."""
 
-    def __init__(self, fz, fzbar, values: Callable[[], np.ndarray] = lambda: 0j):
-        self.fz, self.fzbar = fz, fzbar
+    def __init__(self, f, fz, fzbar):
+        self.f, self.fz, self.fzbar = f, fz, fzbar
         self.P, self.Q = squared_moduli(fz, fzbar)
         self.jac = self.P - self.Q
-        self._values, self.phis = values, {}
-
-    @cached_property
-    def f(self):
-        return self._values()
+        self.phis = {}
 
     def phi(self, spec: FunctionalSpec) -> np.ndarray:
         if spec not in self.phis:
@@ -163,11 +154,9 @@ def _shared(a: np.ndarray, shape) -> np.ndarray:
 
 
 def _sample(seq: SequenceHandle, index: int, block: _Block, tris: slice) -> _Sample:
-    """The derivative evaluation of member `index` (-1: the limit) on a block;
-    its values are evaluated when a measurement first reads them."""
+    """The one evaluation of member `index` (-1: the limit) on a block."""
     shape = block.pts.shape
-    return _Sample(*(_shared(a, shape) for a in _derivatives_at(seq, index, block.pts, tris)),
-                   lambda: _shared(_values_at(seq, index, block.pts, tris), shape))
+    return _Sample(*(_shared(a, shape) for a in _derivatives_at(seq, index, block.pts, tris)))
 
 
 class _Block(NamedTuple):
@@ -224,7 +213,8 @@ def _check_exponent(quantity: str, r) -> None:
 
 def _quantity_diff(quantity: str, a: _Sample, b: _Sample,
                    spec: Optional[FunctionalSpec] = None):
-    """Pointwise |q(a) - q(b)|, 0 where q is undefined.  The quantity "phi"
+    """Pointwise |q(a) - q(b)|.  Each field's mu = f_zbar / f_z is 0 where
+    its own f_z = 0, so the mu difference is a distance.  The quantity "phi"
     is the integrand Phi of `spec`; its difference is inf everywhere once it
     is not finite somewhere.  The quantity "f" is the field's values, which
     the weak residual reads."""
@@ -243,11 +233,14 @@ def _quantity_diff(quantity: str, a: _Sample, b: _Sample,
     if quantity == "jac":
         return np.abs(a.jac - b.jac)
     if quantity == "mu":
-        ok = (a.fz != 0) & (b.fz != 0)
-        mu_a = np.where(ok, a.fzbar / np.where(ok, a.fz, 1.0), 0.0)
-        mu_b = np.where(ok, b.fzbar / np.where(ok, b.fz, 1.0), 0.0)
-        return np.abs(mu_a - mu_b)
+        return np.abs(_mu(a) - _mu(b))
     raise ConfigurationError(f"unknown quantity {quantity!r}")
+
+
+def _mu(s: _Sample):
+    """The Beltrami coefficient f_zbar / f_z of a sample, 0 where f_z = 0."""
+    ok = s.fz != 0
+    return np.where(ok, s.fzbar / np.where(ok, s.fz, 1.0), 0.0)
 
 
 def _lr_sum(d: np.ndarray, w: np.ndarray, r: float) -> float:
@@ -272,27 +265,23 @@ class _LrGap(_Measurement):
         return [float(s ** (1.0 / self.r)) for s in self.sums]
 
 
+# the zero field's jet: one sample, broadcast to every block; |0 - q| keeps
+# every bit of |q|
+_ZERO = _Sample(0j, 0j, 0j)
+
+
 class _Scale(_Measurement):
-    """L^r size of the limit quantity, used to normalize gap tolerances."""
+    """L^r size of the limit quantity, its `_LrGap` to the zero field: used
+    to normalize gap tolerances."""
 
     def __init__(self, quantity: str, r: float):
-        self.quantity, self.r = quantity, r
-        self.sum = 0.0
+        self.gap = _LrGap(quantity, r, 1)
 
     def limit(self, block, lim):
-        if self.quantity == "mu":
-            # size of mu itself; comparing against a zero field would empty
-            # the fz != 0 mask and floor the scale at nothing
-            ok = lim.fz != 0
-            d = np.zeros(ok.shape)
-            np.divide(np.abs(lim.fzbar), np.abs(lim.fz), out=d, where=ok)
-        else:
-            # one zero sample, broadcast: q - 0 keeps every bit of q
-            d = _quantity_diff(self.quantity, lim, _Sample(0j, 0j))
-        self.sum += _lr_sum(d, block.w, self.r)
+        self.gap.member(block, 0, _ZERO, lim)
 
     def value(self) -> float:
-        return float(self.sum ** (1.0 / self.r))
+        return self.gap.values()[0]
 
 
 def lr_gap(seq: SequenceHandle, quantity: str, r: float) -> List[float]:
@@ -372,8 +361,8 @@ class _InMeasure(_Folded):
     """Convergence in measure of the last member: for q in df, jac and mu
     and each t of MEASURE_LEVELS, lambda_q(t), the share of the sweep's
     quadrature weight where |q(last member) - q(limit)| > t.  The difference
-    is `_quantity_diff`'s, as the L^r gaps read it (mu counts as 0 where it
-    is undefined, inf lies above every t), so on the same measure
+    is `_quantity_diff`'s, as the L^r gaps read it (each field's mu counts
+    as 0 where its own f_z = 0, inf lies above every t), so on the same measure
     Chebyshev's inequality gives lambda_q(t) * sum(w) <= (gap_q / t)^r.
     The limit's folded weight comes with it, on the same total."""
 
@@ -618,11 +607,12 @@ def radon_riesz_diagnose(spec: FunctionalSpec, seq: SequenceHandle,
                    for q, r in exponents.items()}
     tails_ok = all(gap["ok"] for gap in conclusions.values())
 
-    # the first failed hypothesis decides; failures past the Jacobian are
-    # not conclusive
-    checks = (("energy_convergence", energy_ok, "EnergyGap"),
+    # the first failed hypothesis decides; a folded limit lies outside the
+    # theorem whatever its energies, so the Jacobian comes first, and
+    # failures past the weak probe are not conclusive
+    checks = (("jacobian", jac_ok, "JacobianDegenerate"),
+              ("energy_convergence", energy_ok, "EnergyGap"),
               ("weak_probe", weak_ok, "WeakProbeFail"),
-              ("jacobian", jac_ok, "JacobianDegenerate"),
               ("convexity", conv.ok, "Inconclusive"),
               ("monotonicity", monotonicity_ok, "Inconclusive"),
               ("conclusion_tails", tails_ok, "Inconclusive"))

@@ -30,10 +30,11 @@ from .geometry import Mesh, blocks
 
 @dataclass(frozen=True)
 class AnalyticMap:
-    """Closed-form map with exact Wirtinger derivatives, for oracle use;
-    `derivatives(z)` returns (f_z, f_zbar) from one shared evaluation."""
+    """Closed-form map with exact Wirtinger derivatives, for oracle use.
+    `jet(z)` returns (f, f_z, f_zbar) from one shared evaluation, its f
+    bit for bit `value(z)`; `value` alone serves readers of values only."""
     value: Callable[[np.ndarray], np.ndarray]
-    derivatives: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+    jet: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 class MappingField:
@@ -224,14 +225,18 @@ def finite_distortion_report(derived: DerivedField) -> DistortionReport:
 
 def analytic_affine(a: complex, b: complex) -> AnalyticMap:
     a, b = complex(a), complex(b)
-    return AnalyticMap(
+
+    def value(z):
         # conj(z) * b, not b * conj(z): numpy evaluates the latter in place as
         # conj(z) * b for large arrays only, and the two operand orders differ
         # in the last bit, so the values would depend on the array size
-        value=lambda z: a * z + np.conj(z) * b,
-        derivatives=lambda z: (np.full_like(np.asarray(z, dtype=complex), a),
-                               np.full_like(np.asarray(z, dtype=complex), b)),
-    )
+        return a * z + np.conj(z) * b
+
+    def jet(z):
+        z = np.asarray(z, dtype=complex)
+        return value(z), np.full_like(z, a), np.full_like(z, b)
+
+    return AnalyticMap(value, jet)
 
 
 def analytic_radial_stretch(alpha: float) -> AnalyticMap:
@@ -248,16 +253,16 @@ def analytic_radial_stretch(alpha: float) -> AnalyticMap:
         z = np.asarray(z, dtype=complex)
         return z * radial(np.abs(z))
 
-    def derivatives(z):
+    def jet(z):
         z = np.asarray(z, dtype=complex)
         r = np.abs(z)
         stretch = radial(r)
         with np.errstate(invalid="ignore", divide="ignore"):
             phase = np.where(r > 0, z / np.where(r > 0, np.conj(z), 1.0), 0.0)
-        return (((alpha + 1.0) / 2.0) * stretch + 0j,
+        return (z * stretch, ((alpha + 1.0) / 2.0) * stretch + 0j,
                 ((alpha - 1.0) / 2.0) * stretch * phase)
 
-    return AnalyticMap(value=value, derivatives=derivatives)
+    return AnalyticMap(value, jet)
 
 
 def analytic_oscillation(j: int) -> AnalyticMap:
@@ -273,17 +278,19 @@ def analytic_oscillation(j: int) -> AnalyticMap:
         z = np.asarray(z, dtype=complex)
         return z + np.sin(w * z.real) / w
 
-    def derivatives(z):
-        # each complex output is written once: its real part, imaginary 0
-        half_cos = np.cos(w * np.asarray(z, dtype=complex).real)
+    def jet(z):
+        z = np.asarray(z, dtype=complex)
+        wx = w * z.real
+        # each complex derivative is written once: its real part, imaginary 0
+        half_cos = np.cos(wx)
         half_cos *= 0.5
         fz = np.zeros(np.shape(half_cos), dtype=complex)
         fzbar = np.zeros(np.shape(half_cos), dtype=complex)
         np.add(1.0, half_cos, out=fz.real)
         fzbar.real = half_cos
-        return fz, fzbar
+        return z + np.sin(wx) / w, fz, fzbar
 
-    return AnalyticMap(value=value, derivatives=derivatives)
+    return AnalyticMap(value, jet)
 
 
 _FORMULAS = {

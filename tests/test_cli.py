@@ -194,9 +194,10 @@ def test_diagnose_reports_undefined_beltrami_proxy_as_zero(tmp_path):
     assert proxy == {"levels": [0.1, 0.01, 0.001], "df": [0.0] * 3, "jac": [0.0] * 3,
                      "mu": [0.0] * 3}
     assert result["results"]["conclusions"]["mu"]["series"] == [0.0] * 3
-    # J = -1 folds every point, so every lp_mean energy is inf and the
-    # limit's folded share is the whole weight
-    assert result["results"]["verdict"] == "EnergyGap"
+    # J = -1 folds every point, so the limit's folded share is the whole
+    # weight and the Jacobian decides before the energies, all of them inf
+    assert result["results"]["verdict"] == "JacobianDegenerate"
+    assert result["results"]["decided_by"] == "jacobian"
     assert result["results"]["hypotheses"]["jacobian_bad_fraction"] == 1.0
     if jsonschema is not None:
         jsonschema.validate(result, result_schema())

@@ -166,12 +166,14 @@ def test_closed_form_limit_folds_on_its_closed_form(unit_square_16):
     # f = z + 2 sin(2 pi x) / (2 pi): f_z = 1 + c, f_zbar = c with
     # c = cos(2 pi x), so J = 1 + 2c <= 0 on 1/3 <= x <= 2/3, a third of the
     # square.  The P1 interpolant at the 16 x 16 nodes folds 3/8 of it
-    def derivatives(z):
-        c = np.cos(2.0 * np.pi * np.asarray(z).real) + 0j
-        return 1.0 + c, c
+    def value(z):
+        return z + np.sin(2.0 * np.pi * np.asarray(z).real) / np.pi
 
-    limit = MappingField(unit_square_16, analytic=AnalyticMap(
-        lambda z: z + np.sin(2.0 * np.pi * np.asarray(z).real) / np.pi, derivatives))
+    def jet(z):
+        c = np.cos(2.0 * np.pi * np.asarray(z).real) + 0j
+        return value(z), 1.0 + c, c
+
+    limit = MappingField(unit_square_16, analytic=AnalyticMap(value, jet))
     seq = SequenceHandle(unit_square_16, [limit] * 2, limit)
     spec = FunctionalSpec(family="dirichlet")
     rep = radon_riesz_diagnose(spec, seq, p_RR=2.0)
@@ -296,35 +298,30 @@ def test_diagnose_samples_each_field_once(monkeypatch, unit_square_16):
     # the diagnose makes one sweep, at any block size: it samples every
     # field block by block, the blocks covering every quadrature point of
     # every field exactly once, and builds each block's quadrature once,
-    # when the block is reached.  Each field's values are sampled once per
-    # block, for the weak residual.  Blocks of 8,192 points and of 256
+    # when the block is reached.  Each field's values come with its
+    # derivatives, one evaluation per block.  Blocks of 8,192 points and of 256
     # points (4 triangles) both split the mesh
     seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=8), unit_square_16)
     k = convergence.ANALYTIC_QUAD_N ** 2
     m = unit_square_16.n_triangles
     sweep = convergence._sweep
     derivatives_at, quad_points = convergence._derivatives_at, convergence.mesh_quad_points
-    values_at = convergence._values_at
     for block_points in (geometry.BLOCK_ROWS, 4 * k):
         monkeypatch.setattr(geometry, "BLOCK_ROWS", block_points)
         sweeps = []  # per sweep: samples of each (field, triangle, point), row 0 the limit
-        values = []  # the same for the values
         quad_covered = np.zeros(m, dtype=int)
         calls = {"blocks": 0, "quadrature": 0}
 
         def recorded_sweep(seq_, measurements, members=None):
             sweeps.append(np.zeros((len(seq) + 1, m, k), dtype=int))
-            values.append(np.zeros((len(seq) + 1, m, k), dtype=int))
             sweep(seq_, measurements, members)
 
         def recorded(seq_, index, pts, tris=slice(None)):
             sweeps[-1][index + 1][tris] += 1
             calls["blocks"] += 1
-            return derivatives_at(seq_, index, pts, tris)
-
-        def recorded_values(seq_, index, pts, tris=slice(None)):
-            values[-1][index + 1][tris] += 1
-            return values_at(seq_, index, pts, tris)
+            f, fz, fzbar = jet = derivatives_at(seq_, index, pts, tris)
+            assert np.shape(f) == np.shape(pts)  # the values come with the derivatives
+            return jet
 
         def counted(mesh, n, tris=slice(None)):
             quad_covered[tris] += 1
@@ -333,7 +330,6 @@ def test_diagnose_samples_each_field_once(monkeypatch, unit_square_16):
 
         monkeypatch.setattr(convergence, "_sweep", recorded_sweep)
         monkeypatch.setattr(convergence, "_derivatives_at", recorded)
-        monkeypatch.setattr(convergence, "_values_at", recorded_values)
         monkeypatch.setattr(convergence, "mesh_quad_points", counted)
         radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0,
                              r_list={"df": 1.5, "jac": 0.5, "mu": 1.0, "fzbar": 2.0})
@@ -341,7 +337,6 @@ def test_diagnose_samples_each_field_once(monkeypatch, unit_square_16):
         assert blocks > 1
         assert len(sweeps) == 1
         assert np.all(sweeps[0] == 1)
-        assert np.all(values[0] == 1)
         assert calls["quadrature"] == blocks
         assert np.all(quad_covered == 1)
         assert calls["blocks"] == (len(seq) + 1) * blocks
@@ -403,7 +398,7 @@ def test_closed_form_diagnose_reads_no_member_values(monkeypatch, unit_square_16
     def recorded(j):
         amap = analytic_oscillation(j)
         return AnalyticMap(lambda z: sampled.append((j, np.shape(z))) or amap.value(z),
-                           amap.derivatives)
+                           lambda z: sampled.append((j, np.shape(z))) or amap.jet(z))
 
     monkeypatch.setattr(sequences, "analytic_oscillation", recorded)
     seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=4), unit_square_16)
@@ -435,6 +430,40 @@ def test_diagnose_matches_standalone_measurements(request, fixture):
     lsc = lsc_checks([spec], seq)[0]
     close(rep.energy_series, lsc.member_energies)
     close(rep.limit_energy, lsc.limit_energy)
+
+
+def test_mu_gap_counts_the_other_fields_mu_where_one_fz_is_zero(unit_square_16):
+    # the member's f_z is 0 left of x = 1/2, where its mu is 0 and the
+    # limit's is 1/2; right of it the two agree.  The gap and the
+    # convergence in measure count the left half
+    def left(z):
+        return np.asarray(z).real < 0.5
+
+    def jet(z):
+        return (np.where(left(z), 0.5 * np.conj(z), z + 0.5 * np.conj(z)),
+                np.where(left(z), 0.0, 1.0) + 0j, np.full(np.shape(z), 0.5 + 0j))
+
+    member = MappingField(unit_square_16, analytic=AnalyticMap(lambda z: jet(z)[0], jet))
+    limit = MappingField(unit_square_16, analytic=analytic_affine(1.0, 0.5))
+    seq = SequenceHandle(unit_square_16, [member], limit)
+    pts, w = mesh_quad_points(unit_square_16, seq.quad_n)
+    assert lr_gap(seq, "mu", 1.0) == [pytest.approx(0.5 * w[left(pts)].sum(), rel=1e-12)]
+    rep = radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0)
+    share = w[left(pts)].sum() / w.sum()
+    assert rep.pointwise_proxy["mu"] == pytest.approx([share] * 3, rel=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["drift_seq", "moll_seq"])
+def test_mu_scale_is_the_limits_gap_to_the_zero_field(request, fixture):
+    seq = request.getfixturevalue(fixture)
+    mesh = seq.mesh
+    zero = MappingField(mesh, np.zeros(mesh.n_nodes, dtype=complex),
+                        analytic=analytic_affine(0.0, 0.0) if seq.all_analytic else None)
+    to_zero = SequenceHandle(mesh, [zero], seq.limit)
+    for r in (0.5, 1.0, 2.0):
+        scale = quantity_scale(seq, "mu", r)
+        assert scale > 0.0
+        assert scale == lr_gap(to_zero, "mu", r)[0]
 
 
 def _assert_numbers_close(a, b, rtol, path="report"):
@@ -525,7 +554,7 @@ def test_nonpositive_jacobian_in_one_block_gives_inf(unit_square_16):
 
     def folded(z):
         bad = np.asarray(z).imag < 0.05
-        return np.ones(np.shape(z), dtype=complex), np.where(bad, 2.0, 0.0) + 0j
+        return z, np.ones(np.shape(z), dtype=complex), np.where(bad, 2.0, 0.0) + 0j
 
     members = [MappingField(mesh, mesh.nodes.copy(), analytic=analytic_affine(1.1, 0.0)),
                MappingField(mesh, mesh.nodes.copy(),
@@ -594,12 +623,13 @@ def test_convergence_in_measure_counts_inf_above_every_level(unit_square_16):
     ramp = np.linspace(0.0, 0.3, w.size).reshape(w.shape)  # crosses every level
     fz = np.where(bad, np.inf, 1.0 + ramp) + 0j
     fzbar = 0.5 * ramp + 0j
-    lim = convergence._Sample(np.ones(w.shape, dtype=complex), np.zeros(w.shape, dtype=complex))
+    lim = convergence._Sample(0j, np.ones(w.shape, dtype=complex),
+                              np.zeros(w.shape, dtype=complex))
     measure = convergence._InMeasure(2)
     block = convergence._Block(pts, w)
     measure.limit(block, lim)  # the sweep passes the limit first
-    measure.member(block, 0, convergence._Sample(fz + 5.0, fzbar), lim)  # not the last
-    measure.member(block, 1, convergence._Sample(fz, fzbar), lim)
+    measure.member(block, 0, convergence._Sample(0j, fz + 5.0, fzbar), lim)  # not the last
+    measure.member(block, 1, convergence._Sample(0j, fz, fzbar), lim)
     proxy = measure.values()
     finite = {"df": np.hypot(ramp, 0.5 * ramp),
               "jac": np.abs((1.0 + ramp) ** 2 - (0.5 * ramp) ** 2 - 1.0),
@@ -637,14 +667,15 @@ def test_folded_limit_phi_distance_is_inf_without_warnings(disk3):
 
 
 def test_nodal_derivatives_match_wirtinger_derivatives(moll_seq):
-    # a triangle range of a nodal member samples the same sums as the
-    # member's P1 derived field
+    # a triangle range of a nodal member samples the same sums and centroid
+    # values as the member's P1 derived field
     pts, _ = mesh_quad_points(moll_seq.mesh, 1)
     tris = slice(5, 5 + moll_seq.mesh.n_triangles // 3)
     for index, field in ((-1, moll_seq.limit), (2, moll_seq.members[2])):
-        fz, fzbar = convergence._derivatives_at(moll_seq, index, pts, tris)
+        f, fz, fzbar = convergence._derivatives_at(moll_seq, index, pts, tris)
         d = wirtinger_derivatives(field)
-        assert fz.shape == fzbar.shape == pts[tris].shape
+        assert f.shape == fz.shape == fzbar.shape == pts[tris].shape
+        assert np.array_equal(f[:, 0], d.f_centroid[tris])
         assert np.array_equal(fz[:, 0], d.fz[tris])
         assert np.array_equal(fzbar[:, 0], d.fzbar[tris])
 

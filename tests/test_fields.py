@@ -42,7 +42,7 @@ def test_analytic_radial_stretch_closed_forms(rng):
     fy = (amap.value(z + 1j * h) - amap.value(z - 1j * h)) / (2 * h)
     fz_fd = 0.5 * (fx - 1j * fy)
     fzbar_fd = 0.5 * (fx + 1j * fy)
-    fz, fzbar = amap.derivatives(z)
+    _, fz, fzbar = amap.jet(z)
     assert np.allclose(fz, fz_fd, atol=1e-6)
     assert np.allclose(fzbar, fzbar_fd, atol=1e-6)
 
@@ -54,7 +54,7 @@ def test_analytic_radial_stretch_pointwise(alpha):
     # distortion (alpha^2+1)/alpha and |mu| = |alpha-1|/(alpha+1) are constant
     r = np.array([0.05, 0.3, 0.7, 1.0, 1.6])
     z = r * np.exp(1j * np.array([0.4, 2.0, -1.1, 3.0, -2.7]))
-    fz, fzbar = analytic_radial_stretch(alpha).derivatives(z)
+    _, fz, fzbar = analytic_radial_stretch(alpha).jet(z)
     fz_abs, fzbar_abs = np.abs(fz), np.abs(fzbar)
     jac = fz_abs ** 2 - fzbar_abs ** 2
     np.testing.assert_allclose(fz_abs, (alpha + 1.0) / 2.0 * r ** (alpha - 1.0), rtol=1e-12)
@@ -86,13 +86,26 @@ def test_oscillation_derivatives(unit_square_16, rng):
     amap = analytic_oscillation(j)
     z = rng.uniform(0.05, 0.95, 20) + 1j * rng.uniform(0.05, 0.95, 20)
     c = np.cos(2 * np.pi * j * z.real)
-    fz, fzbar = amap.derivatives(z)
+    _, fz, fzbar = amap.jet(z)
     assert np.allclose(fz, 1.0 + 0.5 * c)
     assert np.allclose(fzbar, 0.5 * c)
     # P1 sampling at a resolved frequency matches the closed form at centroids
     m = sample_analytic(unit_square_16, "oscillation", 2)
     d = wirtinger_derivatives(m)
     assert np.isfinite(d.fz).all()
+
+
+@pytest.mark.parametrize("amap", [analytic_affine(1.0 + 0.5j, 0.3 - 0.2j), analytic_oscillation(5),
+                                  *(analytic_radial_stretch(a) for a in (0.5, 1.0, 2.0))],
+                         ids=["affine", "oscillation", "stretch-0.5", "stretch-1", "stretch-2"])
+def test_jet_values_are_the_values_bit_for_bit(amap, rng):
+    # the sweep reads f from the jet, the mollifier from value: one formula,
+    # the origin (where the stretch's power is not taken) among the points
+    z = np.concatenate([[0j], rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200)])
+    z = z.reshape(3, 67)
+    f, fz, fzbar = amap.jet(z)
+    assert f.shape == fz.shape == fzbar.shape == z.shape
+    assert f.tobytes() == amap.value(z).tobytes()
 
 
 def test_closed_form_values_are_sampled_on_first_read(disk3):
@@ -105,7 +118,7 @@ def test_closed_form_values_are_sampled_on_first_read(disk3):
     # the checks apply at the read
     for value, message in ((lambda z: z[:-1], "length"),
                            (lambda z: np.where(z == 0, np.nan, z), "finite")):
-        field = MappingField(disk3, analytic=AnalyticMap(value, amap.derivatives))
+        field = MappingField(disk3, analytic=AnalyticMap(value, amap.jet))
         with pytest.raises(ConfigurationError, match=message):
             field.values
     with pytest.raises(ConfigurationError):

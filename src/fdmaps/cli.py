@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .config import (boolean, complex_number, integer, map_args, optional,
                      positive_integer, read, real)
-from .convergence import Tolerances, gaps_to_csv, radon_riesz_diagnose
+from .convergence import Tolerances, available_cpus, gaps_to_csv, radon_riesz_diagnose
 from .errors import ConfigurationError, FdmapsError
 from .fields import (derived_to_csv, sample_analytic, wirtinger_derivatives,
                      write_columns)
@@ -217,6 +217,7 @@ def run(config: dict, out_dir) -> int:
     manifest = {
         "config": config,
         "version": __version__,
+        "cpus": available_cpus(),  # bounds the diagnose sweep's threads
         "seed": None,
         "status": "ok",
         "failure_reason": None,

@@ -31,9 +31,13 @@ measure of the last member (the weight share where each pointwise
 difference exceeds a threshold, which Chebyshev's inequality bounds by the
 L^r gap) and the limit's folded weight, where J <= 0 in its sample (of
 its closed form, if it has one).  A field's Beltrami coefficient
-mu = f_zbar / f_z counts as 0 where its own f_z = 0.  The working set is
-one block and a few sums: no array grows with the number of quadrature
-points.
+mu = f_zbar / f_z counts as 0 where its own f_z = 0.  The members of a
+block are sampled on one thread per available CPU (`available_cpus`), at
+most one per member, once the limit's part of the block is done; each
+member's sums are written by its own thread and receive the blocks in
+order, so the results keep their bits for any thread count.  The working
+set is one block, with one member sample per thread, and a few sums: no
+array grows with the number of quadrature points.
 The standalone `weak_probe`, `lr_gap`, `quantity_scale` and `lsc_checks`
 run the same sweep with the measurement they report.
 
@@ -45,6 +49,9 @@ stronger statement.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -167,13 +174,27 @@ class _Block(NamedTuple):
 
 class _Measurement:
     """A quantity summed block by block over a sweep.  In every block the
-    sweep passes the limit first, then each member it samples in order."""
+    sweep passes the limit first, then each member it samples in order.
+
+    The members of a block are sampled on several threads at once, and a
+    `limit` hook runs while no `member` hook does.  So `member(..., j, ...)`
+    writes only member j's state, and whatever the member hooks share (the
+    limit sample's lazily built Phi among it) is filled by a `limit` hook."""
 
     def limit(self, block: _Block, lim: _Sample) -> None:
         pass
 
     def member(self, block: _Block, j: int, f: _Sample, lim: _Sample) -> None:
         pass
+
+
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, which `taskset`
+    limits, or the machine's CPU count where the platform has no affinity
+    call.  It bounds the sweep's threads."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
@@ -183,20 +204,83 @@ def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
     quadrature is built when the block is reached, each field is sampled
     once per block and the sample is shared by every measurement.  The
     limit is sampled, then the members of the index sequence `members` in
-    its order (None: every member)."""
+    its order (None: every member).
+
+    The members are dealt round-robin to the calling thread and to one
+    worker thread per further available CPU, at most one thread per member.
+    The calling thread builds each block's quadrature, samples the limit
+    and runs the `limit` hooks while the workers wait; then each thread
+    samples its members in order, and all of them finish the block before
+    the next is built.  A member's sums are written by its own thread alone
+    and receive the blocks in order, so every result keeps its bits for any
+    thread count.  A failure in any thread breaks the handoff and is raised
+    here once every worker has ended."""
     n = seq.quad_n
     step = max(1, geometry.BLOCK_ROWS // n ** 2)
     members = range(len(seq)) if members is None else members
-    for start in range(0, seq.mesh.n_triangles, step):
-        tris = slice(start, start + step)
-        block = _Block(*mesh_quad_points(seq.mesh, n, tris))
-        lim = _sample(seq, -1, block, tris)
-        for m in measurements:
-            m.limit(block, lim)
+    if not seq.all_analytic:  # lazy state that every thread reads, filled first
+        seq.coefficients
         for j in members:
+            seq.members[j].values
+    starts = iter(range(0, seq.mesh.n_triangles, step))
+    current = None  # (tris, block, limit sample) being sampled; None ends the sweep
+
+    def next_block():
+        nonlocal current
+        start, current = next(starts, None), None  # the block before is freed first
+        if start is not None:
+            tris = slice(start, start + step)
+            block = _Block(*mesh_quad_points(seq.mesh, n, tris))
+            lim = _sample(seq, -1, block, tris)
+            for m in measurements:
+                m.limit(block, lim)
+            current = tris, block, lim
+
+    def sample(share):
+        # the block's references end with the call: no thread holds a block
+        # while the next is built
+        tris, block, lim = current
+        for j in share:
             f = _sample(seq, j, block, tris)
             for m in measurements:
                 m.member(block, j, f, lim)
+            del f  # the next member's sample takes its room
+
+    threads = max(1, min(available_cpus(), len(members)))
+    handoff = threading.Barrier(threads)
+    errors = []
+
+    def run(share, prepare=None):
+        try:
+            while True:
+                if prepare is not None:
+                    prepare()
+                handoff.wait()  # the block is ready
+                if current is None:
+                    return
+                sample(share)
+                handoff.wait()  # every member of the block is in
+        except threading.BrokenBarrierError:
+            pass  # the thread that broke the handoff recorded why
+        except BaseException as exc:
+            errors.append(exc)
+            handoff.abort()
+
+    workers = []
+    try:
+        for i in range(1, threads):
+            # each worker runs in a copy of the caller's context: numpy's error state
+            worker = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(run, members[i::threads]))
+            worker.start()
+            workers.append(worker)
+        run(members[0::threads], next_block)
+    finally:
+        handoff.abort()  # frees the workers if a start failed; a no-op after the last block
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
 
 
 QUANTITIES = ("df", "fz", "fzbar", "jac", "mu")
@@ -256,6 +340,10 @@ class _LrGap(_Measurement):
                  spec: Optional[FunctionalSpec] = None):
         self.quantity, self.r, self.spec = quantity, r, spec
         self.sums = np.zeros(n_members)
+
+    def limit(self, block, lim):
+        if self.quantity == "phi":  # the limit's Phi, which every member reads
+            lim.phi(self.spec)
 
     def member(self, block, j, f, lim):
         d = _quantity_diff(self.quantity, f, lim, self.spec)

@@ -8,17 +8,22 @@ import fdmaps
 ROOT = Path(__file__).resolve().parents[1]
 
 # Installs the bench's wrappers on every name perfbench/tracing.py resolves,
-# then runs a small diagnose and prints the derivative evaluations it counted.
+# then runs a small weak probe and one of several blocks, whose members are
+# sampled on five threads, and prints the derivative evaluations counted
+# after each.
 SCRIPT = """
 import tracing
 tracer = tracing.Tracer("t")
 tracing.instrument(tracer)
-from fdmaps import build_rect_mesh
+from fdmaps import build_rect_mesh, convergence
 from fdmaps.convergence import weak_probe
 from fdmaps.sequences import SequenceRecipe, generate
-seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=2), build_rect_mesh(2, 2, 0, 1 + 1j))
-weak_probe(seq)
-print(tracer.summary()["convergence.derivative_evals"])
+convergence.available_cpus = lambda: 5
+for n, j_max in ((2, 2), (16, 8)):
+    seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=j_max),
+                   build_rect_mesh(n, n, 0, 1 + 1j))
+    weak_probe(seq)
+    print(tracer.summary()["convergence.derivative_evals"])
 """
 
 # The criterion-08 descent on disk level 3, the first rung of the bench
@@ -48,9 +53,11 @@ def _run_traced(script, cwd):
 
 
 def test_bench_tracing_instruments_fdmaps(tmp_path):
-    # a renamed or re-signed function would break `perfbench/run.py --trace 1`
-    # the limit and two members, on one block of eight triangles
-    assert _run_traced(SCRIPT, tmp_path) == ["3"]
+    # a renamed or re-signed function would break `perfbench/run.py --trace 1`.
+    # The limit and two members on one block of eight triangles; then the
+    # limit and eight members on each of the four blocks of 512 triangles
+    # (64 points each), counted exactly while five threads sample them
+    assert _run_traced(SCRIPT, tmp_path) == ["3", str(3 + (8 + 1) * 4)]
 
 
 def test_bench_tracing_counts_the_ladder_descent(tmp_path):

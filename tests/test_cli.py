@@ -15,7 +15,7 @@ except ImportError:  # pragma: no cover
 
 import fdmaps
 from fdmaps.cli import main, result_schema, run
-from fdmaps.convergence import QUANTITIES, VERDICTS
+from fdmaps.convergence import QUANTITIES, VERDICTS, available_cpus
 from fdmaps.functionals import ProbeReport
 from fdmaps.geometry import BLOCK_ROWS as DEFAULT_BLOCK_ROWS
 
@@ -83,6 +83,9 @@ def test_diagnose_command(tmp_path):
     assert result["results"]["decided_by"] == "all"
     assert "gap" in result["results"]
     assert (tmp_path / "gaps.csv").exists()
+    # the CPU count that bounds the sweep's threads, to read wall_time_s by
+    manifest = _read(tmp_path / "manifest.json")
+    assert manifest["cpus"] == available_cpus() >= 1
 
 
 @pytest.mark.parametrize("tolerances, verdict, decided_by", [

@@ -1,4 +1,8 @@
+import itertools
 import json
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -295,19 +299,22 @@ def test_hyperbolic_weight_rejects_points_outside_disk(osc_seq):
 
 
 def test_diagnose_samples_each_field_once(monkeypatch, unit_square_16):
-    # the diagnose makes one sweep, at any block size: it samples every
-    # field block by block, the blocks covering every quadrature point of
-    # every field exactly once, and builds each block's quadrature once,
-    # when the block is reached.  Each field's values come with its
-    # derivatives, one evaluation per block.  Blocks of 8,192 points and of 256
-    # points (4 triangles) both split the mesh
+    # the diagnose makes one sweep, at any block size and thread count: it
+    # samples every field block by block, the blocks covering every
+    # quadrature point of every field exactly once, and builds each block's
+    # quadrature once, when the block is reached.  Each field's values come
+    # with its derivatives, one evaluation per block.  Blocks of 8,192
+    # points and of 256 points (4 triangles) both split the mesh, and the
+    # members are sampled on one thread and on two
     seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=8), unit_square_16)
     k = convergence.ANALYTIC_QUAD_N ** 2
     m = unit_square_16.n_triangles
     sweep = convergence._sweep
     derivatives_at, quad_points = convergence._derivatives_at, convergence.mesh_quad_points
-    for block_points in (geometry.BLOCK_ROWS, 4 * k):
+    lock = threading.Lock()  # the members' threads share the counts
+    for block_points, threads in itertools.product((geometry.BLOCK_ROWS, 4 * k), (1, 2)):
         monkeypatch.setattr(geometry, "BLOCK_ROWS", block_points)
+        monkeypatch.setattr(convergence, "available_cpus", lambda n=threads: n)
         sweeps = []  # per sweep: samples of each (field, triangle, point), row 0 the limit
         quad_covered = np.zeros(m, dtype=int)
         calls = {"blocks": 0, "quadrature": 0}
@@ -317,8 +324,9 @@ def test_diagnose_samples_each_field_once(monkeypatch, unit_square_16):
             sweep(seq_, measurements, members)
 
         def recorded(seq_, index, pts, tris=slice(None)):
-            sweeps[-1][index + 1][tris] += 1
-            calls["blocks"] += 1
+            with lock:
+                sweeps[-1][index + 1][tris] += 1
+                calls["blocks"] += 1
             f, fz, fzbar = jet = derivatives_at(seq_, index, pts, tris)
             assert np.shape(f) == np.shape(pts)  # the values come with the derivatives
             return jet
@@ -507,6 +515,99 @@ def test_diagnose_is_block_size_invariant(monkeypatch, request, fixture, tris_pe
     monkeypatch.setattr(geometry, "BLOCK_ROWS", k * (tris_per_block or m))
     blocked = report()
     _assert_numbers_close(default, blocked, rtol=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["osc_seq", "moll_seq", "drift_seq"])
+def test_sweep_thread_count_keeps_the_bits(monkeypatch, request, fixture):
+    # each member's sums are written by its own thread and receive the blocks
+    # in order, so 1, 2 and 5 threads give equal reports and LSC results, bit
+    # for bit, on blocks of 7 triangles.  The threads trade the interpreter
+    # every microsecond, so a lost or reordered update would show
+    seq = request.getfixturevalue(fixture)
+    k = convergence.ANALYTIC_QUAD_N ** 2 if seq.all_analytic else 1
+    monkeypatch.setattr(geometry, "BLOCK_ROWS", 7 * k)
+    spec = FunctionalSpec(family="lp_mean", p=2.0)
+    specs = [spec, FunctionalSpec(family="exp_p", p=1.0)]
+    r_list = {"df": 1.5, "jac": 0.5, "mu": 1.0, "fz": 2.0, "fzbar": 2.0}
+
+    def results(threads):
+        monkeypatch.setattr(convergence, "available_cpus", lambda: threads)
+        # p_RR != p, so the energy series and the plain-Phi energies differ
+        return (radon_riesz_diagnose(spec, seq, p_RR=3.0, r_list=r_list).to_json(),
+                lsc_checks(specs, seq))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        one, two, five = results(1), results(2), results(5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert one == two
+    assert one == five
+
+
+class _Failing(convergence._Measurement):
+    """Calls `fail` in the second block that it sees of member 1, or of the
+    limit when `at_limit`."""
+
+    def __init__(self, fail, at_limit):
+        self.fail, self.at_limit, self.seen = fail, at_limit, 0
+
+    def _count(self):
+        self.seen += 1
+        if self.seen == 2:
+            self.fail()
+
+    def limit(self, block, lim):
+        if self.at_limit:
+            self._count()
+
+    def member(self, block, j, f, lim):
+        if j == 1 and not self.at_limit:
+            self._count()
+
+
+def _leave_the_domain():
+    raise DomainError("member 1 left the domain")
+
+
+def _divide_by_zero():
+    np.divide(1.0, np.zeros(1))  # numpy warns; the filter below makes that an error
+
+
+@pytest.mark.parametrize("threads", [1, 2, 5])
+@pytest.mark.parametrize("fail, at_limit, error, message", [
+    (_leave_the_domain, False, DomainError, "member 1 left the domain"),
+    (_divide_by_zero, False, RuntimeWarning, "divide by zero encountered in divide"),
+    (_leave_the_domain, True, DomainError, "member 1 left the domain"),
+])
+def test_sweep_failure_reaches_the_caller(monkeypatch, drift_seq, threads, fail,
+                                           at_limit, error, message):
+    # a failure in a member's thread, or in the limit's part of a block,
+    # is raised to the caller with its type and message, and no thread
+    # outlives the sweep.  The sweep runs on a thread of its own, so a
+    # deadlock fails the test instead of hanging it
+    monkeypatch.setattr(convergence, "available_cpus", lambda: threads)
+    assert drift_seq.mesh.n_triangles * convergence.ANALYTIC_QUAD_N ** 2 > geometry.BLOCK_ROWS
+    before = threading.active_count()
+    outcome = []
+
+    def sweep():
+        try:
+            convergence._sweep(drift_seq, [_Failing(fail, at_limit)])
+        except BaseException as exc:
+            outcome.append(exc)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        runner = threading.Thread(target=sweep, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+    assert not runner.is_alive(), "the sweep did not return"
+    assert threading.active_count() == before
+    assert len(outcome) == 1
+    assert type(outcome[0]) is error
+    assert str(outcome[0]) == message
 
 
 @pytest.mark.parametrize("n", [1, convergence.ANALYTIC_QUAD_N])

@@ -217,7 +217,7 @@ def run(config: dict, out_dir) -> int:
     manifest = {
         "config": config,
         "version": __version__,
-        "cpus": available_cpus(),  # bounds the diagnose sweep's threads
+        "cpus": available_cpus(),  # bounds the threads of the sweep and the mollifier
         "seed": None,
         "status": "ok",
         "failure_reason": None,

@@ -4,8 +4,9 @@ A section is read through one table {key: (convert, default)}.  A key the
 table lacks, or a value `convert` refuses, is a ConfigurationError naming
 the section and the key; a missing key takes the default, if it has one.
 A row (convert, default, kinds) with kinds other than None belongs only to
-the tables of those values of the section's "kind" key, so a key that its
-kind never reads is unknown.
+the tables of those values of the section's "kind" key (or of the key that
+`read` is given as `by`, at its default when the section omits it), so a
+key that its kind never reads is unknown.
 """
 
 from __future__ import annotations
@@ -46,6 +47,15 @@ def boolean(value) -> bool:
     return value
 
 
+def one_of(*choices):
+    """A converter that refuses a value outside `choices`."""
+    def convert(value):
+        if value not in choices:
+            raise ValueError(f"{value!r} is not one of {list(choices)}")
+        return value
+    return convert
+
+
 def optional(convert):
     return lambda value: None if value is None else convert(value)
 
@@ -72,12 +82,13 @@ def rows(table: dict, kind) -> dict:
             if len(row) == 2 or row[2] is None or kind in row[2]}
 
 
-def read(section: str, doc, table: dict) -> dict:
+def read(section: str, doc, table: dict, by: str = "kind") -> dict:
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{section} must be a JSON object, not {doc!r}")
-    table = rows(table, doc.get("kind"))
+    table = rows(table, doc.get(by, table[by][1] if by in table else None))
     values = {key: default for key, (_, default) in table.items() if default is not MISSING}
-    for key, value in doc.items():
+    # `by` first: a kind its converter refuses is named before the keys it reads
+    for key, value in sorted(doc.items(), key=lambda item: item[0] != by):
         if key not in table:
             raise ConfigurationError(
                 f"unknown {section} key {key!r}; expected one of {sorted(table)}")

@@ -54,8 +54,8 @@ import os
 import threading
 import warnings
 from dataclasses import asdict, dataclass
-from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from functools import cached_property, partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -191,7 +191,7 @@ class _Measurement:
 def available_cpus() -> int:
     """The CPUs this process may run on: its affinity set, which `taskset`
     limits, or the machine's CPU count where the platform has no affinity
-    call.  It bounds the sweep's threads."""
+    call.  It bounds the threads of the sweep and of the mollifier."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -248,7 +248,6 @@ def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
 
     threads = max(1, min(available_cpus(), len(members)))
     handoff = threading.Barrier(threads)
-    errors = []
 
     def run(share, prepare=None):
         try:
@@ -262,21 +261,40 @@ def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
                 handoff.wait()  # every member of the block is in
         except threading.BrokenBarrierError:
             pass  # the thread that broke the handoff recorded why
+
+    run_threads([partial(run, members[0::threads], next_block)]
+                + [partial(run, members[i::threads]) for i in range(1, threads)],
+                abort=handoff.abort)
+
+
+def run_threads(tasks: Sequence[Callable[[], None]], abort: Callable[[], None] = lambda: None):
+    """Run `tasks[0]` on the calling thread and each other task on a worker
+    thread of its own, in a copy of the caller's context (numpy's error
+    state).  A failure in any task, or in starting a worker, calls `abort`,
+    which must free or stop the tasks still running, and the first failure
+    is raised here once every worker has been joined: no thread outlives the
+    call."""
+    errors = []
+
+    def guarded(task):
+        try:
+            task()
         except BaseException as exc:
             errors.append(exc)
-            handoff.abort()
+            abort()
 
     workers = []
     try:
-        for i in range(1, threads):
-            # each worker runs in a copy of the caller's context: numpy's error state
+        for task in tasks[1:]:
             worker = threading.Thread(target=contextvars.copy_context().run,
-                                      args=(run, members[i::threads]))
+                                      args=(guarded, task))
             worker.start()
             workers.append(worker)
-        run(members[0::threads], next_block)
+        guarded(tasks[0])
+    except BaseException:
+        abort()  # a worker did not start: free those that did
+        raise
     finally:
-        handoff.abort()  # frees the workers if a start failed; a no-op after the last block
         for worker in workers:
             worker.join()
     if errors:

@@ -32,8 +32,13 @@ from .geometry import Mesh, blocks
 class AnalyticMap:
     """Closed-form map with exact Wirtinger derivatives, for oracle use.
     `jet(z)` returns (f, f_z, f_zbar) from one shared evaluation, its f
-    bit for bit `value(z)`; `value` alone serves readers of values only."""
-    value: Callable[[np.ndarray], np.ndarray]
+    bit for bit `value(z)`; `value` alone serves readers of values only.
+    The targets of the mollifier, `analytic_affine` and
+    `analytic_radial_stretch`, also take `value(z, out, work)`: f(z) is
+    written into `out` (z itself allowed), and `work`, a 1-D complex array
+    of at least z.size elements, holds the complex and real temporaries,
+    which a caller that evaluates block after block reuses."""
+    value: Callable[..., np.ndarray]
     jet: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
@@ -226,11 +231,14 @@ def finite_distortion_report(derived: DerivedField) -> DistortionReport:
 def analytic_affine(a: complex, b: complex) -> AnalyticMap:
     a, b = complex(a), complex(b)
 
-    def value(z):
+    def value(z, out=None, work=None):
         # conj(z) * b, not b * conj(z): numpy evaluates the latter in place as
         # conj(z) * b for large arrays only, and the two operand orders differ
         # in the last bit, so the values would depend on the array size
-        return a * z + np.conj(z) * b
+        z = np.asarray(z, dtype=complex)
+        conj_b = np.empty_like(z) if work is None else work[:z.size].reshape(z.shape)
+        np.multiply(np.conjugate(z, out=conj_b), b, out=conj_b)
+        return np.add(np.multiply(a, z, out=out), conj_b, out=out)
 
     def jet(z):
         z = np.asarray(z, dtype=complex)
@@ -249,9 +257,13 @@ def analytic_radial_stretch(alpha: float) -> AnalyticMap:
         np.power(r, alpha - 1.0, out=stretch, where=r > 0)
         return stretch
 
-    def value(z):
+    def value(z, out=None, work=None):
         z = np.asarray(z, dtype=complex)
-        return z * radial(np.abs(z))
+        r = np.abs(z, out=None if work is None else
+                   work.view(np.float64)[:z.size].reshape(z.shape))
+        # the stretch over r: the power is taken where r > 0, and r is 0
+        # elsewhere, at the origin, as `radial` has it
+        return np.multiply(z, np.power(r, alpha - 1.0, out=r, where=r > 0), out=out)
 
     def jet(z):
         z = np.asarray(z, dtype=complex)

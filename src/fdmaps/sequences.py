@@ -7,26 +7,31 @@ drifting families that converge in C^1, and constant sequences.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Dict
+from functools import partial
+from typing import Dict, List
 
 import numpy as np
 
-from . import geometry
+from . import convergence
 from .convergence import SequenceHandle
-from .config import Section, complex_number, integer, map_args, read, real, setting
+from .config import Section, complex_number, integer, map_args, one_of, read, real, setting
 from .errors import ConfigurationError
 from .fields import (AnalyticMap, MappingField, analytic_affine, analytic_oscillation,
                      analytic_radial_stretch, sample_analytic)
 from .geometry import Mesh
 from .quadrature import gauss_legendre
 
-# The params table of each sequence kind; a key its kind never reads is refused.
+# The params table of each sequence kind; a key its kind never reads is
+# refused, and so is a mollified key that its target never reads.
 PARAMS = {
     "constant": {"formula": (str, "identity"), "args": (map_args, ())},
     "oscillation": {},
-    "mollified": {"target": (str, "radial_stretch"), "alpha": (real, 2.0),
-                  "a": (complex_number, 1 + 0j), "b": (complex_number, 0j)},
+    "mollified": {"target": (one_of("radial_stretch", "affine"), "radial_stretch"),
+                  "alpha": (real, 2.0, ("radial_stretch",)),
+                  "a": (complex_number, 1 + 0j, ("affine",)),
+                  "b": (complex_number, 0j, ("affine",))},
     "affine_drift": {"a": (complex_number, 1 + 0j), "b": (complex_number, 0j),
                      "da": (complex_number, 0.5 + 0j), "db": (complex_number, 0j)},
     "radial_stretch_family": {"alpha": (real, 2.0), "dalpha": (real, 1.0)},
@@ -64,26 +69,81 @@ def _bump_quadrature(delta: float, n: int = 16):
     return U.ravel()[keep], weights
 
 
-def mollify_values(amap: AnalyticMap, points: np.ndarray, delta: float) -> np.ndarray:
-    """Convolution of the closed form with a polynomial bump of radius delta."""
+# points per block of the mollifier, against the 144 points of the bump: each
+# thread reuses two complex blocks of this many rows, 252 KiB each, one for
+# the shifted points and one for the closed form's temporaries, so the
+# allocator is not made to trim and re-fault a block per block (the radial
+# stretch still allocates its 16 KiB mask of r > 0), and a block is large
+# enough for the threads to overlap
+MOLLIFY_ROWS = 112
+
+# the most threads that build mollified members, so that their blocks take
+# at most 2 MiB on any machine; more than 2 threads were never timed
+MOLLIFY_THREADS = 4
+
+
+def bump_sums(values: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
+    """Each row of `values` summed against the bump's weights, without BLAS:
+    the weights scale `values` in place and numpy adds each row pairwise, so
+    a row's sum has the same bits in a block of any size and on any thread."""
+    np.multiply(values, weights, out=values)
+    return np.add.reduce(values, axis=-1, out=out)
+
+
+def mollify_values(amap: AnalyticMap, points: np.ndarray, delta: float,
+                   work=None) -> np.ndarray:
+    """Convolution of the closed form with a polynomial bump of radius delta,
+    MOLLIFY_ROWS points at a time.  `work` is the pair of blocks of
+    `mollifier_work`, which a caller that mollifies again and again keeps."""
     offsets, weights = _bump_quadrature(delta)
+    shifted, scratch = mollifier_work() if work is None else work
     pts = np.asarray(points, dtype=complex).reshape(-1)
     out = np.empty_like(pts)
-    # rows of a (rows x offsets) complex temporary of at most BLOCK_ROWS / 2
-    # points, 64 KiB: small enough that the allocator keeps it on the heap
-    # between blocks rather than trimming it and faulting it back in
-    step = max(1, geometry.BLOCK_ROWS // 2 // len(offsets))
-    for i in range(0, len(pts), step):
-        out[i:i + step] = amap.value(pts[i:i + step, None] - offsets) @ weights
+    for i in range(0, len(pts), MOLLIFY_ROWS):
+        rows = pts[i:i + MOLLIFY_ROWS]
+        z = shifted[:len(rows)]
+        np.subtract(rows[:, None], offsets, out=z)
+        amap.value(z, out=z, work=scratch)
+        bump_sums(z, weights, out=out[i:i + len(rows)])
     return out.reshape(np.shape(points))
+
+
+def mollifier_work():
+    """The blocks `mollify_values` evaluates in: shifted points, and the
+    closed form's scratch."""
+    shape = (MOLLIFY_ROWS, len(_bump_quadrature(1.0)[0]))
+    return np.empty(shape, dtype=complex), np.empty(shape[0] * shape[1], dtype=complex)
+
+
+def _mollified_members(mesh: Mesh, amap: AnalyticMap, js) -> List[MappingField]:
+    """Member j mollified at radius 1/j for each j of `js`.  The members are
+    dealt round-robin to one thread per available CPU, at most one per
+    member and MOLLIFY_THREADS in all, and each thread keeps its own blocks.
+    A member is built whole by one thread, so its bits do not depend on the
+    thread count.  A failure stops every thread before its next member, and
+    the first failure to happen is raised."""
+    members = [None] * len(js)
+    threads = max(1, min(convergence.available_cpus(), len(js), MOLLIFY_THREADS))
+    failed = threading.Event()
+
+    def build(share):
+        work = mollifier_work()
+        for i in share:
+            if failed.is_set():
+                return
+            members[i] = MappingField(mesh, mollify_values(amap, mesh.nodes, 1.0 / js[i], work))
+
+    convergence.run_threads([partial(build, range(i, len(js), threads))
+                             for i in range(threads)], abort=failed.set)
+    return members
 
 
 def generate(recipe: SequenceRecipe, mesh: Mesh) -> SequenceHandle:
     """Every member and the limit on the mesh.  Closed-form members and
-    limits sample their nodes on first read; mollified members are sampled
-    here."""
+    limits sample their nodes on first read; mollified members are built
+    here, on up to MOLLIFY_THREADS of the available CPUs."""
     js = range(1, recipe.j_max + 1)
-    p = read("recipe params", recipe.params, PARAMS[recipe.kind])
+    p = read("recipe params", recipe.params, PARAMS[recipe.kind], by="target")
 
     if recipe.kind == "constant":
         member = sample_analytic(mesh, p["formula"], *p["args"])
@@ -99,11 +159,9 @@ def generate(recipe: SequenceRecipe, mesh: Mesh) -> SequenceHandle:
             if mesh.kind != "disk":
                 raise ConfigurationError("mollified radial stretches are defined on the disk")
             amap = analytic_radial_stretch(p["alpha"])
-        elif p["target"] == "affine":
-            amap = analytic_affine(p["a"], p["b"])
         else:
-            raise ConfigurationError(f"unknown mollification target {p['target']!r}")
-        members = [MappingField(mesh, mollify_values(amap, mesh.nodes, 1.0 / j)) for j in js]
+            amap = analytic_affine(p["a"], p["b"])
+        members = _mollified_members(mesh, amap, js)
         limit = MappingField(mesh, amap.value(mesh.nodes), analytic=None)
     elif recipe.kind == "affine_drift":
         members = [MappingField(mesh, analytic=analytic_affine(

@@ -313,6 +313,17 @@ _MISSPELT = [
     ("diagnose", {"diagnostic": {"probe_samples": 0}}, "probe_samples"),
     ("diagnose", {"recipe": {"kind": "mollified", "params": {"radius_scale": 2.0},
                              "j_max": 2}}, "radius_scale"),
+    # a mollified key that the target never reads used to be ignored
+    ("diagnose", {"recipe": {"kind": "mollified", "params": {"target": "affine", "alpha": 1.5},
+                             "j_max": 2}}, "alpha"),
+    ("diagnose", {"recipe": {"kind": "mollified", "params": {"a": 1.5, "b": 0.1},
+                             "j_max": 2}}, "a"),
+    ("diagnose", {"recipe": {"kind": "mollified",
+                             "params": {"target": "radial_stretch", "b": 0.1},
+                             "j_max": 2}}, "b"),
+    # an unknown target is named, not the key that follows it
+    ("diagnose", {"recipe": {"kind": "mollified", "params": {"alpha": 1.5, "target": "nope"},
+                             "j_max": 2}}, "target"),
     # 0 samples used to pass every probe but the control
     ("oracle", {"oracle": {"n_samples": 0}}, "n_samples"),
     # numbers must be finite JSON numbers: NaN used to certify a NaN field,

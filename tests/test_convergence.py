@@ -804,10 +804,12 @@ def test_nodal_diagnose_builds_derivatives_once(monkeypatch, moll_seq):
     assert calls["coefficients"] == 1
 
 
-def test_nodal_diagnose_memory_is_bounded():
+def test_nodal_diagnose_memory_is_bounded(monkeypatch):
     # tracemalloc sees numpy's buffers: the chunked mollifier, the sweep's
     # temporaries and what the handle keeps after a diagnose stay small on a
-    # level-5 mollified sequence of 64 members
+    # level-5 mollified sequence of 64 members.  The generation is measured
+    # again on 5 and on 64 CPUs, whose threads each keep their own mollifier
+    # blocks: the thread cap keeps those blocks from growing with the CPUs
     import tracemalloc
 
     import fdmaps
@@ -825,9 +827,18 @@ def test_nodal_diagnose_memory_is_bounded():
         report = radon_riesz_diagnose(spec, seq, p_RR=2.0,
                                       r_list={"df": 1.5, "jac": 0.5, "mu": 1.0})
         after, diagnose_peak = tracemalloc.get_traced_memory()
+        del seq
+        threaded_peaks = []
+        for cpus in (5, 64):
+            monkeypatch.setattr(convergence, "available_cpus", lambda n=cpus: n)
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            generate(recipe, mesh)
+            threaded_peaks.append(tracemalloc.get_traced_memory()[1] - start)
     finally:
         tracemalloc.stop()
     assert report.verdict == "StrongConvergence"
     assert generate_peak < 8 * mib
+    assert max(threaded_peaks) < 8 * mib
     assert diagnose_peak - before < 16 * mib
     assert after - before < 4 * mib

@@ -108,6 +108,19 @@ def test_jet_values_are_the_values_bit_for_bit(amap, rng):
     assert f.tobytes() == amap.value(z).tobytes()
 
 
+@pytest.mark.parametrize("amap", [analytic_affine(1.0 + 0.5j, 0.3 - 0.2j),
+                                  *(analytic_radial_stretch(a) for a in (0.5, 1.0, 2.0))],
+                         ids=["affine", "stretch-0.5", "stretch-1", "stretch-2"])
+def test_values_written_in_place_are_the_values(amap, rng):
+    # the mollifier evaluates each block over its shifted points, with a
+    # longer block of scratch: the same bytes as the allocating call
+    z = np.concatenate([[0j], rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200)])
+    z = z.reshape(3, 67)
+    block = z.copy()
+    assert amap.value(block, out=block, work=np.full(z.size + 5, np.nan + 0j)) is block
+    assert block.tobytes() == amap.value(z).tobytes()
+
+
 def test_closed_form_values_are_sampled_on_first_read(disk3):
     amap = analytic_radial_stretch(1.5)
     field = MappingField(disk3, analytic=amap)

@@ -12,14 +12,14 @@ import importlib.resources
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import MISSING, asdict
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import (boolean, complex_number, integer, map_args, optional,
+from .config import (boolean, complex_number, integer, map_args, one_of, optional,
                      positive_integer, read, real)
 from .convergence import Tolerances, available_cpus, gaps_to_csv, radon_riesz_diagnose
 from .errors import ConfigurationError, FdmapsError
@@ -37,7 +37,7 @@ from .sequences import SequenceRecipe, generate
 _CONFIG = {"command": (str, None), "seed": (integer, 0), "out": (str, "."),
            **dict.fromkeys(("domain", "functional", "boundary", "minimize", "sweep", "recipe",
                             "diagnostic", "hopf", "oracle"), (dict, {}))}
-_DOMAIN = {"kind": (str, None), "level": (integer, 4, ("disk",)),
+_DOMAIN = {"kind": (one_of("disk", "rect"), MISSING), "level": (integer, 4, ("disk",)),
            "nx": (integer, 16, ("rect",)), "ny": (integer, 16, ("rect",)),
            "lo": (complex_number, 0j, ("rect",)), "hi": (complex_number, 1 + 1j, ("rect",))}
 _SWEEP = {"p": (real, 1.0), "N_list": (lambda ns: [integer(n) for n in ns], (1, 2, 4, 8)),
@@ -56,9 +56,7 @@ def _build_mesh(doc):
     domain = read("domain", doc, _DOMAIN)
     if domain["kind"] == "disk":
         return build_disk_mesh(domain["level"])
-    if domain["kind"] == "rect":
-        return build_rect_mesh(domain["nx"], domain["ny"], domain["lo"], domain["hi"])
-    raise ConfigurationError(f"unknown domain kind {domain['kind']!r}")
+    return build_rect_mesh(domain["nx"], domain["ny"], domain["lo"], domain["hi"])
 
 
 def _run_mesh(config, out: Path):
@@ -217,7 +215,7 @@ def run(config: dict, out_dir) -> int:
     manifest = {
         "config": config,
         "version": __version__,
-        "cpus": available_cpus(),  # bounds the threads of the sweep and the mollifier
+        "cpus": available_cpus(),  # the sweep and the mollifier use at most 4 of them
         "seed": None,
         "status": "ok",
         "failure_reason": None,

@@ -32,12 +32,12 @@ difference exceeds a threshold, which Chebyshev's inequality bounds by the
 L^r gap) and the limit's folded weight, where J <= 0 in its sample (of
 its closed form, if it has one).  A field's Beltrami coefficient
 mu = f_zbar / f_z counts as 0 where its own f_z = 0.  The members of a
-block are sampled on one thread per available CPU (`available_cpus`), at
-most one per member, once the limit's part of the block is done; each
-member's sums are written by its own thread and receive the blocks in
-order, so the results keep their bits for any thread count.  The working
-set is one block, with one member sample per thread, and a few sums: no
-array grows with the number of quadrature points.
+block are sampled on the threads of `deal`, one per available CPU, at most
+one per member and MAX_THREADS in all, once the limit's part of the block
+is done; each member's sums are written by its own thread and receive the
+blocks in order, so the results keep their bits for any thread count.  The
+working set is one block, with at most MAX_THREADS member samples, and a
+few sums: no array grows with the number of quadrature points or CPUs.
 The standalone `weak_probe`, `lr_gap`, `quantity_scale` and `lsc_checks`
 run the same sweep with the measurement they report.
 
@@ -54,7 +54,7 @@ import os
 import threading
 import warnings
 from dataclasses import asdict, dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -191,10 +191,24 @@ class _Measurement:
 def available_cpus() -> int:
     """The CPUs this process may run on: its affinity set, which `taskset`
     limits, or the machine's CPU count where the platform has no affinity
-    call.  It bounds the threads of the sweep and of the mollifier."""
+    call."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+# the most threads that share out the work of one loop, the sweep's or the
+# mollifier's, so that the blocks they hold stay within a few MiB on any
+# machine; more than 2 threads were never timed
+MAX_THREADS = 4
+
+
+def deal(items: Sequence) -> List[Sequence]:
+    """`items` dealt round-robin into one share per thread: one thread per
+    available CPU, at most one per item and MAX_THREADS in all, and always
+    at least one share, which may be empty."""
+    threads = max(1, min(available_cpus(), len(items), MAX_THREADS))
+    return [items[i::threads] for i in range(threads)]
 
 
 def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
@@ -206,13 +220,13 @@ def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
     limit is sampled, then the members of the index sequence `members` in
     its order (None: every member).
 
-    The members are dealt round-robin to the calling thread and to one
-    worker thread per further available CPU, at most one thread per member.
-    The calling thread builds each block's quadrature, samples the limit
-    and runs the `limit` hooks while the workers wait; then each thread
-    samples its members in order, and all of them finish the block before
-    the next is built.  A member's sums are written by its own thread alone
-    and receive the blocks in order, so every result keeps its bits for any
+    The members are dealt (`deal`) to the calling thread and to worker
+    threads, and every thread runs the same loop: wait at the handoff, a
+    `threading.Barrier`, stop if there is no block, sample its members in
+    order.  The last thread to arrive at the handoff builds the next block
+    while the others wait: its quadrature, the limit's sample and the
+    `limit` hooks.  A member's sums are written by its own thread alone and
+    receive the blocks in order, so every result keeps its bits for any
     thread count.  A failure in any thread breaks the handoff and is raised
     here once every worker has ended."""
     n = seq.quad_n
@@ -236,61 +250,52 @@ def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
                 m.limit(block, lim)
             current = tris, block, lim
 
-    def sample(share):
-        # the block's references end with the call: no thread holds a block
-        # while the next is built
-        tris, block, lim = current
-        for j in share:
-            f = _sample(seq, j, block, tris)
-            for m in measurements:
-                m.member(block, j, f, lim)
-            del f  # the next member's sample takes its room
-
-    threads = max(1, min(available_cpus(), len(members)))
-    handoff = threading.Barrier(threads)
-
-    def run(share, prepare=None):
+    def sample_members(share):
         try:
             while True:
-                if prepare is not None:
-                    prepare()
-                handoff.wait()  # the block is ready
+                handoff.wait()  # the last thread to arrive builds the block
                 if current is None:
                     return
-                sample(share)
-                handoff.wait()  # every member of the block is in
+                tris, block, lim = current
+                for j in share:
+                    f = _sample(seq, j, block, tris)
+                    for m in measurements:
+                        m.member(block, j, f, lim)
+                    del f  # the next member's sample takes its room
+                del tris, block, lim  # no thread holds a block while the next is built
         except threading.BrokenBarrierError:
             pass  # the thread that broke the handoff recorded why
 
-    run_threads([partial(run, members[0::threads], next_block)]
-                + [partial(run, members[i::threads]) for i in range(1, threads)],
-                abort=handoff.abort)
+    shares = deal(members)
+    handoff = threading.Barrier(len(shares), action=next_block)
+    run_threads(sample_members, shares, abort=handoff.abort)
 
 
-def run_threads(tasks: Sequence[Callable[[], None]], abort: Callable[[], None] = lambda: None):
-    """Run `tasks[0]` on the calling thread and each other task on a worker
-    thread of its own, in a copy of the caller's context (numpy's error
-    state).  A failure in any task, or in starting a worker, calls `abort`,
-    which must free or stop the tasks still running, and the first failure
-    is raised here once every worker has been joined: no thread outlives the
-    call."""
+def run_threads(work: Callable[[Sequence], None], shares: Sequence[Sequence],
+                abort: Callable[[], None] = lambda: None):
+    """Run `work(share)` for each of the `shares` of `deal`: the first on
+    the calling thread and each other on a worker thread of its own, in a
+    copy of the caller's context (numpy's error state).  A failure in any
+    thread, or in starting a worker, calls `abort`, which must free or stop
+    the threads still running, and the first failure is raised here once
+    every worker has been joined: no thread outlives the call."""
     errors = []
 
-    def guarded(task):
+    def guarded(share):
         try:
-            task()
+            work(share)
         except BaseException as exc:
             errors.append(exc)
             abort()
 
     workers = []
     try:
-        for task in tasks[1:]:
+        for share in shares[1:]:
             worker = threading.Thread(target=contextvars.copy_context().run,
-                                      args=(guarded, task))
+                                      args=(guarded, share))
             worker.start()
             workers.append(worker)
-        guarded(tasks[0])
+        guarded(shares[0])
     except BaseException:
         abort()  # a worker did not start: free those that did
         raise

@@ -251,28 +251,23 @@ def analytic_radial_stretch(alpha: float) -> AnalyticMap:
     """z -> z|z|^(alpha-1); the standard closed-form finite-distortion example."""
     alpha = float(alpha)
 
-    def radial(r):
-        """|z|^(alpha-1), 0 at the origin; the power is taken only where r > 0."""
-        stretch = np.zeros(np.shape(r))
-        np.power(r, alpha - 1.0, out=stretch, where=r > 0)
-        return stretch
+    def stretch(z, out=None):
+        """|z|^(alpha-1), 0 at the origin, in `out` if given: the power is
+        taken over r = |z| in place, only where r > 0."""
+        r = np.abs(z, out=out)
+        return np.power(r, alpha - 1.0, out=r, where=r > 0)
 
     def value(z, out=None, work=None):
         z = np.asarray(z, dtype=complex)
-        r = np.abs(z, out=None if work is None else
-                   work.view(np.float64)[:z.size].reshape(z.shape))
-        # the stretch over r: the power is taken where r > 0, and r is 0
-        # elsewhere, at the origin, as `radial` has it
-        return np.multiply(z, np.power(r, alpha - 1.0, out=r, where=r > 0), out=out)
+        s = stretch(z, None if work is None else work.view(np.float64)[:z.size].reshape(z.shape))
+        return np.multiply(z, s, out=out)
 
     def jet(z):
         z = np.asarray(z, dtype=complex)
-        r = np.abs(z)
-        stretch = radial(r)
+        s = stretch(z)
         with np.errstate(invalid="ignore", divide="ignore"):
-            phase = np.where(r > 0, z / np.where(r > 0, np.conj(z), 1.0), 0.0)
-        return (z * stretch, ((alpha + 1.0) / 2.0) * stretch + 0j,
-                ((alpha - 1.0) / 2.0) * stretch * phase)
+            phase = np.where(z != 0, z / np.where(z != 0, np.conj(z), 1.0), 0.0)
+        return (z * s, ((alpha + 1.0) / 2.0) * s + 0j, ((alpha - 1.0) / 2.0) * s * phase)
 
     return AnalyticMap(value, jet)
 

@@ -194,15 +194,16 @@ def quadrature_sum(values: np.ndarray, weights: np.ndarray) -> float:
 
 def energy(spec: FunctionalSpec, derived: DerivedField,
            eta: Optional[np.ndarray] = None) -> float:
-    """Centroid-quadrature energy sum; exact for the per-element-constant integrands."""
+    """Centroid-quadrature energy sum; exact for the per-element-constant
+    integrands.  `eta`, the weight at the centroids, spares a caller that
+    sums many fields on one mesh the centroids of each."""
     if eta is None:
         eta = weight_values(spec, derived.mesh.centroids())
     vals = integrand(spec, *squared_moduli(derived.fz, derived.fzbar))
     return quadrature_sum(vals, eta * derived.areas)
 
 
-def inverse_energy(spec: FunctionalSpec, derived: DerivedField,
-                   eta: Optional[np.ndarray] = None) -> float:
+def inverse_energy(spec: FunctionalSpec, derived: DerivedField) -> float:
     """Inverse-problem energy computed by pull-back, without inverting.
 
     The inverse h at w = f(z) has |h_w| = |f_z|/J and |h_wbar| = |f_zbar|/J,
@@ -219,9 +220,8 @@ def inverse_energy(spec: FunctionalSpec, derived: DerivedField,
             f"inverse undefined: triangle {worst} has J = {jac[worst]:.3e} <= 0")
     P, Q = squared_moduli(derived.fz, derived.fzbar)
     vals = integrand(spec, P / jac ** 2, Q / jac ** 2)
-    if eta is None:
-        # weight lives on the inverse problem's domain = the image
-        eta = weight_values(spec, derived.f_centroid)
+    # the weight lives on the inverse problem's domain, the image
+    eta = weight_values(spec, derived.f_centroid)
     return quadrature_sum(vals, eta * jac * derived.areas)
 
 

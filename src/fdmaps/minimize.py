@@ -47,7 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .config import Section, floats, integer, real, setting
+from .config import Section, floats, integer, one_of, real, setting
 from .errors import ConfigurationError, DomainError, InitializationError
 from .fields import MappingField, derivative_coefficients, squared_moduli
 from .functionals import FunctionalSpec, integrand, quadrature_sum, weight_values
@@ -81,9 +81,12 @@ class MinimizeConfig(Section, section="minimize"):
             raise ConfigurationError("minimize config fields must be positive")
 
 
+BOUNDARY_KINDS = ("identity", "circle_diffeo", "explicit")
+
+
 @dataclass(frozen=True)
 class BoundaryData(Section, section="boundary"):
-    kind: str = setting(str, "identity")  # "identity" | "circle_diffeo" | "explicit"
+    kind: str = setting(one_of(*BOUNDARY_KINDS), "identity")
     # a_n, b_n of theta + sum a_n sin(n theta) + b_n cos(n theta)
     sin_coeffs: Sequence[float] = setting(floats, (), kinds=("circle_diffeo",))
     cos_coeffs: Sequence[float] = setting(floats, (), kinds=("circle_diffeo",))
@@ -92,7 +95,7 @@ class BoundaryData(Section, section="boundary"):
         kinds=("explicit",), dump=lambda values: [[v.real, v.imag] for v in values])
 
     def __post_init__(self):
-        if self.kind not in ("identity", "circle_diffeo", "explicit"):
+        if self.kind not in BOUNDARY_KINDS:
             raise ConfigurationError(f"unknown boundary kind {self.kind!r}")
         if self.kind == "circle_diffeo":
             theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)

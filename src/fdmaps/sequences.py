@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List
 
 import numpy as np
@@ -77,10 +76,6 @@ def _bump_quadrature(delta: float, n: int = 16):
 # enough for the threads to overlap
 MOLLIFY_ROWS = 112
 
-# the most threads that build mollified members, so that their blocks take
-# at most 2 MiB on any machine; more than 2 threads were never timed
-MOLLIFY_THREADS = 4
-
 
 def bump_sums(values: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
     """Each row of `values` summed against the bump's weights, without BLAS:
@@ -117,13 +112,11 @@ def mollifier_work():
 
 def _mollified_members(mesh: Mesh, amap: AnalyticMap, js) -> List[MappingField]:
     """Member j mollified at radius 1/j for each j of `js`.  The members are
-    dealt round-robin to one thread per available CPU, at most one per
-    member and MOLLIFY_THREADS in all, and each thread keeps its own blocks.
-    A member is built whole by one thread, so its bits do not depend on the
-    thread count.  A failure stops every thread before its next member, and
-    the first failure to happen is raised."""
+    dealt to threads by `convergence.deal`, and each thread keeps its own
+    blocks.  A member is built whole by one thread, so its bits do not
+    depend on the thread count.  A failure stops every thread before its
+    next member, and the first failure to happen is raised."""
     members = [None] * len(js)
-    threads = max(1, min(convergence.available_cpus(), len(js), MOLLIFY_THREADS))
     failed = threading.Event()
 
     def build(share):
@@ -133,15 +126,14 @@ def _mollified_members(mesh: Mesh, amap: AnalyticMap, js) -> List[MappingField]:
                 return
             members[i] = MappingField(mesh, mollify_values(amap, mesh.nodes, 1.0 / js[i], work))
 
-    convergence.run_threads([partial(build, range(i, len(js), threads))
-                             for i in range(threads)], abort=failed.set)
+    convergence.run_threads(build, convergence.deal(range(len(js))), abort=failed.set)
     return members
 
 
 def generate(recipe: SequenceRecipe, mesh: Mesh) -> SequenceHandle:
     """Every member and the limit on the mesh.  Closed-form members and
     limits sample their nodes on first read; mollified members are built
-    here, on up to MOLLIFY_THREADS of the available CPUs."""
+    here, on the threads of `convergence.deal`."""
     js = range(1, recipe.j_max + 1)
     p = read("recipe params", recipe.params, PARAMS[recipe.kind], by="target")
 

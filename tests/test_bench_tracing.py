@@ -9,7 +9,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Installs the bench's wrappers on every name perfbench/tracing.py resolves,
 # then runs a small weak probe and one of several blocks, whose members are
-# sampled on five threads, and prints the derivative evaluations counted
+# sampled on four threads (five CPUs, capped), and prints the derivative evaluations counted
 # after each.
 SCRIPT = """
 import tracing
@@ -56,7 +56,7 @@ def test_bench_tracing_instruments_fdmaps(tmp_path):
     # a renamed or re-signed function would break `perfbench/run.py --trace 1`.
     # The limit and two members on one block of eight triangles; then the
     # limit and eight members on each of the four blocks of 512 triangles
-    # (64 points each), counted exactly while five threads sample them
+    # (64 points each), counted exactly while four threads sample them
     assert _run_traced(SCRIPT, tmp_path) == ["3", str(3 + (8 + 1) * 4)]
 
 

@@ -283,6 +283,9 @@ _MISSPELT = [
     ("minimize", {"boundary": {"kind": "identity", "sin_coef": [0.0, 0.3]}}, "sin_coef"),
     ("mesh", {"domain": {"kind": "disk", "levle": 2}}, "levle"),
     ("mesh", {"domain": {"kind": "disk", "level": "four"}}, "level"),
+    # a misspelt kind used to be named as the first key that it does not read
+    ("mesh", {"domain": {"kind": "hex", "level": 2}}, "hex"),
+    ("minimize", {"boundary": {"kind": "circle", "sin_coeffs": [0, 0.3]}}, "circle"),
     # a JSON boolean used to build a level-1 mesh
     ("minimize", {"domain": {"kind": "disk", "level": True}}, "level"),
     ("diagnose", {"recipe": {"kind": "radial_stretch_family", "params": {"alfa": 3.0},

@@ -375,6 +375,33 @@ def test_diagnose_memory_is_bounded():
     assert peaks[64] < 4 * mib
 
 
+def test_diagnose_memory_does_not_grow_with_the_cpus(monkeypatch):
+    # the sweep's threads are capped (MAX_THREADS = 4), so on 64 CPUs it
+    # holds one block and at most four member samples, not one per CPU.
+    # After a first run has filled the lazy caches, the traced peak is
+    # 2.0 MiB on one CPU, 4.1 MiB on four and 4.3 MiB on 64 (45.8 MiB with
+    # a thread per CPU)
+    import tracemalloc
+
+    import fdmaps
+    mib = 2.0 ** 20
+    mesh = fdmaps.build_rect_mesh(32, 32, 0.0, 1.0 + 1.0j)
+    seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=64), mesh)
+    spec = FunctionalSpec(family="lp_mean", p=2.0)
+    radon_riesz_diagnose(spec, seq, p_RR=2.0, r_list={"fzbar": 2.0})
+    peaks = {}
+    for cpus in (1, 4, 64):
+        monkeypatch.setattr(convergence, "available_cpus", lambda n=cpus: n)
+        tracemalloc.start()
+        try:
+            radon_riesz_diagnose(spec, seq, p_RR=2.0, r_list={"fzbar": 2.0})
+            _, peaks[cpus] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[64] <= peaks[4] + 0.25 * mib
+    assert peaks[64] <= peaks[1] + 3 * mib
+
+
 def test_closed_form_sequences_hold_no_nodal_arrays():
     # generate keeps the closed forms, not one nodal array per member
     # (64 x 4,225 nodes x 16 B = 4.2 MiB at j_max 64); the oscillation limit
@@ -573,6 +600,29 @@ def _leave_the_domain():
 
 def _divide_by_zero():
     np.divide(1.0, np.zeros(1))  # numpy warns; the filter below makes that an error
+
+
+@pytest.mark.parametrize("threads", [1, 2, 5])
+def test_sweep_hooks_keep_the_callers_error_state(monkeypatch, drift_seq, threads):
+    # every thread samples in a copy of the caller's context, whichever of
+    # them builds a block, so the caller's np.errstate reaches a member hook
+    # and a limit hook, and the floating-point error reaches the caller
+    monkeypatch.setattr(convergence, "available_cpus", lambda: threads)
+    outcome = []
+
+    def sweep(at_limit):
+        try:
+            with np.errstate(divide="raise"):
+                convergence._sweep(drift_seq, [_Failing(_divide_by_zero, at_limit)])
+        except BaseException as exc:
+            outcome.append(exc)
+
+    for at_limit in (False, True):
+        runner = threading.Thread(target=sweep, args=(at_limit,), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "the sweep did not return"
+    assert [type(exc) for exc in outcome] == [FloatingPointError] * 2
 
 
 @pytest.mark.parametrize("threads", [1, 2, 5])

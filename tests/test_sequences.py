@@ -218,7 +218,7 @@ def test_mollifier_failure_reaches_the_caller(monkeypatch, disk3, threads):
 def test_mollifier_failure_stops_every_thread(monkeypatch, disk3, cpus):
     # member 1 fails first, on the calling thread, while every other thread
     # holds its first member until the failure has stopped them; each then
-    # ends that member and builds no other.  At most MOLLIFY_THREADS threads
+    # ends that member and builds no other.  At most MAX_THREADS threads
     # start, however many CPUs there are
     monkeypatch.setattr(convergence, "available_cpus", lambda: cpus)
     mollify, run_threads = sequences.mollify_values, convergence.run_threads
@@ -231,14 +231,14 @@ def test_mollifier_failure_stops_every_thread(monkeypatch, disk3, cpus):
         assert aborted.wait(timeout=30)
         return mollify(amap, points, delta, work)
 
-    def run_and_tell(tasks, abort):
-        return run_threads(tasks, lambda: (abort(), aborted.set()))
+    def run_and_tell(work, shares, abort):
+        return run_threads(work, shares, lambda: (abort(), aborted.set()))
 
     monkeypatch.setattr(sequences, "mollify_values", mollify_after_the_failure)
     monkeypatch.setattr(convergence, "run_threads", run_and_tell)
     with pytest.raises(DomainError, match="member 1 left the domain"):
         generate(SequenceRecipe(kind="mollified", params={}, j_max=64), disk3)
-    assert len(calls) == len(set(calls)) <= min(cpus, sequences.MOLLIFY_THREADS)
+    assert len(calls) == len(set(calls)) <= min(cpus, convergence.MAX_THREADS)
 
 
 def test_mollified_sequence_limit_is_target(disk3):

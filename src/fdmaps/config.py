@@ -2,7 +2,8 @@
 
 A section is read through one table {key: (convert, default)}.  A key the
 table lacks, or a value `convert` refuses, is a ConfigurationError naming
-the section and the key; a missing key takes the default, if it has one.
+the section and the key; a missing key takes the default, and a key
+without one (default `MISSING`) is required.
 A row (convert, default, kinds) with kinds other than None belongs only to
 the tables of those values of the section's "kind" key (or of the key that
 `read` is given as `by`, at its default when the section omits it), so a
@@ -86,6 +87,10 @@ def read(section: str, doc, table: dict, by: str = "kind") -> dict:
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{section} must be a JSON object, not {doc!r}")
     table = rows(table, doc.get(by, table[by][1] if by in table else None))
+    # a required key first: a missing kind is named, not the keys it would read
+    for key, (_, default) in table.items():
+        if default is MISSING and key not in doc:
+            raise ConfigurationError(f"{section} key {key!r} is required")
     values = {key: default for key, (_, default) in table.items() if default is not MISSING}
     # `by` first: a kind its converter refuses is named before the keys it reads
     for key, value in sorted(doc.items(), key=lambda item: item[0] != by):

@@ -31,12 +31,20 @@ measure of the last member (the weight share where each pointwise
 difference exceeds a threshold, which Chebyshev's inequality bounds by the
 L^r gap) and the limit's folded weight, where J <= 0 in its sample (of
 its closed form, if it has one).  A field's Beltrami coefficient
-mu = f_zbar / f_z counts as 0 where its own f_z = 0.  The members of a
-block are sampled on the threads of `deal`, one per available CPU, at most
-one per member and MAX_THREADS in all, once the limit's part of the block
-is done; each member's sums are written by its own thread and receive the
-blocks in order, so the results keep their bits for any thread count.  The
-working set is one block, with at most MAX_THREADS member samples, and a
+mu = f_zbar / f_z counts as 0 where its own f_z = 0; the limit's mu and J,
+which every member's difference reads, are computed once per block.  A
+closed form's transcendental functions of Re z are taken once per
+distinct real part of the block's points (`distinct_real_parts`, about
+half of them on a rect mesh), with the same bits.  The members of a block
+are sampled on the threads of `deal`, one per available CPU, at most one
+per member and MAX_THREADS in all, once the limit's part of the block is
+done; each member's sums are written by its own thread and receive the
+blocks in order, so the results keep their bits for any thread count.
+Each thread samples its members into one block of its own (`_Room`),
+allocated when the sweep starts and freed when it returns, and forms the
+measurements' differences in that block's scratch: nothing block-sized is
+allocated per member but the integrand kernel's real temporaries.  The
+working set is one block, with at most MAX_THREADS thread blocks, and a
 few sums: no array grows with the number of quadrature points or CPUs.
 The standalone `weak_probe`, `lr_gap`, `quantity_scale` and `lsc_checks`
 run the same sweep with the measurement they report.
@@ -63,7 +71,8 @@ from . import geometry
 from .config import Section, real, setting
 from .errors import ConfigurationError
 from .fields import (MappingField, apply_coefficients, derivative_coefficients,
-                     squared_moduli, wirtinger_derivatives, write_columns)
+                     distinct_real_parts, squared_moduli, wirtinger_derivatives,
+                     write_columns)
 from .functionals import (FunctionalSpec, convexity_probe, default_s, df_norm, integrand,
                           monotone_truncation_check, quadrature_sum, weight_values)
 from .geometry import Mesh
@@ -120,35 +129,88 @@ class SequenceHandle:
 
 
 def _derivatives_at(seq: SequenceHandle, index: int, pts: np.ndarray,
-                    tris: slice = slice(None)):
+                    tris: slice = slice(None), out=None, corners=None, x=None):
     """The jet (f, fz, fzbar) of member/limit on the triangles `tris`, whose
-    quadrature points are `pts`, broadcastable to pts.shape: the closed
-    form's, or the P1 interpolant's at the centroid (the mean of the three
-    nodal values, as `wirtinger_derivatives` forms it) with its derivatives."""
+    quadrature points are `pts`: the closed form's (which may read `x`, the
+    points' `distinct_real_parts`), or the P1 interpolant's at the centroid
+    (the mean of the three nodal values, as `wirtinger_derivatives` forms
+    it) with its derivatives.  The jet is written into `out`, three complex
+    arrays of its shape, if given.  A nodal field gathers its values per
+    triangle once, into `corners`, a 1-D complex array of at least 3
+    elements per triangle, if given."""
     m = seq.limit if index == -1 else seq.members[index]
     if seq.all_analytic:
-        return m.analytic.jet(pts)
+        return m.analytic.jet(pts, out, x)
     triangles = seq.mesh.triangles[tris]
-    return (m.values[triangles].mean(axis=1)[:, None],
-            *(apply_coefficients(c[tris], m.values, triangles)[:, None]
-              for c in seq.coefficients))
+    if out is None:
+        out = [np.empty((len(triangles), 1), dtype=complex) for _ in range(3)]
+    if corners is not None:
+        corners = corners[:triangles.size].reshape(triangles.shape)
+    # "clip" never clips the mesh's own indices; "raise" would copy through a buffer
+    corners = np.take(m.values, triangles, axis=0, out=corners, mode="clip")
+    f, fz, fzbar = out
+    corners.mean(axis=1, out=f[:, 0])
+    for c, d in zip(seq.coefficients, (fz, fzbar)):
+        apply_coefficients(c[tris], corners, out=d[:, 0])
+    return f, fz, fzbar
 
 
 class _Sample:
-    """f, f_z, f_zbar, P = |f_z|^2, Q = |f_zbar|^2 and J = P - Q of one field
-    on a block of quadrature points.  Its Phi values by spec are computed on
-    first use."""
+    """f, f_z, f_zbar, P = |f_z|^2 and Q = |f_zbar|^2 of one field on a
+    block of quadrature points, P and Q written into `moduli`, a pair of
+    real arrays of the block's shape, if given.  A member's sample lives in
+    its thread's `_Room`, whose (complex, real) pair of block-shaped arrays
+    is the sample's `scratch`, where `_quantity_diff` forms its differences
+    (and the member's J = P - Q with them); the limit's sample has arrays of
+    its own and no scratch.  Phi by spec, J and mu are computed on first
+    use."""
 
-    def __init__(self, f, fz, fzbar):
+    def __init__(self, f, fz, fzbar, moduli=(None, None), scratch=None):
         self.f, self.fz, self.fzbar = f, fz, fzbar
-        self.P, self.Q = squared_moduli(fz, fzbar)
-        self.jac = self.P - self.Q
+        self.P, self.Q = squared_moduli(fz, fzbar, out=moduli)
+        self.scratch = scratch
         self.phis = {}
 
     def phi(self, spec: FunctionalSpec) -> np.ndarray:
-        if spec not in self.phis:
-            self.phis[spec] = integrand(spec, self.P, self.Q)
-        return self.phis[spec]
+        phi = self.phis.get(spec)
+        if phi is None:
+            phi = self.phis[spec] = integrand(spec, self.P, self.Q)
+        return phi
+
+    # every member's J and mu differences read the limit's, so a `limit`
+    # hook computes them
+    @cached_property
+    def jac(self) -> np.ndarray:
+        return self.P - self.Q
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        return _mu(self)
+
+
+class _Room:
+    """A sweep thread's block, which each member it samples is written into:
+    (f, f_z, f_zbar) complex and (P, Q) real, shaped like the sweep's full
+    block, and the measurements' scratch, a complex and a real array of
+    that shape (the complex one, of at least 3 elements per triangle, first
+    holds a nodal member's values gathered per triangle).  A shorter block
+    uses the leading rows."""
+
+    def __init__(self, shape):
+        rows, k = shape
+        self.jet = [np.empty(shape, dtype=complex) for _ in range(3)]
+        self.moduli = [np.empty(shape) for _ in range(2)]
+        self.complex = np.empty(rows * max(k, 3), dtype=complex)
+        self.real = np.empty(shape)
+
+    def sample(self, seq: SequenceHandle, j: int, block: _Block, tris: slice) -> _Sample:
+        """The one evaluation of member j on a block, into the leading rows."""
+        shape = block.pts.shape
+        rows = shape[0]
+        jet = _derivatives_at(seq, j, block.pts, tris, out=[a[:rows] for a in self.jet],
+                              corners=self.complex, x=block.x)
+        return _Sample(*(_shared(a, shape) for a in jet), [a[:rows] for a in self.moduli],
+                       (self.complex[:block.pts.size].reshape(shape), self.real[:rows]))
 
 
 def _shared(a: np.ndarray, shape) -> np.ndarray:
@@ -161,15 +223,20 @@ def _shared(a: np.ndarray, shape) -> np.ndarray:
 
 
 def _sample(seq: SequenceHandle, index: int, block: _Block, tris: slice) -> _Sample:
-    """The one evaluation of member `index` (-1: the limit) on a block."""
+    """The one evaluation of member `index` (-1: the limit) on a block, in
+    arrays of its own."""
     shape = block.pts.shape
-    return _Sample(*(_shared(a, shape) for a in _derivatives_at(seq, index, block.pts, tris)))
+    jet = _derivatives_at(seq, index, block.pts, tris, x=block.x)
+    return _Sample(*(_shared(a, shape) for a in jet))
 
 
 class _Block(NamedTuple):
-    """A run of whole triangles: their quadrature points and weights."""
+    """A run of whole triangles: their quadrature points and weights, and
+    in a closed-form sweep the points' `distinct_real_parts`, which every
+    field's jet may read."""
     pts: np.ndarray
     w: np.ndarray
+    x: Optional[tuple] = None
 
 
 class _Measurement:
@@ -179,7 +246,8 @@ class _Measurement:
     The members of a block are sampled on several threads at once, and a
     `limit` hook runs while no `member` hook does.  So `member(..., j, ...)`
     writes only member j's state, and whatever the member hooks share (the
-    limit sample's lazily built Phi among it) is filled by a `limit` hook."""
+    limit sample's lazily built Phi, J and mu among it) is filled by a
+    `limit` hook."""
 
     def limit(self, block: _Block, lim: _Sample) -> None:
         pass
@@ -237,6 +305,7 @@ def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
         for j in members:
             seq.members[j].values
     starts = iter(range(0, seq.mesh.n_triangles, step))
+    full_block = (min(step, seq.mesh.n_triangles), n ** 2)
     current = None  # (tris, block, limit sample) being sampled; None ends the sweep
 
     def next_block():
@@ -244,13 +313,15 @@ def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
         start, current = next(starts, None), None  # the block before is freed first
         if start is not None:
             tris = slice(start, start + step)
-            block = _Block(*mesh_quad_points(seq.mesh, n, tris))
+            pts, w = mesh_quad_points(seq.mesh, n, tris)
+            block = _Block(pts, w, distinct_real_parts(pts) if seq.all_analytic else None)
             lim = _sample(seq, -1, block, tris)
             for m in measurements:
                 m.limit(block, lim)
             current = tris, block, lim
 
     def sample_members(share):
+        room = _Room(full_block) if share else None  # every member of the share is sampled into it
         try:
             while True:
                 handoff.wait()  # the last thread to arrive builds the block
@@ -258,10 +329,9 @@ def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
                     return
                 tris, block, lim = current
                 for j in share:
-                    f = _sample(seq, j, block, tris)
+                    f = room.sample(seq, j, block, tris)
                     for m in measurements:
                         m.member(block, j, f, lim)
-                    del f  # the next member's sample takes its room
                 del tris, block, lim  # no thread holds a block while the next is built
         except threading.BrokenBarrierError:
             pass  # the thread that broke the handoff recorded why
@@ -320,39 +390,53 @@ def _check_exponent(quantity: str, r) -> None:
 
 def _quantity_diff(quantity: str, a: _Sample, b: _Sample,
                    spec: Optional[FunctionalSpec] = None):
-    """Pointwise |q(a) - q(b)|.  Each field's mu = f_zbar / f_z is 0 where
-    its own f_z = 0, so the mu difference is a distance.  The quantity "phi"
-    is the integrand Phi of `spec`; its difference is inf everywhere once it
-    is not finite somewhere.  The quantity "f" is the field's values, which
-    the weak residual reads."""
-    if quantity == "f":
-        return np.abs(a.f - b.f)
+    """Pointwise |q(a) - q(b)|, formed in a's `scratch` if it has one (a
+    member's sample), else in fresh arrays.  Each field's mu = f_zbar / f_z
+    is 0 where its own f_z = 0, so the mu difference is a distance; b's mu
+    and J are `b.mu` and `b.jac`, which a `limit` hook has computed.  The
+    quantity "phi" is the integrand Phi of `spec`; its difference is inf
+    everywhere once it is not finite somewhere.  The quantity "f" is the
+    field's values, which the weak residual reads."""
+    dz, d = a.scratch or (None, None)
+    if quantity in ("f", "fz", "fzbar"):
+        return np.abs(np.subtract(getattr(a, quantity), getattr(b, quantity), out=dz), out=d)
     if quantity == "phi":
         with np.errstate(invalid="ignore"):  # inf - inf where both fold
-            d = np.abs(a.phi(spec) - b.phi(spec))
-        return d if np.all(np.isfinite(d)) else np.full(d.shape, np.inf)
+            d = np.abs(np.subtract(a.phi(spec), b.phi(spec), out=d), out=d)
+        if not np.isfinite(d).all():
+            d.fill(np.inf)
+        return d
     if quantity == "df":
-        return np.sqrt(np.abs(a.fz - b.fz) ** 2 + np.abs(a.fzbar - b.fzbar) ** 2)
-    if quantity == "fz":
-        return np.abs(a.fz - b.fz)
-    if quantity == "fzbar":
-        return np.abs(a.fzbar - b.fzbar)
-    if quantity == "jac":
-        return np.abs(a.jac - b.jac)
+        d = np.abs(np.subtract(a.fz, b.fz, out=dz), out=d)
+        d **= 2
+        d_bar = np.abs(np.subtract(a.fzbar, b.fzbar, out=dz))
+        d_bar **= 2
+        d += d_bar
+        return np.sqrt(d, out=d)
+    if quantity == "jac":  # (P - Q) - J of b, as a.jac - b.jac
+        d = np.subtract(a.P, a.Q, out=d)
+        d -= b.jac
+        return np.abs(d, out=d)
     if quantity == "mu":
-        return np.abs(_mu(a) - _mu(b))
+        return np.abs(np.subtract(_mu(a, out=dz), b.mu, out=dz), out=d)
     raise ConfigurationError(f"unknown quantity {quantity!r}")
 
 
-def _mu(s: _Sample):
-    """The Beltrami coefficient f_zbar / f_z of a sample, 0 where f_z = 0."""
-    ok = s.fz != 0
-    return np.where(ok, s.fzbar / np.where(ok, s.fz, 1.0), 0.0)
+def _mu(s: _Sample, out=None):
+    """The Beltrami coefficient f_zbar / f_z of a sample, 0 where f_z = 0,
+    in `out` if given."""
+    if out is None:
+        out = np.empty(np.broadcast(s.fz, s.fzbar).shape, dtype=complex)
+    out.fill(0.0)
+    return np.divide(s.fzbar, s.fz, out=out, where=s.fz != 0)
 
 
 def _lr_sum(d: np.ndarray, w: np.ndarray, r: float) -> float:
-    """One block's part of int |d|^r; the L^r norm is the r-th root of the total."""
-    return np.sum(d ** r * w)
+    """One block's part of int |d|^r, the power and the weights taken in
+    place in `d`; the L^r norm is the r-th root of the total."""
+    d **= r
+    d *= w
+    return np.add.reduce(d, axis=None)  # np.sum's reduction, without its Python layers
 
 
 class _LrGap(_Measurement):
@@ -365,8 +449,11 @@ class _LrGap(_Measurement):
         self.sums = np.zeros(n_members)
 
     def limit(self, block, lim):
-        if self.quantity == "phi":  # the limit's Phi, which every member reads
+        # what every member's difference reads of the limit: Phi, J or mu
+        if self.quantity == "phi":
             lim.phi(self.spec)
+        elif self.quantity in ("jac", "mu"):
+            getattr(lim, self.quantity)
 
     def member(self, block, j, f, lim):
         d = _quantity_diff(self.quantity, f, lim, self.spec)
@@ -480,6 +567,10 @@ class _InMeasure(_Folded):
     def __init__(self, n_members: int):
         self.last = n_members - 1
         self.above = {q: np.zeros(len(MEASURE_LEVELS)) for q in ("df", "jac", "mu")}
+
+    def limit(self, block, lim):
+        super().limit(block, lim)
+        lim.mu  # the last member's mu difference reads it
 
     def member(self, block, j, f, lim):
         if j != self.last:

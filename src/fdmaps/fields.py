@@ -31,15 +31,43 @@ from .geometry import Mesh, blocks
 @dataclass(frozen=True)
 class AnalyticMap:
     """Closed-form map with exact Wirtinger derivatives, for oracle use.
-    `jet(z)` returns (f, f_z, f_zbar) from one shared evaluation, its f
-    bit for bit `value(z)`; `value` alone serves readers of values only.
-    The targets of the mollifier, `analytic_affine` and
-    `analytic_radial_stretch`, also take `value(z, out, work)`: f(z) is
-    written into `out` (z itself allowed), and `work`, a 1-D complex array
-    of at least z.size elements, holds the complex and real temporaries,
-    which a caller that evaluates block after block reuses."""
+    `jet(z, out=None, x=None)` returns (f, f_z, f_zbar) from one shared
+    evaluation, its f bit for bit `value(z)`; `value` alone serves readers
+    of values only.  Given `out`, three C-contiguous complex arrays of z's
+    shape, the jet is written into them and they are returned, with the
+    bits of `jet(z)`, which takes the same path with fresh arrays: a caller
+    that evaluates block after block reuses one block.  `x`, if given, is
+    `distinct_real_parts(z)`, which a closed form whose transcendental
+    functions read Re z alone evaluates them on, once per distinct value,
+    with the same bits; the others ignore it.  The targets of the
+    mollifier, `analytic_affine` and `analytic_radial_stretch`, also take
+    `value(z, out, work)`: f(z) is written into `out` (z itself allowed),
+    and `work`, a 1-D complex array of at least z.size elements, holds the
+    complex and real temporaries."""
     value: Callable[..., np.ndarray]
-    jet: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    jet: Callable[..., Tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _jet_arrays(z: np.ndarray, out):
+    """`out`, or three fresh C-contiguous complex arrays of z's shape."""
+    return out if out is not None else tuple(np.empty(z.shape, dtype=complex) for _ in range(3))
+
+
+def distinct_real_parts(z: np.ndarray):
+    """(distinct, inverse): the distinct real parts of the points z, and for
+    each point the index of its own, so that distinct[inverse] is z.real.
+    Values are told apart by their bits (-0.0 is not 0.0).  The quadrature
+    points of a block of rect-mesh triangles take about half as many
+    distinct real parts as there are points: each column of cells repeats
+    them."""
+    bits, inverse = np.unique(z.real.view(np.int64), return_inverse=True)
+    return bits.view(np.float64), inverse.reshape(z.shape)
+
+
+def _reals(a: np.ndarray) -> np.ndarray:
+    """The first a.size float64s of the C-contiguous complex array a's
+    memory, in a's shape: room for a real temporary until a is written."""
+    return a.reshape(-1).view(np.float64)[:a.size].reshape(a.shape)
 
 
 class MappingField:
@@ -138,19 +166,24 @@ def derivative_coefficients(mesh: Mesh, tris: slice = slice(None)):
     return a, b
 
 
-def apply_coefficients(c: np.ndarray, values: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """f_z (c = a) or f_zbar (c = b) per triangle of the nodal `values`.
+def apply_coefficients(c: np.ndarray, corners: np.ndarray, out=None) -> np.ndarray:
+    """f_z (c = a) or f_zbar (c = b) per triangle, from `corners`, the nodal
+    values gathered per triangle (`values[triangles]`), in `out` if given.
 
     einsum sums the three terms in local order with separate multiplies and
     adds, as the descent's CSR product does, so the two give the same bits;
-    `(c * values[triangles]).sum(1)` may fuse them and differ in the last bit.
+    `(c * corners).sum(1)` may fuse them and differ in the last bit.
     """
-    return np.einsum("tk,tk->t", c, values[triangles])
+    return np.einsum("tk,tk->t", c, corners, out=out)
 
 
-def squared_moduli(fz: np.ndarray, fzbar: np.ndarray):
-    """(P, Q) = (|f_z|^2, |f_zbar|^2), the arguments of the integrand kernel."""
-    return np.abs(fz) ** 2, np.abs(fzbar) ** 2
+def squared_moduli(fz: np.ndarray, fzbar: np.ndarray, out=(None, None)):
+    """(P, Q) = (|f_z|^2, |f_zbar|^2), the arguments of the integrand kernel,
+    in the pair of real arrays `out` if given."""
+    P, Q = np.abs(fz, out=out[0]), np.abs(fzbar, out=out[1])
+    P **= 2
+    Q **= 2
+    return P, Q
 
 
 def norm_squared(norm: str, P, Q, derivatives: bool = False):
@@ -194,12 +227,12 @@ def wirtinger_derivatives(mapping: MappingField) -> DerivedField:
     m = mesh.n_triangles
     fz, fzbar, f_centroid = (np.empty(m, dtype=complex) for _ in range(3))
     for b in blocks(m):
-        tri = mesh.triangles[b]
         a, c = derivative_coefficients(mesh, b)
-        fz[b] = apply_coefficients(a, mapping.values, tri)
-        fzbar[b] = apply_coefficients(c, mapping.values, tri)
-        f_centroid[b] = mapping.values[tri].mean(axis=1)
-        del a, c  # the next block's coefficients need the room
+        corners = mapping.values[mesh.triangles[b]]  # after the coefficients' temporaries
+        apply_coefficients(a, corners, out=fz[b])
+        apply_coefficients(c, corners, out=fzbar[b])
+        corners.mean(axis=1, out=f_centroid[b])
+        del a, c, corners  # the next block's coefficients need the room
     return DerivedField(mesh, fz, fzbar, f_centroid)
 
 
@@ -240,9 +273,13 @@ def analytic_affine(a: complex, b: complex) -> AnalyticMap:
         np.multiply(np.conjugate(z, out=conj_b), b, out=conj_b)
         return np.add(np.multiply(a, z, out=out), conj_b, out=out)
 
-    def jet(z):
+    def jet(z, out=None, x=None):
         z = np.asarray(z, dtype=complex)
-        return value(z), np.full_like(z, a), np.full_like(z, b)
+        f, fz, fzbar = _jet_arrays(z, out)
+        value(z, f, work=fz.reshape(-1))  # fz holds conj(z) * b until it is filled
+        fz.fill(a)
+        fzbar.fill(b)
+        return f, fz, fzbar
 
     return AnalyticMap(value, jet)
 
@@ -262,12 +299,22 @@ def analytic_radial_stretch(alpha: float) -> AnalyticMap:
         s = stretch(z, None if work is None else work.view(np.float64)[:z.size].reshape(z.shape))
         return np.multiply(z, s, out=out)
 
-    def jet(z):
+    def jet(z, out=None, x=None):
+        # f = z s, f_z = (alpha + 1)/2 s + 0j and f_zbar = (alpha - 1)/2 s
+        # times the phase z / conj(z) (0 at the origin), each product in the
+        # order and the types of the one-line formulas; the real factors
+        # are formed in f's memory, which f is written into last
         z = np.asarray(z, dtype=complex)
+        f, fz, fzbar = _jet_arrays(z, out)
         s = stretch(z)
+        nonzero = z != 0
         with np.errstate(invalid="ignore", divide="ignore"):
-            phase = np.where(z != 0, z / np.where(z != 0, np.conj(z), 1.0), 0.0)
-        return (z * s, ((alpha + 1.0) / 2.0) * s + 0j, ((alpha - 1.0) / 2.0) * s * phase)
+            np.divide(z, np.conjugate(z, out=fzbar), out=fzbar, where=nonzero)
+        fzbar[~nonzero] = 0.0
+        np.multiply(np.multiply((alpha - 1.0) / 2.0, s, out=_reals(f)), fzbar, out=fzbar)
+        np.add(np.multiply((alpha + 1.0) / 2.0, s, out=_reals(f)), 0.0, out=fz.real)
+        fz.imag = 0.0
+        return np.multiply(z, s, out=f), fz, fzbar
 
     return AnalyticMap(value, jet)
 
@@ -285,17 +332,27 @@ def analytic_oscillation(j: int) -> AnalyticMap:
         z = np.asarray(z, dtype=complex)
         return z + np.sin(w * z.real) / w
 
-    def jet(z):
+    def jet(z, out=None, x=None):
+        # cos(w x)/2 and sin(w x)/w are taken once per distinct real part
+        # and gathered into the memory of f_z and f_zbar, each read before
+        # its room is written
         z = np.asarray(z, dtype=complex)
-        wx = w * z.real
-        # each complex derivative is written once: its real part, imaginary 0
-        half_cos = np.cos(wx)
-        half_cos *= 0.5
-        fz = np.zeros(np.shape(half_cos), dtype=complex)
-        fzbar = np.zeros(np.shape(half_cos), dtype=complex)
-        np.add(1.0, half_cos, out=fz.real)
-        fzbar.real = half_cos
-        return z + np.sin(wx) / w, fz, fzbar
+        f, fz, fzbar = _jet_arrays(z, out)
+        half_cos, sin_w = _reals(fz), _reals(fzbar)
+        distinct, inverse = distinct_real_parts(z) if x is None else x
+        wx = w * distinct
+        values = np.cos(wx)
+        values *= 0.5
+        values.take(inverse, out=half_cos, mode="clip")  # "raise" would buffer
+        values = np.sin(wx, out=values)
+        values /= w
+        values.take(inverse, out=sin_w, mode="clip")
+        # z + sin(w x)/w, part by part as the complex sum forms it
+        np.add(z.real, sin_w, out=f.real)
+        np.add(z.imag, 0.0, out=f.imag)
+        np.copyto(fzbar, half_cos)  # cos(w x)/2 + 0j
+        np.add(fzbar, 1.0, out=fz)  # 1 + cos(w x)/2 + 0j
+        return f, fz, fzbar
 
     return AnalyticMap(value, jet)
 

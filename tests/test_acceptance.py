@@ -45,8 +45,9 @@ def _fd_gradient(spec, mapping, free, h=3e-7):
 
     def field_energy(values):
         # the forward energy reads no centroid image
-        derived = DerivedField(mesh, apply_coefficients(a, values, mesh.triangles),
-                               apply_coefficients(b, values, mesh.triangles), None)
+        corners = values[mesh.triangles]
+        derived = DerivedField(mesh, apply_coefficients(a, corners),
+                               apply_coefficients(b, corners), None)
         return energy(spec, derived, eta)
 
     base = mapping.values

@@ -61,6 +61,19 @@ def test_bad_domain_exits_2(tmp_path):
     assert run({"command": "mesh", "domain": {"kind": "torus"}}, tmp_path) == 2
 
 
+@pytest.mark.parametrize("config, section", [
+    ({"command": "mesh", "domain": {}}, "domain"),
+    ({"command": "diagnose", "domain": {"kind": "disk", "level": 2}, "recipe": {}}, "recipe"),
+])
+def test_missing_required_key_is_named(tmp_path, config, section):
+    # a section without its "kind" used to fail with a bare KeyError (a
+    # plain table) or TypeError (a Section class) that named no section
+    assert run(config, tmp_path) == 2
+    manifest = _read(tmp_path / "manifest.json")
+    assert manifest["status"] == "validation_error"
+    assert manifest["failure_reason"] == f"ConfigurationError: {section} key 'kind' is required"
+
+
 def test_diagnose_command(tmp_path):
     config = {
         "command": "diagnose",

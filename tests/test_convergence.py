@@ -173,7 +173,7 @@ def test_closed_form_limit_folds_on_its_closed_form(unit_square_16):
     def value(z):
         return z + np.sin(2.0 * np.pi * np.asarray(z).real) / np.pi
 
-    def jet(z):
+    def jet(z, out=None, x=None):  # fresh arrays: the sweep reads the jet returned
         c = np.cos(2.0 * np.pi * np.asarray(z).real) + 0j
         return value(z), 1.0 + c, c
 
@@ -323,11 +323,11 @@ def test_diagnose_samples_each_field_once(monkeypatch, unit_square_16):
             sweeps.append(np.zeros((len(seq) + 1, m, k), dtype=int))
             sweep(seq_, measurements, members)
 
-        def recorded(seq_, index, pts, tris=slice(None)):
+        def recorded(seq_, index, pts, tris=slice(None), **into):
             with lock:
                 sweeps[-1][index + 1][tris] += 1
                 calls["blocks"] += 1
-            f, fz, fzbar = jet = derivatives_at(seq_, index, pts, tris)
+            f, fz, fzbar = jet = derivatives_at(seq_, index, pts, tris, **into)
             assert np.shape(f) == np.shape(pts)  # the values come with the derivatives
             return jet
 
@@ -433,7 +433,8 @@ def test_closed_form_diagnose_reads_no_member_values(monkeypatch, unit_square_16
     def recorded(j):
         amap = analytic_oscillation(j)
         return AnalyticMap(lambda z: sampled.append((j, np.shape(z))) or amap.value(z),
-                           lambda z: sampled.append((j, np.shape(z))) or amap.jet(z))
+                           lambda z, out=None, x=None: sampled.append((j, np.shape(z)))
+                           or amap.jet(z, out, x))
 
     monkeypatch.setattr(sequences, "analytic_oscillation", recorded)
     seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=4), unit_square_16)
@@ -474,7 +475,7 @@ def test_mu_gap_counts_the_other_fields_mu_where_one_fz_is_zero(unit_square_16):
     def left(z):
         return np.asarray(z).real < 0.5
 
-    def jet(z):
+    def jet(z, out=None, x=None):
         return (np.where(left(z), 0.5 * np.conj(z), z + 0.5 * np.conj(z)),
                 np.where(left(z), 0.0, 1.0) + 0j, np.full(np.shape(z), 0.5 + 0j))
 
@@ -571,6 +572,27 @@ def test_sweep_thread_count_keeps_the_bits(monkeypatch, request, fixture):
         sys.setswitchinterval(interval)
     assert one == two
     assert one == five
+
+
+def test_partial_last_block_keeps_the_bits(monkeypatch):
+    # 15 x 16 cells make 480 triangles, three blocks of 128 and a last one
+    # of 96, which each thread samples into the leading rows of its block:
+    # 1, 2 and 5 threads give equal reports, bit for bit
+    import fdmaps
+    mesh = fdmaps.build_rect_mesh(15, 16, 0.0, 1.0 + 1.0j)
+    seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=8), mesh)
+    step = geometry.BLOCK_ROWS // convergence.ANALYTIC_QUAD_N ** 2
+    assert (mesh.n_triangles // step, mesh.n_triangles % step) == (3, 96)
+    spec = FunctionalSpec(family="lp_mean", p=2.0)
+    r_list = {"df": 1.5, "jac": 0.5, "mu": 1.0, "fz": 2.0, "fzbar": 2.0}
+
+    def report(threads):
+        monkeypatch.setattr(convergence, "available_cpus", lambda: threads)
+        return radon_riesz_diagnose(spec, seq, p_RR=3.0, r_list=r_list).to_json()
+
+    one = report(1)
+    assert report(2) == one
+    assert report(5) == one
 
 
 class _Failing(convergence._Measurement):
@@ -703,7 +725,7 @@ def test_nonpositive_jacobian_in_one_block_gives_inf(unit_square_16):
     # inside the first block only; its other blocks are finite
     mesh = unit_square_16
 
-    def folded(z):
+    def folded(z, out=None, x=None):
         bad = np.asarray(z).imag < 0.05
         return z, np.ones(np.shape(z), dtype=complex), np.where(bad, 2.0, 0.0) + 0j
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fdmaps import geometry
 from fdmaps.errors import ConfigurationError
 from fdmaps.fields import (AnalyticMap, MappingField, analytic_affine, analytic_oscillation,
-                           analytic_radial_stretch, derived_to_csv,
+                           analytic_radial_stretch, derived_to_csv, distinct_real_parts,
                            finite_distortion_report, sample_analytic,
                            wirtinger_derivatives, write_columns)
 
@@ -119,6 +119,68 @@ def test_values_written_in_place_are_the_values(amap, rng):
     block = z.copy()
     assert amap.value(block, out=block, work=np.full(z.size + 5, np.nan + 0j)) is block
     assert block.tobytes() == amap.value(z).tobytes()
+
+
+def _stretch_formulas(alpha):
+    def jet(z):
+        r = np.abs(z)
+        with np.errstate(invalid="ignore", divide="ignore"):  # 0^(alpha - 1) at the origin
+            s = np.where(r > 0, r ** (alpha - 1.0), 0.0)
+            phase = np.where(z != 0, z / np.where(z != 0, np.conj(z), 1.0), 0.0)
+        return z * s, ((alpha + 1.0) / 2.0) * s + 0j, ((alpha - 1.0) / 2.0) * s * phase
+    return jet
+
+
+def _oscillation_formulas(j):
+    w = 2.0 * np.pi * j
+
+    def jet(z):
+        half_cos = 0.5 * np.cos(w * z.real)
+        return z + np.sin(w * z.real) / w, (1.0 + half_cos) + 0j, half_cos + 0j
+    return jet
+
+
+# each closed form and its jet as one-line formulas of numpy
+_JETS = {
+    "affine": (analytic_affine(1.0 + 0.5j, 0.3 - 0.2j),
+               lambda z: ((1.0 + 0.5j) * z + np.conj(z) * (0.3 - 0.2j),
+                          np.full_like(z, 1.0 + 0.5j), np.full_like(z, 0.3 - 0.2j))),
+    "oscillation": (analytic_oscillation(5), _oscillation_formulas(5)),
+    **{f"stretch-{a}": (analytic_radial_stretch(a), _stretch_formulas(a)) for a in (0.5, 1.0, 2.0)},
+}
+
+
+@pytest.mark.parametrize("name", _JETS)
+@pytest.mark.parametrize("rows", [8, 5])
+def test_jet_written_in_place_is_the_jet(name, rows, rng):
+    # a sweep thread writes each member's jet into the leading rows of its
+    # block of 8 rows, one block after another: the jet of a full block and
+    # of a shorter last one, with and without the points' distinct real
+    # parts, has the bytes of the allocating call and of the one-line
+    # formulas.  Columns repeat the real parts, the origin is among the
+    # points, and the block is dirty
+    amap, formulas = _JETS[name]
+    z = rng.uniform(-1, 1, (8, 6)) + 1j * rng.uniform(-1, 1, (8, 6))
+    z[:, 3:] = z[:, :3].real + 1j * rng.uniform(-1, 1, (8, 3))
+    z[0, 0] = 0j
+    z = z[:rows]
+    expected = [a.tobytes() for a in formulas(z)]
+    assert [a.tobytes() for a in amap.jet(z)] == expected
+    block = [np.full((8, 6), np.nan + 1j * np.inf) for _ in range(3)]
+    for x in (None, distinct_real_parts(z)):
+        out = [a[:rows] for a in block]
+        jet = amap.jet(z, out, x)
+        assert all(a is b for a, b in zip(jet, out))
+        assert [a.tobytes() for a in jet] == expected
+
+
+def test_distinct_real_parts_tell_the_zeros_apart():
+    z = np.array([[0.5, -0.0, 0.0], [0.0, 0.5, 1.0]]) + 1j
+    z.real[0, 1] = -0.0  # adding 1j made it +0.0
+    distinct, inverse = distinct_real_parts(z)
+    assert len(distinct) == 4
+    assert inverse.shape == z.shape
+    assert distinct[inverse].tobytes() == np.ascontiguousarray(z.real).tobytes()
 
 
 def test_closed_form_values_are_sampled_on_first_read(disk3):

@@ -40,12 +40,11 @@ are sampled on the threads of `deal`, one per available CPU, at most one
 per member and MAX_THREADS in all, once the limit's part of the block is
 done; each member's sums are written by its own thread and receive the
 blocks in order, so the results keep their bits for any thread count.
-Each thread samples its members into one block of its own (`_Room`),
-allocated when the sweep starts and freed when it returns, and forms the
-measurements' differences in that block's scratch: nothing block-sized is
-allocated per member but the integrand kernel's real temporaries.  The
-working set is one block, with at most MAX_THREADS thread blocks, and a
-few sums: no array grows with the number of quadrature points or CPUs.
+The limit and every member are sampled by one `_sample`, each into arrays
+of its own, and a member's sample is freed once its measurements have
+read it.  The working set is one block, with at most MAX_THREADS member
+samples, and a few sums: no array grows with the number of quadrature
+points or CPUs.
 The standalone `weak_probe`, `lr_gap`, `quantity_scale` and `lsc_checks`
 run the same sweep with the measurement they report.
 
@@ -129,46 +128,29 @@ class SequenceHandle:
 
 
 def _derivatives_at(seq: SequenceHandle, index: int, pts: np.ndarray,
-                    tris: slice = slice(None), out=None, corners=None, x=None):
+                    tris: slice = slice(None), x=None):
     """The jet (f, fz, fzbar) of member/limit on the triangles `tris`, whose
     quadrature points are `pts`: the closed form's (which may read `x`, the
     points' `distinct_real_parts`), or the P1 interpolant's at the centroid
     (the mean of the three nodal values, as `wirtinger_derivatives` forms
-    it) with its derivatives.  The jet is written into `out`, three complex
-    arrays of its shape, if given.  A nodal field gathers its values per
-    triangle once, into `corners`, a 1-D complex array of at least 3
-    elements per triangle, if given."""
+    it) with its derivatives, all three from one gather of the values per
+    triangle."""
     m = seq.limit if index == -1 else seq.members[index]
     if seq.all_analytic:
-        return m.analytic.jet(pts, out, x)
-    triangles = seq.mesh.triangles[tris]
-    if out is None:
-        out = [np.empty((len(triangles), 1), dtype=complex) for _ in range(3)]
-    if corners is not None:
-        corners = corners[:triangles.size].reshape(triangles.shape)
-    # "clip" never clips the mesh's own indices; "raise" would copy through a buffer
-    corners = np.take(m.values, triangles, axis=0, out=corners, mode="clip")
-    f, fz, fzbar = out
-    corners.mean(axis=1, out=f[:, 0])
-    for c, d in zip(seq.coefficients, (fz, fzbar)):
-        apply_coefficients(c[tris], corners, out=d[:, 0])
-    return f, fz, fzbar
+        return m.analytic.jet(pts, x)
+    corners = m.values[seq.mesh.triangles[tris]]
+    return (corners.mean(axis=1, keepdims=True),
+            *(apply_coefficients(c[tris], corners)[:, None] for c in seq.coefficients))
 
 
 class _Sample:
     """f, f_z, f_zbar, P = |f_z|^2 and Q = |f_zbar|^2 of one field on a
-    block of quadrature points, P and Q written into `moduli`, a pair of
-    real arrays of the block's shape, if given.  A member's sample lives in
-    its thread's `_Room`, whose (complex, real) pair of block-shaped arrays
-    is the sample's `scratch`, where `_quantity_diff` forms its differences
-    (and the member's J = P - Q with them); the limit's sample has arrays of
-    its own and no scratch.  Phi by spec, J and mu are computed on first
+    block of quadrature points.  Phi by spec, J and mu are computed on first
     use."""
 
-    def __init__(self, f, fz, fzbar, moduli=(None, None), scratch=None):
+    def __init__(self, f, fz, fzbar):
         self.f, self.fz, self.fzbar = f, fz, fzbar
-        self.P, self.Q = squared_moduli(fz, fzbar, out=moduli)
-        self.scratch = scratch
+        self.P, self.Q = squared_moduli(fz, fzbar)
         self.phis = {}
 
     def phi(self, spec: FunctionalSpec) -> np.ndarray:
@@ -188,31 +170,6 @@ class _Sample:
         return _mu(self)
 
 
-class _Room:
-    """A sweep thread's block, which each member it samples is written into:
-    (f, f_z, f_zbar) complex and (P, Q) real, shaped like the sweep's full
-    block, and the measurements' scratch, a complex and a real array of
-    that shape (the complex one, of at least 3 elements per triangle, first
-    holds a nodal member's values gathered per triangle).  A shorter block
-    uses the leading rows."""
-
-    def __init__(self, shape):
-        rows, k = shape
-        self.jet = [np.empty(shape, dtype=complex) for _ in range(3)]
-        self.moduli = [np.empty(shape) for _ in range(2)]
-        self.complex = np.empty(rows * max(k, 3), dtype=complex)
-        self.real = np.empty(shape)
-
-    def sample(self, seq: SequenceHandle, j: int, block: _Block, tris: slice) -> _Sample:
-        """The one evaluation of member j on a block, into the leading rows."""
-        shape = block.pts.shape
-        rows = shape[0]
-        jet = _derivatives_at(seq, j, block.pts, tris, out=[a[:rows] for a in self.jet],
-                              corners=self.complex, x=block.x)
-        return _Sample(*(_shared(a, shape) for a in jet), [a[:rows] for a in self.moduli],
-                       (self.complex[:block.pts.size].reshape(shape), self.real[:rows]))
-
-
 def _shared(a: np.ndarray, shape) -> np.ndarray:
     """`a` as a read-only array of `shape`: the sample every measurement reads."""
     a = np.asarray(a)
@@ -223,8 +180,7 @@ def _shared(a: np.ndarray, shape) -> np.ndarray:
 
 
 def _sample(seq: SequenceHandle, index: int, block: _Block, tris: slice) -> _Sample:
-    """The one evaluation of member `index` (-1: the limit) on a block, in
-    arrays of its own."""
+    """The one evaluation of member `index` (-1: the limit) on a block."""
     shape = block.pts.shape
     jet = _derivatives_at(seq, index, block.pts, tris, x=block.x)
     return _Sample(*(_shared(a, shape) for a in jet))
@@ -247,7 +203,9 @@ class _Measurement:
     `limit` hook runs while no `member` hook does.  So `member(..., j, ...)`
     writes only member j's state, and whatever the member hooks share (the
     limit sample's lazily built Phi, J and mu among it) is filled by a
-    `limit` hook."""
+    `limit` hook.  Every sample, the limit's and each member's, is read-only
+    and in arrays of its own; a member's is freed after its hooks, so a
+    hook keeps nothing of it."""
 
     def limit(self, block: _Block, lim: _Sample) -> None:
         pass
@@ -305,7 +263,6 @@ def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
         for j in members:
             seq.members[j].values
     starts = iter(range(0, seq.mesh.n_triangles, step))
-    full_block = (min(step, seq.mesh.n_triangles), n ** 2)
     current = None  # (tris, block, limit sample) being sampled; None ends the sweep
 
     def next_block():
@@ -321,7 +278,6 @@ def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
             current = tris, block, lim
 
     def sample_members(share):
-        room = _Room(full_block) if share else None  # every member of the share is sampled into it
         try:
             while True:
                 handoff.wait()  # the last thread to arrive builds the block
@@ -329,9 +285,10 @@ def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
                     return
                 tris, block, lim = current
                 for j in share:
-                    f = room.sample(seq, j, block, tris)
+                    f = _sample(seq, j, block, tris)
                     for m in measurements:
                         m.member(block, j, f, lim)
+                    del f  # the next member's sample takes its room
                 del tris, block, lim  # no thread holds a block while the next is built
         except threading.BrokenBarrierError:
             pass  # the thread that broke the handoff recorded why
@@ -390,44 +347,40 @@ def _check_exponent(quantity: str, r) -> None:
 
 def _quantity_diff(quantity: str, a: _Sample, b: _Sample,
                    spec: Optional[FunctionalSpec] = None):
-    """Pointwise |q(a) - q(b)|, formed in a's `scratch` if it has one (a
-    member's sample), else in fresh arrays.  Each field's mu = f_zbar / f_z
-    is 0 where its own f_z = 0, so the mu difference is a distance; b's mu
-    and J are `b.mu` and `b.jac`, which a `limit` hook has computed.  The
-    quantity "phi" is the integrand Phi of `spec`; its difference is inf
-    everywhere once it is not finite somewhere.  The quantity "f" is the
-    field's values, which the weak residual reads."""
-    dz, d = a.scratch or (None, None)
+    """Pointwise |q(a) - q(b)|.  Each field's mu = f_zbar / f_z is 0 where
+    its own f_z = 0, so the mu difference is a distance; b's mu and J are
+    `b.mu` and `b.jac`, which a `limit` hook has computed.  The quantity
+    "phi" is the integrand Phi of `spec`; its difference is inf everywhere
+    once it is not finite somewhere.  The quantity "f" is the field's
+    values, which the weak residual reads."""
     if quantity in ("f", "fz", "fzbar"):
-        return np.abs(np.subtract(getattr(a, quantity), getattr(b, quantity), out=dz), out=d)
+        return np.abs(getattr(a, quantity) - getattr(b, quantity))
     if quantity == "phi":
         with np.errstate(invalid="ignore"):  # inf - inf where both fold
-            d = np.abs(np.subtract(a.phi(spec), b.phi(spec), out=d), out=d)
+            d = a.phi(spec) - b.phi(spec)
+            np.abs(d, out=d)
         if not np.isfinite(d).all():
             d.fill(np.inf)
         return d
     if quantity == "df":
-        d = np.abs(np.subtract(a.fz, b.fz, out=dz), out=d)
+        d = np.abs(a.fz - b.fz)
         d **= 2
-        d_bar = np.abs(np.subtract(a.fzbar, b.fzbar, out=dz))
+        d_bar = np.abs(a.fzbar - b.fzbar)
         d_bar **= 2
         d += d_bar
         return np.sqrt(d, out=d)
     if quantity == "jac":  # (P - Q) - J of b, as a.jac - b.jac
-        d = np.subtract(a.P, a.Q, out=d)
+        d = a.P - a.Q
         d -= b.jac
         return np.abs(d, out=d)
     if quantity == "mu":
-        return np.abs(np.subtract(_mu(a, out=dz), b.mu, out=dz), out=d)
+        return np.abs(_mu(a) - b.mu)
     raise ConfigurationError(f"unknown quantity {quantity!r}")
 
 
-def _mu(s: _Sample, out=None):
-    """The Beltrami coefficient f_zbar / f_z of a sample, 0 where f_z = 0,
-    in `out` if given."""
-    if out is None:
-        out = np.empty(np.broadcast(s.fz, s.fzbar).shape, dtype=complex)
-    out.fill(0.0)
+def _mu(s: _Sample):
+    """The Beltrami coefficient f_zbar / f_z of a sample, 0 where f_z = 0."""
+    out = np.zeros(np.broadcast(s.fz, s.fzbar).shape, dtype=complex)
     return np.divide(s.fzbar, s.fz, out=out, where=s.fz != 0)
 
 
@@ -671,6 +624,11 @@ class Tolerances(Section, section="tolerances"):
     hypothesis_rel: float = setting(real, 1e-3)  # energy-convergence gap, relative to scale
     conclusion_rel: float = setting(real, 1e-2)  # strong-convergence tails, relative to scale
     weak_rel: float = setting(real, 2e-2)        # last weak residual, relative to ||f||_{L^2}
+
+    def __post_init__(self):
+        for key, value in asdict(self).items():
+            if not value >= 0:
+                raise ConfigurationError(f"tolerances key {key!r} must be >= 0, got {value}")
 
 
 @dataclass

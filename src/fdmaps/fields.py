@@ -31,26 +31,23 @@ from .geometry import Mesh, blocks
 @dataclass(frozen=True)
 class AnalyticMap:
     """Closed-form map with exact Wirtinger derivatives, for oracle use.
-    `jet(z, out=None, x=None)` returns (f, f_z, f_zbar) from one shared
-    evaluation, its f bit for bit `value(z)`; `value` alone serves readers
-    of values only.  Given `out`, three C-contiguous complex arrays of z's
-    shape, the jet is written into them and they are returned, with the
-    bits of `jet(z)`, which takes the same path with fresh arrays: a caller
-    that evaluates block after block reuses one block.  `x`, if given, is
+    `jet(z, x=None)` returns (f, f_z, f_zbar), three fresh complex arrays
+    of z's shape, from one shared evaluation, its f bit for bit `value(z)`;
+    `value` alone serves readers of values only.  `x`, if given, is
     `distinct_real_parts(z)`, which a closed form whose transcendental
     functions read Re z alone evaluates them on, once per distinct value,
-    with the same bits; the others ignore it.  The targets of the
-    mollifier, `analytic_affine` and `analytic_radial_stretch`, also take
-    `value(z, out, work)`: f(z) is written into `out` (z itself allowed),
-    and `work`, a 1-D complex array of at least z.size elements, holds the
-    complex and real temporaries."""
+    with the bits it has without `x`; the others ignore it.  The targets
+    of the mollifier, `analytic_affine` and `analytic_radial_stretch`, also
+    take `value(z, out, work)`: f(z) is written into `out` (z itself
+    allowed), and `work`, a 1-D complex array of at least z.size elements,
+    holds the complex and real temporaries."""
     value: Callable[..., np.ndarray]
     jet: Callable[..., Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def _jet_arrays(z: np.ndarray, out):
-    """`out`, or three fresh C-contiguous complex arrays of z's shape."""
-    return out if out is not None else tuple(np.empty(z.shape, dtype=complex) for _ in range(3))
+def _jet_arrays(z: np.ndarray):
+    """Three fresh C-contiguous complex arrays of z's shape."""
+    return tuple(np.empty(z.shape, dtype=complex) for _ in range(3))
 
 
 def distinct_real_parts(z: np.ndarray):
@@ -177,10 +174,9 @@ def apply_coefficients(c: np.ndarray, corners: np.ndarray, out=None) -> np.ndarr
     return np.einsum("tk,tk->t", c, corners, out=out)
 
 
-def squared_moduli(fz: np.ndarray, fzbar: np.ndarray, out=(None, None)):
-    """(P, Q) = (|f_z|^2, |f_zbar|^2), the arguments of the integrand kernel,
-    in the pair of real arrays `out` if given."""
-    P, Q = np.abs(fz, out=out[0]), np.abs(fzbar, out=out[1])
+def squared_moduli(fz: np.ndarray, fzbar: np.ndarray):
+    """(P, Q) = (|f_z|^2, |f_zbar|^2), the arguments of the integrand kernel."""
+    P, Q = np.abs(fz), np.abs(fzbar)
     P **= 2
     Q **= 2
     return P, Q
@@ -273,9 +269,9 @@ def analytic_affine(a: complex, b: complex) -> AnalyticMap:
         np.multiply(np.conjugate(z, out=conj_b), b, out=conj_b)
         return np.add(np.multiply(a, z, out=out), conj_b, out=out)
 
-    def jet(z, out=None, x=None):
+    def jet(z, x=None):
         z = np.asarray(z, dtype=complex)
-        f, fz, fzbar = _jet_arrays(z, out)
+        f, fz, fzbar = _jet_arrays(z)
         value(z, f, work=fz.reshape(-1))  # fz holds conj(z) * b until it is filled
         fz.fill(a)
         fzbar.fill(b)
@@ -299,13 +295,13 @@ def analytic_radial_stretch(alpha: float) -> AnalyticMap:
         s = stretch(z, None if work is None else work.view(np.float64)[:z.size].reshape(z.shape))
         return np.multiply(z, s, out=out)
 
-    def jet(z, out=None, x=None):
+    def jet(z, x=None):
         # f = z s, f_z = (alpha + 1)/2 s + 0j and f_zbar = (alpha - 1)/2 s
         # times the phase z / conj(z) (0 at the origin), each product in the
         # order and the types of the one-line formulas; the real factors
         # are formed in f's memory, which f is written into last
         z = np.asarray(z, dtype=complex)
-        f, fz, fzbar = _jet_arrays(z, out)
+        f, fz, fzbar = _jet_arrays(z)
         s = stretch(z)
         nonzero = z != 0
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -332,12 +328,12 @@ def analytic_oscillation(j: int) -> AnalyticMap:
         z = np.asarray(z, dtype=complex)
         return z + np.sin(w * z.real) / w
 
-    def jet(z, out=None, x=None):
+    def jet(z, x=None):
         # cos(w x)/2 and sin(w x)/w are taken once per distinct real part
         # and gathered into the memory of f_z and f_zbar, each read before
         # its room is written
         z = np.asarray(z, dtype=complex)
-        f, fz, fzbar = _jet_arrays(z, out)
+        f, fz, fzbar = _jet_arrays(z)
         half_cos, sin_w = _reals(fz), _reals(fzbar)
         distinct, inverse = distinct_real_parts(z) if x is None else x
         wx = w * distinct

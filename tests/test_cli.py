@@ -352,6 +352,9 @@ _MISSPELT = [
     # p_RR NaN used to be blamed on s
     ("diagnose", {"diagnostic": {"p_RR": float("nan")}}, "p_RR"),
     ("diagnose", {"diagnostic": {"tolerances": {"weak_rel": float("nan")}}}, "weak_rel"),
+    # negative tolerances used to decide EnergyGap on an energy gap of exactly 0
+    ("diagnose", {"diagnostic": {"tolerances": {"conclusion_rel": -1, "weak_rel": -0.5,
+                                                "hypothesis_rel": -2}}}, "hypothesis_rel"),
     # a JSON boolean used to run as 1
     ("minimize", {"functional": {"family": "lp_mean", "p": True}}, "p"),
     ("diagnose", {"diagnostic": {"r_list": {"df": True}}}, "df"),

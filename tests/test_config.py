@@ -72,7 +72,7 @@ def test_readme_config_table_lists_the_read_keys():
 
 @pytest.mark.parametrize("section, field", [
     (FunctionalSpec, "p"), (FunctionalSpec, "jac_exp"),
-    (MinimizeConfig, "gradient_tolerance"),
+    (MinimizeConfig, "gradient_tolerance"), (Tolerances, "conclusion_rel"),
 ])
 def test_constructor_refuses_nan(section, field):
     # NaN used to pass every range check

@@ -153,25 +153,19 @@ _JETS = {
 @pytest.mark.parametrize("name", _JETS)
 @pytest.mark.parametrize("rows", [8, 5])
 def test_jet_written_in_place_is_the_jet(name, rows, rng):
-    # a sweep thread writes each member's jet into the leading rows of its
-    # block of 8 rows, one block after another: the jet of a full block and
-    # of a shorter last one, with and without the points' distinct real
-    # parts, has the bytes of the allocating call and of the one-line
-    # formulas.  Columns repeat the real parts, the origin is among the
-    # points, and the block is dirty
+    # each jet writes its parts in place, its temporaries in the memory of
+    # the arrays it returns, and the sweep passes the points' distinct real
+    # parts: the jet of a full block of 8 rows and of a shorter last one,
+    # with and without x, has the bytes of the one-line formulas.  Columns
+    # repeat the real parts and the origin is among the points
     amap, formulas = _JETS[name]
     z = rng.uniform(-1, 1, (8, 6)) + 1j * rng.uniform(-1, 1, (8, 6))
     z[:, 3:] = z[:, :3].real + 1j * rng.uniform(-1, 1, (8, 3))
     z[0, 0] = 0j
     z = z[:rows]
     expected = [a.tobytes() for a in formulas(z)]
-    assert [a.tobytes() for a in amap.jet(z)] == expected
-    block = [np.full((8, 6), np.nan + 1j * np.inf) for _ in range(3)]
     for x in (None, distinct_real_parts(z)):
-        out = [a[:rows] for a in block]
-        jet = amap.jet(z, out, x)
-        assert all(a is b for a, b in zip(jet, out))
-        assert [a.tobytes() for a in jet] == expected
+        assert [a.tobytes() for a in amap.jet(z, x)] == expected
 
 
 def test_distinct_real_parts_tell_the_zeros_apart():

@@ -12,8 +12,7 @@ from .convergence import (ConvergenceReport, SequenceHandle, Tolerances,
                           sobolev_norm, weak_probe)
 from .errors import (ConfigurationError, DomainError, FdmapsError,
                      InitializationError, InternalError)
-from .fields import (AnalyticMap, DerivedField, MappingField,
-                     finite_distortion_report, sample_analytic,
+from .fields import (AnalyticMap, DerivedField, MappingField, sample_analytic,
                      wirtinger_derivatives)
 from .functionals import (FunctionalSpec, concavity_probe, convexity_probe,
                           energy, inverse_energy, monotone_truncation_check,

@@ -9,7 +9,8 @@ Weak convergence is measured by compactness.  In the plane W^{1,q},
 1 < q < infinity, embeds compactly in L^2, so a bounded sequence converges
 weakly in W^{1,q} exactly when its values converge in L^2 (Brezis,
 Functional Analysis, Sobolev Spaces and PDE, Thm 9.16 and Prop. 3.32):
-the weak residual of member j is ||f_j - f||_{L^2}.
+the weak residual of member j is ||f_j - f||_{L^2}.  Nothing measures the
+bound: an unbounded sequence whose values converge in L^2 passes too.
 
 Closed-form sequence members carry an exact jet, the values and Wirtinger
 derivatives from one evaluation; integrals for those use a high-order
@@ -50,8 +51,9 @@ run the same sweep with the measurement they report.
 
 Every measurement integrates over the whole mesh.  The theorem's
 convergence is local (W^{1,q}_loc), and a gap on the whole domain bounds
-the gap on every compact subset of it, so the whole-mesh verdict is the
-stronger statement.
+the gap on every compact subset of it, so a whole-mesh pass is the
+stronger statement.  A failure is not: a gap that concentrates at the
+boundary fails on the whole domain and says nothing about W^{1,q}_loc.
 """
 
 from __future__ import annotations
@@ -459,7 +461,8 @@ def weak_probe(seq: SequenceHandle) -> List[float]:
 
     A sequence bounded in W^{1,q}, 1 < q < infinity, converges weakly to the
     limit exactly when these tend to 0, since W^{1,q} embeds compactly in
-    L^2 in the plane (Rellich-Kondrachov) and weak limits are unique.
+    L^2 in the plane (Rellich-Kondrachov) and weak limits are unique.  The
+    bound is assumed, not measured.
     """
     gap = _LrGap("f", 2.0, len(seq))
     _sweep(seq, [gap])
@@ -496,8 +499,8 @@ class _Energy(_Measurement):
 
 class _Folded(_Measurement):
     """Where the limit's sample has J <= 0 (or nan): `folded` of the sweep's
-    `total` quadrature weight.  A masked sum, as `finite_distortion_report`
-    sums the areas, so a nodal limit folds the same area."""
+    `total` quadrature weight.  J is P - Q, as in `fields.distortions`, so a
+    nodal limit folds exactly where `distortions` gives J <= 0."""
     folded = total = 0.0  # the first block's += makes them the instance's
 
     def limit(self, block, lim):

@@ -5,25 +5,23 @@ unique affine interpolant on each triangle, so every pointwise formula
 (Wirtinger derivatives, Jacobian, distortions, Beltrami coefficient) is
 exact per element.
 
-A derived field holds f_z, f_zbar and the centroid image, built over
-blocks of `geometry.BLOCK_ROWS` triangles into preallocated outputs, so
+A derived field is f_z, f_zbar and the centroid image, built over blocks
+of `geometry.BLOCK_ROWS` triangles into preallocated outputs, so
 `wirtinger_derivatives` holds those three and one block's temporaries.
 The Jacobian, the distortions and the Beltrami coefficient come from one
-block kernel, `distortions`: a reader that goes block by block (the Hopf
-factors, `derived_to_csv`) applies it per block, and the whole arrays are
-built, block by block, only when a property of the field is first read.
-The CSV writer formats blocks of the same number of rows.
+block kernel alone, `distortions`, which each reader (the Hopf factors,
+`derived_to_csv`) applies to the blocks it reads; the field keeps none of
+them.  The CSV writer formats blocks of the same number of rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .config import integer
+from .config import positive_integer
 from .errors import ConfigurationError, InternalError
 from .geometry import Mesh, blocks
 
@@ -100,11 +98,8 @@ class MappingField:
 
 @dataclass(frozen=True)
 class DerivedField:
-    """Per-triangle f_z, f_zbar and centroid image of a mapping.
-
-    `jac`, `khs`, `kop` and `mu` are built block by block with `distortions`
-    on their first read and kept; a reader that goes block by block applies
-    `distortions` itself and never builds them whole."""
+    """Per-triangle f_z, f_zbar and centroid image of a mapping; J, the
+    distortions and mu are `distortions(fz, fzbar)`."""
     mesh: Mesh
     fz: np.ndarray          # complex per triangle
     fzbar: np.ndarray
@@ -113,32 +108,6 @@ class DerivedField:
     @property
     def areas(self) -> np.ndarray:
         return self.mesh.areas
-
-    def _whole(self, k: int, dtype=float) -> np.ndarray:
-        out = np.empty(len(self.fz), dtype)
-        for b in blocks(len(out)):
-            out[b] = distortions(self.fz[b], self.fzbar[b])[k]
-        return out
-
-    @cached_property
-    def jac(self) -> np.ndarray:
-        """|fz|^2 - |fzbar|^2"""
-        return self._whole(0)
-
-    @cached_property
-    def khs(self) -> np.ndarray:
-        """2(|fz|^2+|fzbar|^2)/J, inf where J <= 0"""
-        return self._whole(1)
-
-    @cached_property
-    def kop(self) -> np.ndarray:
-        """(|fz|+|fzbar|)^2/J, inf where J <= 0"""
-        return self._whole(2)
-
-    @cached_property
-    def mu(self) -> np.ndarray:
-        """fzbar/fz, nan marker where fz == 0"""
-        return self._whole(3, complex)
 
 
 def derivative_coefficients(mesh: Mesh, tris: slice = slice(None)):
@@ -232,31 +201,6 @@ def wirtinger_derivatives(mapping: MappingField) -> DerivedField:
     return DerivedField(mesh, fz, fzbar, f_centroid)
 
 
-@dataclass(frozen=True)
-class DistortionReport:
-    bad_count: int          # triangles with J <= 0
-    bad_area: float
-    ess_sup_k: float        # max operator distortion over J > 0
-    mean_khs: float         # area-weighted over J > 0
-    finite_distortion: bool
-
-
-def finite_distortion_report(derived: DerivedField) -> DistortionReport:
-    pos = derived.jac > 0
-    areas = derived.areas
-    bad_area = float(np.sum(areas[~pos]))
-    good_area = float(np.sum(areas[pos]))
-    ess_sup = float(np.max(derived.kop[pos])) if np.any(pos) else np.inf
-    mean_khs = float(np.sum(derived.khs[pos] * areas[pos]) / good_area) if good_area > 0 else np.inf
-    return DistortionReport(
-        bad_count=int(np.sum(~pos)),
-        bad_area=bad_area,
-        ess_sup_k=ess_sup,
-        mean_khs=mean_khs,
-        finite_distortion=(bad_area == 0.0),
-    )
-
-
 def analytic_affine(a: complex, b: complex) -> AnalyticMap:
     a, b = complex(a), complex(b)
 
@@ -317,9 +261,10 @@ def analytic_radial_stretch(alpha: float) -> AnalyticMap:
 
 def analytic_oscillation(j: int) -> AnalyticMap:
     """z -> z + sin(2 pi j x)/(2 pi j): bounded gradients, no strong W^{1,2} limit.
-    A frequency j with a fractional part is refused, not truncated."""
+    A frequency j with a fractional part is refused, not truncated, and so is
+    j <= 0: j = 0 divides by zero, and -j is the same map as j."""
     try:
-        j = integer(j)
+        j = positive_integer(j)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"oscillation frequency j: {exc}") from None
     w = 2.0 * np.pi * j

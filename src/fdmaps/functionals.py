@@ -213,12 +213,12 @@ def inverse_energy(spec: FunctionalSpec, derived: DerivedField) -> float:
     forward jac_exp = 0 energy exactly for affine maps (the
     change-of-variables identity).
     """
-    jac = derived.jac
+    P, Q = squared_moduli(derived.fz, derived.fzbar)
+    jac = P - Q
     if np.any(jac <= 0):
         worst = int(np.argmin(jac))
         raise DomainError(
             f"inverse undefined: triangle {worst} has J = {jac[worst]:.3e} <= 0")
-    P, Q = squared_moduli(derived.fz, derived.fzbar)
     vals = integrand(spec, P / jac ** 2, Q / jac ** 2)
     # the weight lives on the inverse problem's domain, the image
     eta = weight_values(spec, derived.f_centroid)
@@ -294,21 +294,25 @@ def _phi_callable(phi: PhiLike):
 def convexity_probe(phi: PhiLike, s: float, n_samples: int, seed: int = 0) -> ProbeReport:
     """Randomized midpoint-convexity check of phi and phi * y^s on CONVEXITY_BOX.
 
-    At s = 0 the two coincide and phi is checked once; the report's
-    `n_samples` counts the point pairs checked over the passes made."""
+    At s = 0 the two coincide and phi is checked once.  The report's
+    `n_samples` counts the pairs compared over the passes made: those whose
+    three values are finite (a large rate overflows to inf)."""
     f = _phi_callable(phi)
     x1, y1, x2, y2 = (uniform_draws(seed, stream, n_samples, *box)
                       for stream, box in enumerate(CONVEXITY_BOX * 2))
-    violations = 0
+    checked = violations = 0
     passes = (0.0, float(s)) if s != 0 else (0.0,)
     for weight_s in passes:
         def g(x, y):
             return f(x, y) * y ** weight_s
-        v1, v2 = g(x1, y1), g(x2, y2)
-        vm = g(0.5 * (x1 + x2), 0.5 * (y1 + y2))
-        scale = np.maximum(1.0, np.maximum(np.abs(v1), np.abs(v2)))
-        violations += int(np.sum(vm - 0.5 * (v1 + v2) - 1e-10 * scale > 0))
-    return ProbeReport(len(passes) * n_samples, violations)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf: masked below
+            v1, v2, vm = g(x1, y1), g(x2, y2), g(0.5 * (x1 + x2), 0.5 * (y1 + y2))
+            scale = np.maximum(1.0, np.maximum(np.abs(v1), np.abs(v2)))
+            above = vm - 0.5 * (v1 + v2) - 1e-10 * scale > 0
+        finite = np.isfinite(v1) & np.isfinite(v2) & np.isfinite(vm)
+        violations += int(np.sum(above & finite))
+        checked += int(np.sum(finite))
+    return ProbeReport(checked, violations)
 
 
 def monotone_truncation_check(p: float, n_max: int, n_samples: int,
@@ -319,7 +323,8 @@ def monotone_truncation_check(p: float, n_max: int, n_samples: int,
             for stream, box in enumerate(TRUNCATION_BOX))
     pk = p * x ** 2 / y
     violations = 0
-    limit = np.exp(pk)
+    with np.errstate(over="ignore"):  # an inf limit still bounds every sum
+        limit = np.exp(pk)
     sums = _partial_sums(pk, n_max)
     prev = next(sums, None)
     for cur in sums:

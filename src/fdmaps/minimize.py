@@ -379,8 +379,8 @@ def truncation_sweep(p: float, n_list: Sequence[int], mesh: Mesh,
                      jac_exp: float = 0.0, weight: str = "none") -> List[SweepEntry]:
     """Minimize the truncated-exponential family for each N, warm-starting in N;
     every N shares the operators of the mesh and one factorisation of S_II."""
-    if list(n_list) != sorted(set(int(n) for n in n_list)):
-        raise ConfigurationError("N_list must be strictly increasing")
+    if not len(n_list) or list(n_list) != sorted(set(int(n) for n in n_list)):
+        raise ConfigurationError("'N_list' must be non-empty and strictly increasing")
     ops = _MeshOperators(mesh)
     entries: List[SweepEntry] = []
     warm: Optional[MappingField] = None

@@ -14,7 +14,7 @@ import pytest
 import fdmaps
 from fdmaps.convergence import lsc_checks, radon_riesz_diagnose
 from fdmaps.fields import (DerivedField, MappingField, apply_coefficients,
-                           derivative_coefficients, sample_analytic,
+                           derivative_coefficients, distortions, sample_analytic,
                            wirtinger_derivatives)
 from fdmaps.functionals import FunctionalSpec, energy, inverse_energy, weight_values
 from fdmaps.hopf import holomorphy_residual, inverse_ahlfors_hopf
@@ -73,7 +73,8 @@ def test_criterion_01_gradient_correctness(disk3):
                                        + 1j * rng.standard_normal(disk3.n_nodes))
         values[disk3.boundary_nodes] = disk3.nodes[disk3.boundary_nodes]
         m = MappingField(disk3, values, None)
-        if wirtinger_derivatives(m).jac.min() > 0.1:  # feasibility gate
+        d = wirtinger_derivatives(m)
+        if distortions(d.fz, d.fzbar)[0].min() > 0.1:  # feasibility gate
             maps.append(m)
     for spec in FAMILIES:
         for m in maps:
@@ -95,7 +96,8 @@ def test_criterion_02_closed_form_distortion():
         mesh = fdmaps.build_disk_mesh(level)
         d = wirtinger_derivatives(sample_analytic(mesh, "radial_stretch", 2.0))
         keep = np.abs(mesh.centroids()) > 2.0 ** (-level)  # one mesh size
-        medians.append(float(np.median(np.abs(d.khs - 2.5)[keep])))
+        khs = distortions(d.fz, d.fzbar)[1]
+        medians.append(float(np.median(np.abs(khs - 2.5)[keep])))
     decreasing = all(a > b for a, b in zip(medians, medians[1:]))
     elapsed = time.monotonic() - t0
     _report(2, "sampled-stretch-distortion",
@@ -244,7 +246,7 @@ def test_criterion_10_area_identity(disk5):
     ok = True
     for formula, args in (("identity", ()), ("radial_stretch", (2.0,))):
         d = wirtinger_derivatives(sample_analytic(disk5, formula, *args))
-        total = float(np.sum(d.jac * disk5.areas))
+        total = float(np.sum(distortions(d.fz, d.fzbar)[0] * disk5.areas))
         ok &= abs(total - math.pi) / math.pi < 0.01
     elapsed = time.monotonic() - t0
     _report(10, "jacobian-area-identity", ok and elapsed < 5.0)

@@ -258,6 +258,11 @@ def test_oscillation_frequency_must_be_an_integer(tmp_path, path):
     assert run(_OSCILLATION_RUNS[path]([2.5]), tmp_path / "half") == 2
     reason = _read(tmp_path / "half" / "manifest.json")["failure_reason"]
     assert "oscillation frequency j" in reason and "2.5" in reason
+    # j = 0 would divide by zero, and -j is the same map as j
+    for j in (0, -2):
+        assert run(_OSCILLATION_RUNS[path]([j]), tmp_path / f"j{j}") == 2
+        reason = _read(tmp_path / f"j{j}" / "manifest.json")["failure_reason"]
+        assert "oscillation frequency j" in reason and "not positive" in reason
     assert run(_OSCILLATION_RUNS[path]([2]), tmp_path / "int") == 0
     assert run(_OSCILLATION_RUNS[path]([2.0]), tmp_path / "float") == 0
     assert (_read(tmp_path / "int" / "result.json")["results"]
@@ -349,6 +354,8 @@ _MISSPELT = [
                                  "jac_exp": float("nan")}}, "jac_exp"),
     ("minimize", {"minimize": {"gradient_tolerance": float("nan")}}, "gradient_tolerance"),
     ("sweep", {"sweep": {"p": float("inf"), "N_list": [1]}}, "p"),
+    # an empty N_list used to minimise and certify nothing, and exit 0
+    ("sweep", {"sweep": {"N_list": []}}, "N_list"),
     # p_RR NaN used to be blamed on s
     ("diagnose", {"diagnostic": {"p_RR": float("nan")}}, "p_RR"),
     ("diagnose", {"diagnostic": {"tolerances": {"weak_rel": float("nan")}}}, "weak_rel"),

@@ -9,8 +9,8 @@ from fdmaps import geometry
 from fdmaps.errors import ConfigurationError
 from fdmaps.fields import (AnalyticMap, MappingField, analytic_affine, analytic_oscillation,
                            analytic_radial_stretch, derived_to_csv, distinct_real_parts,
-                           finite_distortion_report, sample_analytic,
-                           wirtinger_derivatives, write_columns)
+                           distortions, sample_analytic, wirtinger_derivatives,
+                           write_columns)
 
 
 def test_affine_derivatives_exact(disk3):
@@ -18,19 +18,21 @@ def test_affine_derivatives_exact(disk3):
     d = wirtinger_derivatives(m)
     assert np.allclose(d.fz, 1.0)
     assert np.allclose(d.fzbar, 1.0 / 3.0)
-    assert d.jac == pytest.approx(np.full(disk3.n_triangles, 8.0 / 9.0))
-    assert d.khs == pytest.approx(np.full(disk3.n_triangles, 2.5))
-    assert d.kop == pytest.approx(np.full(disk3.n_triangles, 2.0))
-    assert np.allclose(d.mu, 1.0 / 3.0)
+    jac, khs, kop, mu = distortions(d.fz, d.fzbar)
+    assert jac == pytest.approx(np.full(disk3.n_triangles, 8.0 / 9.0))
+    assert khs == pytest.approx(np.full(disk3.n_triangles, 2.5))
+    assert kop == pytest.approx(np.full(disk3.n_triangles, 2.0))
+    assert np.allclose(mu, 1.0 / 3.0)
 
 
 def test_identity_is_conformal(disk3):
     d = wirtinger_derivatives(sample_analytic(disk3, "identity"))
     assert np.allclose(d.fz, 1.0)
     assert np.allclose(d.fzbar, 0.0)
-    assert np.allclose(d.khs, 2.0)
-    assert np.allclose(d.kop, 1.0)
-    assert np.allclose(d.mu, 0.0)
+    _, khs, kop, mu = distortions(d.fz, d.fzbar)
+    assert np.allclose(khs, 2.0)
+    assert np.allclose(kop, 1.0)
+    assert np.allclose(mu, 0.0)
 
 
 def test_analytic_radial_stretch_closed_forms(rng):
@@ -75,7 +77,7 @@ def test_sampled_stretch_distortion_converges():
         d = wirtinger_derivatives(sample_analytic(mesh, "radial_stretch", 2.0))
         centroids = np.abs(mesh.centroids())
         h = 2.0 ** (-level)
-        err = np.abs(d.khs - 2.5)[centroids > h]
+        err = np.abs(distortions(d.fz, d.fzbar)[1] - 2.5)[centroids > h]
         medians.append(np.median(err))
     assert medians[0] > medians[1] > medians[2]
     assert medians[-1] < 0.02 * 2.5
@@ -194,27 +196,11 @@ def test_closed_form_values_are_sampled_on_first_read(disk3):
         MappingField(disk3)
 
 
-def test_distortion_report_counts(disk3):
-    # fold the disk: f = conj(z) reverses orientation everywhere
-    m = sample_analytic(disk3, "identity")
-    folded = type(m)(disk3, np.conj(m.values), None)
-    rep = finite_distortion_report(wirtinger_derivatives(folded))
-    assert rep.bad_count == disk3.n_triangles
-    assert rep.bad_area == pytest.approx(disk3.total_area)
-    assert not rep.finite_distortion
-
-    good = finite_distortion_report(wirtinger_derivatives(m))
-    assert good.bad_count == 0
-    assert good.finite_distortion
-    assert good.ess_sup_k == pytest.approx(1.0)
-    assert good.mean_khs == pytest.approx(2.0)
-
-
 def test_mu_undefined_marker(disk3):
     # constant map: fz = 0 everywhere, mu undefined
     m = sample_analytic(disk3, "affine", 0.0, 0.0)
     d = wirtinger_derivatives(m)
-    assert np.isnan(d.mu).all()
+    assert np.isnan(distortions(d.fz, d.fzbar)[3]).all()
 
 
 def test_affine_value_and_centroid(disk3):
@@ -226,22 +212,18 @@ def test_affine_value_and_centroid(disk3):
     assert np.allclose(d.f_centroid, 2.0 * disk3.centroids())
 
 
-DISTORTIONS = {"jac", "khs", "kop", "mu"}
-
-
 def test_derived_to_csv(tmp_path, part_folded, csv_reference):
     d = wirtinger_derivatives(part_folded)
     path = tmp_path / "derived.csv"
     derived_to_csv(d, path)
-    # the writer forms J, the distortions and mu per block, never whole
-    assert not DISTORTIONS & vars(d).keys()
-    assert np.isinf(d.khs).any() and np.isnan(d.mu).any() and np.isfinite(d.khs).any()
+    jac, khs, kop, mu = distortions(d.fz, d.fzbar)
+    assert np.isinf(khs).any() and np.isnan(mu).any() and np.isfinite(khs).any()
     rows = path.read_text().strip().splitlines()
     assert len(rows) == d.mesh.n_triangles + 1  # header + one row per triangle
     header = ["tri_id", "re_fz", "im_fz", "re_fzbar", "im_fzbar",
               "J", "K_hs", "K_op", "re_mu", "im_mu", "area"]
     expected = [[t, d.fz[t].real, d.fz[t].imag, d.fzbar[t].real, d.fzbar[t].imag,
-                 d.jac[t], d.khs[t], d.kop[t], d.mu[t].real, d.mu[t].imag, d.areas[t]]
+                 jac[t], khs[t], kop[t], mu[t].real, mu[t].imag, d.areas[t]]
                 for t in range(d.mesh.n_triangles)]
     assert path.read_bytes() == csv_reference(header, expected)
 
@@ -354,8 +336,7 @@ def test_write_columns_memory_is_bounded(tmp_path):
 def test_wirtinger_derivatives_memory_is_bounded():
     # f_z, f_zbar and the centroid images of a level-7 disk (98,304
     # triangles) take 4.5 MiB; built block by block they are all that is
-    # held besides one block of coefficients and temporaries, and the
-    # Jacobian, distortions and mu are not built until they are read
+    # held besides one block of coefficients and temporaries
     import tracemalloc
 
     from fdmaps import build_disk_mesh
@@ -370,13 +351,13 @@ def test_wirtinger_derivatives_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert not DISTORTIONS & vars(d).keys()
     outputs = sum(a.nbytes for a in (d.fz, d.fzbar, d.f_centroid))
     assert peak - before <= outputs + 2 * mib
 
 
 def _derived_reference(mapping):
-    """Every DerivedField array by the whole-array formulas."""
+    """Every DerivedField array, and J, the distortions and mu, by the
+    whole-array formulas."""
     mesh = mapping.mesh
     z = mesh.nodes[mesh.triangles]
     e1, e2 = z[:, 1] - z[:, 0], z[:, 2] - z[:, 0]
@@ -402,8 +383,10 @@ def test_derived_field_does_not_depend_on_the_block(part_folded, triangle_block)
     reference = _derived_reference(part_folded)
     # the folded rows (inf distortion, nan mu) lie next to finite ones
     assert np.isinf(reference["khs"]).any() and np.isfinite(reference["khs"]).any()
+    actual = {"fz": d.fz, "fzbar": d.fzbar, "f_centroid": d.f_centroid,
+              **dict(zip(("jac", "khs", "kop", "mu"), distortions(d.fz, d.fzbar)))}
     for name, expected in reference.items():
-        assert np.array_equal(getattr(d, name), expected, equal_nan=True), name
+        assert np.array_equal(actual[name], expected, equal_nan=True), name
 
 
 def test_certify_memory_and_derived_bytes(tmp_path, csv_reference):

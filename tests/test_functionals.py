@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdmaps import functionals
+from fdmaps.convergence import PROBE_SAMPLES
 from fdmaps.errors import ConfigurationError, DomainError
-from fdmaps.fields import sample_analytic, wirtinger_derivatives
+from fdmaps.fields import distortions, sample_analytic, wirtinger_derivatives
 from fdmaps.functionals import (TRUNCATION_BOX, FunctionalSpec, concavity_probe,
                                 convexity_probe, default_s, energy,
                                 integrand, inverse_energy,
@@ -122,7 +123,7 @@ def test_nonpositive_jacobian_rule(spec, part_folded):
     assert np.array_equal(np.isinf(phi_eval(spec, x, y)), np.isinf(phi))
     assert (phi_eval(spec, 1.0, -1.0) == np.inf) != jac_free
     d = wirtinger_derivatives(part_folded)
-    assert np.any(d.jac <= 0)
+    assert np.any(distortions(d.fz, d.fzbar)[0] <= 0)
     assert np.isfinite(energy(spec, d)) == jac_free
     with pytest.raises(DomainError):
         energy_gradient(spec, part_folded)
@@ -222,6 +223,19 @@ def test_convexity_probe_catches_planted_concave():
     # at s = 0 the weighted pass would repeat the unweighted one
     rep = convexity_probe(lambda x, y: -np.asarray(x) ** 2, 0.0, 2000, seed=7)
     assert rep.violations > 0 and rep.n_samples == 2000
+
+
+def test_probes_compare_only_finite_pairs():
+    # exp(p x^2/y) overflows to inf past 709: at p = 8 on a few of the
+    # diagnose's pairs, on a large share at p = 50.  Those pairs are not
+    # compared, and the overflow does not warn
+    rep = convexity_probe(FunctionalSpec(family="exp_p", p=8.0), default_s(2.0), PROBE_SAMPLES)
+    assert rep.n_samples < 2 * PROBE_SAMPLES
+    rep = convexity_probe(FunctionalSpec(family="exp_p", p=50.0), default_s(2.0), 2000)
+    assert rep.n_samples < 2 * 2000 and rep.violations == 0
+    # exp overflows from p = 10 on; an inf limit still bounds every sum
+    rep = monotone_truncation_check(10.0, 20, 2000)
+    assert (rep.n_samples, rep.violations) == (20 * 2000, 0)
 
 
 def test_monotone_truncation():

@@ -40,8 +40,7 @@ _CONFIG = {"command": (str, None), "seed": (integer, 0), "out": (str, "."),
 _DOMAIN = {"kind": (one_of("disk", "rect"), MISSING), "level": (integer, 4, ("disk",)),
            "nx": (integer, 16, ("rect",)), "ny": (integer, 16, ("rect",)),
            "lo": (complex_number, 0j, ("rect",)), "hi": (complex_number, 1 + 1j, ("rect",))}
-_SWEEP = {"p": (real, 1.0), "N_list": (lambda ns: [integer(n) for n in ns], (1, 2, 4, 8)),
-          "jac_exp": (real, 0.0), "weight": (str, "none")}
+_SWEEP = {"N_list": (lambda ns: [integer(n) for n in ns], (1, 2, 4, 8))}
 # keyed by the arguments of radon_riesz_diagnose
 _DIAGNOSTIC = {"p_RR": (real, 2.0), "s": (optional(real), None),
                "r_list": (optional(dict), None),
@@ -105,22 +104,23 @@ def _run_minimize(config, out: Path):
 def _run_sweep(config, out: Path):
     from .minimize import BoundaryData, MinimizeConfig, truncation_sweep
     mesh = _build_mesh(config["domain"])
-    sweep = read("sweep", config["sweep"], _SWEEP)
+    spec = FunctionalSpec.from_json(config["functional"])
+    n_list = read("sweep", config["sweep"], _SWEEP)["N_list"]
     boundary = BoundaryData.from_json(config["boundary"])
     mcfg = MinimizeConfig.from_json(config["minimize"])
-    entries = truncation_sweep(sweep["p"], sweep["N_list"], mesh, boundary, mcfg,
-                               jac_exp=sweep["jac_exp"], weight=sweep["weight"])
+    results = truncation_sweep(spec, n_list, mesh, boundary, mcfg)
+    # f is critical in the source chart for jac_exp 1, and f^{-1} in the image chart for 0
+    builder = ahlfors_hopf if spec.jac_exp == 1.0 else inverse_ahlfors_hopf
     rows, gaps = [], []
     previous = None  # the last entry's Hopf values, for the sup-gap to the next
-    for e in entries:
-        derived = wirtinger_derivatives(e.mapping)
-        psi = inverse_ahlfors_hopf(derived, sweep["p"], e.trunc_n, sweep["weight"])
+    for n, result in zip(n_list, results):
+        psi = builder(wirtinger_derivatives(result.mapping), spec.p, n, spec.weight)
         res = holomorphy_residual(psi)
         if previous is not None:
             gaps.append(float(np.nanmax(np.abs(psi.values - previous))))
         previous = psi.values
-        rows.append({"N": e.trunc_n, "energy": e.energy, "hopf_l1": psi.l1_norm,
-                     "holomorphy_l1": res.l1_residual, "stop_reason": e.stop_reason})
+        rows.append({"N": n, "energy": result.final_energy, "hopf_l1": psi.l1_norm,
+                     "holomorphy_l1": res.l1_residual, "stop_reason": result.stop_reason})
     header = ["N", "energy", "hopf_l1", "holomorphy_l1", "stop_reason"]
     write_columns(out / "sweep.csv", header, list(zip(*map(itemgetter(*header), rows))))
     return {"entries": rows, "psi_cauchy_sup_gaps": gaps}

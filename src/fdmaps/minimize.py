@@ -366,28 +366,18 @@ def prolong(mapping: MappingField, fine_mesh: Mesh) -> MappingField:
     return MappingField(fine_mesh, values)
 
 
-@dataclass(frozen=True)
-class SweepEntry:
-    trunc_n: int
-    mapping: MappingField
-    energy: float
-    stop_reason: str
-
-
-def truncation_sweep(p: float, n_list: Sequence[int], mesh: Mesh,
-                     boundary: BoundaryData, config: MinimizeConfig,
-                     jac_exp: float = 0.0, weight: str = "none") -> List[SweepEntry]:
-    """Minimize the truncated-exponential family for each N, warm-starting in N;
-    every N shares the operators of the mesh and one factorisation of S_II."""
+def truncation_sweep(spec: FunctionalSpec, n_list: Sequence[int], mesh: Mesh,
+                     boundary: BoundaryData, config: MinimizeConfig) -> List[MinimizeResult]:
+    """Minimize `spec.with_(trunc_n=N)` for each N, warm-starting in N: one
+    result per N; every N shares the operators of the mesh and one
+    factorisation of S_II.  `spec` must be of the `trunc_exp` family."""
+    if spec.family != "trunc_exp":
+        raise ConfigurationError(f"a sweep varies N of 'trunc_exp', not of {spec.family!r}")
     if not len(n_list) or list(n_list) != sorted(set(int(n) for n in n_list)):
         raise ConfigurationError("'N_list' must be non-empty and strictly increasing")
     ops = _MeshOperators(mesh)
-    entries: List[SweepEntry] = []
-    warm: Optional[MappingField] = None
+    results: List[MinimizeResult] = []
     for n in n_list:
-        spec = FunctionalSpec(family="trunc_exp", p=p, trunc_n=int(n),
-                              jac_exp=jac_exp, weight=weight)
-        res = _minimize(ops, spec, boundary, config, warm)
-        entries.append(SweepEntry(int(n), res.mapping, res.final_energy, res.stop_reason))
-        warm = res.mapping
-    return entries
+        warm = results[-1].mapping if results else None
+        results.append(_minimize(ops, spec.with_(trunc_n=int(n)), boundary, config, warm))
+    return results

@@ -188,17 +188,17 @@ def test_criterion_06_diagnose_negative_case():
 def test_criterion_07_truncation_sweep(disk4):
     t0 = time.monotonic()
     n_list = [1, 2, 4, 8, 16]
-    entries = truncation_sweep(1.0, n_list, disk4, BoundaryData(kind="identity"),
+    results = truncation_sweep(FunctionalSpec(family="trunc_exp", p=1.0), n_list, disk4,
+                               BoundaryData(kind="identity"),
                                MinimizeConfig(max_iterations=500))
     ok = True
-    for e in entries:
-        target = math.pi * sum(2.0 ** n / math.factorial(n)
-                               for n in range(e.trunc_n + 1))
-        ok &= abs(e.energy - target) / target < 0.01
-    energies = [e.energy for e in entries]
+    for n, r in zip(n_list, results):
+        target = math.pi * sum(2.0 ** k / math.factorial(k) for k in range(n + 1))
+        ok &= abs(r.final_energy - target) / target < 0.01
+    energies = [r.final_energy for r in results]
     ok &= all(a < b for a, b in zip(energies, energies[1:]))
-    psis = [inverse_ahlfors_hopf(wirtinger_derivatives(e.mapping), 1.0, e.trunc_n)
-            for e in entries]
+    psis = [inverse_ahlfors_hopf(wirtinger_derivatives(r.mapping), 1.0, n)
+            for n, r in zip(n_list, results)]
     gaps = [float(np.nanmax(np.abs(b.values - a.values)))
             for a, b in zip(psis, psis[1:])]
     ok &= all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))

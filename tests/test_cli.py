@@ -312,6 +312,8 @@ _MISSPELT = [
     ("diagnose", {"diagnostic": {"tolerances": {"weak_tol": 0.5}}}, "weak_tol"),
     ("diagnose", {"diagnostics": {"p_RR": 3.0}}, "diagnostics"),
     ("sweep", {"sweep": {"n_list": [1]}}, "n_list"),
+    # a sweep varies the truncation order, which only trunc_exp has
+    ("sweep", {"functional": {"family": "lp_mean", "p": 2.0}}, "lp_mean"),
     ("oracle", {"oracle": {"samples": 50}}, "samples"),
     # the truncation order used to run as int(8.7) = 8
     ("minimize", {"functional": {"family": "trunc_exp", "p": 1, "N": 8.7}}, "N"),
@@ -353,7 +355,8 @@ _MISSPELT = [
     ("diagnose", {"functional": {"family": "trunc_exp", "p": 1, "N": 8,
                                  "jac_exp": float("nan")}}, "jac_exp"),
     ("minimize", {"minimize": {"gradient_tolerance": float("nan")}}, "gradient_tolerance"),
-    ("sweep", {"sweep": {"p": float("inf"), "N_list": [1]}}, "p"),
+    ("sweep", {"functional": {"family": "trunc_exp", "p": float("inf")}}, "p"),
+    ("sweep", {"functional": {"family": "trunc_exp", "jac_exp": float("nan")}}, "jac_exp"),
     # an empty N_list used to minimise and certify nothing, and exit 0
     ("sweep", {"sweep": {"N_list": []}}, "N_list"),
     # p_RR NaN used to be blamed on s
@@ -376,7 +379,18 @@ _MISSPELT = [
                          ids=[f"{command}-{key}" for command, _, key in _MISSPELT])
 def test_misspelt_config_key_exits_2(tmp_path, command, sections, key):
     # a misspelt key or a value that does not convert used to run the defaults
-    config = {"command": command, **_SECTIONS, **sections}
+    _assert_refused(tmp_path, {"command": command, **_SECTIONS, **sections}, key)
+
+
+@pytest.mark.parametrize("key, value", [("p", 1.0), ("jac_exp", 1.0), ("weight", "none")])
+def test_sweep_section_reads_only_n_list(tmp_path, key, value):
+    # the functional section holds these keys; the sweep's copies used to be
+    # read while a functional section was ignored, so norm "op" ran as "hs"
+    _assert_refused(tmp_path, {"command": "sweep", **_SECTIONS,
+                               "sweep": {key: value, "N_list": [1]}}, key)
+
+
+def _assert_refused(tmp_path, config, key):
     assert run(config, tmp_path) == 2
     manifest = _read(tmp_path / "manifest.json")
     assert manifest["status"] == "validation_error"
@@ -403,7 +417,8 @@ def test_sweep_csv_matches_csv_writer(tmp_path, csv_reference):
     config = {
         "command": "sweep",
         "domain": {"kind": "disk", "level": 2},
-        "sweep": {"p": 1.0, "N_list": [1, 2, 4]},
+        "functional": {"family": "trunc_exp", "p": 1.0},
+        "sweep": {"N_list": [1, 2, 4]},
         "boundary": {"kind": "circle_diffeo", "sin_coeffs": [0.0, 0.2]},
         "minimize": {"max_iterations": 200},
     }
@@ -484,6 +499,11 @@ def test_results_validate_against_schema(tmp_path):
          "functional": {"family": "trunc_exp", "p": 1.0, "N": 8},
          "boundary": {"kind": "circle_diffeo", "sin_coeffs": [0.0, 0.3]}},
         {"command": "sweep", "domain": {"kind": "disk", "level": 2},
+         "functional": {"family": "trunc_exp"},
+         "boundary": {"kind": "circle_diffeo", "sin_coeffs": [0.0, 0.3]},
+         "sweep": {"N_list": [1, 2]}},
+        {"command": "sweep", "domain": {"kind": "disk", "level": 2},
+         "functional": {"family": "trunc_exp", "jac_exp": 1.0},
          "boundary": {"kind": "circle_diffeo", "sin_coeffs": [0.0, 0.3]},
          "sweep": {"N_list": [1, 2]}},
         {"command": "diagnose", "domain": {"kind": "disk", "level": 2},

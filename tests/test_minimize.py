@@ -16,6 +16,7 @@ from fdmaps.errors import ConfigurationError
 from fdmaps.fields import MappingField, distortions, sample_analytic, wirtinger_derivatives
 from fdmaps.functionals import FunctionalSpec, energy
 from fdmaps.geometry import build_disk_mesh, build_rect_mesh
+from fdmaps.hopf import ahlfors_hopf
 from fdmaps.minimize import (JACOBIAN_FLOOR, MEMORY, BoundaryData, MinimizeConfig, _dot,
                              _eta_areas, _energy_and_minjac, _lbfgs_direction,
                              _MeshOperators, energy_gradient, harmonic_extension,
@@ -381,21 +382,63 @@ def test_sweep_factorises_the_mesh_once(disk4, monkeypatch):
     splu, calls = spla.splu, []
     monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: calls.append(1) or splu(*args, **kwargs))
     boundary = BoundaryData(kind="circle_diffeo", sin_coeffs=(0.0, 0.3))
-    entries = truncation_sweep(1.0, [1, 2, 4, 8], disk4, boundary,
-                               MinimizeConfig(gradient_tolerance=1e-9))
+    results = truncation_sweep(FunctionalSpec(family="trunc_exp", p=1.0), [1, 2, 4, 8],
+                               disk4, boundary, MinimizeConfig(gradient_tolerance=1e-9))
     assert len(calls) == 1
-    assert [e.stop_reason for e in entries] == ["gradient_tolerance"] * 4
+    assert [r.stop_reason for r in results] == ["gradient_tolerance"] * 4
     # N = 8 is the criterion-08 problem at level 4
-    for entry, ref in zip(entries, (9.748915545760502, 16.70814939622371,
-                                    24.16697104650499, CRITERION_08_ENERGIES[1])):
-        assert abs(entry.energy - ref) <= 1e-12 * ref
-    energy_gradient(FunctionalSpec(family="exp_p", p=1.0), entries[0].mapping)
+    for result, ref in zip(results, (9.748915545760502, 16.70814939622371,
+                                     24.16697104650499, CRITERION_08_ENERGIES[1])):
+        assert abs(result.final_energy - ref) <= 1e-12 * ref
+    energy_gradient(FunctionalSpec(family="exp_p", p=1.0), results[0].mapping)
     _MeshOperators(disk4).stiffness
     assert len(calls) == 1
 
 
 def test_truncation_sweep_energies_monotone(disk3):
-    entries = truncation_sweep(1.0, [1, 2, 4], disk3, BoundaryData(kind="identity"),
-                               MinimizeConfig(max_iterations=100))
-    assert [e.trunc_n for e in entries] == [1, 2, 4]
-    assert entries[0].energy < entries[1].energy < entries[2].energy
+    results = truncation_sweep(FunctionalSpec(family="trunc_exp", p=1.0), [1, 2, 4], disk3,
+                               BoundaryData(kind="identity"), MinimizeConfig(max_iterations=100))
+    assert len(results) == 3
+    assert results[0].final_energy < results[1].final_energy < results[2].final_energy
+
+
+def test_sweep_minimises_its_functional(tmp_path):
+    # the sweep minimises the functional section's spec with N from N_list:
+    # its one entry is the cold start that minimize makes of that spec at
+    # N = 2, bit for bit, here with the operator norm rather than hs
+    functional = {"family": "trunc_exp", "p": 1, "norm": "op"}
+    base = {"domain": {"kind": "disk", "level": 3}, "boundary": CRITERION_08["boundary"]}
+    assert run({"command": "sweep", **base, "functional": functional,
+                "sweep": {"N_list": [2]}}, tmp_path / "sweep") == 0
+    assert run({"command": "minimize", **base, "functional": {**functional, "N": 2}},
+               tmp_path / "minimize") == 0
+    entry, = json.loads((tmp_path / "sweep" / "result.json").read_text())["results"]["entries"]
+    final = json.loads((tmp_path / "minimize" / "result.json").read_text())["results"]
+    assert entry["energy"] == final["final_energy"]
+    assert entry["stop_reason"] == final["stop_reason"] == "gradient_tolerance"
+
+
+def test_sweep_certifies_jac_exp_1_in_the_source_chart(tmp_path):
+    # for jac_exp 1, f itself is critical, so its Hopf differential
+    # `ahlfors_hopf` is holomorphic in the source chart: the residual falls
+    # under refinement and is small against the differential (in the image
+    # chart, the inverse's, it reads 0.68 / 0.77 / 0.84 of hopf_l1 and grows)
+    functional = {"family": "trunc_exp", "p": 1.0, "N": 1, "jac_exp": 1.0}
+    boundary = BoundaryData.from_json(CRITERION_08["boundary"])
+    mcfg = {"gradient_tolerance": 1e-9}
+    residuals = []
+    for level in (3, 4, 5):
+        config = {"command": "sweep", "domain": {"kind": "disk", "level": level},
+                  "functional": functional, "boundary": CRITERION_08["boundary"],
+                  "minimize": mcfg, "sweep": {"N_list": [1]}}
+        assert run(config, tmp_path / str(level)) == 0
+        entry, = json.loads((tmp_path / str(level) / "result.json").read_text())[
+            "results"]["entries"]
+        minimiser = minimize_energy(FunctionalSpec.from_json(functional),
+                                    build_disk_mesh(level), boundary,
+                                    MinimizeConfig.from_json(mcfg)).mapping
+        assert entry["hopf_l1"] == ahlfors_hopf(wirtinger_derivatives(minimiser),
+                                                1.0, 1).l1_norm
+        residuals.append(entry["holomorphy_l1"])
+    assert residuals[0] > residuals[1] > residuals[2]
+    assert residuals[2] < 0.05 * entry["hopf_l1"]

@@ -215,7 +215,7 @@ def run(config: dict, out_dir) -> int:
     manifest = {
         "config": config,
         "version": __version__,
-        "cpus": available_cpus(),  # the sweep and the mollifier use at most 4 of them
+        "cpus": available_cpus(),  # the mollifier builds members on at most 4 of them
         "seed": None,
         "status": "ok",
         "failure_reason": None,

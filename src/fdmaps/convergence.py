@@ -33,19 +33,17 @@ difference exceeds a threshold, which Chebyshev's inequality bounds by the
 L^r gap) and the limit's folded weight, where J <= 0 in its sample (of
 its closed form, if it has one).  A field's Beltrami coefficient
 mu = f_zbar / f_z counts as 0 where its own f_z = 0; the limit's mu and J,
-which every member's difference reads, are computed once per block.  A
-closed form's transcendental functions of Re z are taken once per
-distinct real part of the block's points (`distinct_real_parts`, about
-half of them on a rect mesh), with the same bits.  The members of a block
-are sampled on the threads of `deal`, one per available CPU, at most one
-per member and MAX_THREADS in all, once the limit's part of the block is
-done; each member's sums are written by its own thread and receive the
-blocks in order, so the results keep their bits for any thread count.
-The limit and every member are sampled by one `_sample`, each into arrays
-of its own, and a member's sample is freed once its measurements have
-read it.  The working set is one block, with at most MAX_THREADS member
-samples, and a few sums: no array grows with the number of quadrature
-points or CPUs.
+which every member's difference reads, are computed once per block.  The
+blocks are runs of the triangles ordered by the real parts of their
+centroids, so a closed form's transcendental functions of Re z, taken
+once per distinct real part of the block's points (`distinct_real_parts`,
+with the same bits), are taken about 60 times per block of a rect mesh,
+not once per point.  The sweep runs on the calling thread: its numpy calls
+are too short for threads to pay.  The limit and every member are sampled
+by one `_sample`, each into arrays of its own, and a member's sample is
+freed once its measurements have read it.  The working set is one block,
+one member sample and a few sums: no array grows with the number of
+quadrature points.
 The standalone `weak_probe`, `lr_gap`, `quantity_scale` and `lsc_checks`
 run the same sweep with the measurement they report.
 
@@ -130,13 +128,13 @@ class SequenceHandle:
 
 
 def _derivatives_at(seq: SequenceHandle, index: int, pts: np.ndarray,
-                    tris: slice = slice(None), x=None):
-    """The jet (f, fz, fzbar) of member/limit on the triangles `tris`, whose
-    quadrature points are `pts`: the closed form's (which may read `x`, the
-    points' `distinct_real_parts`), or the P1 interpolant's at the centroid
-    (the mean of the three nodal values, as `wirtinger_derivatives` forms
-    it) with its derivatives, all three from one gather of the values per
-    triangle."""
+                    tris=slice(None), x=None):
+    """The jet (f, fz, fzbar) of member/limit on the triangles `tris` (a
+    slice or an index array), whose quadrature points are `pts`: the closed
+    form's (which may read `x`, the points' `distinct_real_parts`), or the
+    P1 interpolant's at the centroid (the mean of the three nodal values,
+    as `wirtinger_derivatives` forms it) with its derivatives, all three
+    from one gather of the values per triangle."""
     m = seq.limit if index == -1 else seq.members[index]
     if seq.all_analytic:
         return m.analytic.jet(pts, x)
@@ -161,8 +159,7 @@ class _Sample:
             phi = self.phis[spec] = integrand(spec, self.P, self.Q)
         return phi
 
-    # every member's J and mu differences read the limit's, so a `limit`
-    # hook computes them
+    # every member's J and mu differences read the limit's, computed once
     @cached_property
     def jac(self) -> np.ndarray:
         return self.P - self.Q
@@ -181,7 +178,7 @@ def _shared(a: np.ndarray, shape) -> np.ndarray:
     return a
 
 
-def _sample(seq: SequenceHandle, index: int, block: _Block, tris: slice) -> _Sample:
+def _sample(seq: SequenceHandle, index: int, block: _Block, tris) -> _Sample:
     """The one evaluation of member `index` (-1: the limit) on a block."""
     shape = block.pts.shape
     jet = _derivatives_at(seq, index, block.pts, tris, x=block.x)
@@ -200,20 +197,46 @@ class _Block(NamedTuple):
 class _Measurement:
     """A quantity summed block by block over a sweep.  In every block the
     sweep passes the limit first, then each member it samples in order.
-
-    The members of a block are sampled on several threads at once, and a
-    `limit` hook runs while no `member` hook does.  So `member(..., j, ...)`
-    writes only member j's state, and whatever the member hooks share (the
-    limit sample's lazily built Phi, J and mu among it) is filled by a
-    `limit` hook.  Every sample, the limit's and each member's, is read-only
-    and in arrays of its own; a member's is freed after its hooks, so a
-    hook keeps nothing of it."""
+    Every sample, the limit's and each member's, is read-only and in arrays
+    of its own; a member's is freed after its hooks, so a hook keeps
+    nothing of it."""
 
     def limit(self, block: _Block, lim: _Sample) -> None:
         pass
 
     def member(self, block: _Block, j: int, f: _Sample, lim: _Sample) -> None:
         pass
+
+
+def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
+           members: Optional[Sequence[int]] = None) -> None:
+    """Feed the measurements one block of whole triangles (about
+    `geometry.BLOCK_ROWS` quadrature points) at a time, on the calling
+    thread.  The blocks are runs of the triangles in the order of the real
+    parts of their centroids, each run taken in mesh order, so that a block
+    of a rect mesh is a strip of columns and its points share few real
+    parts.  Each block's quadrature is built when the block is reached,
+    each field is sampled once per block and the sample is shared by every
+    measurement.  The limit is sampled, then the members of the index
+    sequence `members` in its order (None: every member)."""
+    n = seq.quad_n
+    step = max(1, geometry.BLOCK_ROWS // n ** 2)
+    members = range(len(seq)) if members is None else members
+    order = np.argsort(seq.mesh.centroids().real, kind="stable")
+    for start in range(0, len(order), step):
+        tris = np.sort(order[start:start + step])
+        if tris[-1] - tris[0] == len(tris) - 1:  # a range: index views, not copies
+            tris = slice(tris[0], tris[-1] + 1)
+        pts, w = mesh_quad_points(seq.mesh, n, tris)
+        block = _Block(pts, w, distinct_real_parts(pts) if seq.all_analytic else None)
+        lim = _sample(seq, -1, block, tris)
+        for m in measurements:
+            m.limit(block, lim)
+        for j in members:
+            f = _sample(seq, j, block, tris)
+            for m in measurements:
+                m.member(block, j, f, lim)
+            del f  # the next member's sample takes its room
 
 
 def available_cpus() -> int:
@@ -225,9 +248,9 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# the most threads that share out the work of one loop, the sweep's or the
-# mollifier's, so that the blocks they hold stay within a few MiB on any
-# machine; more than 2 threads were never timed
+# the most threads that build the mollifier's members, so that the blocks
+# they hold stay within a few MiB on any machine; more than 2 threads were
+# never timed
 MAX_THREADS = 4
 
 
@@ -237,67 +260,6 @@ def deal(items: Sequence) -> List[Sequence]:
     at least one share, which may be empty."""
     threads = max(1, min(available_cpus(), len(items), MAX_THREADS))
     return [items[i::threads] for i in range(threads)]
-
-
-def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
-           members: Optional[Sequence[int]] = None) -> None:
-    """Feed the measurements one block of whole triangles (about
-    `geometry.BLOCK_ROWS` quadrature points) at a time.  Each block's
-    quadrature is built when the block is reached, each field is sampled
-    once per block and the sample is shared by every measurement.  The
-    limit is sampled, then the members of the index sequence `members` in
-    its order (None: every member).
-
-    The members are dealt (`deal`) to the calling thread and to worker
-    threads, and every thread runs the same loop: wait at the handoff, a
-    `threading.Barrier`, stop if there is no block, sample its members in
-    order.  The last thread to arrive at the handoff builds the next block
-    while the others wait: its quadrature, the limit's sample and the
-    `limit` hooks.  A member's sums are written by its own thread alone and
-    receive the blocks in order, so every result keeps its bits for any
-    thread count.  A failure in any thread breaks the handoff and is raised
-    here once every worker has ended."""
-    n = seq.quad_n
-    step = max(1, geometry.BLOCK_ROWS // n ** 2)
-    members = range(len(seq)) if members is None else members
-    if not seq.all_analytic:  # lazy state that every thread reads, filled first
-        seq.coefficients
-        for j in members:
-            seq.members[j].values
-    starts = iter(range(0, seq.mesh.n_triangles, step))
-    current = None  # (tris, block, limit sample) being sampled; None ends the sweep
-
-    def next_block():
-        nonlocal current
-        start, current = next(starts, None), None  # the block before is freed first
-        if start is not None:
-            tris = slice(start, start + step)
-            pts, w = mesh_quad_points(seq.mesh, n, tris)
-            block = _Block(pts, w, distinct_real_parts(pts) if seq.all_analytic else None)
-            lim = _sample(seq, -1, block, tris)
-            for m in measurements:
-                m.limit(block, lim)
-            current = tris, block, lim
-
-    def sample_members(share):
-        try:
-            while True:
-                handoff.wait()  # the last thread to arrive builds the block
-                if current is None:
-                    return
-                tris, block, lim = current
-                for j in share:
-                    f = _sample(seq, j, block, tris)
-                    for m in measurements:
-                        m.member(block, j, f, lim)
-                    del f  # the next member's sample takes its room
-                del tris, block, lim  # no thread holds a block while the next is built
-        except threading.BrokenBarrierError:
-            pass  # the thread that broke the handoff recorded why
-
-    shares = deal(members)
-    handoff = threading.Barrier(len(shares), action=next_block)
-    run_threads(sample_members, shares, abort=handoff.abort)
 
 
 def run_threads(work: Callable[[Sequence], None], shares: Sequence[Sequence],
@@ -351,7 +313,7 @@ def _quantity_diff(quantity: str, a: _Sample, b: _Sample,
                    spec: Optional[FunctionalSpec] = None):
     """Pointwise |q(a) - q(b)|.  Each field's mu = f_zbar / f_z is 0 where
     its own f_z = 0, so the mu difference is a distance; b's mu and J are
-    `b.mu` and `b.jac`, which a `limit` hook has computed.  The quantity
+    `b.mu` and `b.jac`, computed once per sample.  The quantity
     "phi" is the integrand Phi of `spec`; its difference is inf everywhere
     once it is not finite somewhere.  The quantity "f" is the field's
     values, which the weak residual reads."""
@@ -402,13 +364,6 @@ class _LrGap(_Measurement):
                  spec: Optional[FunctionalSpec] = None):
         self.quantity, self.r, self.spec = quantity, r, spec
         self.sums = np.zeros(n_members)
-
-    def limit(self, block, lim):
-        # what every member's difference reads of the limit: Phi, J or mu
-        if self.quantity == "phi":
-            lim.phi(self.spec)
-        elif self.quantity in ("jac", "mu"):
-            getattr(lim, self.quantity)
 
     def member(self, block, j, f, lim):
         d = _quantity_diff(self.quantity, f, lim, self.spec)
@@ -523,10 +478,6 @@ class _InMeasure(_Folded):
     def __init__(self, n_members: int):
         self.last = n_members - 1
         self.above = {q: np.zeros(len(MEASURE_LEVELS)) for q in ("df", "jac", "mu")}
-
-    def limit(self, block, lim):
-        super().limit(block, lim)
-        lim.mu  # the last member's mu difference reads it
 
     def member(self, block, j, f, lim):
         if j != self.last:

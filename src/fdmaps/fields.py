@@ -327,10 +327,9 @@ def _cells(c: np.ndarray) -> list:
     if c.dtype.kind in "iuU":
         return list(map(str, c.tolist()))
     c = np.ascontiguousarray(c, dtype=float)
-    bits = np.sort(c.view(np.uint64))
-    if np.all(bits[1:] != bits[:-1]):  # all distinct: a gather would only permute
-        return list(map(repr, c.tolist()))
     bits, inverse = np.unique(c.view(np.uint64), return_inverse=True)
+    if len(bits) == len(c):  # all distinct: a gather would only permute
+        return list(map(repr, c.tolist()))
     return np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[inverse].tolist()
 
 

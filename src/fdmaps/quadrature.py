@@ -47,8 +47,9 @@ def duffy_rule(n: int):
     return bary, weights
 
 
-def mesh_quad_points(mesh, n: int, tris: slice = slice(None)):
-    """Quadrature nodes and weights for the triangles `tris` of a mesh.
+def mesh_quad_points(mesh, n: int, tris=slice(None)):
+    """Quadrature nodes and weights for the triangles `tris` of a mesh (a
+    slice or an index array).
 
     Returns (points, weights) of shape (len(tris), K) where points are
     complex plane positions and weights already include triangle areas, so

@@ -8,9 +8,9 @@ import fdmaps
 ROOT = Path(__file__).resolve().parents[1]
 
 # Installs the bench's wrappers on every name perfbench/tracing.py resolves,
-# then runs a small weak probe and one of several blocks, whose members are
-# sampled on four threads (five CPUs, capped), and prints the derivative evaluations counted
-# after each.
+# then runs a small weak probe and one of several blocks, with five CPUs
+# patched in (the sweep samples on the calling thread whatever the count),
+# and prints the derivative evaluations counted after each.
 SCRIPT = """
 import tracing
 tracer = tracing.Tracer("t")

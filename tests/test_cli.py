@@ -96,7 +96,7 @@ def test_diagnose_command(tmp_path):
     assert result["results"]["decided_by"] == "all"
     assert "gap" in result["results"]
     assert (tmp_path / "gaps.csv").exists()
-    # the CPU count that bounds the sweep's threads, to read wall_time_s by
+    # the CPU count that bounds the mollifier's threads, to read wall_time_s by
     manifest = _read(tmp_path / "manifest.json")
     assert manifest["cpus"] == available_cpus() >= 1
 

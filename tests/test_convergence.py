@@ -299,19 +299,20 @@ def test_hyperbolic_weight_rejects_points_outside_disk(osc_seq):
 
 
 def test_diagnose_samples_each_field_once(monkeypatch, unit_square_16):
-    # the diagnose makes one sweep, at any block size and thread count: it
+    # the diagnose makes one sweep, at any block size and CPU count: it
     # samples every field block by block, the blocks covering every
     # quadrature point of every field exactly once, and builds each block's
     # quadrature once, when the block is reached.  Each field's values come
     # with its derivatives, one evaluation per block.  Blocks of 8,192
     # points and of 256 points (4 triangles) both split the mesh, and the
-    # members are sampled on one thread and on two
+    # process may use one CPU or two; the sweep samples on the calling
+    # thread either way
     seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=8), unit_square_16)
     k = convergence.ANALYTIC_QUAD_N ** 2
     m = unit_square_16.n_triangles
     sweep = convergence._sweep
     derivatives_at, quad_points = convergence._derivatives_at, convergence.mesh_quad_points
-    lock = threading.Lock()  # the members' threads share the counts
+    lock = threading.Lock()  # the counts stay exact if a sweep used threads
     for block_points, threads in itertools.product((geometry.BLOCK_ROWS, 4 * k), (1, 2)):
         monkeypatch.setattr(geometry, "BLOCK_ROWS", block_points)
         monkeypatch.setattr(convergence, "available_cpus", lambda n=threads: n)
@@ -376,12 +377,11 @@ def test_diagnose_memory_is_bounded():
 
 
 def test_diagnose_memory_does_not_grow_with_the_cpus(monkeypatch):
-    # the sweep's threads are capped (MAX_THREADS = 4), so on 64 CPUs it
-    # holds one block and at most four member samples, not one per CPU, on
-    # the closed-form path (the 32 x 32 oscillation) and on the nodal one
-    # (the level-5 mollified disk).  After a first run has filled the lazy
-    # caches, the traced peaks on 1, 4 and 64 CPUs are 2.0, 4.1 and 4.1 MiB
-    # on the oscillation and 2.0, 2.7-3.1 and 2.9-3.1 MiB on the disk
+    # the sweep samples on the calling thread, so on 64 CPUs it holds one
+    # block and one member sample, as on one, on the closed-form path (the
+    # 32 x 32 oscillation) and on the nodal one (the level-5 mollified
+    # disk).  After a first run has filled the lazy caches, the traced peak
+    # is 2.35 MiB on 1, 4 and 64 CPUs, on either path
     import tracemalloc
 
     import fdmaps
@@ -552,10 +552,11 @@ def test_diagnose_is_block_size_invariant(monkeypatch, request, fixture, tris_pe
 
 @pytest.mark.parametrize("fixture", ["osc_seq", "moll_seq", "drift_seq"])
 def test_sweep_thread_count_keeps_the_bits(monkeypatch, request, fixture):
-    # each member's sums are written by its own thread and receive the blocks
-    # in order, so 1, 2 and 5 threads give equal reports and LSC results, bit
-    # for bit, on blocks of 7 triangles.  The threads trade the interpreter
-    # every microsecond, so a lost or reordered update would show
+    # the sweep samples on the calling thread and each member's sums receive
+    # the blocks in order, so 1, 2 and 5 CPUs give equal reports and LSC
+    # results, bit for bit, on blocks of 7 triangles.  The interpreter is
+    # traded every microsecond, so a thread that lost or reordered an
+    # update would show
     seq = request.getfixturevalue(fixture)
     k = convergence.ANALYTIC_QUAD_N ** 2 if seq.all_analytic else 1
     monkeypatch.setattr(geometry, "BLOCK_ROWS", 7 * k)
@@ -581,8 +582,7 @@ def test_sweep_thread_count_keeps_the_bits(monkeypatch, request, fixture):
 
 def test_partial_last_block_keeps_the_bits(monkeypatch):
     # 15 x 16 cells make 480 triangles, three blocks of 128 and a last one
-    # of 96, which each thread samples into the leading rows of its block:
-    # 1, 2 and 5 threads give equal reports, bit for bit
+    # of 96: 1, 2 and 5 CPUs give equal reports, bit for bit
     import fdmaps
     mesh = fdmaps.build_rect_mesh(15, 16, 0.0, 1.0 + 1.0j)
     seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=8), mesh)
@@ -598,6 +598,44 @@ def test_partial_last_block_keeps_the_bits(monkeypatch):
     one = report(1)
     assert report(2) == one
     assert report(5) == one
+
+
+def test_sweep_samples_on_the_calling_thread(monkeypatch, unit_square_16):
+    # the sweep's numpy calls last microseconds, too short for threads to
+    # pay, so on 4 CPUs every member hook runs on the caller's thread
+    monkeypatch.setattr(convergence, "available_cpus", lambda: 4)
+    seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=8), unit_square_16)
+    threads = set()
+    for cls in (convergence._LrGap, convergence._Energy, convergence._InMeasure):
+        def member(self, block, j, f, lim, hook=cls.member):
+            threads.add(threading.get_ident())
+            hook(self, block, j, f, lim)
+        monkeypatch.setattr(cls, "member", member)
+    radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0)
+    assert threads == {threading.get_ident()}
+
+
+def test_blocks_bound_the_distinct_real_parts(monkeypatch):
+    # the blocks are runs of the triangles ordered by the real parts of
+    # their centroids: each of the 64 blocks of the 64 x 64 rect mesh is a
+    # column of cells, whose 8,192 points take 50-67 distinct real parts (a
+    # row of cells takes 3,795), so the oscillation's sine and cosine are
+    # taken about 60 times per block
+    import fdmaps
+    mesh = fdmaps.build_rect_mesh(64, 64, 0.0, 1.0 + 1.0j)
+    seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=2), mesh)
+    distinct_real_parts, counts = convergence.distinct_real_parts, []
+
+    def counted(z):
+        x = distinct_real_parts(z)
+        counts.append(len(x[0]))
+        return x
+
+    monkeypatch.setattr(convergence, "distinct_real_parts", counted)
+    radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0,
+                         r_list={"fzbar": 2.0})
+    assert len(counts) == 64
+    assert max(counts) <= 128
 
 
 class _Failing(convergence._Measurement):
@@ -631,9 +669,9 @@ def _divide_by_zero():
 
 @pytest.mark.parametrize("threads", [1, 2, 5])
 def test_sweep_hooks_keep_the_callers_error_state(monkeypatch, drift_seq, threads):
-    # every thread samples in a copy of the caller's context, whichever of
-    # them builds a block, so the caller's np.errstate reaches a member hook
-    # and a limit hook, and the floating-point error reaches the caller
+    # the sweep samples in the caller's context on any number of CPUs, so
+    # the caller's np.errstate reaches a member hook and a limit hook, and
+    # the floating-point error reaches the caller
     monkeypatch.setattr(convergence, "available_cpus", lambda: threads)
     outcome = []
 
@@ -660,10 +698,10 @@ def test_sweep_hooks_keep_the_callers_error_state(monkeypatch, drift_seq, thread
 ])
 def test_sweep_failure_reaches_the_caller(monkeypatch, drift_seq, threads, fail,
                                            at_limit, error, message):
-    # a failure in a member's thread, or in the limit's part of a block,
-    # is raised to the caller with its type and message, and no thread
-    # outlives the sweep.  The sweep runs on a thread of its own, so a
-    # deadlock fails the test instead of hanging it
+    # a failure in a member's part of a block, or in the limit's, is raised
+    # to the caller with its type and message on any number of CPUs, and no
+    # thread outlives the sweep.  The sweep runs on a thread of its own, so
+    # a deadlock fails the test instead of hanging it
     monkeypatch.setattr(convergence, "available_cpus", lambda: threads)
     assert drift_seq.mesh.n_triangles * convergence.ANALYTIC_QUAD_N ** 2 > geometry.BLOCK_ROWS
     before = threading.active_count()

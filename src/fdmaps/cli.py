@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .config import (boolean, complex_number, integer, map_args, one_of, optional,
                      positive_integer, read, real)
-from .convergence import Tolerances, available_cpus, gaps_to_csv, radon_riesz_diagnose
+from .convergence import Tolerances, gaps_to_csv, radon_riesz_diagnose
 from .errors import ConfigurationError, FdmapsError
 from .fields import (derived_to_csv, sample_analytic, wirtinger_derivatives,
                      write_columns)
@@ -31,7 +31,7 @@ from .functionals import (FunctionalSpec, ProbeReport, concavity_probe, convexit
 from .geometry import build_disk_mesh, build_rect_mesh
 from .hopf import (ahlfors_hopf, holomorphy_residual, hopf_to_csv,
                    inverse_ahlfors_hopf)
-from .sequences import SequenceRecipe, generate
+from .sequences import SequenceRecipe, available_cpus, generate
 
 # Top-level keys: any command may carry any section, and reads the ones it needs.
 _CONFIG = {"command": (str, None), "seed": (integer, 0), "out": (str, "."),

@@ -35,15 +35,21 @@ its closed form, if it has one).  A field's Beltrami coefficient
 mu = f_zbar / f_z counts as 0 where its own f_z = 0; the limit's mu and J,
 which every member's difference reads, are computed once per block.  The
 blocks are runs of the triangles ordered by the real parts of their
-centroids, so a closed form's transcendental functions of Re z, taken
-once per distinct real part of the block's points (`distinct_real_parts`,
-with the same bits), are taken about 60 times per block of a rect mesh,
-not once per point.  The sweep runs on the calling thread: its numpy calls
-are too short for threads to pay.  The limit and every member are sampled
-by one `_sample`, each into arrays of its own, and a member's sample is
-freed once its measurements have read it.  The working set is one block,
-one member sample and a few sums: no array grows with the number of
-quadrature points.
+centroids, so the points of a block of a rect mesh take about 60
+distinct real parts (`distinct_real_parts`).  When the limit and every
+member are closed forms whose derivatives read Re z alone
+(`AnalyticMap.x_only`), f_z and f_zbar, and all that is formed from them
+(P, Q, J, mu, Phi), are sampled once per distinct real part and summed
+against the weight of each: the sum of its points' weights, or for an
+energy of their weights times the functional's density, which reads |z|.
+The values, which the weak residual reads, stay at the points.  Otherwise
+every field is sampled at the points, an x_only field's derivatives
+gathered to them.  The sweep runs on the calling thread: its numpy calls
+are too short for threads to pay.  The limit and every member are
+sampled by one `_sample`, each into arrays of its own, and a member's
+sample is freed once its measurements have read it.  The working set is
+one block, one member sample and a few sums: no array grows with the
+number of quadrature points.
 The standalone `weak_probe`, `lr_gap`, `quantity_scale` and `lsc_checks`
 run the same sweep with the measurement they report.
 
@@ -56,20 +62,17 @@ boundary fails on the whole domain and says nothing about W^{1,q}_loc.
 
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
 import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from . import geometry
 from .config import Section, real, setting
 from .errors import ConfigurationError
-from .fields import (MappingField, apply_coefficients, derivative_coefficients,
+from .fields import (MappingField, apply_coefficients, at_points, derivative_coefficients,
                      distinct_real_parts, squared_moduli, wirtinger_derivatives,
                      write_columns)
 from .functionals import (FunctionalSpec, convexity_probe, default_s, df_norm, integrand,
@@ -114,6 +117,13 @@ class SequenceHandle:
         return (self.limit.analytic is not None
                 and all(m.analytic is not None for m in self.members))
 
+    @cached_property  # asked once per field and block by the sweep
+    def x_only(self) -> bool:
+        """Whether the limit and every member are closed forms whose
+        derivatives read Re z alone (`AnalyticMap.x_only`)."""
+        return self.all_analytic and all(m.analytic.x_only
+                                         for m in (self.limit, *self.members))
+
     @cached_property  # mesh-only, so built once for every nodal field
     def coefficients(self):
         """The mesh's (m, 3) Wirtinger coefficient pair (a, b) of
@@ -131,13 +141,18 @@ def _derivatives_at(seq: SequenceHandle, index: int, pts: np.ndarray,
                     tris=slice(None), x=None):
     """The jet (f, fz, fzbar) of member/limit on the triangles `tris` (a
     slice or an index array), whose quadrature points are `pts`: the closed
-    form's (which may read `x`, the points' `distinct_real_parts`), or the
-    P1 interpolant's at the centroid (the mean of the three nodal values,
-    as `wirtinger_derivatives` forms it) with its derivatives, all three
-    from one gather of the values per triangle."""
+    form's, or the P1 interpolant's at the centroid (the mean of the three
+    nodal values, as `wirtinger_derivatives` forms it) with its
+    derivatives, all three from one gather of the values per triangle.  An
+    `x_only` closed form reads `x`, the points' `distinct_real_parts`, and
+    gives its derivatives per distinct real part; unless the whole sequence
+    is `x_only`, they are gathered to the points."""
     m = seq.limit if index == -1 else seq.members[index]
     if seq.all_analytic:
-        return m.analytic.jet(pts, x)
+        f, fz, fzbar = m.analytic.jet(pts, x)
+        if m.analytic.x_only and not seq.x_only:
+            fz, fzbar = at_points(fz, x), at_points(fzbar, x)
+        return f, fz, fzbar
     corners = m.values[seq.mesh.triangles[tris]]
     return (corners.mean(axis=1, keepdims=True),
             *(apply_coefficients(c[tris], corners)[:, None] for c in seq.coefficients))
@@ -145,8 +160,9 @@ def _derivatives_at(seq: SequenceHandle, index: int, pts: np.ndarray,
 
 class _Sample:
     """f, f_z, f_zbar, P = |f_z|^2 and Q = |f_zbar|^2 of one field on a
-    block of quadrature points.  Phi by spec, J and mu are computed on first
-    use."""
+    block: f at the quadrature points, the others in the layout of the
+    block's derivative weights.  Phi by spec, J and mu are computed on
+    first use."""
 
     def __init__(self, f, fz, fzbar):
         self.f, self.fz, self.fzbar = f, fz, fzbar
@@ -180,18 +196,30 @@ def _shared(a: np.ndarray, shape) -> np.ndarray:
 
 def _sample(seq: SequenceHandle, index: int, block: _Block, tris) -> _Sample:
     """The one evaluation of member `index` (-1: the limit) on a block."""
-    shape = block.pts.shape
-    jet = _derivatives_at(seq, index, block.pts, tris, x=block.x)
-    return _Sample(*(_shared(a, shape) for a in jet))
+    f, fz, fzbar = _derivatives_at(seq, index, block.pts, tris, x=block.x)
+    shape = block.dw.shape
+    return _Sample(_shared(f, block.pts.shape), _shared(fz, shape), _shared(fzbar, shape))
 
 
-class _Block(NamedTuple):
-    """A run of whole triangles: their quadrature points and weights, and
-    in a closed-form sweep the points' `distinct_real_parts`, which every
-    field's jet may read."""
-    pts: np.ndarray
-    w: np.ndarray
-    x: Optional[tuple] = None
+class _Block:
+    """A run of whole triangles: their quadrature points `pts` and weights
+    `w`, and, when a field is `x_only`, the points' `distinct_real_parts`
+    `x`, which its jet reads.  The values lie at the points, weighted
+    by `w`.  The derivatives, and every quantity formed from them, are
+    weighted by `dw`: `w` itself, or, when `by_x`, once per distinct real
+    part, the sum of `w` over its points."""
+
+    def __init__(self, pts: np.ndarray, w: np.ndarray, x: Optional[tuple] = None,
+                 by_x: bool = False):
+        self.pts, self.w, self.x, self.by_x = pts, w, x, by_x
+        self.dw = self.per_derivative(w)
+
+    def per_derivative(self, a: np.ndarray) -> np.ndarray:
+        """Per-point weights `a` in the derivatives' layout."""
+        if not self.by_x:
+            return a
+        distinct, inverse = self.x
+        return np.bincount(inverse.ravel(), a.ravel(), minlength=len(distinct))
 
 
 class _Measurement:
@@ -199,7 +227,8 @@ class _Measurement:
     sweep passes the limit first, then each member it samples in order.
     Every sample, the limit's and each member's, is read-only and in arrays
     of its own; a member's is freed after its hooks, so a hook keeps
-    nothing of it."""
+    nothing of it.  A quantity of the values sums against the block's `w`,
+    one of the derivatives against its `dw`."""
 
     def limit(self, block: _Block, lim: _Sample) -> None:
         pass
@@ -217,18 +246,22 @@ def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
     of a rect mesh is a strip of columns and its points share few real
     parts.  Each block's quadrature is built when the block is reached,
     each field is sampled once per block and the sample is shared by every
-    measurement.  The limit is sampled, then the members of the index
-    sequence `members` in its order (None: every member)."""
+    measurement.  When the sequence is `x_only`, the derivatives and all
+    that is formed from them are sampled and summed once per distinct real
+    part of the block, against the block's `dw`; the values stay at the
+    points.  The limit is sampled, then the members of the index sequence
+    `members` in its order (None: every member)."""
     n = seq.quad_n
     step = max(1, geometry.BLOCK_ROWS // n ** 2)
     members = range(len(seq)) if members is None else members
+    reads_x = seq.all_analytic and any(m.analytic.x_only for m in (seq.limit, *seq.members))
     order = np.argsort(seq.mesh.centroids().real, kind="stable")
     for start in range(0, len(order), step):
         tris = np.sort(order[start:start + step])
         if tris[-1] - tris[0] == len(tris) - 1:  # a range: index views, not copies
             tris = slice(tris[0], tris[-1] + 1)
         pts, w = mesh_quad_points(seq.mesh, n, tris)
-        block = _Block(pts, w, distinct_real_parts(pts) if seq.all_analytic else None)
+        block = _Block(pts, w, distinct_real_parts(pts) if reads_x else None, seq.x_only)
         lim = _sample(seq, -1, block, tris)
         for m in measurements:
             m.limit(block, lim)
@@ -237,64 +270,6 @@ def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
             for m in measurements:
                 m.member(block, j, f, lim)
             del f  # the next member's sample takes its room
-
-
-def available_cpus() -> int:
-    """The CPUs this process may run on: its affinity set, which `taskset`
-    limits, or the machine's CPU count where the platform has no affinity
-    call."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# the most threads that build the mollifier's members, so that the blocks
-# they hold stay within a few MiB on any machine; more than 2 threads were
-# never timed
-MAX_THREADS = 4
-
-
-def deal(items: Sequence) -> List[Sequence]:
-    """`items` dealt round-robin into one share per thread: one thread per
-    available CPU, at most one per item and MAX_THREADS in all, and always
-    at least one share, which may be empty."""
-    threads = max(1, min(available_cpus(), len(items), MAX_THREADS))
-    return [items[i::threads] for i in range(threads)]
-
-
-def run_threads(work: Callable[[Sequence], None], shares: Sequence[Sequence],
-                abort: Callable[[], None] = lambda: None):
-    """Run `work(share)` for each of the `shares` of `deal`: the first on
-    the calling thread and each other on a worker thread of its own, in a
-    copy of the caller's context (numpy's error state).  A failure in any
-    thread, or in starting a worker, calls `abort`, which must free or stop
-    the threads still running, and the first failure is raised here once
-    every worker has been joined: no thread outlives the call."""
-    errors = []
-
-    def guarded(share):
-        try:
-            work(share)
-        except BaseException as exc:
-            errors.append(exc)
-            abort()
-
-    workers = []
-    try:
-        for share in shares[1:]:
-            worker = threading.Thread(target=contextvars.copy_context().run,
-                                      args=(guarded, share))
-            worker.start()
-            workers.append(worker)
-        guarded(shares[0])
-    except BaseException:
-        abort()  # a worker did not start: free those that did
-        raise
-    finally:
-        for worker in workers:
-            worker.join()
-    if errors:
-        raise errors[0]
 
 
 QUANTITIES = ("df", "fz", "fzbar", "jac", "mu")
@@ -367,7 +342,7 @@ class _LrGap(_Measurement):
 
     def member(self, block, j, f, lim):
         d = _quantity_diff(self.quantity, f, lim, self.spec)
-        self.sums[j] += _lr_sum(d, block.w, self.r)
+        self.sums[j] += _lr_sum(d, block.w if self.quantity == "f" else block.dw, self.r)
 
     def values(self) -> List[float]:
         return [float(s ** (1.0 / self.r)) for s in self.sums]
@@ -441,7 +416,9 @@ class _Energy(_Measurement):
         self.blocks[j + 1].append(quadrature_sum(vals, self.weights))
 
     def limit(self, block, lim):
-        self.weights = block.w * weight_values(self.spec, block.pts)
+        # the weight reads the points, so it is summed into the derivatives'
+        # layout, not dropped
+        self.weights = block.per_derivative(block.w * weight_values(self.spec, block.pts))
         self._add(-1, lim)
 
     def member(self, block, j, f, lim):
@@ -459,8 +436,8 @@ class _Folded(_Measurement):
     folded = total = 0.0  # the first block's += makes them the instance's
 
     def limit(self, block, lim):
-        self.folded += np.sum(block.w[~(lim.jac > 0)])
-        self.total += np.sum(block.w)
+        self.folded += np.sum(block.dw[~(lim.jac > 0)])
+        self.total += np.sum(block.dw)
 
 
 MEASURE_LEVELS = (1e-1, 1e-2, 1e-3)  # thresholds t of the convergence-in-measure record
@@ -487,7 +464,7 @@ class _InMeasure(_Folded):
             for i, t in enumerate(MEASURE_LEVELS):
                 # where, not a masked sum: with every point above, the sum is
                 # the total's, so the share is exactly 1
-                above[i] += np.sum(np.where(d > t, block.w, 0.0))
+                above[i] += np.sum(np.where(d > t, block.dw, 0.0))
 
     def values(self) -> Dict[str, List[float]]:
         return {"levels": list(MEASURE_LEVELS),

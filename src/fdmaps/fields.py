@@ -29,18 +29,21 @@ from .geometry import Mesh, blocks
 @dataclass(frozen=True)
 class AnalyticMap:
     """Closed-form map with exact Wirtinger derivatives, for oracle use.
-    `jet(z, x=None)` returns (f, f_z, f_zbar), three fresh complex arrays
-    of z's shape, from one shared evaluation, its f bit for bit `value(z)`;
-    `value` alone serves readers of values only.  `x`, if given, is
-    `distinct_real_parts(z)`, which a closed form whose transcendental
-    functions read Re z alone evaluates them on, once per distinct value,
-    with the bits it has without `x`; the others ignore it.  The targets
-    of the mollifier, `analytic_affine` and `analytic_radial_stretch`, also
-    take `value(z, out, work)`: f(z) is written into `out` (z itself
-    allowed), and `work`, a 1-D complex array of at least z.size elements,
-    holds the complex and real temporaries."""
+    `jet(z, x=None)` returns (f, f_z, f_zbar) from one shared evaluation:
+    f is a fresh complex array of z's shape, bit for bit `value(z)`, and
+    `value` alone serves readers of values only.  A map whose derivatives
+    read Re z alone is `x_only`: its f_z and f_zbar come once per distinct
+    real part of z, in the order of `distinct_real_parts(z)` (`x`, if
+    given, is that pair), or as constants that broadcast to it, and
+    `at_points` gathers them to the points.  Any other map ignores `x` and
+    returns f_z and f_zbar at the points, in fresh arrays of z's shape.
+    The targets of the mollifier, `analytic_affine` and
+    `analytic_radial_stretch`, also take `value(z, out, work)`: f(z) is
+    written into `out` (z itself allowed), and `work`, a 1-D complex array
+    of at least z.size elements, holds the complex and real temporaries."""
     value: Callable[..., np.ndarray]
     jet: Callable[..., Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    x_only: bool = False
 
 
 def _jet_arrays(z: np.ndarray):
@@ -57,6 +60,13 @@ def distinct_real_parts(z: np.ndarray):
     them."""
     bits, inverse = np.unique(z.real.view(np.int64), return_inverse=True)
     return bits.view(np.float64), inverse.reshape(z.shape)
+
+
+def at_points(d: np.ndarray, x) -> np.ndarray:
+    """An `x_only` jet's derivative `d`, given per distinct real part of
+    x = `distinct_real_parts(z)` or as a constant, gathered to the points z."""
+    distinct, inverse = x
+    return np.broadcast_to(d, distinct.shape)[inverse]
 
 
 def _reals(a: np.ndarray) -> np.ndarray:
@@ -214,14 +224,10 @@ def analytic_affine(a: complex, b: complex) -> AnalyticMap:
         return np.add(np.multiply(a, z, out=out), conj_b, out=out)
 
     def jet(z, x=None):
-        z = np.asarray(z, dtype=complex)
-        f, fz, fzbar = _jet_arrays(z)
-        value(z, f, work=fz.reshape(-1))  # fz holds conj(z) * b until it is filled
-        fz.fill(a)
-        fzbar.fill(b)
-        return f, fz, fzbar
+        # constant derivatives, which broadcast to any distinct real parts
+        return value(z), np.asarray(a), np.asarray(b)
 
-    return AnalyticMap(value, jet)
+    return AnalyticMap(value, jet, x_only=True)
 
 
 def analytic_radial_stretch(alpha: float) -> AnalyticMap:
@@ -274,28 +280,19 @@ def analytic_oscillation(j: int) -> AnalyticMap:
         return z + np.sin(w * z.real) / w
 
     def jet(z, x=None):
-        # cos(w x)/2 and sin(w x)/w are taken once per distinct real part
-        # and gathered into the memory of f_z and f_zbar, each read before
-        # its room is written
+        # sin(w x)/w and cos(w x)/2 once per distinct real part; f is
+        # z + sin(w x)/w at the points, part by part as `value` forms it
         z = np.asarray(z, dtype=complex)
-        f, fz, fzbar = _jet_arrays(z)
-        half_cos, sin_w = _reals(fz), _reals(fzbar)
         distinct, inverse = distinct_real_parts(z) if x is None else x
         wx = w * distinct
-        values = np.cos(wx)
-        values *= 0.5
-        values.take(inverse, out=half_cos, mode="clip")  # "raise" would buffer
-        values = np.sin(wx, out=values)
-        values /= w
-        values.take(inverse, out=sin_w, mode="clip")
-        # z + sin(w x)/w, part by part as the complex sum forms it
-        np.add(z.real, sin_w, out=f.real)
-        np.add(z.imag, 0.0, out=f.imag)
-        np.copyto(fzbar, half_cos)  # cos(w x)/2 + 0j
-        np.add(fzbar, 1.0, out=fz)  # 1 + cos(w x)/2 + 0j
-        return f, fz, fzbar
+        sin_w = np.sin(wx)
+        sin_w /= w
+        half_cos = np.cos(wx)
+        half_cos *= 0.5
+        fzbar = half_cos + 0j
+        return z + sin_w[inverse], fzbar + 1.0, fzbar
 
-    return AnalyticMap(value, jet)
+    return AnalyticMap(value, jet, x_only=True)
 
 
 _FORMULAS = {

@@ -2,18 +2,21 @@
 
 These are the ground-truth instances for the convergence diagnostics: an
 oscillation family that converges weakly but not strongly, mollified and
-drifting families that converge in C^1, and constant sequences.
+drifting families that converge in C^1, and constant sequences.  The
+mollified members are the package's only work on threads (`deal`,
+`run_threads`).
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
 import threading
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-from . import convergence
 from .convergence import SequenceHandle
 from .config import Section, complex_number, integer, map_args, one_of, read, real, setting
 from .errors import ConfigurationError
@@ -110,12 +113,70 @@ def mollifier_work():
     return np.empty(shape, dtype=complex), np.empty(shape[0] * shape[1], dtype=complex)
 
 
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, which `taskset`
+    limits, or the machine's CPU count where the platform has no affinity
+    call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# the most threads that build the mollifier's members, so that the blocks
+# they hold stay within a few MiB on any machine; more than 2 threads were
+# never timed
+MAX_THREADS = 4
+
+
+def deal(items: Sequence) -> List[Sequence]:
+    """`items` dealt round-robin into one share per thread: one thread per
+    available CPU, at most one per item and MAX_THREADS in all, and always
+    at least one share, which may be empty."""
+    threads = max(1, min(available_cpus(), len(items), MAX_THREADS))
+    return [items[i::threads] for i in range(threads)]
+
+
+def run_threads(work: Callable[[Sequence], None], shares: Sequence[Sequence],
+                abort: Callable[[], None] = lambda: None):
+    """Run `work(share)` for each of the `shares` of `deal`: the first on
+    the calling thread and each other on a worker thread of its own, in a
+    copy of the caller's context (numpy's error state).  A failure in any
+    thread, or in starting a worker, calls `abort`, which must free or stop
+    the threads still running, and the first failure is raised here once
+    every worker has been joined: no thread outlives the call."""
+    errors = []
+
+    def guarded(share):
+        try:
+            work(share)
+        except BaseException as exc:
+            errors.append(exc)
+            abort()
+
+    workers = []
+    try:
+        for share in shares[1:]:
+            worker = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(guarded, share))
+            worker.start()
+            workers.append(worker)
+        guarded(shares[0])
+    except BaseException:
+        abort()  # a worker did not start: free those that did
+        raise
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
+
+
 def _mollified_members(mesh: Mesh, amap: AnalyticMap, js) -> List[MappingField]:
     """Member j mollified at radius 1/j for each j of `js`.  The members are
-    dealt to threads by `convergence.deal`, and each thread keeps its own
-    blocks.  A member is built whole by one thread, so its bits do not
-    depend on the thread count.  A failure stops every thread before its
-    next member, and the first failure to happen is raised."""
+    dealt to threads by `deal`, and each thread keeps its own blocks.  A
+    member is built whole by one thread, so its bits do not depend on the
+    thread count.  A failure stops every thread before its next member,
+    and the first failure to happen is raised."""
     members = [None] * len(js)
     failed = threading.Event()
 
@@ -126,14 +187,14 @@ def _mollified_members(mesh: Mesh, amap: AnalyticMap, js) -> List[MappingField]:
                 return
             members[i] = MappingField(mesh, mollify_values(amap, mesh.nodes, 1.0 / js[i], work))
 
-    convergence.run_threads(build, convergence.deal(range(len(js))), abort=failed.set)
+    run_threads(build, deal(range(len(js))), abort=failed.set)
     return members
 
 
 def generate(recipe: SequenceRecipe, mesh: Mesh) -> SequenceHandle:
     """Every member and the limit on the mesh.  Closed-form members and
     limits sample their nodes on first read; mollified members are built
-    here, on the threads of `convergence.deal`."""
+    here, on the threads of `deal`."""
     js = range(1, recipe.j_max + 1)
     p = read("recipe params", recipe.params, PARAMS[recipe.kind], by="target")
 

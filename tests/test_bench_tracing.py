@@ -8,17 +8,15 @@ import fdmaps
 ROOT = Path(__file__).resolve().parents[1]
 
 # Installs the bench's wrappers on every name perfbench/tracing.py resolves,
-# then runs a small weak probe and one of several blocks, with five CPUs
-# patched in (the sweep samples on the calling thread whatever the count),
-# and prints the derivative evaluations counted after each.
+# then runs a small weak probe and one of several blocks, and prints the
+# derivative evaluations counted after each.
 SCRIPT = """
 import tracing
 tracer = tracing.Tracer("t")
 tracing.instrument(tracer)
-from fdmaps import build_rect_mesh, convergence
+from fdmaps import build_rect_mesh
 from fdmaps.convergence import weak_probe
 from fdmaps.sequences import SequenceRecipe, generate
-convergence.available_cpus = lambda: 5
 for n, j_max in ((2, 2), (16, 8)):
     seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=j_max),
                    build_rect_mesh(n, n, 0, 1 + 1j))
@@ -56,7 +54,7 @@ def test_bench_tracing_instruments_fdmaps(tmp_path):
     # a renamed or re-signed function would break `perfbench/run.py --trace 1`.
     # The limit and two members on one block of eight triangles; then the
     # limit and eight members on each of the four blocks of 512 triangles
-    # (64 points each), counted exactly while four threads sample them
+    # (64 points each), counted exactly
     assert _run_traced(SCRIPT, tmp_path) == ["3", str(3 + (8 + 1) * 4)]
 
 

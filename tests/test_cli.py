@@ -15,9 +15,10 @@ except ImportError:  # pragma: no cover
 
 import fdmaps
 from fdmaps.cli import main, result_schema, run
-from fdmaps.convergence import QUANTITIES, VERDICTS, available_cpus
+from fdmaps.convergence import QUANTITIES, VERDICTS
 from fdmaps.functionals import ProbeReport
 from fdmaps.geometry import BLOCK_ROWS as DEFAULT_BLOCK_ROWS
+from fdmaps.sequences import available_cpus
 
 
 def _read(path):

@@ -1,4 +1,4 @@
-import itertools
+import dataclasses
 import json
 import sys
 import threading
@@ -7,13 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
-from fdmaps import convergence, geometry
+from fdmaps import convergence, geometry, sequences
 from fdmaps.convergence import (SequenceHandle, Tolerances, lr_gap, lsc_checks,
                                 orlicz_gauge, orlicz_norm, quantity_scale,
                                 radon_riesz_diagnose, sobolev_norm, tail_slice,
                                 weak_probe)
 from fdmaps.errors import ConfigurationError, DomainError
 from fdmaps.fields import (AnalyticMap, MappingField, analytic_affine, analytic_oscillation,
+                           analytic_radial_stretch, at_points, distinct_real_parts,
                            sample_analytic, wirtinger_derivatives)
 from fdmaps.functionals import FunctionalSpec, phi_eval
 from fdmaps.quadrature import mesh_quad_points
@@ -299,23 +300,19 @@ def test_hyperbolic_weight_rejects_points_outside_disk(osc_seq):
 
 
 def test_diagnose_samples_each_field_once(monkeypatch, unit_square_16):
-    # the diagnose makes one sweep, at any block size and CPU count: it
-    # samples every field block by block, the blocks covering every
-    # quadrature point of every field exactly once, and builds each block's
-    # quadrature once, when the block is reached.  Each field's values come
-    # with its derivatives, one evaluation per block.  Blocks of 8,192
-    # points and of 256 points (4 triangles) both split the mesh, and the
-    # process may use one CPU or two; the sweep samples on the calling
-    # thread either way
+    # the diagnose makes one sweep, at any block size: it samples every
+    # field block by block, the blocks covering every quadrature point of
+    # every field exactly once, and builds each block's quadrature once,
+    # when the block is reached.  Each field's values come with its
+    # derivatives, one evaluation per block.  Blocks of 8,192 points and of
+    # 256 points (4 triangles) both split the mesh
     seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=8), unit_square_16)
     k = convergence.ANALYTIC_QUAD_N ** 2
     m = unit_square_16.n_triangles
     sweep = convergence._sweep
     derivatives_at, quad_points = convergence._derivatives_at, convergence.mesh_quad_points
-    lock = threading.Lock()  # the counts stay exact if a sweep used threads
-    for block_points, threads in itertools.product((geometry.BLOCK_ROWS, 4 * k), (1, 2)):
+    for block_points in (geometry.BLOCK_ROWS, 4 * k):
         monkeypatch.setattr(geometry, "BLOCK_ROWS", block_points)
-        monkeypatch.setattr(convergence, "available_cpus", lambda n=threads: n)
         sweeps = []  # per sweep: samples of each (field, triangle, point), row 0 the limit
         quad_covered = np.zeros(m, dtype=int)
         calls = {"blocks": 0, "quadrature": 0}
@@ -325,9 +322,8 @@ def test_diagnose_samples_each_field_once(monkeypatch, unit_square_16):
             sweep(seq_, measurements, members)
 
         def recorded(seq_, index, pts, tris=slice(None), x=None):
-            with lock:
-                sweeps[-1][index + 1][tris] += 1
-                calls["blocks"] += 1
+            sweeps[-1][index + 1][tris] += 1
+            calls["blocks"] += 1
             f, fz, fzbar = jet = derivatives_at(seq_, index, pts, tris, x)
             assert np.shape(f) == np.shape(pts)  # the values come with the derivatives
             return jet
@@ -376,12 +372,12 @@ def test_diagnose_memory_is_bounded():
     assert peaks[64] < 4 * mib
 
 
-def test_diagnose_memory_does_not_grow_with_the_cpus(monkeypatch):
-    # the sweep samples on the calling thread, so on 64 CPUs it holds one
-    # block and one member sample, as on one, on the closed-form path (the
-    # 32 x 32 oscillation) and on the nodal one (the level-5 mollified
-    # disk).  After a first run has filled the lazy caches, the traced peak
-    # is 2.35 MiB on 1, 4 and 64 CPUs, on either path
+def test_diagnose_memory_does_not_grow_with_the_cpus():
+    # the sweep samples on the calling thread and reads no CPU count, so on
+    # any machine it holds one block and one member sample, on the
+    # closed-form path (the 32 x 32 oscillation) and on the nodal one (the
+    # level-5 mollified disk).  After a first run has filled the lazy
+    # caches, the traced peak is 2.35 MiB on either path
     import tracemalloc
 
     import fdmaps
@@ -395,17 +391,13 @@ def test_diagnose_memory_does_not_grow_with_the_cpus(monkeypatch):
              {"df": 1.5, "jac": 0.5, "mu": 1.0})]
     for seq, r_list in runs:
         radon_riesz_diagnose(spec, seq, p_RR=2.0, r_list=r_list)
-        peaks = {}
-        for cpus in (1, 4, 64):
-            monkeypatch.setattr(convergence, "available_cpus", lambda n=cpus: n)
-            tracemalloc.start()
-            try:
-                radon_riesz_diagnose(spec, seq, p_RR=2.0, r_list=r_list)
-                _, peaks[cpus] = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        assert peaks[64] <= peaks[4] + 0.25 * mib
-        assert peaks[64] <= peaks[1] + 3 * mib
+        tracemalloc.start()
+        try:
+            radon_riesz_diagnose(spec, seq, p_RR=2.0, r_list=r_list)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * mib
 
 
 def test_closed_form_sequences_hold_no_nodal_arrays():
@@ -433,13 +425,13 @@ def test_closed_form_sequences_hold_no_nodal_arrays():
 def test_closed_form_diagnose_reads_no_member_values(monkeypatch, unit_square_16):
     # the weak residual evaluates each member's closed form at the quadrature
     # points; no member's nodes are sampled until its values are read
-    from fdmaps import sequences
     sampled = []  # (j, shape of the points) per evaluation of a member's closed form
 
     def recorded(j):
         amap = analytic_oscillation(j)
         return AnalyticMap(lambda z: sampled.append((j, np.shape(z))) or amap.value(z),
-                           lambda z, x=None: sampled.append((j, np.shape(z))) or amap.jet(z, x))
+                           lambda z, x=None: sampled.append((j, np.shape(z))) or amap.jet(z, x),
+                           x_only=True)
 
     monkeypatch.setattr(sequences, "analytic_oscillation", recorded)
     seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=4), unit_square_16)
@@ -552,11 +544,11 @@ def test_diagnose_is_block_size_invariant(monkeypatch, request, fixture, tris_pe
 
 @pytest.mark.parametrize("fixture", ["osc_seq", "moll_seq", "drift_seq"])
 def test_sweep_thread_count_keeps_the_bits(monkeypatch, request, fixture):
-    # the sweep samples on the calling thread and each member's sums receive
-    # the blocks in order, so 1, 2 and 5 CPUs give equal reports and LSC
-    # results, bit for bit, on blocks of 7 triangles.  The interpreter is
-    # traded every microsecond, so a thread that lost or reordered an
-    # update would show
+    # the sweep samples on the calling thread, reads no CPU count, and each
+    # member's sums receive the blocks in order, so two runs give equal
+    # reports and LSC results, bit for bit, on blocks of 7 triangles, while
+    # the interpreter is traded every microsecond: nothing of one sweep
+    # carries into the next
     seq = request.getfixturevalue(fixture)
     k = convergence.ANALYTIC_QUAD_N ** 2 if seq.all_analytic else 1
     monkeypatch.setattr(geometry, "BLOCK_ROWS", 7 * k)
@@ -564,8 +556,7 @@ def test_sweep_thread_count_keeps_the_bits(monkeypatch, request, fixture):
     specs = [spec, FunctionalSpec(family="exp_p", p=1.0)]
     r_list = {"df": 1.5, "jac": 0.5, "mu": 1.0, "fz": 2.0, "fzbar": 2.0}
 
-    def results(threads):
-        monkeypatch.setattr(convergence, "available_cpus", lambda: threads)
+    def results():
         # p_RR != p, so the energy series and the plain-Phi energies differ
         return (radon_riesz_diagnose(spec, seq, p_RR=3.0, r_list=r_list).to_json(),
                 lsc_checks(specs, seq))
@@ -573,16 +564,15 @@ def test_sweep_thread_count_keeps_the_bits(monkeypatch, request, fixture):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        one, two, five = results(1), results(2), results(5)
+        one, two = results(), results()
     finally:
         sys.setswitchinterval(interval)
     assert one == two
-    assert one == five
 
 
-def test_partial_last_block_keeps_the_bits(monkeypatch):
+def test_partial_last_block_keeps_the_bits():
     # 15 x 16 cells make 480 triangles, three blocks of 128 and a last one
-    # of 96: 1, 2 and 5 CPUs give equal reports, bit for bit
+    # of 96: two runs give equal reports, bit for bit
     import fdmaps
     mesh = fdmaps.build_rect_mesh(15, 16, 0.0, 1.0 + 1.0j)
     seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=8), mesh)
@@ -591,19 +581,17 @@ def test_partial_last_block_keeps_the_bits(monkeypatch):
     spec = FunctionalSpec(family="lp_mean", p=2.0)
     r_list = {"df": 1.5, "jac": 0.5, "mu": 1.0, "fz": 2.0, "fzbar": 2.0}
 
-    def report(threads):
-        monkeypatch.setattr(convergence, "available_cpus", lambda: threads)
+    def report():
         return radon_riesz_diagnose(spec, seq, p_RR=3.0, r_list=r_list).to_json()
 
-    one = report(1)
-    assert report(2) == one
-    assert report(5) == one
+    assert report() == report()
 
 
 def test_sweep_samples_on_the_calling_thread(monkeypatch, unit_square_16):
     # the sweep's numpy calls last microseconds, too short for threads to
-    # pay, so on 4 CPUs every member hook runs on the caller's thread
-    monkeypatch.setattr(convergence, "available_cpus", lambda: 4)
+    # pay, so on 4 CPUs, which the mollifier would use, every member hook
+    # runs on the caller's thread
+    monkeypatch.setattr(sequences, "available_cpus", lambda: 4)
     seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=8), unit_square_16)
     threads = set()
     for cls in (convergence._LrGap, convergence._Energy, convergence._InMeasure):
@@ -619,35 +607,121 @@ def test_blocks_bound_the_distinct_real_parts(monkeypatch):
     # the blocks are runs of the triangles ordered by the real parts of
     # their centroids: each of the 64 blocks of the 64 x 64 rect mesh is a
     # column of cells, whose 8,192 points take 50-67 distinct real parts (a
-    # row of cells takes 3,795), so the oscillation's sine and cosine are
-    # taken about 60 times per block
+    # row of cells takes 3,795).  The oscillation and its affine limit are
+    # x_only, so in every block each field's f_z and f_zbar, and P and Q,
+    # have one entry per distinct real part, while f has all 8,192
     import fdmaps
     mesh = fdmaps.build_rect_mesh(64, 64, 0.0, 1.0 + 1.0j)
     seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=2), mesh)
     distinct_real_parts, counts = convergence.distinct_real_parts, []
+    sample, sizes = convergence._sample, []
 
     def counted(z):
         x = distinct_real_parts(z)
         counts.append(len(x[0]))
         return x
 
+    def recorded(seq_, index, block, tris):
+        s = sample(seq_, index, block, tris)
+        sizes.append((index, s.f.size, *(a.size for a in (s.fz, s.fzbar, s.P, s.Q))))
+        return s
+
     monkeypatch.setattr(convergence, "distinct_real_parts", counted)
+    monkeypatch.setattr(convergence, "_sample", recorded)
     radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq, p_RR=2.0,
                          r_list={"fzbar": 2.0})
     assert len(counts) == 64
     assert max(counts) <= 128
+    assert seq.x_only
+    fields = len(seq) + 1
+    assert [index for index, *_ in sizes] == [-1, *range(len(seq))] * 64
+    for block, n in enumerate(counts):
+        for _, f, *derivatives in sizes[block * fields:(block + 1) * fields]:
+            assert f == 8192
+            assert derivatives == [n] * 4
+
+
+def _per_point(field: MappingField) -> MappingField:
+    """The field's closed form declared per point (not x_only): its jet
+    gathers an x_only jet's derivatives to the points itself."""
+    amap = field.analytic
+
+    def jet(z, x=None):
+        x = distinct_real_parts(z) if x is None else x
+        f, fz, fzbar = amap.jet(z, x)
+        return f, at_points(fz, x), at_points(fzbar, x)
+
+    return MappingField(field.mesh, analytic=AnalyticMap(amap.value, jet))
+
+
+def _sweep_reports(seq, spec):
+    # p_RR != p, so the energy series and the plain-Phi energies differ
+    r_list = {"df": 1.5, "jac": 0.5, "mu": 1.0, "fz": 2.0, "fzbar": 2.0}
+    return (radon_riesz_diagnose(spec, seq, p_RR=3.0, r_list=r_list).to_json(),
+            [dataclasses.asdict(r) for r in lsc_checks([spec], seq)])
+
+
+@pytest.mark.parametrize("case", ["oscillation", "rect_drift", "disk_affine_hyperbolic"])
+def test_x_only_sweep_matches_the_per_point_sweep(request, case):
+    # a sequence of x_only closed forms samples and sums its derivatives
+    # once per distinct real part of a block, against the summed weights;
+    # the same closed forms declared per point are sampled at every point.
+    # The two reports group their sums differently and agree to 1e-14
+    # relative, with equal verdicts.  An energy gap is a difference of two
+    # energies, so its rounding is that of the energies: it agrees to 1e-14
+    # of the larger of the two.  The hyperbolic weight reads |z|, so it is
+    # summed into the distinct real parts' weights
+    import fdmaps
+    spec = FunctionalSpec(family="lp_mean", p=2.0)
+    if case == "oscillation":
+        seq = request.getfixturevalue("osc_seq")
+    elif case == "rect_drift":
+        seq = generate(SequenceRecipe(kind="affine_drift",
+                                      params={"a": 1.0, "b": 0.2, "da": 0.4, "db": 0.1},
+                                      j_max=8), fdmaps.build_rect_mesh(32, 32, 0.0, 1.0 + 1.0j))
+    else:
+        seq = generate(SequenceRecipe(kind="constant",
+                                      params={"formula": "affine", "args": [[1.1, 0.2], [0.3, 0.1]]},
+                                      j_max=4), request.getfixturevalue("disk3"))
+        spec = FunctionalSpec(family="lp_mean", p=2.0, weight="hyperbolic")
+    per_point = SequenceHandle(seq.mesh, [_per_point(m) for m in seq.members],
+                               _per_point(seq.limit))
+    assert seq.x_only and not per_point.x_only
+    (report, lsc), (expected, expected_lsc) = _sweep_reports(seq, spec), _sweep_reports(per_point, spec)
+    assert (report["verdict"], report["decided_by"]) == (expected["verdict"], expected["decided_by"])
+    # the energy series at p_RR, and the plain-Phi energies of the LSC check
+    for key, energies in (("energy_gap", [expected["limit_energy"], *expected["energy_series"]]),
+                          ("phi_energy_gap", [expected_lsc[0]["limit_energy"],
+                                              *expected_lsc[0]["member_energies"]])):
+        gap, scale = report["hypotheses"].pop(key), max(abs(energies[0]), abs(energies[-1]))
+        assert gap == pytest.approx(expected["hypotheses"].pop(key), rel=0.0, abs=1e-14 * scale)
+    _assert_numbers_close(expected, report, rtol=1e-14)
+    _assert_numbers_close(expected_lsc, lsc, rtol=1e-14)
+
+
+def test_mixed_sequence_gathers_x_only_derivatives_to_the_points(unit_square_16):
+    # oscillation members with a radial-stretch limit: the stretch is not
+    # x_only, so the sweep samples per point and gathers the members'
+    # derivatives to the points, bit for bit as a per-point jet gives them
+    seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=6), unit_square_16)
+    mixed = SequenceHandle(unit_square_16, seq.members,
+                           MappingField(unit_square_16, analytic=analytic_radial_stretch(1.5)))
+    per_point = SequenceHandle(unit_square_16, [_per_point(m) for m in seq.members], mixed.limit)
+    assert not mixed.x_only
+    spec = FunctionalSpec(family="lp_mean", p=2.0)
+    assert _sweep_reports(mixed, spec) == _sweep_reports(per_point, spec)
 
 
 class _Failing(convergence._Measurement):
-    """Calls `fail` in the second block that it sees of member 1, or of the
-    limit when `at_limit`."""
+    """Calls `fail` in the `block`-th block that it sees of member 1, or of
+    the limit when `at_limit`."""
 
-    def __init__(self, fail, at_limit):
-        self.fail, self.at_limit, self.seen = fail, at_limit, 0
+    def __init__(self, fail, at_limit, block=2):
+        self.fail, self.at_limit, self.block, self.seen = fail, at_limit, block, 0
 
     def _count(self):
         self.seen += 1
-        if self.seen == 2:
+        if self.seen == self.block:
             self.fail()
 
     def limit(self, block, lim):
@@ -667,18 +741,20 @@ def _divide_by_zero():
     np.divide(1.0, np.zeros(1))  # numpy warns; the filter below makes that an error
 
 
-@pytest.mark.parametrize("threads", [1, 2, 5])
-def test_sweep_hooks_keep_the_callers_error_state(monkeypatch, drift_seq, threads):
-    # the sweep samples in the caller's context on any number of CPUs, so
-    # the caller's np.errstate reaches a member hook and a limit hook, and
-    # the floating-point error reaches the caller
-    monkeypatch.setattr(convergence, "available_cpus", lambda: threads)
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_sweep_hooks_keep_the_callers_error_state(monkeypatch, drift_seq, block):
+    # the sweep samples in the caller's context, so the caller's np.errstate
+    # reaches a member hook and a limit hook in the first block, a middle
+    # one and a later one, and the floating-point error reaches the caller.
+    # Blocks of 64 triangles give the sweep 6 blocks of the mesh
+    monkeypatch.setattr(geometry, "BLOCK_ROWS", 64 * drift_seq.quad_n ** 2)
+    assert drift_seq.mesh.n_triangles > 64 * 4
     outcome = []
 
     def sweep(at_limit):
         try:
             with np.errstate(divide="raise"):
-                convergence._sweep(drift_seq, [_Failing(_divide_by_zero, at_limit)])
+                convergence._sweep(drift_seq, [_Failing(_divide_by_zero, at_limit, block)])
         except BaseException as exc:
             outcome.append(exc)
 
@@ -690,19 +766,16 @@ def test_sweep_hooks_keep_the_callers_error_state(monkeypatch, drift_seq, thread
     assert [type(exc) for exc in outcome] == [FloatingPointError] * 2
 
 
-@pytest.mark.parametrize("threads", [1, 2, 5])
 @pytest.mark.parametrize("fail, at_limit, error, message", [
     (_leave_the_domain, False, DomainError, "member 1 left the domain"),
     (_divide_by_zero, False, RuntimeWarning, "divide by zero encountered in divide"),
     (_leave_the_domain, True, DomainError, "member 1 left the domain"),
 ])
-def test_sweep_failure_reaches_the_caller(monkeypatch, drift_seq, threads, fail,
-                                           at_limit, error, message):
+def test_sweep_failure_reaches_the_caller(drift_seq, fail, at_limit, error, message):
     # a failure in a member's part of a block, or in the limit's, is raised
-    # to the caller with its type and message on any number of CPUs, and no
-    # thread outlives the sweep.  The sweep runs on a thread of its own, so
-    # a deadlock fails the test instead of hanging it
-    monkeypatch.setattr(convergence, "available_cpus", lambda: threads)
+    # to the caller with its type and message, and no thread outlives the
+    # sweep.  The sweep runs on a thread of its own, so a deadlock fails
+    # the test instead of hanging it
     assert drift_seq.mesh.n_triangles * convergence.ANALYTIC_QUAD_N ** 2 > geometry.BLOCK_ROWS
     before = threading.active_count()
     outcome = []
@@ -945,7 +1018,7 @@ def test_nodal_diagnose_memory_is_bounded(monkeypatch):
         del seq
         threaded_peaks = []
         for cpus in (5, 64):
-            monkeypatch.setattr(convergence, "available_cpus", lambda n=cpus: n)
+            monkeypatch.setattr(sequences, "available_cpus", lambda n=cpus: n)
             tracemalloc.reset_peak()
             start, _ = tracemalloc.get_traced_memory()
             generate(recipe, mesh)

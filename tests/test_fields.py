@@ -8,9 +8,19 @@ from hypothesis import strategies as st
 from fdmaps import geometry
 from fdmaps.errors import ConfigurationError
 from fdmaps.fields import (AnalyticMap, MappingField, analytic_affine, analytic_oscillation,
-                           analytic_radial_stretch, derived_to_csv, distinct_real_parts,
-                           distortions, sample_analytic, wirtinger_derivatives,
-                           write_columns)
+                           analytic_radial_stretch, at_points, derived_to_csv,
+                           distinct_real_parts, distortions, sample_analytic,
+                           wirtinger_derivatives, write_columns)
+
+
+def _point_jet(amap, z, x=None):
+    """The jet of `amap` at the points z: an x_only jet's derivatives, given
+    per distinct real part of z, gathered to the points."""
+    f, fz, fzbar = amap.jet(z, x)
+    if amap.x_only:
+        x = distinct_real_parts(z)
+        fz, fzbar = at_points(fz, x), at_points(fzbar, x)
+    return f, fz, fzbar
 
 
 def test_affine_derivatives_exact(disk3):
@@ -88,7 +98,7 @@ def test_oscillation_derivatives(unit_square_16, rng):
     amap = analytic_oscillation(j)
     z = rng.uniform(0.05, 0.95, 20) + 1j * rng.uniform(0.05, 0.95, 20)
     c = np.cos(2 * np.pi * j * z.real)
-    _, fz, fzbar = amap.jet(z)
+    _, fz, fzbar = _point_jet(amap, z)
     assert np.allclose(fz, 1.0 + 0.5 * c)
     assert np.allclose(fzbar, 0.5 * c)
     # P1 sampling at a resolved frequency matches the closed form at centroids
@@ -105,7 +115,7 @@ def test_jet_values_are_the_values_bit_for_bit(amap, rng):
     # the origin (where the stretch's power is not taken) among the points
     z = np.concatenate([[0j], rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200)])
     z = z.reshape(3, 67)
-    f, fz, fzbar = amap.jet(z)
+    f, fz, fzbar = _point_jet(amap, z)
     assert f.shape == fz.shape == fzbar.shape == z.shape
     assert f.tobytes() == amap.value(z).tobytes()
 
@@ -155,11 +165,13 @@ _JETS = {
 @pytest.mark.parametrize("name", _JETS)
 @pytest.mark.parametrize("rows", [8, 5])
 def test_jet_written_in_place_is_the_jet(name, rows, rng):
-    # each jet writes its parts in place, its temporaries in the memory of
-    # the arrays it returns, and the sweep passes the points' distinct real
-    # parts: the jet of a full block of 8 rows and of a shorter last one,
-    # with and without x, has the bytes of the one-line formulas.  Columns
-    # repeat the real parts and the origin is among the points
+    # the stretch's jet writes its parts in place, its temporaries in the
+    # memory of the arrays it returns, and the sweep passes the points'
+    # distinct real parts, per which an x_only jet gives its derivatives:
+    # the jet of a full block of 8 rows and of a shorter last one, with and
+    # without x, gathered to the points, has the bytes of the one-line
+    # formulas.  Columns repeat the real parts and the origin is among the
+    # points
     amap, formulas = _JETS[name]
     z = rng.uniform(-1, 1, (8, 6)) + 1j * rng.uniform(-1, 1, (8, 6))
     z[:, 3:] = z[:, :3].real + 1j * rng.uniform(-1, 1, (8, 3))
@@ -167,7 +179,7 @@ def test_jet_written_in_place_is_the_jet(name, rows, rng):
     z = z[:rows]
     expected = [a.tobytes() for a in formulas(z)]
     for x in (None, distinct_real_parts(z)):
-        assert [a.tobytes() for a in amap.jet(z, x)] == expected
+        assert [a.tobytes() for a in _point_jet(amap, z, x)] == expected
 
 
 def test_distinct_real_parts_tell_the_zeros_apart():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fdmaps
-from fdmaps import convergence, sequences
+from fdmaps import sequences
 from fdmaps.convergence import radon_riesz_diagnose
 from fdmaps.errors import ConfigurationError, DomainError
 from fdmaps.fields import analytic_affine, analytic_radial_stretch
@@ -165,7 +165,7 @@ def test_mollified_members_keep_their_bits_for_any_thread_count(monkeypatch, dis
     spec = FunctionalSpec(family="lp_mean", p=2.0)
 
     def build(threads):
-        monkeypatch.setattr(convergence, "available_cpus", lambda: threads)
+        monkeypatch.setattr(sequences, "available_cpus", lambda: threads)
         seq = generate(recipe, disk3)
         return seq, radon_riesz_diagnose(spec, seq, p_RR=3.0).to_json()
 
@@ -185,7 +185,7 @@ def test_mollifier_failure_reaches_the_caller(monkeypatch, disk3, threads):
     # a failure while one member is built is raised to the caller with its
     # type and message, and no thread outlives the generation.  It runs on a
     # thread of its own, so a deadlock fails the test instead of hanging it
-    monkeypatch.setattr(convergence, "available_cpus", lambda: threads)
+    monkeypatch.setattr(sequences, "available_cpus", lambda: threads)
     mollify = sequences.mollify_values
 
     def failing(amap, points, delta, work=None):
@@ -220,8 +220,8 @@ def test_mollifier_failure_stops_every_thread(monkeypatch, disk3, cpus):
     # holds its first member until the failure has stopped them; each then
     # ends that member and builds no other.  At most MAX_THREADS threads
     # start, however many CPUs there are
-    monkeypatch.setattr(convergence, "available_cpus", lambda: cpus)
-    mollify, run_threads = sequences.mollify_values, convergence.run_threads
+    monkeypatch.setattr(sequences, "available_cpus", lambda: cpus)
+    mollify, run_threads = sequences.mollify_values, sequences.run_threads
     aborted, calls = threading.Event(), []
 
     def mollify_after_the_failure(amap, points, delta, work=None):
@@ -235,10 +235,10 @@ def test_mollifier_failure_stops_every_thread(monkeypatch, disk3, cpus):
         return run_threads(work, shares, lambda: (abort(), aborted.set()))
 
     monkeypatch.setattr(sequences, "mollify_values", mollify_after_the_failure)
-    monkeypatch.setattr(convergence, "run_threads", run_and_tell)
+    monkeypatch.setattr(sequences, "run_threads", run_and_tell)
     with pytest.raises(DomainError, match="member 1 left the domain"):
         generate(SequenceRecipe(kind="mollified", params={}, j_max=64), disk3)
-    assert len(calls) == len(set(calls)) <= min(cpus, convergence.MAX_THREADS)
+    assert len(calls) == len(set(calls)) <= min(cpus, sequences.MAX_THREADS)
 
 
 def test_mollified_sequence_limit_is_target(disk3):

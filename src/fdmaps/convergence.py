@@ -38,18 +38,19 @@ blocks are runs of the triangles ordered by the real parts of their
 centroids, so the points of a block of a rect mesh take about 60
 distinct real parts (`distinct_real_parts`).  When the limit and every
 member are closed forms whose derivatives read Re z alone
-(`AnalyticMap.x_only`), f_z and f_zbar, and all that is formed from them
-(P, Q, J, mu, Phi), are sampled once per distinct real part and summed
-against the weight of each: the sum of its points' weights, or for an
-energy of their weights times the functional's density, which reads |z|.
-The values, which the weak residual reads, stay at the points.  Otherwise
-every field is sampled at the points, an x_only field's derivatives
-gathered to them.  The sweep runs on the calling thread: its numpy calls
-are too short for threads to pay.  The limit and every member are
-sampled by one `_sample`, each into arrays of its own, and a member's
-sample is freed once its measurements have read it.  The working set is
-one block, one member sample and a few sums: no array grows with the
-number of quadrature points.
+(`AnalyticMap.x_only`), each field is affine in Im z on every vertical
+line, and the block is a reduced rule with one point per distinct real
+part (`_Block`): every field, f, f_z, f_zbar and all that is formed from
+them (P, Q, J, mu, Phi), is sampled there and summed against the weight
+of each, the sum of its points' weights, or for an energy of their
+weights times the functional's density, which reads |z|.  The weak
+residual adds the values' spread along each line in closed form.
+Otherwise every field is sampled at the points.  The sweep runs on the
+calling thread: its numpy calls are too short for threads to pay.  The
+limit and every member are sampled by one `_sample`, each into arrays of
+its own, and a member's sample is freed once its measurements have read
+it.  The working set is one block, one member sample and a few sums: no
+array grows with the number of quadrature points.
 The standalone `weak_probe`, `lr_gap`, `quantity_scale` and `lsc_checks`
 run the same sweep with the measurement they report.
 
@@ -72,7 +73,7 @@ import numpy as np
 from . import geometry
 from .config import Section, real, setting
 from .errors import ConfigurationError
-from .fields import (MappingField, apply_coefficients, at_points, derivative_coefficients,
+from .fields import (MappingField, apply_coefficients, derivative_coefficients,
                      distinct_real_parts, squared_moduli, wirtinger_derivatives,
                      write_columns)
 from .functionals import (FunctionalSpec, convexity_probe, default_s, df_norm, integrand,
@@ -138,31 +139,24 @@ class SequenceHandle:
 
 
 def _derivatives_at(seq: SequenceHandle, index: int, pts: np.ndarray,
-                    tris=slice(None), x=None):
+                    tris=slice(None)):
     """The jet (f, fz, fzbar) of member/limit on the triangles `tris` (a
-    slice or an index array), whose quadrature points are `pts`: the closed
-    form's, or the P1 interpolant's at the centroid (the mean of the three
-    nodal values, as `wirtinger_derivatives` forms it) with its
-    derivatives, all three from one gather of the values per triangle.  An
-    `x_only` closed form reads `x`, the points' `distinct_real_parts`, and
-    gives its derivatives per distinct real part; unless the whole sequence
-    is `x_only`, they are gathered to the points."""
+    slice or an index array): the closed form's at `pts`, the points of the
+    block's rule, or the P1 interpolant's at the centroid (the mean of the
+    three nodal values, as `wirtinger_derivatives` forms it) with its
+    derivatives, all three from one gather of the values per triangle."""
     m = seq.limit if index == -1 else seq.members[index]
     if seq.all_analytic:
-        f, fz, fzbar = m.analytic.jet(pts, x)
-        if m.analytic.x_only and not seq.x_only:
-            fz, fzbar = at_points(fz, x), at_points(fzbar, x)
-        return f, fz, fzbar
+        return m.analytic.jet(pts)
     corners = m.values[seq.mesh.triangles[tris]]
     return (corners.mean(axis=1, keepdims=True),
             *(apply_coefficients(c[tris], corners)[:, None] for c in seq.coefficients))
 
 
 class _Sample:
-    """f, f_z, f_zbar, P = |f_z|^2 and Q = |f_zbar|^2 of one field on a
-    block: f at the quadrature points, the others in the layout of the
-    block's derivative weights.  Phi by spec, J and mu are computed on
-    first use."""
+    """f, f_z, f_zbar, P = |f_z|^2 and Q = |f_zbar|^2 of one field at the
+    points of a block's rule, one entry per weight of `_Block.dw`.  Phi by
+    spec, J and mu are computed on first use."""
 
     def __init__(self, f, fz, fzbar):
         self.f, self.fz, self.fzbar = f, fz, fzbar
@@ -196,30 +190,38 @@ def _shared(a: np.ndarray, shape) -> np.ndarray:
 
 def _sample(seq: SequenceHandle, index: int, block: _Block, tris) -> _Sample:
     """The one evaluation of member `index` (-1: the limit) on a block."""
-    f, fz, fzbar = _derivatives_at(seq, index, block.pts, tris, x=block.x)
     shape = block.dw.shape
-    return _Sample(_shared(f, block.pts.shape), _shared(fz, shape), _shared(fzbar, shape))
+    return _Sample(*(_shared(a, shape) for a in _derivatives_at(seq, index, block.z, tris)))
 
 
 class _Block:
-    """A run of whole triangles: their quadrature points `pts` and weights
-    `w`, and, when a field is `x_only`, the points' `distinct_real_parts`
-    `x`, which its jet reads.  The values lie at the points, weighted
-    by `w`.  The derivatives, and every quantity formed from them, are
-    weighted by `dw`: `w` itself, or, when `by_x`, once per distinct real
-    part, the sum of `w` over its points."""
+    """A run of whole triangles as a quadrature rule: every field is sampled
+    at the points `z` and summed against their weights `dw`, per point the
+    triangles' quadrature points `pts` and weights `w`.  Reduced, for a
+    sequence of `x_only` closed forms, the rule has one entry per distinct
+    real part x_k of `pts`: z_k = x_k + i ybar_k, ybar_k the w-weighted
+    mean of Im z over the points of x_k, dw_k the sum of their weights and
+    `m2`_k that of w (Im z - ybar_k)^2.  There each field is affine in Im z
+    with slope i kappa_k, kappa = f_z - f_zbar, so the L^2 gap of two fields
+    over those points is |Delta f(z_k)|^2 dw_k + |Delta kappa_k|^2 m2_k,
+    with no cross term, and each quantity of the derivatives is constant."""
 
-    def __init__(self, pts: np.ndarray, w: np.ndarray, x: Optional[tuple] = None,
-                 by_x: bool = False):
-        self.pts, self.w, self.x, self.by_x = pts, w, x, by_x
-        self.dw = self.per_derivative(w)
+    def __init__(self, pts: np.ndarray, w: np.ndarray, reduce: bool = False):
+        self.pts, self.w = pts, w
+        self.z, self.dw, self.m2, self.inverse = pts, w, None, None
+        if reduce:
+            distinct, inverse = distinct_real_parts(pts)
+            self.inverse = inverse.ravel()
+            self.dw = self.per_part(w)
+            ybar = self.per_part(w * pts.imag) / self.dw
+            dy = pts.imag.ravel() - ybar[self.inverse]
+            self.m2 = self.per_part(w.ravel() * dy * dy)
+            self.z = np.stack([distinct, ybar], axis=1).view(complex).ravel()
 
-    def per_derivative(self, a: np.ndarray) -> np.ndarray:
-        """Per-point weights `a` in the derivatives' layout."""
-        if not self.by_x:
-            return a
-        distinct, inverse = self.x
-        return np.bincount(inverse.ravel(), a.ravel(), minlength=len(distinct))
+    def per_part(self, a: np.ndarray) -> np.ndarray:
+        """Per-point weights `a` in the rule's layout: summed per distinct
+        real part when reduced."""
+        return a if self.inverse is None else np.bincount(self.inverse, a.ravel())
 
 
 class _Measurement:
@@ -227,8 +229,8 @@ class _Measurement:
     sweep passes the limit first, then each member it samples in order.
     Every sample, the limit's and each member's, is read-only and in arrays
     of its own; a member's is freed after its hooks, so a hook keeps
-    nothing of it.  A quantity of the values sums against the block's `w`,
-    one of the derivatives against its `dw`."""
+    nothing of it.  Every quantity sums against the block's `dw`, and the
+    values' L^2 gap adds the term of a reduced rule's `m2`."""
 
     def limit(self, block: _Block, lim: _Sample) -> None:
         pass
@@ -246,22 +248,21 @@ def _sweep(seq: SequenceHandle, measurements: Sequence[_Measurement],
     of a rect mesh is a strip of columns and its points share few real
     parts.  Each block's quadrature is built when the block is reached,
     each field is sampled once per block and the sample is shared by every
-    measurement.  When the sequence is `x_only`, the derivatives and all
-    that is formed from them are sampled and summed once per distinct real
-    part of the block, against the block's `dw`; the values stay at the
-    points.  The limit is sampled, then the members of the index sequence
-    `members` in its order (None: every member)."""
+    measurement.  When the sequence is `x_only`, the block is the reduced
+    rule of `_Block`, so every field is sampled once per distinct real part
+    of the block; otherwise at every point.  The limit is sampled, then the
+    members of the index sequence `members` in its order (None: every
+    member)."""
     n = seq.quad_n
     step = max(1, geometry.BLOCK_ROWS // n ** 2)
     members = range(len(seq)) if members is None else members
-    reads_x = seq.all_analytic and any(m.analytic.x_only for m in (seq.limit, *seq.members))
     order = np.argsort(seq.mesh.centroids().real, kind="stable")
     for start in range(0, len(order), step):
         tris = np.sort(order[start:start + step])
         if tris[-1] - tris[0] == len(tris) - 1:  # a range: index views, not copies
             tris = slice(tris[0], tris[-1] + 1)
         pts, w = mesh_quad_points(seq.mesh, n, tris)
-        block = _Block(pts, w, distinct_real_parts(pts) if reads_x else None, seq.x_only)
+        block = _Block(pts, w, seq.x_only)
         lim = _sample(seq, -1, block, tris)
         for m in measurements:
             m.limit(block, lim)
@@ -342,7 +343,12 @@ class _LrGap(_Measurement):
 
     def member(self, block, j, f, lim):
         d = _quantity_diff(self.quantity, f, lim, self.spec)
-        self.sums[j] += _lr_sum(d, block.w if self.quantity == "f" else block.dw, self.r)
+        self.sums[j] += _lr_sum(d, block.dw, self.r)
+        if self.quantity == "f" and block.m2 is not None:
+            # the values' spread along each line; "f" is read at r = 2 alone
+            kappa = f.fz - f.fzbar
+            kappa -= lim.fz - lim.fzbar
+            self.sums[j] += _lr_sum(np.abs(kappa), block.m2, 2.0)
 
     def values(self) -> List[float]:
         return [float(s ** (1.0 / self.r)) for s in self.sums]
@@ -416,9 +422,9 @@ class _Energy(_Measurement):
         self.blocks[j + 1].append(quadrature_sum(vals, self.weights))
 
     def limit(self, block, lim):
-        # the weight reads the points, so it is summed into the derivatives'
-        # layout, not dropped
-        self.weights = block.per_derivative(block.w * weight_values(self.spec, block.pts))
+        # the weight reads the quadrature points, so it is summed into the
+        # rule's layout, not dropped
+        self.weights = block.per_part(block.w * weight_values(self.spec, block.pts))
         self._add(-1, lim)
 
     def member(self, block, j, f, lim):

@@ -29,18 +29,18 @@ from .geometry import Mesh, blocks
 @dataclass(frozen=True)
 class AnalyticMap:
     """Closed-form map with exact Wirtinger derivatives, for oracle use.
-    `jet(z, x=None)` returns (f, f_z, f_zbar) from one shared evaluation:
-    f is a fresh complex array of z's shape, bit for bit `value(z)`, and
-    `value` alone serves readers of values only.  A map whose derivatives
-    read Re z alone is `x_only`: its f_z and f_zbar come once per distinct
-    real part of z, in the order of `distinct_real_parts(z)` (`x`, if
-    given, is that pair), or as constants that broadcast to it, and
-    `at_points` gathers them to the points.  Any other map ignores `x` and
-    returns f_z and f_zbar at the points, in fresh arrays of z's shape.
-    The targets of the mollifier, `analytic_affine` and
-    `analytic_radial_stretch`, also take `value(z, out, work)`: f(z) is
-    written into `out` (z itself allowed), and `work`, a 1-D complex array
-    of at least z.size elements, holds the complex and real temporaries."""
+    `jet(z)` returns (f, f_z, f_zbar) at the points z from one shared
+    evaluation: f is a fresh complex array of z's shape, bit for bit
+    `value(z)`, and `value` alone serves readers of values only; f_z and
+    f_zbar are fresh arrays of z's shape, or constants that broadcast to
+    it.  A map whose derivatives read Re z alone is `x_only`: points that
+    share Re z get the same f_z and f_zbar, bit for bit, so
+    d f / d(Im z) = i (f_z - f_zbar) is constant on every vertical line and
+    f(x + iy) - f(x + iy') = i (f_z - f_zbar) (y - y').  The targets of the
+    mollifier, `analytic_affine` and `analytic_radial_stretch`, also take
+    `value(z, out, work)`: f(z) is written into `out` (z itself allowed),
+    and `work`, a 1-D complex array of at least z.size elements, holds the
+    complex and real temporaries."""
     value: Callable[..., np.ndarray]
     jet: Callable[..., Tuple[np.ndarray, np.ndarray, np.ndarray]]
     x_only: bool = False
@@ -52,21 +52,12 @@ def _jet_arrays(z: np.ndarray):
 
 
 def distinct_real_parts(z: np.ndarray):
-    """(distinct, inverse): the distinct real parts of the points z, and for
-    each point the index of its own, so that distinct[inverse] is z.real.
-    Values are told apart by their bits (-0.0 is not 0.0).  The quadrature
-    points of a block of rect-mesh triangles take about half as many
-    distinct real parts as there are points: each column of cells repeats
-    them."""
+    """(distinct, inverse): the distinct real parts of the points z, told
+    apart by their bits (-0.0 is not 0.0), and for each point the index of
+    its own, so that distinct[inverse] is z.real: the lines of a sweep's
+    reduced rule, which each column of a rect mesh's cells repeats."""
     bits, inverse = np.unique(z.real.view(np.int64), return_inverse=True)
     return bits.view(np.float64), inverse.reshape(z.shape)
-
-
-def at_points(d: np.ndarray, x) -> np.ndarray:
-    """An `x_only` jet's derivative `d`, given per distinct real part of
-    x = `distinct_real_parts(z)` or as a constant, gathered to the points z."""
-    distinct, inverse = x
-    return np.broadcast_to(d, distinct.shape)[inverse]
 
 
 def _reals(a: np.ndarray) -> np.ndarray:
@@ -223,8 +214,8 @@ def analytic_affine(a: complex, b: complex) -> AnalyticMap:
         np.multiply(np.conjugate(z, out=conj_b), b, out=conj_b)
         return np.add(np.multiply(a, z, out=out), conj_b, out=out)
 
-    def jet(z, x=None):
-        # constant derivatives, which broadcast to any distinct real parts
+    def jet(z):
+        # constant derivatives, which broadcast to the points
         return value(z), np.asarray(a), np.asarray(b)
 
     return AnalyticMap(value, jet, x_only=True)
@@ -245,7 +236,7 @@ def analytic_radial_stretch(alpha: float) -> AnalyticMap:
         s = stretch(z, None if work is None else work.view(np.float64)[:z.size].reshape(z.shape))
         return np.multiply(z, s, out=out)
 
-    def jet(z, x=None):
+    def jet(z):
         # f = z s, f_z = (alpha + 1)/2 s + 0j and f_zbar = (alpha - 1)/2 s
         # times the phase z / conj(z) (0 at the origin), each product in the
         # order and the types of the one-line formulas; the real factors
@@ -279,18 +270,16 @@ def analytic_oscillation(j: int) -> AnalyticMap:
         z = np.asarray(z, dtype=complex)
         return z + np.sin(w * z.real) / w
 
-    def jet(z, x=None):
-        # sin(w x)/w and cos(w x)/2 once per distinct real part; f is
-        # z + sin(w x)/w at the points, part by part as `value` forms it
+    def jet(z):
+        # f is z + sin(w x)/w as `value` forms it
         z = np.asarray(z, dtype=complex)
-        distinct, inverse = distinct_real_parts(z) if x is None else x
-        wx = w * distinct
+        wx = w * z.real
         sin_w = np.sin(wx)
         sin_w /= w
         half_cos = np.cos(wx)
         half_cos *= 0.5
         fzbar = half_cos + 0j
-        return z + sin_w[inverse], fzbar + 1.0, fzbar
+        return z + sin_w, fzbar + 1.0, fzbar
 
     return AnalyticMap(value, jet, x_only=True)
 

@@ -204,22 +204,26 @@ def build_disk_mesh(refinement_level: int) -> Mesh:
 
 
 def build_rect_mesh(nx: int, ny: int, corner_lo: complex, corner_hi: complex) -> Mesh:
-    """nx-by-ny grid of cells, each split into two triangles along one diagonal."""
+    """nx-by-ny grid of cells, each split into two triangles along one diagonal.
+    A rectangle whose triangle areas underflow to 0 or overflow is refused."""
     corner_lo = complex(corner_lo)
     corner_hi = complex(corner_hi)
     if nx < 1 or ny < 1:
         raise ConfigurationError("nx and ny must be >= 1")
     if not (corner_hi.real > corner_lo.real and corner_hi.imag > corner_lo.imag):
         raise ConfigurationError("degenerate rectangle: corner_hi must exceed corner_lo")
-    xs = np.linspace(corner_lo.real, corner_hi.real, nx + 1)
-    ys = np.linspace(corner_lo.imag, corner_hi.imag, ny + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    nodes = (X + 1j * Y).ravel()
-
     # lower-left node of every cell, row by row; each cell splits along a-c
     a = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
     b, c, d = a + 1, a + nx + 2, a + nx + 1
-    tris = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    tris = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3).astype(np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):  # such a box is refused below
+        xs = np.linspace(corner_lo.real, corner_hi.real, nx + 1)
+        ys = np.linspace(corner_lo.imag, corner_hi.imag, ny + 1)
+        X, Y = np.meshgrid(xs, ys, indexing="xy")
+        nodes = (X + 1j * Y).ravel()
+        areas = signed_areas(nodes, tris)
+    if not np.all((areas > 0) & (areas < np.inf)):
+        raise ConfigurationError("degenerate rectangle: its triangle areas must be finite and > 0")
     j, i = np.divmod(np.arange((nx + 1) * (ny + 1)), nx + 1)
     bnd = np.flatnonzero((i == 0) | (i == nx) | (j == 0) | (j == ny))
-    return Mesh(nodes, tris.astype(np.int64), bnd.astype(np.int64), 0, "rect")
+    return Mesh(nodes, tris, bnd.astype(np.int64), 0, "rect", areas=areas)

@@ -62,6 +62,23 @@ def test_bad_domain_exits_2(tmp_path):
     assert run({"command": "mesh", "domain": {"kind": "torus"}}, tmp_path) == 2
 
 
+@pytest.mark.parametrize("command, section, hi", [
+    ("mesh", {}, 1e-200),
+    ("diagnose", {"recipe": {"kind": "oscillation", "params": {}, "j_max": 2}}, 1e-200),
+    ("hopf", {}, 1e-200),
+    ("diagnose", {"recipe": {"kind": "oscillation", "params": {}, "j_max": 2}}, 1e300),
+])
+def test_rect_whose_areas_underflow_or_overflow_exits_2(tmp_path, command, section, hi):
+    # such a rectangle used to give mesh a total area of 0, diagnose nan
+    # and inf in its result, and hopf an internal error (exit 3)
+    config = {"command": command, "domain": {"kind": "rect", "nx": 4, "ny": 4, "hi": [hi, hi]},
+              **section}
+    assert run(config, tmp_path) == 2
+    manifest = _read(tmp_path / "manifest.json")
+    assert manifest["status"] == "validation_error"
+    assert manifest["failure_reason"].startswith("ConfigurationError: degenerate rectangle")
+
+
 @pytest.mark.parametrize("config, section", [
     ({"command": "mesh", "domain": {}}, "domain"),
     ({"command": "diagnose", "domain": {"kind": "disk", "level": 2}, "recipe": {}}, "recipe"),

@@ -14,8 +14,7 @@ from fdmaps.convergence import (SequenceHandle, Tolerances, lr_gap, lsc_checks,
                                 weak_probe)
 from fdmaps.errors import ConfigurationError, DomainError
 from fdmaps.fields import (AnalyticMap, MappingField, analytic_affine, analytic_oscillation,
-                           analytic_radial_stretch, at_points, distinct_real_parts,
-                           sample_analytic, wirtinger_derivatives)
+                           analytic_radial_stretch, sample_analytic, wirtinger_derivatives)
 from fdmaps.functionals import FunctionalSpec, phi_eval
 from fdmaps.quadrature import mesh_quad_points
 from fdmaps.sequences import SequenceRecipe, generate
@@ -174,7 +173,7 @@ def test_closed_form_limit_folds_on_its_closed_form(unit_square_16):
     def value(z):
         return z + np.sin(2.0 * np.pi * np.asarray(z).real) / np.pi
 
-    def jet(z, x=None):
+    def jet(z):
         c = np.cos(2.0 * np.pi * np.asarray(z).real) + 0j
         return value(z), 1.0 + c, c
 
@@ -321,10 +320,10 @@ def test_diagnose_samples_each_field_once(monkeypatch, unit_square_16):
             sweeps.append(np.zeros((len(seq) + 1, m, k), dtype=int))
             sweep(seq_, measurements, members)
 
-        def recorded(seq_, index, pts, tris=slice(None), x=None):
+        def recorded(seq_, index, pts, tris=slice(None)):
             sweeps[-1][index + 1][tris] += 1
             calls["blocks"] += 1
-            f, fz, fzbar = jet = derivatives_at(seq_, index, pts, tris, x)
+            f, fz, fzbar = jet = derivatives_at(seq_, index, pts, tris)
             assert np.shape(f) == np.shape(pts)  # the values come with the derivatives
             return jet
 
@@ -430,7 +429,7 @@ def test_closed_form_diagnose_reads_no_member_values(monkeypatch, unit_square_16
     def recorded(j):
         amap = analytic_oscillation(j)
         return AnalyticMap(lambda z: sampled.append((j, np.shape(z))) or amap.value(z),
-                           lambda z, x=None: sampled.append((j, np.shape(z))) or amap.jet(z, x),
+                           lambda z: sampled.append((j, np.shape(z))) or amap.jet(z),
                            x_only=True)
 
     monkeypatch.setattr(sequences, "analytic_oscillation", recorded)
@@ -472,7 +471,7 @@ def test_mu_gap_counts_the_other_fields_mu_where_one_fz_is_zero(unit_square_16):
     def left(z):
         return np.asarray(z).real < 0.5
 
-    def jet(z, x=None):
+    def jet(z):
         return (np.where(left(z), 0.5 * np.conj(z), z + 0.5 * np.conj(z)),
                 np.where(left(z), 0.0, 1.0) + 0j, np.full(np.shape(z), 0.5 + 0j))
 
@@ -608,8 +607,8 @@ def test_blocks_bound_the_distinct_real_parts(monkeypatch):
     # their centroids: each of the 64 blocks of the 64 x 64 rect mesh is a
     # column of cells, whose 8,192 points take 50-67 distinct real parts (a
     # row of cells takes 3,795).  The oscillation and its affine limit are
-    # x_only, so in every block each field's f_z and f_zbar, and P and Q,
-    # have one entry per distinct real part, while f has all 8,192
+    # x_only, so every block is the reduced rule: each field's f, f_z and
+    # f_zbar, and P and Q, have one entry per distinct real part
     import fdmaps
     mesh = fdmaps.build_rect_mesh(64, 64, 0.0, 1.0 + 1.0j)
     seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=2), mesh)
@@ -623,7 +622,7 @@ def test_blocks_bound_the_distinct_real_parts(monkeypatch):
 
     def recorded(seq_, index, block, tris):
         s = sample(seq_, index, block, tris)
-        sizes.append((index, s.f.size, *(a.size for a in (s.fz, s.fzbar, s.P, s.Q))))
+        sizes.append((index, *(a.size for a in (s.f, s.fz, s.fzbar, s.P, s.Q))))
         return s
 
     monkeypatch.setattr(convergence, "distinct_real_parts", counted)
@@ -636,22 +635,32 @@ def test_blocks_bound_the_distinct_real_parts(monkeypatch):
     fields = len(seq) + 1
     assert [index for index, *_ in sizes] == [-1, *range(len(seq))] * 64
     for block, n in enumerate(counts):
-        for _, f, *derivatives in sizes[block * fields:(block + 1) * fields]:
-            assert f == 8192
-            assert derivatives == [n] * 4
+        for _, *entries in sizes[block * fields:(block + 1) * fields]:
+            assert entries == [n] * 5
+
+
+@pytest.mark.parametrize("nx", [16, 32])
+def test_in_measure_shares_are_exactly_one_where_every_point_is_above(nx):
+    # the last member's df, jac and mu differences (1.03, 2.94 and 0.125)
+    # exceed every level everywhere, so each share sums the same weights as
+    # the total and is exactly 1.0; a total summed over other weights than
+    # the shares' (w, not the reduced rule's dw) misses it in the last bit
+    import fdmaps
+    seq = generate(SequenceRecipe(kind="affine_drift",
+                                  params={"a": 1.0, "b": 0.0, "da": 2.0, "db": 0.5}, j_max=2),
+                   fdmaps.build_rect_mesh(nx, nx, 0.0, 1.0 + 1.0j))
+    assert seq.x_only
+    proxy = radon_riesz_diagnose(FunctionalSpec(family="lp_mean", p=2.0), seq,
+                                 p_RR=2.0).pointwise_proxy
+    for q in ("df", "jac", "mu"):
+        assert proxy[q] == [1.0] * 3, q
 
 
 def _per_point(field: MappingField) -> MappingField:
-    """The field's closed form declared per point (not x_only): its jet
-    gathers an x_only jet's derivatives to the points itself."""
+    """The field's closed form declared per point (not x_only), so the
+    sweep samples it at every quadrature point."""
     amap = field.analytic
-
-    def jet(z, x=None):
-        x = distinct_real_parts(z) if x is None else x
-        f, fz, fzbar = amap.jet(z, x)
-        return f, at_points(fz, x), at_points(fzbar, x)
-
-    return MappingField(field.mesh, analytic=AnalyticMap(amap.value, jet))
+    return MappingField(field.mesh, analytic=AnalyticMap(amap.value, amap.jet))
 
 
 def _sweep_reports(seq, spec):
@@ -661,16 +670,20 @@ def _sweep_reports(seq, spec):
             [dataclasses.asdict(r) for r in lsc_checks([spec], seq)])
 
 
-@pytest.mark.parametrize("case", ["oscillation", "rect_drift", "disk_affine_hyperbolic"])
+@pytest.mark.parametrize("case", ["oscillation", "rect_drift", "offset_drift",
+                                  "disk_affine_hyperbolic"])
 def test_x_only_sweep_matches_the_per_point_sweep(request, case):
-    # a sequence of x_only closed forms samples and sums its derivatives
-    # once per distinct real part of a block, against the summed weights;
-    # the same closed forms declared per point are sampled at every point.
-    # The two reports group their sums differently and agree to 1e-14
-    # relative, with equal verdicts.  An energy gap is a difference of two
-    # energies, so its rounding is that of the energies: it agrees to 1e-14
-    # of the larger of the two.  The hyperbolic weight reads |z|, so it is
-    # summed into the distinct real parts' weights
+    # a sequence of x_only closed forms is sampled once per distinct real
+    # part of a block, at the weighted mean of its points' Im z, against
+    # the summed weights, and the weak residual adds |Delta kappa|^2 times
+    # the second moment of Im z; the same closed forms declared per point
+    # are sampled at every point.  The two reports group their sums
+    # differently and agree to 1e-14 relative, with equal verdicts.  An
+    # energy gap is a difference of two energies, so its rounding is that
+    # of the energies: it agrees to 1e-14 of the larger of the two.  On the
+    # offset rectangle Delta kappa is not 0 and Im z is about 10, so the
+    # second moment carries the weak residual.  The hyperbolic weight reads
+    # |z|, so it is summed into the distinct real parts' weights
     import fdmaps
     spec = FunctionalSpec(family="lp_mean", p=2.0)
     if case == "oscillation":
@@ -679,6 +692,10 @@ def test_x_only_sweep_matches_the_per_point_sweep(request, case):
         seq = generate(SequenceRecipe(kind="affine_drift",
                                       params={"a": 1.0, "b": 0.2, "da": 0.4, "db": 0.1},
                                       j_max=8), fdmaps.build_rect_mesh(32, 32, 0.0, 1.0 + 1.0j))
+    elif case == "offset_drift":
+        seq = generate(SequenceRecipe(kind="affine_drift",
+                                      params={"a": [1.0, 0.2], "b": [0.2, -0.1], "da": 0.4, "db": 0.1},
+                                      j_max=8), fdmaps.build_rect_mesh(32, 32, 10j, 1.0 + 11j))
     else:
         seq = generate(SequenceRecipe(kind="constant",
                                       params={"formula": "affine", "args": [[1.1, 0.2], [0.3, 0.1]]},
@@ -701,8 +718,8 @@ def test_x_only_sweep_matches_the_per_point_sweep(request, case):
 
 def test_mixed_sequence_gathers_x_only_derivatives_to_the_points(unit_square_16):
     # oscillation members with a radial-stretch limit: the stretch is not
-    # x_only, so the sweep samples per point and gathers the members'
-    # derivatives to the points, bit for bit as a per-point jet gives them
+    # x_only, so the sweep samples every field at the points with its plain
+    # jet, and the members' x_only declaration moves no bit
     seq = generate(SequenceRecipe(kind="oscillation", params={}, j_max=6), unit_square_16)
     mixed = SequenceHandle(unit_square_16, seq.members,
                            MappingField(unit_square_16, analytic=analytic_radial_stretch(1.5)))
@@ -841,7 +858,7 @@ def test_nonpositive_jacobian_in_one_block_gives_inf(unit_square_16):
     # inside the first block only; its other blocks are finite
     mesh = unit_square_16
 
-    def folded(z, x=None):
+    def folded(z):
         bad = np.asarray(z).imag < 0.05
         return z, np.ones(np.shape(z), dtype=complex), np.where(bad, 2.0, 0.0) + 0j
 

@@ -7,20 +7,16 @@ from hypothesis import strategies as st
 
 from fdmaps import geometry
 from fdmaps.errors import ConfigurationError
-from fdmaps.fields import (AnalyticMap, MappingField, analytic_affine, analytic_oscillation,
-                           analytic_radial_stretch, at_points, derived_to_csv,
-                           distinct_real_parts, distortions, sample_analytic,
-                           wirtinger_derivatives, write_columns)
+from fdmaps.fields import (_FORMULAS, AnalyticMap, MappingField, analytic_affine,
+                           analytic_oscillation,
+                           analytic_radial_stretch, derived_to_csv, distinct_real_parts,
+                           distortions, sample_analytic, wirtinger_derivatives,
+                           write_columns)
 
 
-def _point_jet(amap, z, x=None):
-    """The jet of `amap` at the points z: an x_only jet's derivatives, given
-    per distinct real part of z, gathered to the points."""
-    f, fz, fzbar = amap.jet(z, x)
-    if amap.x_only:
-        x = distinct_real_parts(z)
-        fz, fzbar = at_points(fz, x), at_points(fzbar, x)
-    return f, fz, fzbar
+def _point_jet(amap, z):
+    """The jet of `amap` at the points z, constant derivatives broadcast to them."""
+    return tuple(np.broadcast_to(a, z.shape) for a in amap.jet(z))
 
 
 def test_affine_derivatives_exact(disk3):
@@ -166,20 +162,40 @@ _JETS = {
 @pytest.mark.parametrize("rows", [8, 5])
 def test_jet_written_in_place_is_the_jet(name, rows, rng):
     # the stretch's jet writes its parts in place, its temporaries in the
-    # memory of the arrays it returns, and the sweep passes the points'
-    # distinct real parts, per which an x_only jet gives its derivatives:
-    # the jet of a full block of 8 rows and of a shorter last one, with and
-    # without x, gathered to the points, has the bytes of the one-line
-    # formulas.  Columns repeat the real parts and the origin is among the
-    # points
+    # memory of the arrays it returns: the jet of a full block of 8 rows and
+    # of a shorter last one has the bytes of the one-line formulas.
+    # Columns repeat the real parts and the origin is among the points
     amap, formulas = _JETS[name]
     z = rng.uniform(-1, 1, (8, 6)) + 1j * rng.uniform(-1, 1, (8, 6))
     z[:, 3:] = z[:, :3].real + 1j * rng.uniform(-1, 1, (8, 3))
     z[0, 0] = 0j
     z = z[:rows]
     expected = [a.tobytes() for a in formulas(z)]
-    for x in (None, distinct_real_parts(z)):
-        assert [a.tobytes() for a in _point_jet(amap, z, x)] == expected
+    assert [a.tobytes() for a in _point_jet(amap, z)] == expected
+
+
+# each x_only formula of the table, at the parameters the contract is checked at
+_X_ONLY = {"affine": [(1.0 + 0.5j, 0.3 - 0.2j)], "identity": [()], "oscillation": [(1,), (5,)]}
+
+
+def test_every_x_only_formula_is_checked():
+    params = {"affine": (1.0, 0.0), "radial_stretch": (1.5,), "oscillation": (1,), "identity": ()}
+    assert {tag for tag, make in _FORMULAS.items() if make(params[tag]).x_only} == set(_X_ONLY)
+
+
+@pytest.mark.parametrize("tag, params", [(t, p) for t, ps in _X_ONLY.items() for p in ps])
+def test_x_only_jet_is_affine_in_im_z(tag, params, rng):
+    # the sweep's reduced rule rests on this: points that share Re z get
+    # the same f_z and f_zbar, bit for bit, so f is affine in Im z on every
+    # vertical line, f(x + iy) - f(x + iy') = i (f_z - f_zbar) (y - y')
+    amap = _FORMULAS[tag](params)
+    assert amap.x_only
+    x = rng.uniform(-1, 1, 40)
+    y = np.stack([rng.uniform(-1, -0.5, 40), rng.uniform(0.5, 1, 40)])
+    f, fz, fzbar = _point_jet(amap, x + 1j * y)
+    assert fz[0].tobytes() == fz[1].tobytes() and fzbar[0].tobytes() == fzbar[1].tobytes()
+    np.testing.assert_allclose(f[0] - f[1], 1j * (fz[0] - fzbar[0]) * (y[0] - y[1]),
+                               rtol=1e-14, atol=0.0)
 
 
 def test_distinct_real_parts_tell_the_zeros_apart():

@@ -77,6 +77,13 @@ def test_rect_mesh_rejects_degenerate_box():
         build_rect_mesh(4, 4, 1.0 + 1.0j, 1.0 + 2.0j)
     with pytest.raises(ConfigurationError):
         build_rect_mesh(0, 4, 0.0, 1.0 + 1.0j)
+    # triangle areas that underflow to 0 or overflow to inf (or nan, where
+    # a side overflows): every area must be finite and > 0
+    for lo, hi in ((0.0, 1e-200 + 1e-200j), (0.0, 1e300 + 1e300j),
+                   (-1e308 - 1e308j, 1e308 + 1e308j)):
+        with pytest.raises(ConfigurationError, match="finite and > 0"):
+            build_rect_mesh(4, 4, lo, hi)
+    assert build_rect_mesh(4, 4, 0.0, 1e-150 + 1e-150j).total_area == pytest.approx(1e-300)
 
 
 def test_disk_level_cap():
